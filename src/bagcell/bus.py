@@ -1,16 +1,14 @@
-"""In-process publish/subscribe bus used for cross-phase coordination.
+"""Topic registry and sequence stamping for cross-phase coordination messages.
 
 Topics must be registered before use. Each publish stamps a per-topic
-monotone sequence number and is copied into every current subscriber's FIFO
-queue; subscribers that join later never see earlier messages. An optional
-``on_publish`` hook mirrors every message (typically into the run trace).
+monotone sequence number and hands the message to the optional
+``on_publish`` hook, which mirrors it (typically into the run trace).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Optional
 
 DEFAULT_TOPICS = (
     "system_ready",
@@ -18,11 +16,8 @@ DEFAULT_TOPICS = (
     "drop",
     "placement_verified",
     "cycle_finished",
-    "ready_for_removal",
     "removing_bag",
     "suction_cmd",
-    "pressure",
-    "ultrasonic",
     "cutting_complete",
     "removal_complete",
     "delivery_complete",
@@ -45,66 +40,21 @@ class Message:
     payload: Dict[str, Any]
 
 
-@dataclass
-class Subscription:
-    topic: str
-    subscriber: str
-    queue: Deque[Message] = field(default_factory=deque)
-
-    def pop(self) -> Optional[Message]:
-        return self.queue.popleft() if self.queue else None
-
-    def drain(self) -> List[Message]:
-        out = list(self.queue)
-        self.queue.clear()
-        return out
-
-    def __len__(self) -> int:
-        return len(self.queue)
-
-
 class Bus:
     def __init__(
         self,
-        topics: tuple[str, ...] = DEFAULT_TOPICS,
         extra_topics: tuple[str, ...] | list[str] = (),
         on_publish: Optional[Callable[[Message], None]] = None,
     ):
-        self._topics: Dict[str, int] = {}
-        self._subs: Dict[str, List[Subscription]] = {}
+        self._next_seq: Dict[str, int] = dict.fromkeys((*DEFAULT_TOPICS, *extra_topics), 0)
         self.on_publish = on_publish
-        for t in tuple(topics) + tuple(extra_topics):
-            self.register(t)
-
-    def register(self, topic: str) -> None:
-        if topic not in self._topics:
-            self._topics[topic] = 0
-            self._subs[topic] = []
-
-    @property
-    def topics(self) -> List[str]:
-        return list(self._topics)
-
-    def subscribe(self, topic: str, subscriber: str) -> Subscription:
-        if topic not in self._topics:
-            raise UnknownTopic(topic)
-        sub = Subscription(topic=topic, subscriber=subscriber)
-        self._subs[topic].append(sub)
-        return sub
 
     def publish(self, topic: str, payload: Dict[str, Any], time: float) -> Message:
-        if topic not in self._topics:
+        if topic not in self._next_seq:
             raise UnknownTopic(topic)
-        seq = self._topics[topic]
-        self._topics[topic] = seq + 1
+        seq = self._next_seq[topic]
+        self._next_seq[topic] = seq + 1
         msg = Message(topic=topic, seq=seq, time=time, payload=dict(payload))
-        for sub in self._subs[topic]:
-            sub.queue.append(msg)
         if self.on_publish is not None:
             self.on_publish(msg)
         return msg
-
-    def published_count(self, topic: str) -> int:
-        if topic not in self._topics:
-            raise UnknownTopic(topic)
-        return self._topics[topic]

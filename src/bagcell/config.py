@@ -17,6 +17,8 @@ from pathlib import Path
 from typing import Any
 
 DEFAULT_SEED = 12345
+# Enclosures in the bulk loader; every per-enclosure loop and audit reads it here.
+ENCLOSURE_COUNT = 8
 
 
 class ConfigInvalid(ValueError):
@@ -41,7 +43,7 @@ class LayoutConfig:
     stack_top_d_m: float = 0.15
     tote_front_y_m: float = -0.45
     tote_top_z_m: float = 0.30
-    enclosure_count: int = 8
+    enclosure_count: int = ENCLOSURE_COUNT
     enclosure_first_x_m: float = -0.42
     enclosure_spacing_m: float = 0.12
     enclosure_y_m: float = 0.72
@@ -196,8 +198,8 @@ class CellConfig:
                 f"zone sizes sum to {sum(lay.zone_sizes)}, "
                 f"expected total_stacks={lay.total_stacks}",
             )
-        if lay.enclosure_count != 8:
-            raise ConfigInvalid("layout.enclosure_count", "must be 8")
+        if lay.enclosure_count != ENCLOSURE_COUNT:
+            raise ConfigInvalid("layout.enclosure_count", f"must be {ENCLOSURE_COUNT}")
         if lay.back_wall_cm <= 0:
             raise ConfigInvalid("layout.back_wall_cm", "must be > 0")
 

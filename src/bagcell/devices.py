@@ -24,7 +24,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from bagcell.config import DeviceConfig, FaultConfig
+from bagcell.config import ENCLOSURE_COUNT, DeviceConfig, FaultConfig
 
 # The stochastic fault knobs live in the config tree; the runtime name is the
 # same structure.
@@ -150,7 +150,6 @@ class FaultInjector:
         self.profile = profile
         self.rng = rng
         self.script = script
-        self.decisions: List[Tuple[Dict[str, Any], str, str]] = []
 
     def decide(self, action: str, context: Dict[str, Any], prob: float = 0.0) -> str:
         """Outcome for one action occurrence: scripted first, then dice."""
@@ -158,20 +157,14 @@ class FaultInjector:
         if scripted is not None:
             return scripted
         if prob > 0.0 and self.rng.random() < prob:
-            self.decisions.append(({"action": action, **context}, "fail", "random"))
             return "fail"
-        self.decisions.append(({"action": action, **context}, "ok", "random"))
         return "ok"
 
     def scripted(self, action: str, context: Dict[str, Any]) -> Optional[str]:
         """Scripted outcome for this occurrence, or None; never rolls dice."""
         if self.script is None:
             return None
-        ctx = {"action": action, **context}
-        out = self.script.consume(ctx)
-        if out is not None:
-            self.decisions.append((ctx, out, "script"))
-        return out
+        return self.script.consume({"action": action, **context})
 
 
 # --- analog/timed devices -------------------------------------------------
@@ -284,15 +277,13 @@ class DeviceBank:
         self._seq = 0
 
         self.suction: Dict[str, SuctionLine] = {"gripper": SuctionLine("gripper")}
-        for i in range(8):
-            self.suction[f"bottom_{i}"] = SuctionLine(f"bottom_{i}")
-
         self.actuators: Dict[str, Actuator] = {
             "door": Actuator("door", devcfg.door_travel_s),
             "swing": Actuator("swing", devcfg.swing_travel_s),
             "cutter": Actuator("cutter", devcfg.cutter_traverse_s),
         }
-        for i in range(8):
+        for i in range(ENCLOSURE_COUNT):
+            self.suction[f"bottom_{i}"] = SuctionLine(f"bottom_{i}")
             self.actuators[f"pusher_{i}"] = Actuator(f"pusher_{i}", devcfg.pusher_travel_s)
 
         # Safety interlocks: device name -> predicate checked at command time.

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class PlanFailure(Exception):
@@ -90,17 +91,8 @@ def move_duration(distance: float, v_max: float, accel: float) -> float:
 
 
 def leg_lengths(waypoints: Sequence[Sequence[float]]) -> list[float]:
-    pts = np.asarray(waypoints, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 2:
-        return []
-    return [float(np.linalg.norm(b - a)) for a, b in zip(pts[:-1], pts[1:])]
-
-
-def path_duration(
-    waypoints: Sequence[Sequence[float]], v_max: float, accel: float
-) -> float:
-    """Total time along a stop-at-every-waypoint path."""
-    return sum(move_duration(d, v_max, accel) for d in leg_lengths(waypoints))
+    """Straight-line length of each leg between consecutive waypoints."""
+    return [math.dist(a, b) for a, b in zip(waypoints[:-1], waypoints[1:])]
 
 
 @dataclass(frozen=True)

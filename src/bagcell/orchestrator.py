@@ -22,6 +22,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from bagcell.config import ENCLOSURE_COUNT
+
 
 class Phase(enum.Enum):
     IDLE = "idle"
@@ -145,6 +147,10 @@ class BusMsg(Event):
     topic: str
 
 
+# Topics the machine publishes and then waits to receive back as a BusMsg.
+AWAITED_TOPICS = frozenset({"ready_for_picking", "system_reset"})
+
+
 # --- actions (machine -> runtime) ----------------------------------------
 
 
@@ -250,7 +256,7 @@ class Note(Action):
 
 @dataclass(frozen=True)
 class OrcParams:
-    slots: int = 8
+    slots: int = ENCLOSURE_COUNT
     zones: int = 4
     cycles: int = 1
     detect_attempts: int = 3
@@ -488,19 +494,10 @@ def transition(
     elif isinstance(event, SuctionLost):
         state = _r(state, secured=state.secured - {event.device})
 
-    if state.phase is Phase.IDLE:
-        return _on_idle(state, event, params)
-    if state.phase is Phase.FEEDING:
-        return _on_feeding(state, event, params)
-    if state.phase is Phase.CUTTING:
-        return _on_cutting(state, event, params)
-    if state.phase is Phase.REMOVAL:
-        return _on_removal(state, event, params)
-    if state.phase is Phase.DELIVERY:
-        return _on_delivery(state, event, params)
-    if state.phase is Phase.RESET:
-        return _on_reset(state, event, params)
-    return state, []
+    handler = _PHASE_HANDLERS.get(state.phase)
+    if handler is None:
+        return state, []
+    return handler(state, event, params)
 
 
 def _on_idle(state, event, params):
@@ -971,7 +968,7 @@ def _on_delivery(state, event, params):
                 actions.append(MarkOutcome(kind="verify_failed", stack=sid, enclosure=e))
             nxt = state.verify_idx + 1
             state = _r(state, verify_idx=nxt)
-            if nxt < 8:
+            if nxt < params.slots:
                 return state, actions + [
                     StartTimer(tag="dverify", seconds=params.delivery_verify_s)
                 ]
@@ -1061,3 +1058,13 @@ def _on_reset(state, event, params):
         return state, []
 
     return state, []
+
+
+_PHASE_HANDLERS = {
+    Phase.IDLE: _on_idle,
+    Phase.FEEDING: _on_feeding,
+    Phase.CUTTING: _on_cutting,
+    Phase.REMOVAL: _on_removal,
+    Phase.DELIVERY: _on_delivery,
+    Phase.RESET: _on_reset,
+}

@@ -21,7 +21,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
+from bagcell.config import ENCLOSURE_COUNT
+
 TRACE_VERSION = 1
+# One encoder for every trace line; json.dumps with options builds a new one per call.
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 class MalformedTrace(ValueError):
@@ -47,7 +51,7 @@ class TraceRecord:
             "kind": self.kind,
             "data": self.data,
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return _LINE_ENCODER.encode(payload)
 
 
 class Tracer:
@@ -267,7 +271,7 @@ def audit_interlocks(records: Sequence[TraceRecord]) -> List[str]:
     """Re-derive device state from a trace and check interlock ordering.
 
     Returns a list of human-readable problems (empty when the trace is
-    clean): cutter starts without eight secured bottom lines, and pusher
+    clean): cutter starts without every bottom line secured, and pusher
     extensions while the door is not open.
     """
     problems: List[str] = []
@@ -292,9 +296,10 @@ def audit_interlocks(records: Sequence[TraceRecord]) -> List[str]:
                 door_open = False
             if name == "cutter" and op == "extend":
                 n = sum(1 for s in secured if s.startswith("bottom_"))
-                if n != 8:
+                if n != ENCLOSURE_COUNT:
                     problems.append(
-                        f"seq {rec.seq}: cutter started with {n}/8 bottom lines secured"
+                        f"seq {rec.seq}: cutter started with {n}/{ENCLOSURE_COUNT} "
+                        "bottom lines secured"
                     )
             if name.startswith("pusher_") and op == "extend" and not door_open:
                 problems.append(f"seq {rec.seq}: {name} extended while door not open")
@@ -304,7 +309,6 @@ def audit_interlocks(records: Sequence[TraceRecord]) -> List[str]:
 def audit_retry_caps(records: Sequence[TraceRecord], caps: Dict[str, int]) -> List[str]:
     """Check that no action context exceeded its configured attempt cap."""
     problems: List[str] = []
-    seen: Dict[tuple, int] = {}
     for rec in records:
         if rec.kind != "fault_decision":
             continue
@@ -312,16 +316,7 @@ def audit_retry_caps(records: Sequence[TraceRecord], caps: Dict[str, int]) -> Li
         action = d.get("action", "")
         if action not in caps:
             continue
-        key = (
-            action,
-            d.get("test"),
-            d.get("cycle"),
-            d.get("slot"),
-            d.get("stack"),
-            d.get("enclosure"),
-        )
         attempt = d.get("attempt", 1)
-        seen[key] = max(seen.get(key, 0), attempt)
         if attempt > caps[action]:
             problems.append(
                 f"seq {rec.seq}: {action} attempt {attempt} exceeds cap {caps[action]}"

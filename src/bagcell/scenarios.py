@@ -15,7 +15,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from bagcell.config import FaultConfig
+from bagcell.config import ENCLOSURE_COUNT, FaultConfig
 from bagcell.devices import FaultScript, ScriptEntry
 
 # Per-test (detected, picked, placed) out of 8 offered stacks. Column sums
@@ -34,7 +34,7 @@ REFERENCE_CAMPAIGN: Tuple[Tuple[int, int, int], ...] = (
 )
 
 REFERENCE_TESTS = len(REFERENCE_CAMPAIGN)
-REFERENCE_SLOTS = 8
+REFERENCE_SLOTS = ENCLOSURE_COUNT
 
 
 def reference_rates() -> Tuple[float, float, float]:

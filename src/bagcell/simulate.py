@@ -16,7 +16,6 @@ trace, byte for byte.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -26,7 +25,7 @@ from bagcell import devices as dv
 from bagcell import orchestrator as orc
 from bagcell.bus import Bus
 from bagcell.config import CellConfig
-from bagcell.motion import PlanFailure, move_duration, path_duration, plan_with_retries
+from bagcell.motion import PlanFailure, leg_lengths, move_duration, plan_with_retries
 from bagcell.report import RunReport, Tracer
 from bagcell.vision import (
     CameraModel,
@@ -136,14 +135,7 @@ class Simulation:
         self._phase_spans: Dict[str, List[float]] = {}
         self.violation_count = 0
         self.stall_count = 0
-        self.notes: List[str] = []
         self._done_time: Optional[float] = None
-
-        # The machine coordinates cycle boundaries over the bus.
-        self._subs = [
-            self.bus.subscribe("ready_for_picking", "orchestrator"),
-            self.bus.subscribe("system_reset", "orchestrator"),
-        ]
 
     # -- event plumbing ----------------------------------------------------
 
@@ -160,23 +152,6 @@ class Simulation:
             {"topic": msg.topic, "seq": msg.seq, "payload": msg.payload},
         )
 
-    def _deliver_bus(self) -> None:
-        for sub in self._subs:
-            for msg in sub.drain():
-                self._push(self.now, orc.BusMsg(topic=msg.topic))
-
-    @staticmethod
-    def _convert(ev: dv.DeviceEvent) -> orc.Event:
-        if isinstance(ev, dv.Secured):
-            return orc.SuctionSecured(device=ev.device)
-        if isinstance(ev, dv.Lost):
-            return orc.SuctionLost(device=ev.device)
-        if isinstance(ev, dv.ActuatorStalled):
-            return orc.ActStalled(device=ev.device, op=ev.op)
-        if isinstance(ev, dv.ActuatorDone):
-            return orc.ActDone(device=ev.device, op=ev.op)
-        raise TypeError(f"unknown device event {ev!r}")
-
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> RunReport:
@@ -188,16 +163,13 @@ class Simulation:
                 break
             if t_bank is not None and (t_queue is None or t_bank <= t_queue):
                 for dev_ev in self.bank.advance_to(t_bank):
+                    name, convert = DEVICE_EVENTS[type(dev_ev)]
                     self.tracer.record(
                         "device_event",
                         dev_ev.time,
-                        {
-                            "device": dev_ev.device,
-                            "event": _device_event_name(dev_ev),
-                            "op": getattr(dev_ev, "op", ""),
-                        },
+                        {"device": dev_ev.device, "event": name, "op": getattr(dev_ev, "op", "")},
                     )
-                    self._push(dev_ev.time, self._convert(dev_ev))
+                    self._push(dev_ev.time, convert(dev_ev))
                 continue
             time, _, event, guard = heapq.heappop(self._queue)
             if guard is not None:
@@ -224,49 +196,34 @@ class Simulation:
     # -- action execution --------------------------------------------------
 
     def _execute(self, action: orc.Action) -> None:
-        if isinstance(action, orc.Publish):
-            self.bus.publish(action.topic, action.payload, self.now)
-            self._deliver_bus()
-        elif isinstance(action, orc.Move):
-            self._start_move(action)
-        elif isinstance(action, orc.Detect):
-            due = self.now + self.config.orchestrator.pacing.detect_service_s
-            self._push(due, _DetectDue(zone=action.zone, ctx=tuple(sorted(action.ctx.items()))))
-        elif isinstance(action, orc.Plan):
-            self._start_plan(action)
-        elif isinstance(action, orc.StartTimer):
-            epoch = self._timer_epoch.get(action.tag, 0) + 1
-            self._timer_epoch[action.tag] = epoch
-            self._push(
-                self.now + action.seconds,
-                orc.TimerFired(tag=action.tag),
-                guard=(action.tag, epoch),
-            )
-        elif isinstance(action, orc.CancelTimer):
-            self._timer_epoch[action.tag] = self._timer_epoch.get(action.tag, 0) + 1
-        elif isinstance(action, orc.OpenValve):
-            self._open_valve(action)
-        elif isinstance(action, orc.CloseValve):
-            self.tracer.record(
-                "device_cmd", self.now, {"device": action.device, "op": "close"}
-            )
-            self.bank.close_valve(action.device)
-        elif isinstance(action, orc.Command):
-            self._command(action)
-        elif isinstance(action, orc.ReadUltrasonic):
-            self._read_ultrasonic(action.enclosure)
-        elif isinstance(action, orc.SetStack):
-            self._set_stack(action)
-        elif isinstance(action, orc.SetPackaging):
-            self._set_packaging(action)
-        elif isinstance(action, orc.MarkOutcome):
-            self._mark(action)
-        elif isinstance(action, orc.PhaseMark):
-            self._phase_mark(action)
-        elif isinstance(action, orc.Note):
-            self.tracer.record("note", self.now, {"text": action.text, **action.data})
-        else:
+        executor = self._EXECUTORS.get(type(action))
+        if executor is None:
             raise TypeError(f"unknown action {action!r}")
+        executor(self, action)
+
+    def _publish(self, action: orc.Publish) -> None:
+        self.bus.publish(action.topic, action.payload, self.now)
+        if action.topic in orc.AWAITED_TOPICS:
+            self._push(self.now, orc.BusMsg(topic=action.topic))
+
+    def _detect(self, action: orc.Detect) -> None:
+        due = self.now + self.config.orchestrator.pacing.detect_service_s
+        self._push(due, _DetectDue(zone=action.zone, ctx=tuple(sorted(action.ctx.items()))))
+
+    def _start_timer(self, action: orc.StartTimer) -> None:
+        epoch = self._timer_epoch.get(action.tag, 0) + 1
+        self._timer_epoch[action.tag] = epoch
+        self._push(
+            self.now + action.seconds,
+            orc.TimerFired(tag=action.tag),
+            guard=(action.tag, epoch),
+        )
+
+    def _cancel_timer(self, action: orc.CancelTimer) -> None:
+        self._timer_epoch[action.tag] = self._timer_epoch.get(action.tag, 0) + 1
+
+    def _note(self, action: orc.Note) -> None:
+        self.tracer.record("note", self.now, {"text": action.text, **action.data})
 
     # -- geometry ----------------------------------------------------------
 
@@ -320,10 +277,10 @@ class Simulation:
             path = self._resolve_path(action.dest)
             if path is None:
                 raise ValueError(f"unresolvable move destination {action.dest!r}")
-            duration = path_duration(path, v, a)
-            distance = sum(
-                math.dist(p, q) for p, q in zip(path[:-1], path[1:])
-            )
+            legs = leg_lengths(path)
+            # The arm stops at every waypoint, so each leg is its own profile.
+            duration = sum(move_duration(d, v, a) for d in legs)
+            distance = sum(legs)
             self.robot_pos = tuple(path[-1])
         self.tracer.record(
             "motion",
@@ -467,6 +424,10 @@ class Simulation:
         )
         self.bank.open_valve(action.device, mode)
 
+    def _close_valve(self, action: orc.CloseValve) -> None:
+        self.tracer.record("device_cmd", self.now, {"device": action.device, "op": "close"})
+        self.bank.close_valve(action.device)
+
     def _command(self, action: orc.Command) -> None:
         stall = False
         if action.fault_action is not None:
@@ -488,7 +449,8 @@ class Simulation:
         if action.device.startswith("pusher_") and action.op == "extend" and not stall:
             self._pushed_out.add(int(action.device.split("_")[1]))
 
-    def _read_ultrasonic(self, enclosure: int) -> None:
+    def _read_ultrasonic(self, action: orc.ReadUltrasonic) -> None:
+        enclosure = action.enclosure
         enc = self.world.enclosures[enclosure]
         physically_present = (
             enc.occupant is not None
@@ -598,18 +560,34 @@ class Simulation:
             phase_durations_s=phase_means,
             violations=self.violation_count,
             pusher_stalls=self.stall_count,
-            notes=list(self.notes),
         )
 
+    _EXECUTORS = {
+        orc.Publish: _publish,
+        orc.Move: _start_move,
+        orc.Detect: _detect,
+        orc.Plan: _start_plan,
+        orc.StartTimer: _start_timer,
+        orc.CancelTimer: _cancel_timer,
+        orc.OpenValve: _open_valve,
+        orc.CloseValve: _close_valve,
+        orc.Command: _command,
+        orc.ReadUltrasonic: _read_ultrasonic,
+        orc.SetStack: _set_stack,
+        orc.SetPackaging: _set_packaging,
+        orc.MarkOutcome: _mark,
+        orc.PhaseMark: _phase_mark,
+        orc.Note: _note,
+    }
 
-def _device_event_name(ev: dv.DeviceEvent) -> str:
-    if isinstance(ev, dv.Secured):
-        return "secured"
-    if isinstance(ev, dv.Lost):
-        return "lost"
-    if isinstance(ev, dv.ActuatorStalled):
-        return "stalled"
-    return "done"
+
+# Device-event type -> (trace name, machine event built from it).
+DEVICE_EVENTS = {
+    dv.Secured: ("secured", lambda ev: orc.SuctionSecured(device=ev.device)),
+    dv.Lost: ("lost", lambda ev: orc.SuctionLost(device=ev.device)),
+    dv.ActuatorStalled: ("stalled", lambda ev: orc.ActStalled(device=ev.device, op=ev.op)),
+    dv.ActuatorDone: ("done", lambda ev: orc.ActDone(device=ev.device, op=ev.op)),
+}
 
 
 def run_single(

@@ -164,43 +164,29 @@ def evaluate(
         preds, gts, iou_threshold
     )
     base = metrics_from_counts(len(matches), len(unmatched_preds), len(unmatched_gts))
-    ap = ap_at_threshold(preds, gts, iou_threshold) if with_ap else None
+    ap = ap_at_threshold(preds, matches, len(gts)) if with_ap else None
     return DetectionMetrics(base.precision, base.recall, base.f1, base.counts, ap)
 
 
-def ap_at_threshold(
-    preds: Sequence[Box], gts: Sequence[Box], iou_threshold: float = 0.5
-) -> float:
-    """Average precision with all-point interpolation.
+def ap_at_threshold(preds: Sequence[Box], matches: Sequence[Match], n_gt: int) -> float:
+    """Average precision with all-point interpolation, from one greedy match.
 
-    Predictions are ranked by confidence across all frames; each claims the
-    best still-free ground-truth box in its frame. AP is the area under the
+    ``matches`` comes from :func:`match_detections` over ``preds`` and
+    ``n_gt`` ground-truth boxes. Predictions are ranked by confidence across
+    all frames, the order in which the matcher let them claim ground truth;
+    a matched prediction is a true positive. AP is the area under the
     precision envelope over recall.
     """
-    if not gts:
+    if n_gt == 0:
         raise EmptyGroundTruth("AP requested against empty ground truth")
     if not preds:
         return 0.0
     order = sorted(range(len(preds)), key=lambda i: (-preds[i].confidence, i))
-    taken: set[int] = set()
-    tp_flags = np.zeros(len(order))
-    for rank, pi in enumerate(order):
-        p = preds[pi]
-        best_j = -1
-        best_iou = iou_threshold
-        for gj, g in enumerate(gts):
-            if gj in taken or g.frame_id != p.frame_id or g.label != p.label:
-                continue
-            ov = iou(p, g)
-            if ov > best_iou or (ov == best_iou and ov > 0.0 and best_j == -1):
-                best_iou = ov
-                best_j = gj
-        if best_j >= 0:
-            taken.add(best_j)
-            tp_flags[rank] = 1.0
+    matched = {m.pred_index for m in matches}
+    tp_flags = np.array([1.0 if pi in matched else 0.0 for pi in order])
     tp_cum = np.cumsum(tp_flags)
     fp_cum = np.cumsum(1.0 - tp_flags)
-    recall = tp_cum / len(gts)
+    recall = tp_cum / n_gt
     precision = tp_cum / np.maximum(tp_cum + fp_cum, 1e-12)
     # Monotone precision envelope, then sum rectangle areas between recall steps.
     envelope = np.maximum.accumulate(precision[::-1])[::-1]

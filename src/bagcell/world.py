@@ -3,14 +3,14 @@
 The world is plain mutable state; all transitions are applied by the
 simulation loop. ``check_invariants`` is the single source of truth for the
 structural safety properties (single occupancy, at most one held stack,
-stack/enclosure cross-reference consistency, conservation of stacks) and is
+stack/enclosure cross-reference consistency, packaging per state) and is
 re-checked after every event during simulation.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from bagcell.config import CellConfig
@@ -35,7 +35,6 @@ class Pose3:
     x: float
     y: float
     z: float
-    yaw: float = 0.0
 
     def xyz(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
@@ -77,7 +76,6 @@ class Tote:
 class Enclosure:
     index: int
     occupant: Optional[int] = None
-    bag_secured: bool = False
 
 
 class Violation(Exception):
@@ -93,12 +91,7 @@ class Violation(Exception):
 class World:
     stacks: list[Stack]
     tote: Tote
-    enclosures: list[Enclosure] = field(
-        default_factory=lambda: [Enclosure(i) for i in range(8)]
-    )
-
-    def stack(self, stack_id: int) -> Stack:
-        return self.stacks[stack_id]
+    enclosures: list[Enclosure]
 
     def held_stack(self) -> Optional[Stack]:
         held = [s for s in self.stacks if s.state is StackState.HELD]
@@ -110,9 +103,6 @@ class World:
     def zone_stacks(self, zone: int) -> list[Stack]:
         """Pickable stacks currently presented in a zone."""
         return [s for s in self.in_tote() if s.zone == zone]
-
-    def occupied_enclosures(self) -> list[Enclosure]:
-        return [e for e in self.enclosures if e.occupant is not None]
 
     def counts(self) -> dict[str, int]:
         out = {state.value: 0 for state in StackState}
@@ -157,7 +147,7 @@ def build_world(config: CellConfig) -> World:
     return World(stacks=stacks, tote=tote, enclosures=enclosures)
 
 
-def check_invariants(world: World, expected_total: Optional[int] = None) -> list[Violation]:
+def check_invariants(world: World) -> list[Violation]:
     """Return all structural violations present in ``world`` (empty list if sound)."""
     out: list[Violation] = []
 
@@ -240,20 +230,11 @@ def check_invariants(world: World, expected_total: Optional[int] = None) -> list
                     f"stack {s.id} delivered with packaging {s.packaging.value}",
                 )
             )
-
-    total = expected_total if expected_total is not None else len(world.stacks)
-    if len(world.stacks) != total:
-        out.append(
-            Violation(
-                "conservation",
-                f"world has {len(world.stacks)} stacks, expected {total}",
-            )
-        )
     return out
 
 
-def assert_invariants(world: World, expected_total: Optional[int] = None) -> None:
-    violations = check_invariants(world, expected_total)
+def assert_invariants(world: World) -> None:
+    violations = check_invariants(world)
     if violations:
         raise violations[0]
 

@@ -5,71 +5,34 @@ from hypothesis import given, settings
 from bagcell.bus import DEFAULT_TOPICS, Bus, Message, UnknownTopic
 
 
-def test_fifo_per_subscriber():
-    bus = Bus()
-    sub = bus.subscribe("drop", "tester")
-    bus.publish("drop", {"n": 1}, time=0.0)
-    bus.publish("drop", {"n": 2}, time=1.0)
-    msgs = sub.drain()
-    assert [m.payload["n"] for m in msgs] == [1, 2]
-    assert [m.seq for m in msgs] == [0, 1]
-    assert sub.drain() == []
-
-
 def test_unknown_topic_rejected():
     bus = Bus()
     with pytest.raises(UnknownTopic):
         bus.publish("no_such_topic", {}, time=0.0)
-    with pytest.raises(UnknownTopic):
-        bus.subscribe("no_such_topic", "tester")
-    with pytest.raises(UnknownTopic):
-        bus.published_count("no_such_topic")
 
 
 def test_extra_topics_registered():
+    with pytest.raises(UnknownTopic):
+        Bus().publish("custom_alert", {}, time=0.0)
     bus = Bus(extra_topics=("custom_alert",))
-    bus.publish("custom_alert", {}, time=0.0)
-    assert "custom_alert" in bus.topics
-    assert set(DEFAULT_TOPICS) <= set(bus.topics)
-
-
-def test_late_subscriber_misses_earlier_messages():
-    bus = Bus()
-    bus.publish("fault", {"k": "early"}, time=0.0)
-    sub = bus.subscribe("fault", "late")
-    bus.publish("fault", {"k": "later"}, time=1.0)
-    msgs = sub.drain()
-    assert [m.payload["k"] for m in msgs] == ["later"]
-    assert msgs[0].seq == 1  # sequence numbering is bus-wide, not per subscriber
-
-
-def test_fan_out_identical_for_all_subscribers():
-    bus = Bus()
-    a = bus.subscribe("pressure", "a")
-    b = bus.subscribe("pressure", "b")
-    for i in range(5):
-        bus.publish("pressure", {"i": i}, time=float(i))
-    got_a = [(m.seq, m.payload["i"]) for m in a.drain()]
-    got_b = [(m.seq, m.payload["i"]) for m in b.drain()]
-    assert got_a == got_b == [(i, i) for i in range(5)]
+    assert bus.publish("custom_alert", {}, time=0.0).seq == 0
+    for topic in DEFAULT_TOPICS:
+        assert bus.publish(topic, {}, time=0.0).seq == 0
 
 
 def test_per_topic_sequences_are_independent():
     bus = Bus()
-    bus.publish("drop", {}, time=0.0)
-    bus.publish("fault", {}, time=0.0)
-    bus.publish("drop", {}, time=1.0)
-    assert bus.published_count("drop") == 2
-    assert bus.published_count("fault") == 1
+    seqs = [bus.publish(t, {}, time=0.0).seq for t in ("drop", "fault", "drop")]
+    assert seqs == [0, 0, 1]
 
 
 def test_payload_copied_at_publish():
-    bus = Bus()
-    sub = bus.subscribe("drop", "t")
+    seen = []
+    bus = Bus(on_publish=seen.append)
     payload = {"value": 1}
     bus.publish("drop", payload, time=0.0)
     payload["value"] = 999
-    assert sub.pop().payload["value"] == 1
+    assert seen[0].payload["value"] == 1
 
 
 def test_on_publish_mirror_sees_everything():
@@ -81,28 +44,14 @@ def test_on_publish_mirror_sees_everything():
     assert all(isinstance(m, Message) for m in seen)
 
 
-@given(
-    events=st.lists(
-        st.one_of(
-            st.tuples(st.just("pub"), st.sampled_from(["drop", "fault"])),
-            st.tuples(st.just("sub"), st.sampled_from(["drop", "fault"])),
-        ),
-        max_size=40,
-    )
-)
+@given(topics=st.lists(st.sampled_from(["drop", "fault", "system_reset"]), max_size=40))
 @settings(max_examples=200, deadline=None)
-def test_subscribers_see_gap_free_increasing_seqs(events):
-    bus = Bus()
-    subs = []
-    t = 0.0
-    for kind, topic in events:
-        if kind == "pub":
-            bus.publish(topic, {}, time=t)
-            t += 1.0
-        else:
-            subs.append(bus.subscribe(topic, f"s{len(subs)}"))
-    for sub in subs:
-        seqs = [m.seq for m in sub.drain()]
-        assert seqs == sorted(seqs)
-        if seqs:
-            assert seqs == list(range(seqs[0], seqs[0] + len(seqs)))
+def test_subscribers_see_gap_free_increasing_seqs(topics):
+    # The on_publish mirror is the bus's one subscriber.
+    seen = []
+    bus = Bus(on_publish=seen.append)
+    for i, topic in enumerate(topics):
+        bus.publish(topic, {}, time=float(i))
+    for topic in set(topics):
+        seqs = [m.seq for m in seen if m.topic == topic]
+        assert seqs == list(range(len(seqs)))

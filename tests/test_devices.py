@@ -280,6 +280,9 @@ def test_injector_seeded_replay():
 
 
 def test_injector_scripted_never_rolls_dice():
-    inj = FaultInjector(FaultConfig(), np.random.default_rng(0))
-    assert inj.scripted("pick", {"slot": 0}) is None
-    assert inj.decisions == []
+    script = FaultScript(entries=[ScriptEntry(when={"action": "pick", "slot": 0}, outcome="fail")])
+    inj = FaultInjector(FaultConfig(), np.random.default_rng(0), script)
+    assert inj.scripted("pick", {"slot": 0}) == "fail"
+    assert inj.scripted("pick", {"slot": 1}) is None
+    # The generator was not advanced: its next draw is a fresh generator's first.
+    assert inj.rng.random() == np.random.default_rng(0).random()

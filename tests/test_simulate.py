@@ -2,6 +2,8 @@
 
 import pytest
 
+from bagcell import devices as dv
+from bagcell import orchestrator as orc
 from bagcell.config import CellConfig
 from bagcell.devices import FaultScript
 from bagcell.report import (
@@ -12,7 +14,7 @@ from bagcell.report import (
     config_digest,
 )
 from bagcell.scenarios import randomized_fault_profile
-from bagcell.simulate import run_campaign, run_single
+from bagcell.simulate import DEVICE_EVENTS, Simulation, run_campaign, run_single
 
 
 def script(*entries) -> FaultScript:
@@ -59,6 +61,25 @@ def test_phase_durations_are_exact_when_fault_free():
     assert phases["delivery"] == pytest.approx(18.4, abs=1e-6)
     assert phases["removal"] == pytest.approx(38.9025, abs=1e-3)
     assert phases["resetting"] == pytest.approx(2.0, abs=1e-6)
+
+
+# --- dispatch tables and bus messages ------------------------------------
+
+
+def test_every_action_and_device_event_type_is_dispatched():
+    assert set(orc.Action.__subclasses__()) == set(Simulation._EXECUTORS)
+    assert set(dv.DeviceEvent.__subclasses__()) == set(DEVICE_EVENTS)
+
+
+def test_message_seqs_run_from_zero_per_topic():
+    _, tracer = run_single(CellConfig(), seed=21, cycles=2)
+    seqs = {}
+    for rec in tracer.records:
+        if rec.kind == "message":
+            seqs.setdefault(rec.data["topic"], []).append(rec.data["seq"])
+    assert {"ready_for_picking", "system_reset", "drop", "cycle_finished"} <= set(seqs)
+    for topic_seqs in seqs.values():
+        assert topic_seqs == list(range(len(topic_seqs)))
 
 
 # --- determinism ----------------------------------------------------------

@@ -222,8 +222,9 @@ def test_ap_hand_computed_case():
     ]
     # Ranked precision: 1, 1/2, 2/3, 3/4 at recalls 1/3, 1/3, 2/3, 1.
     # All-point envelope gives 1/3*1 + 1/3*3/4 + 1/3*3/4 = 5/6.
-    assert ap_at_threshold(preds, g) == pytest.approx(5.0 / 6.0, abs=1e-12)
-    assert ap_at_threshold([], g) == 0.0
+    matches, _, _ = match_detections(preds, g)
+    assert ap_at_threshold(preds, matches, len(g)) == pytest.approx(5.0 / 6.0, abs=1e-12)
+    assert ap_at_threshold([], [], len(g)) == 0.0
 
 
 # --- camera geometry ------------------------------------------------------

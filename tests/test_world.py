@@ -116,14 +116,6 @@ def test_packaging_rules_flagged():
     assert "delivered_still_bagged" in codes
 
 
-def test_conservation_against_expected_total():
-    world = fresh_world()
-    assert check_invariants(world, expected_total=24) == []
-    world.stacks.pop()
-    codes = [v.code for v in check_invariants(world, expected_total=24)]
-    assert "conservation" in codes
-
-
 def test_assert_invariants_raises_first_violation():
     world = fresh_world()
     world.stacks[0].state = StackState.HELD
