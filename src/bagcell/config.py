@@ -187,6 +187,9 @@ class CellConfig:
     extra_topics: list[str] = field(default_factory=list)
 
     def validate(self) -> None:
+        bad = _non_finite(self)
+        if bad is not None:
+            raise ConfigInvalid(bad.lstrip("."), "must be a finite number")
         lay = self.layout
         if len(lay.zone_sizes) != 4:
             raise ConfigInvalid("layout.zone_sizes", "exactly 4 zones required")
@@ -244,6 +247,8 @@ class CellConfig:
         ):
             if getattr(dev, name) <= 0:
                 raise ConfigInvalid(f"devices.{name}", "must be > 0")
+        if dev.actuator_stall_margin_s < 0:
+            raise ConfigInvalid("devices.actuator_stall_margin_s", "must be >= 0")
 
         flt = self.faults
         for name in (
@@ -337,6 +342,23 @@ class CellConfig:
         if not isinstance(data, dict):
             raise ConfigInvalid(str(path), "config root must be a JSON object")
         return cls.from_dict(data)
+
+
+def _non_finite(value: Any) -> str | None:
+    """Path (".a.b[2]") to the first NaN or infinity under ``value``, else None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else ""
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            bad = _non_finite(item)
+            if bad is not None:
+                return f"[{i}]{bad}"
+    elif isinstance(value, dict) or dataclasses.is_dataclass(value):
+        for key, item in (value if isinstance(value, dict) else vars(value)).items():
+            bad = _non_finite(item)
+            if bad is not None:
+                return f".{key}{bad}"
+    return None
 
 
 def _merge_dataclass(obj: Any, data: dict[str, Any], prefix: str) -> None:

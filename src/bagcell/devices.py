@@ -1,10 +1,11 @@
 """Device bank: suction lines, linear actuators, rangefinders, and faults.
 
 All device dynamics are piecewise linear, so the bank never ticks: every
-command computes its threshold crossings and completion times in closed form
-and queues them as timed events. ``advance_to`` releases events up to a given
-time and updates analog state; ``next_event_time`` lets an event loop sleep
-precisely until something happens.
+command computes its threshold crossing or completion time in closed form
+and returns it with the machine event that will fire then (or None when
+nothing will). The runtime queues that event on its own timeline, decides
+whether a later command superseded it, and calls ``apply`` when it comes
+due. ``now`` is the runtime's clock at the moment of a command.
 
 Fault injection is two-layered: a :class:`FaultProfile` gives stochastic
 per-action failure probabilities, and a :class:`FaultScript` pins specific
@@ -15,15 +16,14 @@ in file order, first match wins, and always take precedence over the dice.
 from __future__ import annotations
 
 import enum
-import heapq
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from bagcell import orchestrator as orc
 from bagcell.config import ENCLOSURE_COUNT, DeviceConfig, FaultConfig
 
 # The stochastic fault knobs live in the config tree; the runtime name is the
@@ -176,32 +176,6 @@ class SuctionMode(enum.Enum):
 
 
 @dataclass
-class DeviceEvent:
-    time: float
-    device: str
-
-
-@dataclass
-class Secured(DeviceEvent):
-    pass
-
-
-@dataclass
-class Lost(DeviceEvent):
-    pass
-
-
-@dataclass
-class ActuatorDone(DeviceEvent):
-    op: str = ""
-
-
-@dataclass
-class ActuatorStalled(DeviceEvent):
-    op: str = ""
-
-
-@dataclass
 class _Segment:
     """Linear analog trajectory: value(t) = clamp(v0 + rate*(t - t0) -> target)."""
 
@@ -236,11 +210,8 @@ class _Segment:
 @dataclass
 class SuctionLine:
     name: str
-    valve_open: bool = False
     secured: bool = False
-    mode: SuctionMode = SuctionMode.SEAL
     segment: _Segment = field(default_factory=lambda: _Segment(0.0, 0.0, 0.0, 0.0))
-    epoch: int = 0
 
     def pressure_at(self, t: float) -> float:
         return self.segment.value_at(t)
@@ -255,11 +226,14 @@ class Actuator:
     position: float = 0.0
     moving: bool = False
     stalled: bool = False
-    epoch: int = 0
+
+
+# A device command's closed-form outcome: when its event fires, and the event.
+Due = Optional[Tuple[float, orc.Event]]
 
 
 class DeviceBank:
-    """All cell devices, advanced together on one closed-form event queue."""
+    """All cell devices; commands return their closed-form events."""
 
     def __init__(
         self,
@@ -273,8 +247,6 @@ class DeviceBank:
         self.occupied_distance_cm = occupied_distance_cm
         self.empty_distance_cm = empty_distance_cm
         self.now = 0.0
-        self._pending: List[Tuple[float, int, int, DeviceEvent]] = []
-        self._seq = 0
 
         self.suction: Dict[str, SuctionLine] = {"gripper": SuctionLine("gripper")}
         self.actuators: Dict[str, Actuator] = {
@@ -289,59 +261,18 @@ class DeviceBank:
         # Safety interlocks: device name -> predicate checked at command time.
         self.interlocks: Dict[str, Any] = {}
 
-    # -- internal scheduling ----------------------------------------------
-
-    def _push(self, event: DeviceEvent, epoch: int) -> None:
-        self._seq += 1
-        heapq.heappush(self._pending, (event.time, self._seq, epoch, event))
-
-    def next_event_time(self) -> Optional[float]:
-        while self._pending:
-            t, _, epoch, ev = self._pending[0]
-            if self._stale(ev, epoch):
-                heapq.heappop(self._pending)
-                continue
-            return t
-        return None
-
-    def _stale(self, ev: DeviceEvent, epoch: int) -> bool:
-        if isinstance(ev, (Secured, Lost)):
-            return self.suction[ev.device].epoch != epoch
-        return self.actuators[ev.device].epoch != epoch
-
-    def advance_to(self, t: float) -> List[DeviceEvent]:
-        """Release all device events up to time ``t`` and advance the clock."""
-        if t < self.now:
-            raise ValueError(f"cannot advance backwards: {t} < {self.now}")
-        out: List[DeviceEvent] = []
-        while self._pending and self._pending[0][0] <= t:
-            _, _, epoch, ev = heapq.heappop(self._pending)
-            if self._stale(ev, epoch):
-                continue
-            self._apply(ev)
-            out.append(ev)
-        self.now = t
-        return out
-
-    def step(self, dt: float) -> List[DeviceEvent]:
-        if dt < 0.0:
-            raise ValueError("dt must be >= 0")
-        return self.advance_to(self.now + dt)
-
-    def _apply(self, ev: DeviceEvent) -> None:
-        if isinstance(ev, Secured):
-            self.suction[ev.device].secured = True
-        elif isinstance(ev, Lost):
-            self.suction[ev.device].secured = False
-        elif isinstance(ev, ActuatorDone):
-            act = self.actuators[ev.device]
-            act.moving = False
-            act.position = 1.0 if ev.op == "extend" else 0.0
-        elif isinstance(ev, ActuatorStalled):
-            act = self.actuators[ev.device]
-            act.moving = False
+    def apply(self, event: orc.Event) -> None:
+        """Update the line or actuator ``event`` concerns, as it comes due."""
+        if isinstance(event, (orc.SuctionSecured, orc.SuctionLost)):
+            self.suction[event.device].secured = isinstance(event, orc.SuctionSecured)
+            return
+        act = self.actuators[event.device]
+        act.moving = False
+        if isinstance(event, orc.ActStalled):
             act.stalled = True
             act.position = 0.5
+        else:
+            act.position = 1.0 if event.op == "extend" else 0.0
 
     # -- suction commands --------------------------------------------------
 
@@ -349,12 +280,9 @@ class DeviceBank:
         # Crosses the secure threshold exactly at the configured ramp time.
         return abs(self.cfg.secure_threshold_kpa) / self.cfg.ramp_to_secure_s
 
-    def open_valve(self, name: str, mode: SuctionMode = SuctionMode.SEAL) -> None:
+    def open_valve(self, name: str, mode: SuctionMode = SuctionMode.SEAL) -> Due:
         line = self.suction[name]
         p_now = line.pressure_at(self.now)
-        line.valve_open = True
-        line.mode = mode
-        line.epoch += 1
         target = (
             self.cfg.vacuum_level_kpa if mode is SuctionMode.SEAL else self.cfg.leak_level_kpa
         )
@@ -362,33 +290,24 @@ class DeviceBank:
         if not line.secured:
             t_cross = line.segment.crossing_time(self.cfg.secure_threshold_kpa)
             if t_cross is not None:
-                self._push(Secured(time=t_cross, device=name), line.epoch)
+                return t_cross, orc.SuctionSecured(device=name)
+        return None
 
-    def close_valve(self, name: str) -> None:
+    def close_valve(self, name: str) -> Due:
         line = self.suction[name]
         p_now = line.pressure_at(self.now)
-        line.valve_open = False
-        line.epoch += 1
         line.segment = _Segment(self.now, p_now, self._ramp_rate(), 0.0)
         if line.secured:
             t_cross = line.segment.crossing_time(self.cfg.secure_threshold_kpa)
             if t_cross is not None:
-                self._push(Lost(time=t_cross, device=name), line.epoch)
-            else:
-                line.secured = False
-
-    def pressure(self, name: str) -> float:
-        return self.suction[name].pressure_at(self.now)
-
-    def secured_count(self, prefix: str = "bottom_") -> int:
-        return sum(
-            1 for n, line in self.suction.items() if n.startswith(prefix) and line.secured
-        )
+                return t_cross, orc.SuctionLost(device=name)
+            line.secured = False
+        return None
 
     # -- actuator commands -------------------------------------------------
 
-    def command(self, name: str, op: str, stall: bool = False) -> None:
-        """Start an actuator move; completion (or stall) is queued as an event."""
+    def command(self, name: str, op: str, stall: bool = False) -> Tuple[float, orc.Event]:
+        """Start an actuator move; returns its completion (or stall)."""
         if op not in ("extend", "retract"):
             raise ValueError(f"unknown actuator op {op!r}")
         guard = self.interlocks.get((name, op)) or self.interlocks.get(name)
@@ -397,18 +316,12 @@ class DeviceBank:
             if not ok:
                 raise InterlockViolation(name, op, reason)
         act = self.actuators[name]
-        act.epoch += 1
         act.moving = True
         act.stalled = False
         if stall:
-            t_done = self.now + act.travel_s + self.cfg.actuator_stall_margin_s
-            self._push(ActuatorStalled(time=t_done, device=name, op=op), act.epoch)
-        else:
-            self._push(ActuatorDone(time=self.now + act.travel_s, device=name, op=op), act.epoch)
-
-    def door_open(self) -> bool:
-        door = self.actuators["door"]
-        return door.position >= 1.0 and not door.moving
+            t_stall = self.now + act.travel_s + self.cfg.actuator_stall_margin_s
+            return t_stall, orc.ActStalled(device=name, op=op)
+        return self.now + act.travel_s, orc.ActDone(device=name, op=op)
 
     # -- rangefinders ------------------------------------------------------
 
@@ -421,7 +334,7 @@ class DeviceBank:
         return max(0.0, base)
 
     def read_pressure(self, name: str, rng: np.random.Generator) -> float:
-        p = self.pressure(name)
+        p = self.suction[name].pressure_at(self.now)
         sigma = self.injector.profile.pressure_noise_sigma_kpa
         if sigma > 0.0:
             p += float(rng.normal(0.0, sigma))

@@ -22,7 +22,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from bagcell.config import ENCLOSURE_COUNT
+from bagcell.config import CellConfig
 
 
 class Phase(enum.Enum):
@@ -105,7 +105,6 @@ class DetectReady(Event):
     found: bool
     stack_id: int = -1
     leftmost_stack_id: int = -1
-    n_boxes: int = 0
 
 
 @dataclass(frozen=True)
@@ -256,23 +255,49 @@ class Note(Action):
 
 @dataclass(frozen=True)
 class OrcParams:
-    slots: int = ENCLOSURE_COUNT
-    zones: int = 4
-    cycles: int = 1
-    detect_attempts: int = 3
-    pick_attempts: int = 3
-    place_attempts: int = 3
-    remove_attempts: int = 3
-    secure_attempts: int = 3
-    grip_timeout_s: float = 2.0
-    placement_window_s: float = 3.0
-    grip_settle_s: float = 2.0
-    release_settle_s: float = 2.0
-    removal_release_s: float = 0.2
-    push_hold_s: float = 2.0
-    door_settle_s: float = 3.0
-    delivery_verify_s: float = 0.3
-    reset_settle_s: float = 2.0
+    slots: int
+    zones: int
+    cycles: int
+    detect_attempts: int
+    pick_attempts: int
+    place_attempts: int
+    remove_attempts: int
+    secure_attempts: int
+    grip_timeout_s: float
+    placement_window_s: float
+    grip_settle_s: float
+    release_settle_s: float
+    removal_release_s: float
+    push_hold_s: float
+    door_settle_s: float
+    delivery_verify_s: float
+    reset_settle_s: float
+
+    @classmethod
+    def from_config(cls, config: CellConfig, cycles: Optional[int] = None) -> "OrcParams":
+        """The machine's caps and timings; ``cycles`` overrides ``cycles_per_test``."""
+        o = config.orchestrator
+        p = o.pacing
+        d = config.devices
+        return cls(
+            slots=config.layout.enclosure_count,
+            zones=len(config.layout.zone_sizes),
+            cycles=o.cycles_per_test if cycles is None else cycles,
+            detect_attempts=o.detect_attempts,
+            pick_attempts=o.pick_attempts,
+            place_attempts=o.place_attempts,
+            remove_attempts=o.remove_attempts,
+            secure_attempts=o.secure_attempts,
+            grip_timeout_s=d.grip_timeout_s,
+            placement_window_s=d.placement_window_s,
+            grip_settle_s=p.grip_settle_s,
+            release_settle_s=p.release_settle_s,
+            removal_release_s=p.removal_release_s,
+            push_hold_s=p.push_hold_s,
+            door_settle_s=p.door_settle_s,
+            delivery_verify_s=p.delivery_verify_s,
+            reset_settle_s=p.reset_settle_s,
+        )
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,15 @@
 """Discrete-event runtime that executes the control machine.
 
-The simulation owns the clock, an event heap, the world, the device bank,
-the bus and the tracer. It feeds events to ``orchestrator.transition`` and
-executes the returned actions: resolving move geometry into profile
+The simulation owns the clock, the one event heap, the world, the device
+bank, the bus and the tracer. It feeds events to ``orchestrator.transition``
+and executes the returned actions: resolving move geometry into profile
 durations, taking synthetic camera frames, consulting the fault injector,
-mutating the world, and scheduling timers. Device events computed in closed
-form by the bank are merged into the same timeline (bank events win ties, so
-sensor state settles before control reacts to anything at the same instant).
+mutating the world, and scheduling timers. The event a device command
+returns joins the same heap at rank 0, so it wins ties: it is applied to the
+bank and traced, then re-queued at rank 1, behind everything already due at
+that instant. Every timer start or cancel and every device command bumps
+one epoch map, keyed by timer tag or device name; a popped entry whose
+epoch is behind was superseded and is dropped.
 
 Nothing here reads a wall clock and all randomness flows through one seeded
 generator, so a given (config, seed, script) triple always produces the same
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,35 +55,19 @@ _FAULT_PROBS = {
 }
 
 
+# Device-event type -> its trace name.
+DEVICE_EVENTS = {
+    orc.SuctionSecured: "secured",
+    orc.SuctionLost: "lost",
+    orc.ActStalled: "stalled",
+    orc.ActDone: "done",
+}
+
+
 @dataclass(frozen=True)
 class _DetectDue(orc.Event):
     zone: int
     ctx: Tuple[Tuple[str, Any], ...]
-
-
-def params_from_config(config: CellConfig, cycles: Optional[int] = None) -> orc.OrcParams:
-    o = config.orchestrator
-    p = o.pacing
-    d = config.devices
-    return orc.OrcParams(
-        slots=config.layout.enclosure_count,
-        zones=len(config.layout.zone_sizes),
-        cycles=o.cycles_per_test if cycles is None else cycles,
-        detect_attempts=o.detect_attempts,
-        pick_attempts=o.pick_attempts,
-        place_attempts=o.place_attempts,
-        remove_attempts=o.remove_attempts,
-        secure_attempts=o.secure_attempts,
-        grip_timeout_s=d.grip_timeout_s,
-        placement_window_s=d.placement_window_s,
-        grip_settle_s=p.grip_settle_s,
-        release_settle_s=p.release_settle_s,
-        removal_release_s=p.removal_release_s,
-        push_hold_s=p.push_hold_s,
-        door_settle_s=p.door_settle_s,
-        delivery_verify_s=p.delivery_verify_s,
-        reset_settle_s=p.reset_settle_s,
-    )
 
 
 class Simulation:
@@ -93,7 +80,6 @@ class Simulation:
         script: Optional[dv.FaultScript] = None,
         cycles: Optional[int] = None,
         test_index: int = 0,
-        tracer: Optional[Tracer] = None,
     ):
         config.validate()
         self.config = config
@@ -109,15 +95,19 @@ class Simulation:
             empty_distance_cm=config.layout.back_wall_cm,
         )
         self.camera = CameraModel.from_config(config.camera)
-        self.tracer = tracer if tracer is not None else Tracer()
+        self.tracer = Tracer()
         self.bus = Bus(extra_topics=tuple(config.extra_topics), on_publish=self._on_publish)
-        self.params = params_from_config(config, cycles)
+        self.params = orc.OrcParams.from_config(config, cycles)
         self.state = orc.initial_state()
 
         self.now = 0.0
-        self._queue: List[Tuple[float, int, orc.Event, Optional[Tuple[str, int]]]] = []
+        # (time, rank, seq, event, guard): rank 0 is a device event not yet
+        # applied; guard is (key, epoch) for an entry a later command may
+        # supersede.
+        self._queue: List[Tuple[float, int, int, orc.Event, Optional[Tuple[str, int]]]] = []
         self._qseq = 0
-        self._timer_epoch: Dict[str, int] = {}
+        # Timer tags and device names share one key space; they never collide.
+        self._epoch: Dict[str, int] = {}
 
         lay = config.layout
         self.home = tuple(lay.home_pose[:3])
@@ -140,10 +130,20 @@ class Simulation:
     # -- event plumbing ----------------------------------------------------
 
     def _push(
-        self, time: float, event: orc.Event, guard: Optional[Tuple[str, int]] = None
+        self,
+        time: float,
+        event: orc.Event,
+        guard: Optional[Tuple[str, int]] = None,
+        rank: int = 1,
     ) -> None:
         self._qseq += 1
-        heapq.heappush(self._queue, (time, self._qseq, event, guard))
+        heapq.heappush(self._queue, (time, rank, self._qseq, event, guard))
+
+    def _supersede(self, key: str, due: dv.Due = None, rank: int = 0) -> None:
+        """Drop every entry queued under ``key``, then queue ``due`` under it."""
+        epoch = self._epoch[key] = self._epoch.get(key, 0) + 1
+        if due is not None:
+            self._push(*due, guard=(key, epoch), rank=rank)
 
     def _on_publish(self, msg) -> None:
         self.tracer.record(
@@ -156,30 +156,24 @@ class Simulation:
 
     def run(self) -> RunReport:
         self._push(0.0, orc.Start())
-        while True:
-            t_bank = self.bank.next_event_time()
-            t_queue = self._queue[0][0] if self._queue else None
-            if t_bank is None and t_queue is None:
-                break
-            if t_bank is not None and (t_queue is None or t_bank <= t_queue):
-                for dev_ev in self.bank.advance_to(t_bank):
-                    name, convert = DEVICE_EVENTS[type(dev_ev)]
-                    self.tracer.record(
-                        "device_event",
-                        dev_ev.time,
-                        {"device": dev_ev.device, "event": name, "op": getattr(dev_ev, "op", "")},
-                    )
-                    self._push(dev_ev.time, convert(dev_ev))
+        queue, epochs = self._queue, self._epoch
+        while queue:
+            time, rank, _, event, guard = heapq.heappop(queue)
+            if guard is not None and epochs[guard[0]] != guard[1]:
                 continue
-            time, _, event, guard = heapq.heappop(self._queue)
-            if guard is not None:
-                tag, epoch = guard
-                if self._timer_epoch.get(tag, 0) != epoch:
-                    continue
             if time > _SIM_TIME_LIMIT_S:
                 raise RuntimeError("simulation exceeded time limit; control loop stuck")
-            self.now = time
-            self.bank.advance_to(time)
+            if rank == 0:
+                self.bank.apply(event)
+                name = DEVICE_EVENTS[type(event)]
+                self.tracer.record(
+                    "device_event",
+                    time,
+                    {"device": event.device, "event": name, "op": getattr(event, "op", "")},
+                )
+                self._push(time, event)
+                continue
+            self.now = self.bank.now = time
             self._dispatch(event)
         return self._build_report()
 
@@ -211,16 +205,11 @@ class Simulation:
         self._push(due, _DetectDue(zone=action.zone, ctx=tuple(sorted(action.ctx.items()))))
 
     def _start_timer(self, action: orc.StartTimer) -> None:
-        epoch = self._timer_epoch.get(action.tag, 0) + 1
-        self._timer_epoch[action.tag] = epoch
-        self._push(
-            self.now + action.seconds,
-            orc.TimerFired(tag=action.tag),
-            guard=(action.tag, epoch),
-        )
+        fire = (self.now + action.seconds, orc.TimerFired(tag=action.tag))
+        self._supersede(action.tag, fire, rank=1)
 
     def _cancel_timer(self, action: orc.CancelTimer) -> None:
-        self._timer_epoch[action.tag] = self._timer_epoch.get(action.tag, 0) + 1
+        self._supersede(action.tag)
 
     def _note(self, action: orc.Note) -> None:
         self.tracer.record("note", self.now, {"text": action.text, **action.data})
@@ -351,7 +340,6 @@ class Simulation:
                 found=found,
                 stack_id=stack_id,
                 leftmost_stack_id=leftmost,
-                n_boxes=len(obs.detections),
             ),
         )
 
@@ -422,11 +410,11 @@ class Simulation:
             self.now,
             {"device": action.device, "op": "open", "mode": mode.value},
         )
-        self.bank.open_valve(action.device, mode)
+        self._supersede(action.device, self.bank.open_valve(action.device, mode))
 
     def _close_valve(self, action: orc.CloseValve) -> None:
         self.tracer.record("device_cmd", self.now, {"device": action.device, "op": "close"})
-        self.bank.close_valve(action.device)
+        self._supersede(action.device, self.bank.close_valve(action.device))
 
     def _command(self, action: orc.Command) -> None:
         stall = False
@@ -445,7 +433,7 @@ class Simulation:
         self.tracer.record(
             "device_cmd", self.now, {"device": action.device, "op": action.op}
         )
-        self.bank.command(action.device, action.op, stall=stall)
+        self._supersede(action.device, self.bank.command(action.device, action.op, stall))
         if action.device.startswith("pusher_") and action.op == "extend" and not stall:
             self._pushed_out.add(int(action.device.split("_")[1]))
 
@@ -579,15 +567,6 @@ class Simulation:
         orc.PhaseMark: _phase_mark,
         orc.Note: _note,
     }
-
-
-# Device-event type -> (trace name, machine event built from it).
-DEVICE_EVENTS = {
-    dv.Secured: ("secured", lambda ev: orc.SuctionSecured(device=ev.device)),
-    dv.Lost: ("lost", lambda ev: orc.SuctionLost(device=ev.device)),
-    dv.ActuatorStalled: ("stalled", lambda ev: orc.ActStalled(device=ev.device, op=ev.op)),
-    dv.ActuatorDone: ("done", lambda ev: orc.ActDone(device=ev.device, op=ev.op)),
-}
 
 
 def run_single(

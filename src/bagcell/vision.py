@@ -11,7 +11,7 @@ tote rim rather than per-stack depth sensing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -151,7 +151,6 @@ def evaluate(
     preds: Sequence[Box],
     gts: Sequence[Box],
     iou_threshold: float = 0.5,
-    with_ap: bool = True,
 ) -> DetectionMetrics:
     """Score predictions against ground truth at one IoU threshold."""
     if not gts:
@@ -164,7 +163,7 @@ def evaluate(
         preds, gts, iou_threshold
     )
     base = metrics_from_counts(len(matches), len(unmatched_preds), len(unmatched_gts))
-    ap = ap_at_threshold(preds, matches, len(gts)) if with_ap else None
+    ap = ap_at_threshold(preds, matches, len(gts))
     return DetectionMetrics(base.precision, base.recall, base.f1, base.counts, ap)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from bagcell.config import CellConfig
 
@@ -78,13 +78,12 @@ class Enclosure:
     occupant: Optional[int] = None
 
 
-class Violation(Exception):
-    """A structural or safety invariant was broken."""
+@dataclass(frozen=True)
+class Violation:
+    """A structural or safety invariant that was broken."""
 
-    def __init__(self, code: str, detail: str):
-        self.code = code
-        self.detail = detail
-        super().__init__(f"{code}: {detail}")
+    code: str
+    detail: str
 
 
 @dataclass
@@ -92,10 +91,6 @@ class World:
     stacks: list[Stack]
     tote: Tote
     enclosures: list[Enclosure]
-
-    def held_stack(self) -> Optional[Stack]:
-        held = [s for s in self.stacks if s.state is StackState.HELD]
-        return held[0] if held else None
 
     def in_tote(self) -> list[Stack]:
         return [s for s in self.stacks if s.state is StackState.IN_TOTE]
@@ -232,20 +227,3 @@ def check_invariants(world: World) -> list[Violation]:
             )
     return out
 
-
-def assert_invariants(world: World) -> None:
-    violations = check_invariants(world)
-    if violations:
-        raise violations[0]
-
-
-def terminal_accounting(world: World) -> dict[str, int]:
-    """Delivered / failed split; at the end of a campaign these sum to the total."""
-    counts = world.counts()
-    return {
-        "delivered": counts[StackState.DELIVERED.value],
-        "failed_unhandled": counts[StackState.FAILED_UNHANDLED.value],
-        "pending": len(world.stacks)
-        - counts[StackState.DELIVERED.value]
-        - counts[StackState.FAILED_UNHANDLED.value],
-    }

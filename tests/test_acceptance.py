@@ -211,7 +211,7 @@ def test_hardware_measured_quantities_are_config_noise_knobs():
     def pressure_spread(profile):
         bank = DeviceBank(cfg.devices, FaultInjector(profile, np.random.default_rng(3)))
         bank.open_valve("gripper")
-        bank.advance_to(1.0)
+        bank.now = 1.0
         draws = [bank.read_pressure("gripper", np.random.default_rng(3 + i))
                  for i in range(200)]
         return float(np.std(draws))

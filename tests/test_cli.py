@@ -138,6 +138,15 @@ def test_invalid_config_is_a_usage_error(tmp_path, capsys):
     assert "motion.warp_speed" in capsys.readouterr().err
 
 
+def test_non_finite_config_value_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"orchestrator": {"pacing": {"detect_service_s": NaN}}}')
+    assert main(["run", "--config", str(bad), "--cycles", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "orchestrator.pacing.detect_service_s" in err
+    assert "Traceback" not in err
+
+
 def test_malformed_fault_script_is_a_usage_error(tmp_path, capsys):
     bad = tmp_path / "script.json"
     bad.write_text(json.dumps({"version": 1, "entries": [{"outcome": "fail"}]}))

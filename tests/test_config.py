@@ -90,6 +90,32 @@ def test_attempt_caps_and_pacing_bounds():
         CellConfig.from_dict({"orchestrator": {"pacing": {"detect_service_s": -1.0}}})
 
 
+def test_non_finite_numbers_rejected_with_dotted_field(tmp_path):
+    # Python's json accepts NaN and Infinity; a NaN pacing value used to hang
+    # the event loop and an infinite travel time to end it in a traceback.
+    cases = {
+        '{"orchestrator": {"pacing": {"detect_service_s": NaN}}}':
+            "orchestrator.pacing.detect_service_s",
+        '{"devices": {"door_travel_s": Infinity}}': "devices.door_travel_s",
+        '{"layout": {"home_pose": [0.0, -Infinity, 0.6]}}': "layout.home_pose[1]",
+    }
+    path = tmp_path / "cell.json"
+    for text, field_name in cases.items():
+        path.write_text(text)
+        with pytest.raises(ConfigInvalid) as info:
+            CellConfig.from_file(path)
+        assert info.value.field_name == field_name
+        assert "finite" in info.value.reason
+
+
+def test_stall_margin_must_not_be_negative():
+    # A negative margin would schedule a stall before the command that caused it.
+    with pytest.raises(ConfigInvalid) as info:
+        CellConfig.from_dict({"devices": {"actuator_stall_margin_s": -5}})
+    assert info.value.field_name == "devices.actuator_stall_margin_s"
+    CellConfig.from_dict({"devices": {"actuator_stall_margin_s": 0.0}})
+
+
 def test_missing_file_and_bad_json(tmp_path):
     with pytest.raises(ConfigInvalid):
         CellConfig.from_file(tmp_path / "absent.json")

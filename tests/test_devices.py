@@ -3,18 +3,15 @@ import pytest
 
 from bagcell.config import DeviceConfig, FaultConfig
 from bagcell.devices import (
-    ActuatorDone,
-    ActuatorStalled,
     DeviceBank,
     FaultInjector,
     FaultScript,
     InterlockViolation,
-    Lost,
     MalformedFaultScript,
     ScriptEntry,
-    Secured,
     SuctionMode,
 )
+from bagcell.orchestrator import ActDone, ActStalled, SuctionLost, SuctionSecured
 
 
 def make_bank(profile=None, script=None, seed=0):
@@ -22,70 +19,70 @@ def make_bank(profile=None, script=None, seed=0):
     return DeviceBank(DeviceConfig(), injector)
 
 
+def settle(bank, due):
+    """Advance the bank's clock to a returned event and apply it."""
+    time, event = due
+    bank.now = time
+    bank.apply(event)
+
+
 # --- suction ramps --------------------------------------------------------
 
 
 def test_seal_crosses_threshold_at_ramp_time():
     bank = make_bank()
-    bank.open_valve("gripper", SuctionMode.SEAL)
-    assert bank.next_event_time() == pytest.approx(0.5)
-    events = bank.advance_to(0.5)
-    assert len(events) == 1 and isinstance(events[0], Secured)
-    assert events[0].device == "gripper"
+    time, event = bank.open_valve("gripper", SuctionMode.SEAL)
+    assert time == pytest.approx(0.5)
+    assert event == SuctionSecured(device="gripper")
+    assert not bank.suction["gripper"].secured
+    bank.apply(event)
     assert bank.suction["gripper"].secured
 
 
 def test_seal_pressure_trajectory():
     bank = make_bank()
     bank.open_valve("gripper", SuctionMode.SEAL)
-    bank.advance_to(0.25)
-    assert bank.pressure("gripper") == pytest.approx(-15.0)
-    bank.advance_to(1.0)
-    assert bank.pressure("gripper") == pytest.approx(-60.0)
-    bank.advance_to(5.0)
-    assert bank.pressure("gripper") == pytest.approx(-60.0)  # plateaued
+    line = bank.suction["gripper"]
+    assert line.pressure_at(0.25) == pytest.approx(-15.0)
+    assert line.pressure_at(1.0) == pytest.approx(-60.0)
+    assert line.pressure_at(5.0) == pytest.approx(-60.0)  # plateaued
 
 
 def test_leak_never_secures():
     bank = make_bank()
-    bank.open_valve("gripper", SuctionMode.LEAK)
-    assert bank.next_event_time() is None
-    bank.advance_to(10.0)
+    assert bank.open_valve("gripper", SuctionMode.LEAK) is None
     assert not bank.suction["gripper"].secured
-    assert bank.pressure("gripper") == pytest.approx(-10.0)
+    assert bank.suction["gripper"].pressure_at(10.0) == pytest.approx(-10.0)
 
 
 def test_vent_emits_lost_on_threshold_recross():
     bank = make_bank()
-    bank.open_valve("gripper")
-    bank.advance_to(1.0)
-    bank.close_valve("gripper")
-    events = bank.advance_to(2.0)
-    assert len(events) == 1 and isinstance(events[0], Lost)
+    settle(bank, bank.open_valve("gripper"))
+    bank.now = 1.0
+    time, event = bank.close_valve("gripper")
+    assert event == SuctionLost(device="gripper")
     # From -60 kPa at +60 kPa/s the -30 threshold is recrossed after 0.5 s.
-    assert events[0].time == pytest.approx(1.5)
+    assert time == pytest.approx(1.5)
+    bank.apply(event)
     assert not bank.suction["gripper"].secured
-    bank.advance_to(3.0)
-    assert bank.pressure("gripper") == pytest.approx(0.0)
+    assert bank.suction["gripper"].pressure_at(3.0) == pytest.approx(0.0)
 
 
-def test_valve_epoch_invalidates_stale_events():
+def test_close_before_the_threshold_returns_nothing():
     bank = make_bank()
     bank.open_valve("gripper")
-    bank.advance_to(0.2)
-    bank.close_valve("gripper")  # before the 0.5 s crossing
-    events = bank.advance_to(5.0)
-    assert events == []
+    bank.now = 0.2
+    assert bank.close_valve("gripper") is None  # never secured, nothing to lose
     assert not bank.suction["gripper"].secured
 
 
 def test_bottom_lines_ramp_in_parallel():
     bank = make_bank()
-    for i in range(8):
-        bank.open_valve(f"bottom_{i}")
-    events = bank.advance_to(0.5)
-    assert len(events) == 8
-    assert bank.secured_count("bottom_") == 8
+    dues = [bank.open_valve(f"bottom_{i}") for i in range(8)]
+    assert [time for time, _ in dues] == [pytest.approx(0.5)] * 8
+    for due in dues:
+        settle(bank, due)
+    assert all(bank.suction[f"bottom_{i}"].secured for i in range(8))
 
 
 # --- actuators ------------------------------------------------------------
@@ -93,37 +90,27 @@ def test_bottom_lines_ramp_in_parallel():
 
 def test_actuator_completes_at_travel_time():
     bank = make_bank()
-    bank.command("door", "extend")
+    time, event = bank.command("door", "extend")
     assert bank.actuators["door"].moving
-    events = bank.advance_to(2.0)
-    assert len(events) == 1 and isinstance(events[0], ActuatorDone)
-    assert events[0].op == "extend"
-    assert bank.actuators["door"].position == 1.0
-    assert bank.door_open()
-    bank.command("door", "retract")
-    bank.advance_to(4.0)
-    assert bank.actuators["door"].position == 0.0
-    assert not bank.door_open()
+    assert (time, event) == (pytest.approx(2.0), ActDone(device="door", op="extend"))
+    bank.apply(event)
+    door = bank.actuators["door"]
+    assert door.position == 1.0 and not door.moving
+    bank.now = time
+    time, event = bank.command("door", "retract")
+    assert time == pytest.approx(4.0)
+    bank.apply(event)
+    assert door.position == 0.0 and not door.moving
 
 
 def test_actuator_stall_fires_late_and_sticks_midway():
     bank = make_bank()
-    bank.command("pusher_3", "extend", stall=True)
-    events = bank.advance_to(10.0)
-    assert len(events) == 1 and isinstance(events[0], ActuatorStalled)
-    assert events[0].time == pytest.approx(2.0 + 1.0)  # travel + stall margin
+    time, event = bank.command("pusher_3", "extend", stall=True)
+    assert event == ActStalled(device="pusher_3", op="extend")
+    assert time == pytest.approx(2.0 + 1.0)  # travel + stall margin
+    bank.apply(event)
     act = bank.actuators["pusher_3"]
     assert act.stalled and act.position == pytest.approx(0.5)
-
-
-def test_recommand_supersedes_pending_completion():
-    bank = make_bank()
-    bank.command("swing", "extend")
-    bank.advance_to(0.4)
-    bank.command("swing", "retract")
-    events = bank.advance_to(5.0)
-    assert [e.op for e in events] == ["retract"]
-    assert bank.actuators["swing"].position == 0.0
 
 
 def test_unknown_actuator_op_rejected():
@@ -139,37 +126,6 @@ def test_interlock_hook_blocks_command():
         bank.command("cutter", "extend")
     bank.interlocks[("cutter", "extend")] = lambda: (True, "")
     bank.command("cutter", "extend")  # now allowed
-
-
-def test_advance_backwards_rejected():
-    bank = make_bank()
-    bank.advance_to(1.0)
-    with pytest.raises(ValueError):
-        bank.advance_to(0.5)
-
-
-def test_fixed_step_and_event_driven_agree():
-    def run(drive):
-        bank = make_bank()
-        bank.open_valve("gripper")
-        bank.command("door", "extend")
-        bank.command("pusher_0", "extend", stall=True)
-        seen = []
-        drive(bank, seen)
-        return [(type(e).__name__, e.device, round(e.time, 9)) for e in seen]
-
-    def fixed(bank, seen):
-        for _ in range(50):
-            seen.extend(bank.step(0.1))
-
-    def event_driven(bank, seen):
-        while True:
-            t = bank.next_event_time()
-            if t is None or t > 5.0:
-                break
-            seen.extend(bank.advance_to(t))
-
-    assert run(fixed) == run(event_driven)
 
 
 # --- sensors --------------------------------------------------------------
@@ -188,7 +144,7 @@ def test_pressure_noise_sample_mean():
     profile = FaultConfig(pressure_noise_sigma_kpa=1.0)
     bank = make_bank(profile=profile)
     bank.open_valve("gripper")
-    bank.advance_to(2.0)  # steady at -60
+    bank.now = 2.0  # steady at -60
     rng = np.random.default_rng(123)
     samples = np.array([bank.read_pressure("gripper", rng) for _ in range(10_000)])
     assert abs(samples.mean() + 60.0) < 0.05

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bagcell.config import CellConfig
 from bagcell.orchestrator import (
     ActDone,
     ActStalled,
@@ -41,7 +42,7 @@ from bagcell.orchestrator import (
     transition,
 )
 
-PARAMS = OrcParams()
+PARAMS = OrcParams.from_config(CellConfig(), cycles=1)
 
 
 def fsm(**kw) -> OrcState:
@@ -182,7 +183,7 @@ def test_empty_zone_advances_and_empty_tote_returns_home():
 SLOT_EVENTS = [
     BusMsg(topic="ready_for_picking"),
     MotionDone(tag="slot_view"),
-    DetectReady(zone=1, zone_has_stacks=True, found=True, stack_id=3, n_boxes=4),
+    DetectReady(zone=1, zone_has_stacks=True, found=True, stack_id=3),
     PlanReady(tag="approach", ok=True),
     MotionDone(tag="approach"),
     SuctionSecured(device="gripper"),
@@ -520,7 +521,7 @@ any_event = st.one_of(
     st.builds(TimerFired, tag=st.sampled_from(_TAGS)),
     st.builds(DetectReady, zone=st.integers(1, 4), zone_has_stacks=st.booleans(),
               found=st.booleans(), stack_id=st.integers(-1, 23),
-              leftmost_stack_id=st.integers(-1, 23), n_boxes=st.integers(0, 8)),
+              leftmost_stack_id=st.integers(-1, 23)),
     st.builds(PlanReady, tag=st.sampled_from(["approach", "transfer"]), ok=st.booleans()),
     st.builds(SuctionSecured, device=st.sampled_from(_DEVICES)),
     st.builds(SuctionLost, device=st.sampled_from(_DEVICES)),

@@ -1,9 +1,14 @@
 """End-to-end tests for the event-driven cell simulation."""
 
+import contextlib
+import hashlib
+import io
+import json
+
 import pytest
 
-from bagcell import devices as dv
 from bagcell import orchestrator as orc
+from bagcell.cli import main
 from bagcell.config import CellConfig
 from bagcell.devices import FaultScript
 from bagcell.report import (
@@ -13,7 +18,7 @@ from bagcell.report import (
     summarize_campaign,
     config_digest,
 )
-from bagcell.scenarios import randomized_fault_profile
+from bagcell.scenarios import REFERENCE_TESTS, build_reference_script, randomized_fault_profile
 from bagcell.simulate import DEVICE_EVENTS, Simulation, run_campaign, run_single
 
 
@@ -68,7 +73,84 @@ def test_phase_durations_are_exact_when_fault_free():
 
 def test_every_action_and_device_event_type_is_dispatched():
     assert set(orc.Action.__subclasses__()) == set(Simulation._EXECUTORS)
-    assert set(dv.DeviceEvent.__subclasses__()) == set(DEVICE_EVENTS)
+    bank = Simulation(CellConfig()).bank
+    _, secured = bank.open_valve("gripper")
+    bank.apply(secured)
+    bank.now = 1.0  # well below the threshold, so closing must lose it
+    returned = [
+        secured,
+        bank.close_valve("gripper")[1],
+        bank.command("door", "extend")[1],
+        bank.command("door", "retract", stall=True)[1],
+    ]
+    assert {type(ev) for ev in returned} == set(DEVICE_EVENTS)
+
+
+# --- supersession: a later command or timer drops what is still queued ----
+
+
+def drive_machine(monkeypatch, script):
+    """Run a Simulation whose machine answers events from ``script``.
+
+    ``script`` maps an event to the actions returned for it; every event the
+    machine receives is logged and returned with the simulation.
+    """
+    seen = []
+
+    def transition(state, event, params):
+        seen.append(event)
+        return state, list(script.get(event, ()))
+
+    monkeypatch.setattr(orc, "transition", transition)
+    sim = Simulation(CellConfig(), cycles=1)
+    sim.run()
+    return sim, seen
+
+
+def device_events(sim):
+    return [(r.time, r.data["device"], r.data["event"], r.data["op"])
+            for r in sim.tracer.records if r.kind == "device_event"]
+
+
+def test_recommand_supersedes_pending_completion(monkeypatch):
+    sim, seen = drive_machine(monkeypatch, {
+        orc.Start(): [orc.Command("swing", "extend"), orc.StartTimer("turn", 0.4)],
+        orc.TimerFired("turn"): [orc.Command("swing", "retract")],
+    })
+    assert device_events(sim) == [(pytest.approx(1.4), "swing", "done", "retract")]
+    assert orc.ActDone("swing", "extend") not in seen
+    assert seen[-1] == orc.ActDone("swing", "retract")
+    assert sim.bank.actuators["swing"].position == 0.0
+
+
+def test_valve_epoch_invalidates_stale_events(monkeypatch):
+    sim, seen = drive_machine(monkeypatch, {
+        orc.Start(): [orc.OpenValve("gripper"), orc.StartTimer("vent", 0.2)],
+        orc.TimerFired("vent"): [orc.CloseValve("gripper")],  # before the 0.5 s crossing
+    })
+    assert device_events(sim) == []
+    assert seen == [orc.Start(), orc.TimerFired("vent")]
+    assert not sim.bank.suction["gripper"].secured
+
+
+def test_restarted_or_cancelled_timer_fires_at_most_once(monkeypatch):
+    sim, seen = drive_machine(monkeypatch, {
+        orc.Start(): [
+            orc.StartTimer("a", 1.0), orc.StartTimer("a", 2.0),
+            orc.StartTimer("b", 1.0), orc.CancelTimer("b"),
+        ],
+    })
+    assert seen == [orc.Start(), orc.TimerFired("a")]
+    assert sim.now == 2.0
+
+
+def test_device_event_reaches_the_machine_after_events_due_with_it(monkeypatch):
+    # The door finishes as the timer fires. The completion was queued first,
+    # yet control sees it behind everything else due at that instant.
+    _, seen = drive_machine(monkeypatch, {
+        orc.Start(): [orc.Command("door", "extend"), orc.StartTimer("t", 2.0)],
+    })
+    assert seen == [orc.Start(), orc.TimerFired("t"), orc.ActDone("door", "extend")]
 
 
 def test_message_seqs_run_from_zero_per_topic():
@@ -102,6 +184,58 @@ def test_different_seeds_diverge_under_noise():
     _, b_tracer = run_single(cfg, seed=2, cycles=1)
     assert [r.to_line() for r in a_tracer.records] != \
         [r.to_line() for r in b_tracer.records]
+
+
+# SHA-256 of the reference replay's output files and of three randomized
+# single cycles (trace lines, then the report), recorded before the device
+# bank's events moved onto the runtime's queue. Seeds 32 and 44 each contain
+# device events that a later command superseded.
+REPLAY_SHA256 = "3646afe1f4ffba75468b892ef491b557bb4106edfa1b90546ab144e6b72c3188"
+CYCLE_SHA256 = {
+    0: "3650ec83fc2b0ba33b88a0926edf5d7ac4c27ace5419c4685b7a9a236ca3cbaa",
+    32: "2373cd311a72da448aa01c5d9512e8cd3617d95a0d8a5cc79d68138c60801b44",
+    44: "aa53eefe1780556c8719dde554d95c597652f618e4ede537747a8a8ea68c8f68",
+}
+
+
+def test_outputs_match_recorded_bytes(tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["replay", "--outdir", str(tmp_path)]) == 0
+    h = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert h.hexdigest() == REPLAY_SHA256
+    cfg = CellConfig()
+    cfg.faults = randomized_fault_profile()
+    for seed, want in CYCLE_SHA256.items():
+        report, tracer = run_single(cfg, seed=seed, cycles=1)
+        h = hashlib.sha256()
+        for rec in tracer.records:
+            h.update(rec.to_line().encode() + b"\n")
+        h.update(json.dumps(report.to_dict(), sort_keys=True).encode())
+        assert h.hexdigest() == want, seed
+
+
+def test_every_device_event_answers_the_latest_command_on_its_device():
+    # A device event that a later command superseded must never reach the
+    # trace: "secured" follows an open, "lost" a close, and "done" or
+    # "stalled" the actuator op last commanded.
+    cfg = CellConfig()
+    cfg.faults = randomized_fault_profile()
+    traces = [run_single(cfg, seed=seed, cycles=1)[1] for seed in (32, 44)]
+    traces += run_campaign(CellConfig(), REFERENCE_TESTS, script=build_reference_script())[1]
+    answers = {"secured": "open", "lost": "close"}
+    checked = 0
+    for tracer in traces:
+        latest = {}
+        for rec in tracer.records:
+            if rec.kind == "device_cmd":
+                latest[rec.data["device"]] = rec.data["op"]
+            elif rec.kind == "device_event":
+                d = rec.data
+                assert latest[d["device"]] == answers.get(d["event"], d["op"]), rec
+                checked += 1
+    assert checked > 0
 
 
 # --- scripted fault outcomes ----------------------------------------------
