@@ -9,7 +9,8 @@ Subcommands:
 
 Outputs (traces, reports, tables) land in --outdir, or $BAGCELL_OUTDIR, or
 ./out. Exit codes: 0 success, 1 bad usage or malformed input files, 2 run
-aborted (safety violations, or replay script entries that never matched).
+aborted (safety violations, a refused interlock, a stuck control loop, or
+replay script entries that never matched).
 """
 
 from __future__ import annotations
@@ -20,28 +21,41 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Callable, List, Optional, get_args
 
-from bagcell.config import CellConfig, ConfigInvalid, default_config
-from bagcell.devices import FaultScript, MalformedFaultScript
-from bagcell.report import (
-    CampaignReport,
-    config_digest,
-    render_table,
-    summarize_campaign,
-    write_trace,
-)
+from bagcell.config import AtLeastOne, CellConfig, ConfigInvalid, Count, Probability
+from bagcell.config import check, default_config
+from bagcell.devices import FaultScript, InterlockViolation, MalformedFaultScript
+from bagcell.report import config_digest, render_table, summarize_campaign, write_trace
 from bagcell.scenarios import REFERENCE_TESTS, build_reference_script
-from bagcell.simulate import run_campaign, run_single
+from bagcell.simulate import SimulationStuck, run_campaign, run_single
 from bagcell.vision import MalformedBoxFile, evaluate, load_boxes
 
 log = logging.getLogger(__name__)
 
 
-def _load_config(path: Optional[str]) -> CellConfig:
-    if path is None:
-        return default_config()
-    return CellConfig.from_file(path)
+def _flag(hint: Any) -> Callable[[str], Any]:
+    """argparse type: the text read as ``hint``'s number and held to its bound."""
+
+    def parse(text: str) -> Any:
+        try:
+            value = get_args(hint)[0](text)
+        except ValueError:
+            value = text  # check() rejects it as not a number
+        try:
+            check(value, hint)
+        except ConfigInvalid as exc:
+            raise argparse.ArgumentTypeError(f"{exc.reason}, got {text!r}") from None
+        return value
+
+    return parse
+
+
+def _load_config(args) -> CellConfig:
+    config = CellConfig.from_file(args.config) if args.config else default_config()
+    if args.seed is not None:
+        config.seed = args.seed
+    return config
 
 
 def _outdir(arg: Optional[str]) -> Path:
@@ -54,20 +68,8 @@ def _load_script(path: Optional[str]) -> Optional[FaultScript]:
     return FaultScript.from_file(path) if path else None
 
 
-def _write_campaign_outputs(
-    outdir: Path, report: CampaignReport, tracers, table_fmt: str
-) -> None:
-    (outdir / "report.json").write_text(report.to_json())
-    ext = "csv" if table_fmt == "csv" else "md"
-    (outdir / f"table.{ext}").write_text(render_table(report, table_fmt))
-    for i, tracer in enumerate(tracers):
-        write_trace(outdir / f"trace_{i:02d}.jsonl", tracer.records)
-
-
 def cmd_run(args) -> int:
-    config = _load_config(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
+    config = _load_config(args)
     script = _load_script(args.script)
     report, tracer = run_single(config, cycles=args.cycles, script=script)
     outdir = _outdir(args.outdir)
@@ -88,13 +90,19 @@ def cmd_run(args) -> int:
 
 
 def cmd_campaign(args) -> int:
-    config = _load_config(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
+    """``campaign`` and ``replay``: single-cycle tests, a report and a table.
+
+    A replay runs the reference campaign, by default on its built-in script,
+    and must consume every script entry; a campaign only warns.
+    """
+    config = _load_config(args)
+    replay = args.command == "replay"
     script = _load_script(args.script)
+    if replay and script is None:
+        script = build_reference_script()
     reports, tracers = run_campaign(config, args.tests, script=script)
     unconsumed = len(script.unconsumed()) if script else 0
-    if unconsumed:
+    if unconsumed and not replay:
         log.warning("%d fault script entries were never matched", unconsumed)
     campaign = summarize_campaign(
         reports,
@@ -103,37 +111,17 @@ def cmd_campaign(args) -> int:
         unconsumed_script_entries=unconsumed,
     )
     outdir = _outdir(args.outdir)
-    _write_campaign_outputs(outdir, campaign, tracers, args.table)
+    (outdir / "report.json").write_text(campaign.to_json())
+    ext = "csv" if args.table == "csv" else "md"
+    (outdir / f"table.{ext}").write_text(render_table(campaign, args.table))
+    for i, tracer in enumerate(tracers):
+        write_trace(outdir / f"trace_{i:02d}.jsonl", tracer.records)
     print(render_table(campaign, args.table), end="")
-    if any(r.violations for r in reports):
-        log.error("campaign finished with safety violations")
-        return 2
-    return 0
-
-
-def cmd_replay(args) -> int:
-    config = _load_config(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
-    script = (
-        FaultScript.from_file(args.script) if args.script else build_reference_script()
-    )
-    reports, tracers = run_campaign(config, REFERENCE_TESTS, script=script)
-    unconsumed = len(script.unconsumed())
-    campaign = summarize_campaign(
-        reports,
-        seed=config.seed,
-        digest=config_digest(config.to_json()),
-        unconsumed_script_entries=unconsumed,
-    )
-    outdir = _outdir(args.outdir)
-    _write_campaign_outputs(outdir, campaign, tracers, args.table)
-    print(render_table(campaign, args.table), end="")
-    if unconsumed:
+    if unconsumed and replay:
         log.error("%d fault script entries were never matched", unconsumed)
         return 2
     if any(r.violations for r in reports):
-        log.error("replay finished with safety violations")
+        log.error("%s finished with safety violations", args.command)
         return 2
     return 0
 
@@ -175,16 +163,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file (defaults embedded)")
-    common.add_argument("--seed", type=int, help="override the config seed")
+    common.add_argument("--seed", type=_flag(Count), help="override the config seed")
     common.add_argument("--outdir", help="output directory (or $BAGCELL_OUTDIR)")
 
     p_run = sub.add_parser("run", parents=[common], help="run one session")
-    p_run.add_argument("--cycles", type=int, help="feeding cycles (default from config)")
+    p_run.add_argument(
+        "--cycles", type=_flag(AtLeastOne), help="feeding cycles (default from config)"
+    )
     p_run.add_argument("--fault-script", dest="script", help="fault script JSON")
     p_run.set_defaults(func=cmd_run)
 
     p_camp = sub.add_parser("campaign", parents=[common], help="run N single-cycle tests")
-    p_camp.add_argument("--tests", type=int, default=10)
+    p_camp.add_argument("--tests", type=_flag(AtLeastOne), default=10)
     p_camp.add_argument("--fault-script", dest="script", help="fault script JSON")
     p_camp.add_argument("--table", choices=("markdown", "csv"), default="markdown")
     p_camp.set_defaults(func=cmd_campaign)
@@ -194,12 +184,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--fault-script", dest="script", help="override the built-in fault script"
     )
     p_rep.add_argument("--table", choices=("markdown", "csv"), default="markdown")
-    p_rep.set_defaults(func=cmd_replay)
+    p_rep.set_defaults(func=cmd_campaign, tests=REFERENCE_TESTS)
 
     p_eval = sub.add_parser("eval", help="score box files")
     p_eval.add_argument("--preds", required=True, help="predicted boxes file")
     p_eval.add_argument("--gts", required=True, help="ground-truth boxes file")
-    p_eval.add_argument("--iou", type=float, default=0.5)
+    p_eval.add_argument("--iou", type=_flag(Probability), default=0.5)
     p_eval.set_defaults(func=cmd_eval)
 
     p_dump = sub.add_parser("dump-config", help="print default config JSON")
@@ -226,6 +216,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (InterlockViolation, SimulationStuck) as exc:
+        print(f"error: run aborted: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

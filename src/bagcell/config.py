@@ -5,16 +5,22 @@ enclosure geometry, camera model, motion limits, device timings, fault
 probabilities and orchestrator pacing. Defaults are embedded here and can be
 dumped with ``bagcell dump-config``; a config file only needs the keys it
 wants to override.
+
+Each field's annotation states its type and, through an ``Annotated`` alias,
+its bound; ``validate`` walks the annotations and then checks the few rules
+that span fields.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Annotated, Any, Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 DEFAULT_SEED = 12345
 # Enclosures in the bulk loader; every per-enclosure loop and audit reads it here.
@@ -22,7 +28,7 @@ ENCLOSURE_COUNT = 8
 
 
 class ConfigInvalid(ValueError):
-    """Raised when a config value violates its documented bounds."""
+    """Raised when a config value has the wrong type or breaks its bound."""
 
     def __init__(self, field_name: str, reason: str):
         self.field_name = field_name
@@ -30,12 +36,29 @@ class ConfigInvalid(ValueError):
         super().__init__(f"{field_name}: {reason}")
 
 
+class Bound(NamedTuple):
+    """A field's bound: ``ok(value)`` must hold, else ``reason`` is reported."""
+
+    ok: Callable[[Any], bool]
+    reason: str
+
+
+Positive = Annotated[float, Bound(lambda v: v > 0, "must be > 0")]
+NonNegative = Annotated[float, Bound(lambda v: v >= 0, "must be >= 0")]
+Probability = Annotated[float, Bound(lambda v: 0 <= v <= 1, "must be in [0, 1]")]
+Scaling = Annotated[float, Bound(lambda v: 0 < v <= 1, "must be in (0, 1]")]
+Vacuum = Annotated[float, Bound(lambda v: v < 0, "vacuum levels are negative kPa")]
+Count = Annotated[int, Bound(lambda v: v >= 0, "must be >= 0")]
+AtLeastOne = Annotated[int, Bound(lambda v: v >= 1, "must be >= 1")]
+Pose = Annotated[list[float], Bound(lambda v: len(v) >= 3, "needs at least x, y and z")]
+
+
 @dataclass
 class LayoutConfig:
     """Tote, enclosure and fixed-pose geometry, in the robot base frame."""
 
-    zone_sizes: list[int] = field(default_factory=lambda: [4, 6, 6, 8])
-    total_stacks: int = 24
+    zone_sizes: list[Count] = field(default_factory=lambda: [4, 6, 6, 8])
+    total_stacks: Count = 24
     incline_deg: float = 12.0
     row_pitch_m: float = 0.16
     col_pitch_m: float = 0.11
@@ -48,12 +71,12 @@ class LayoutConfig:
     enclosure_spacing_m: float = 0.12
     enclosure_y_m: float = 0.72
     drop_z_m: float = 0.38
-    back_wall_cm: float = 30.0
+    back_wall_cm: Positive = 30.0
     occupied_distance_cm: float = 5.0
-    home_pose: list[float] = field(default_factory=lambda: [0.0, 0.0, 0.60])
-    reset_pose: list[float] = field(default_factory=lambda: [0.20, -0.30, 0.60])
-    safe_mid_pose: list[float] = field(default_factory=lambda: [0.0, 0.10, 0.60])
-    bin_pose: list[float] = field(default_factory=lambda: [0.75, 0.30, 0.45])
+    home_pose: Pose = field(default_factory=lambda: [0.0, 0.0, 0.60])
+    reset_pose: Pose = field(default_factory=lambda: [0.20, -0.30, 0.60])
+    safe_mid_pose: Pose = field(default_factory=lambda: [0.0, 0.10, 0.60])
+    bin_pose: Pose = field(default_factory=lambda: [0.75, 0.30, 0.45])
     view_z_m: float = 0.58
 
 
@@ -72,8 +95,8 @@ def _default_extrinsic() -> list[list[float]]:
 class CameraConfig:
     width_px: int = 1920
     height_px: int = 1080
-    fx: float = 1000.0
-    fy: float = 1000.0
+    fx: Positive = 1000.0
+    fy: Positive = 1000.0
     cx: float = 960.0
     cy: float = 540.0
     extrinsic: list[list[float]] = field(default_factory=_default_extrinsic)
@@ -90,12 +113,12 @@ class CameraConfig:
 
 @dataclass
 class MotionConfig:
-    robot_max_speed_mps: float = 2.0
-    velocity_scaling: float = 0.28
-    acceleration_scaling: float = 0.03
-    base_acceleration_mps2: float = 13.0
-    planning_time_budget_s: float = 5.0
-    max_planning_attempts: int = 10
+    robot_max_speed_mps: Positive = 2.0
+    velocity_scaling: Scaling = 0.28
+    acceleration_scaling: Scaling = 0.03
+    base_acceleration_mps2: Positive = 13.0
+    planning_time_budget_s: Positive = 5.0
+    max_planning_attempts: AtLeastOne = 10
 
     @property
     def effective_max_speed_mps(self) -> float:
@@ -110,34 +133,34 @@ class MotionConfig:
 class DeviceConfig:
     """Thresholds and travel times for suction lines, sensors and actuators."""
 
-    secure_threshold_kpa: float = -30.0
-    vacuum_level_kpa: float = -60.0
+    secure_threshold_kpa: Vacuum = -30.0
+    vacuum_level_kpa: Vacuum = -60.0
     leak_level_kpa: float = -10.0
-    ramp_to_secure_s: float = 0.5
-    grip_timeout_s: float = 2.0
-    placement_window_s: float = 3.0
+    ramp_to_secure_s: Positive = 0.5
+    grip_timeout_s: Positive = 2.0
+    placement_window_s: Positive = 3.0
     presence_threshold_cm: float = 10.0
-    pusher_travel_s: float = 2.0
-    door_travel_s: float = 2.0
-    swing_travel_s: float = 1.0
-    cutter_traverse_s: float = 14.2
-    actuator_stall_margin_s: float = 1.0
+    pusher_travel_s: Positive = 2.0
+    door_travel_s: Positive = 2.0
+    swing_travel_s: Positive = 1.0
+    cutter_traverse_s: Positive = 14.2
+    actuator_stall_margin_s: NonNegative = 1.0
 
 
 @dataclass
 class FaultConfig:
     """Stochastic fault probabilities and sensor noise levels."""
 
-    pick_grip_fail_prob: float = 0.0
-    place_drop_fail_prob: float = 0.0
-    detection_miss_prob: float = 0.0
-    detection_jitter_sigma_px: float = 0.0
-    spurious_box_prob: float = 0.0
-    confidence_sigma: float = 0.0
-    bottom_suction_fail_prob: float = 0.0
-    pressure_noise_sigma_kpa: float = 0.0
-    ultrasonic_noise_sigma_cm: float = 0.0
-    plan_failure_prob: float = 0.0
+    pick_grip_fail_prob: Probability = 0.0
+    place_drop_fail_prob: Probability = 0.0
+    detection_miss_prob: Probability = 0.0
+    detection_jitter_sigma_px: NonNegative = 0.0
+    spurious_box_prob: Probability = 0.0
+    confidence_sigma: NonNegative = 0.0
+    bottom_suction_fail_prob: Probability = 0.0
+    pressure_noise_sigma_kpa: NonNegative = 0.0
+    ultrasonic_noise_sigma_cm: NonNegative = 0.0
+    plan_failure_prob: Probability = 0.0
 
 
 @dataclass
@@ -149,35 +172,35 @@ class PacingConfig:
     feeding cycle paces out to roughly eight minutes.
     """
 
-    detect_service_s: float = 15.0
-    plan_service_s: float = 4.5
-    grip_settle_s: float = 2.0
-    release_settle_s: float = 2.0
-    removal_approach_m: float = 0.164
-    removal_descend_m: float = 0.06
-    removal_lift_m: float = 0.06
-    removal_bin_m: float = 0.164
-    removal_release_s: float = 0.2
-    push_hold_s: float = 2.0
-    door_settle_s: float = 3.0
-    delivery_verify_s: float = 0.3
-    reset_settle_s: float = 2.0
+    detect_service_s: NonNegative = 15.0
+    plan_service_s: NonNegative = 4.5
+    grip_settle_s: NonNegative = 2.0
+    release_settle_s: NonNegative = 2.0
+    removal_approach_m: NonNegative = 0.164
+    removal_descend_m: NonNegative = 0.06
+    removal_lift_m: NonNegative = 0.06
+    removal_bin_m: NonNegative = 0.164
+    removal_release_s: NonNegative = 0.2
+    push_hold_s: NonNegative = 2.0
+    door_settle_s: NonNegative = 3.0
+    delivery_verify_s: NonNegative = 0.3
+    reset_settle_s: NonNegative = 2.0
 
 
 @dataclass
 class OrchestratorConfig:
-    cycles_per_test: int = 3
-    detect_attempts: int = 3
-    pick_attempts: int = 3
-    place_attempts: int = 3
-    remove_attempts: int = 3
-    secure_attempts: int = 3
+    cycles_per_test: AtLeastOne = 3
+    detect_attempts: AtLeastOne = 3
+    pick_attempts: AtLeastOne = 3
+    place_attempts: AtLeastOne = 3
+    remove_attempts: AtLeastOne = 3
+    secure_attempts: AtLeastOne = 3
     pacing: PacingConfig = field(default_factory=PacingConfig)
 
 
 @dataclass
 class CellConfig:
-    seed: int = DEFAULT_SEED
+    seed: Count = DEFAULT_SEED
     layout: LayoutConfig = field(default_factory=LayoutConfig)
     camera: CameraConfig = field(default_factory=CameraConfig)
     motion: MotionConfig = field(default_factory=MotionConfig)
@@ -187,14 +210,11 @@ class CellConfig:
     extra_topics: list[str] = field(default_factory=list)
 
     def validate(self) -> None:
-        bad = _non_finite(self)
-        if bad is not None:
-            raise ConfigInvalid(bad.lstrip("."), "must be a finite number")
+        """Check each field's type and bound, then the rules that span fields."""
+        check(self, CellConfig)
         lay = self.layout
         if len(lay.zone_sizes) != 4:
             raise ConfigInvalid("layout.zone_sizes", "exactly 4 zones required")
-        if any(n < 0 for n in lay.zone_sizes):
-            raise ConfigInvalid("layout.zone_sizes", "zone sizes must be >= 0")
         if sum(lay.zone_sizes) != lay.total_stacks:
             raise ConfigInvalid(
                 "layout.zone_sizes",
@@ -203,89 +223,15 @@ class CellConfig:
             )
         if lay.enclosure_count != ENCLOSURE_COUNT:
             raise ConfigInvalid("layout.enclosure_count", f"must be {ENCLOSURE_COUNT}")
-        if lay.back_wall_cm <= 0:
-            raise ConfigInvalid("layout.back_wall_cm", "must be > 0")
-
-        cam = self.camera
-        if cam.fx <= 0 or cam.fy <= 0:
-            raise ConfigInvalid("camera.fx/fy", "focal lengths must be > 0")
-        if len(cam.extrinsic) != 4 or any(len(row) != 4 for row in cam.extrinsic):
+        ext = self.camera.extrinsic
+        if len(ext) != 4 or any(len(row) != 4 for row in ext):
             raise ConfigInvalid("camera.extrinsic", "must be a 4x4 matrix")
-
-        mot = self.motion
-        if not (0.0 < mot.velocity_scaling <= 1.0):
-            raise ConfigInvalid("motion.velocity_scaling", "must be in (0, 1]")
-        if not (0.0 < mot.acceleration_scaling <= 1.0):
-            raise ConfigInvalid("motion.acceleration_scaling", "must be in (0, 1]")
-        if mot.robot_max_speed_mps <= 0:
-            raise ConfigInvalid("motion.robot_max_speed_mps", "must be > 0")
-        if mot.base_acceleration_mps2 <= 0:
-            raise ConfigInvalid("motion.base_acceleration_mps2", "must be > 0")
-        if mot.planning_time_budget_s <= 0:
-            raise ConfigInvalid("motion.planning_time_budget_s", "must be > 0")
-        if mot.max_planning_attempts < 1:
-            raise ConfigInvalid("motion.max_planning_attempts", "must be >= 1")
-
         dev = self.devices
-        if dev.secure_threshold_kpa >= 0 or dev.vacuum_level_kpa >= 0:
-            raise ConfigInvalid(
-                "devices.secure_threshold_kpa", "vacuum levels are negative kPa"
-            )
         if dev.vacuum_level_kpa > dev.secure_threshold_kpa:
             raise ConfigInvalid(
                 "devices.vacuum_level_kpa",
                 "steady-state vacuum must be at or below the secure threshold",
             )
-        for name in (
-            "ramp_to_secure_s",
-            "grip_timeout_s",
-            "placement_window_s",
-            "pusher_travel_s",
-            "door_travel_s",
-            "swing_travel_s",
-            "cutter_traverse_s",
-        ):
-            if getattr(dev, name) <= 0:
-                raise ConfigInvalid(f"devices.{name}", "must be > 0")
-        if dev.actuator_stall_margin_s < 0:
-            raise ConfigInvalid("devices.actuator_stall_margin_s", "must be >= 0")
-
-        flt = self.faults
-        for name in (
-            "pick_grip_fail_prob",
-            "place_drop_fail_prob",
-            "detection_miss_prob",
-            "spurious_box_prob",
-            "bottom_suction_fail_prob",
-            "plan_failure_prob",
-        ):
-            p = getattr(flt, name)
-            if not (0.0 <= p <= 1.0):
-                raise ConfigInvalid(f"faults.{name}", "probability must be in [0, 1]")
-        for name in (
-            "detection_jitter_sigma_px",
-            "confidence_sigma",
-            "pressure_noise_sigma_kpa",
-            "ultrasonic_noise_sigma_cm",
-        ):
-            if getattr(flt, name) < 0:
-                raise ConfigInvalid(f"faults.{name}", "sigma must be >= 0")
-
-        orc = self.orchestrator
-        if orc.cycles_per_test < 1:
-            raise ConfigInvalid("orchestrator.cycles_per_test", "must be >= 1")
-        for name in (
-            "detect_attempts",
-            "pick_attempts",
-            "place_attempts",
-            "remove_attempts",
-            "secure_attempts",
-        ):
-            if getattr(orc, name) < 1:
-                raise ConfigInvalid(f"orchestrator.{name}", "must be >= 1")
-        for f in dataclasses.fields(orc.pacing):
-            if getattr(orc.pacing, f.name) < 0:
-                raise ConfigInvalid(f"orchestrator.pacing.{f.name}", "must be >= 0")
 
     # --- geometry helpers -------------------------------------------------
 
@@ -344,21 +290,63 @@ class CellConfig:
         return cls.from_dict(data)
 
 
-def _non_finite(value: Any) -> str | None:
-    """Path (".a.b[2]") to the first NaN or infinity under ``value``, else None."""
-    if isinstance(value, float):
-        return None if math.isfinite(value) else ""
-    if isinstance(value, list):
+# A leaf's type -> (the Python types it accepts, the reason for any other).
+_SCALARS = {
+    float: ((int, float), "expected a number"),
+    int: (int, "expected an integer"),
+    str: (str, "expected a string"),
+}
+
+
+@functools.cache
+def _schema(hint: Any) -> tuple:
+    """``hint`` resolved once: (type, its item or (field, schema) parts, its bound)."""
+    bound = None
+    if get_origin(hint) is Annotated:
+        hint, bound = get_args(hint)
+    if dataclasses.is_dataclass(hint):
+        hints = get_type_hints(hint, include_extras=True)
+        return hint, tuple((name, _schema(h)) for name, h in hints.items()), bound
+    return get_origin(hint) or hint, tuple(_schema(arg) for arg in get_args(hint)), bound
+
+
+def check(value: Any, hint: Any, path: str = "") -> None:
+    """Raise ConfigInvalid at ``path`` unless ``value`` has type ``hint`` and its bound."""
+    _check(value, _schema(hint), path)
+
+
+def _check(value: Any, schema: tuple, path: str) -> None:
+    """Raise ConfigInvalid at ``path`` unless ``value`` fits ``schema``.
+
+    Never converts: an int passes as a float, but a bool is neither, and a
+    float must be finite.
+    """
+    kind, parts, bound = schema
+    scalar = _SCALARS.get(kind)
+    if scalar is not None:
+        types, expected = scalar
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ConfigInvalid(path, expected)
+        # False for NaN, infinity and an int too large for a float.
+        if kind is float and not abs(value) <= sys.float_info.max:
+            raise ConfigInvalid(path, "must be a finite number")
+    elif kind is list:
+        if not isinstance(value, list):
+            raise ConfigInvalid(path, "expected a list")
         for i, item in enumerate(value):
-            bad = _non_finite(item)
-            if bad is not None:
-                return f"[{i}]{bad}"
-    elif isinstance(value, dict) or dataclasses.is_dataclass(value):
-        for key, item in (value if isinstance(value, dict) else vars(value)).items():
-            bad = _non_finite(item)
-            if bad is not None:
-                return f".{key}{bad}"
-    return None
+            _check(item, parts[0], f"{path}[{i}]")
+    elif kind is dict:
+        if not isinstance(value, dict):
+            raise ConfigInvalid(path, "expected an object")
+        for key, item in value.items():
+            _check(item, parts[1], f"{path}.{key}")
+    else:  # a config dataclass
+        if not isinstance(value, kind):
+            raise ConfigInvalid(path, "expected an object")
+        for name, sub in parts:
+            _check(getattr(value, name), sub, f"{path}.{name}" if path else name)
+    if bound is not None and not bound.ok(value):
+        raise ConfigInvalid(path, bound.reason)
 
 
 def _merge_dataclass(obj: Any, data: dict[str, Any], prefix: str) -> None:

@@ -5,7 +5,10 @@ command computes its threshold crossing or completion time in closed form
 and returns it with the machine event that will fire then (or None when
 nothing will). The runtime queues that event on its own timeline, decides
 whether a later command superseded it, and calls ``apply`` when it comes
-due. ``now`` is the runtime's clock at the moment of a command.
+due. ``now`` is the runtime's clock at the moment of a command. The bank
+enforces the two safety interlocks itself: it refuses to extend the cutter
+before every bottom line is secured, or a pusher while the door is not
+fully open and at rest.
 
 Fault injection is two-layered: a :class:`FaultProfile` gives stochastic
 per-action failure probabilities, and a :class:`FaultScript` pins specific
@@ -32,13 +35,7 @@ FaultProfile = FaultConfig
 
 
 class InterlockViolation(Exception):
-    """A device command was issued while its safety precondition was false."""
-
-    def __init__(self, device: str, op: str, reason: str):
-        self.device = device
-        self.op = op
-        self.reason = reason
-        super().__init__(f"{device}.{op}: {reason}")
+    """The bank refused a command whose safety precondition was false."""
 
 
 class MalformedFaultScript(ValueError):
@@ -53,6 +50,7 @@ class MalformedFaultScript(ValueError):
 
 SCRIPT_VERSION = 1
 _OUTCOMES = ("ok", "fail", "stall")
+_ACTIONS = ("detect", "plan", "pick", "place", "secure", "remove", "push")
 _SELECTOR_KEYS = (
     "action",
     "test",
@@ -115,6 +113,11 @@ class FaultScript:
             bad = [k for k in when if k not in _SELECTOR_KEYS]
             if bad:
                 raise MalformedFaultScript(path, i, f"unknown selector keys {bad}")
+            for key, want in when.items():
+                if key == "action" and want not in _ACTIONS:
+                    raise MalformedFaultScript(path, i, f"'action' must be one of {_ACTIONS}")
+                if key != "action" and type(want) is not int:  # a bool is not a count
+                    raise MalformedFaultScript(path, i, f"{key!r} must be an integer: {want!r}")
             if outcome not in _OUTCOMES:
                 raise MalformedFaultScript(path, i, f"outcome must be one of {_OUTCOMES}")
             entries.append(ScriptEntry(when=dict(when), outcome=outcome))
@@ -258,9 +261,6 @@ class DeviceBank:
             self.suction[f"bottom_{i}"] = SuctionLine(f"bottom_{i}")
             self.actuators[f"pusher_{i}"] = Actuator(f"pusher_{i}", devcfg.pusher_travel_s)
 
-        # Safety interlocks: device name -> predicate checked at command time.
-        self.interlocks: Dict[str, Any] = {}
-
     def apply(self, event: orc.Event) -> None:
         """Update the line or actuator ``event`` concerns, as it comes due."""
         if isinstance(event, (orc.SuctionSecured, orc.SuctionLost)):
@@ -310,11 +310,8 @@ class DeviceBank:
         """Start an actuator move; returns its completion (or stall)."""
         if op not in ("extend", "retract"):
             raise ValueError(f"unknown actuator op {op!r}")
-        guard = self.interlocks.get((name, op)) or self.interlocks.get(name)
-        if guard is not None:
-            ok, reason = guard()
-            if not ok:
-                raise InterlockViolation(name, op, reason)
+        if op == "extend":
+            self._interlock(name)
         act = self.actuators[name]
         act.moving = True
         act.stalled = False
@@ -322,6 +319,17 @@ class DeviceBank:
             t_stall = self.now + act.travel_s + self.cfg.actuator_stall_margin_s
             return t_stall, orc.ActStalled(device=name, op=op)
         return self.now + act.travel_s, orc.ActDone(device=name, op=op)
+
+    def _interlock(self, name: str) -> None:
+        """Refuse to extend the cutter or a pusher while it would be unsafe."""
+        if name == "cutter":
+            loose = [i for i in range(ENCLOSURE_COUNT) if not self.suction[f"bottom_{i}"].secured]
+            if loose:
+                raise InterlockViolation(f"cutter.extend: bottom lines {loose} not secured")
+        elif name.startswith("pusher_"):
+            door = self.actuators["door"]
+            if door.moving or door.position != 1.0:
+                raise InterlockViolation(f"{name}.extend: door not open")
 
     # -- rangefinders ------------------------------------------------------
 

@@ -64,6 +64,10 @@ DEVICE_EVENTS = {
 }
 
 
+class SimulationStuck(RuntimeError):
+    """The run passed its simulated-time limit: the control loop never finished."""
+
+
 @dataclass(frozen=True)
 class _DetectDue(orc.Event):
     zone: int
@@ -162,7 +166,7 @@ class Simulation:
             if guard is not None and epochs[guard[0]] != guard[1]:
                 continue
             if time > _SIM_TIME_LIMIT_S:
-                raise RuntimeError("simulation exceeded time limit; control loop stuck")
+                raise SimulationStuck("simulation exceeded time limit; control loop stuck")
             if rank == 0:
                 self.bank.apply(event)
                 name = DEVICE_EVENTS[type(event)]

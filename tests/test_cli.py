@@ -6,6 +6,7 @@ import pytest
 
 from bagcell.cli import main
 from bagcell.config import CellConfig
+from bagcell.devices import DeviceBank
 
 GT_LINES = "\n".join(
     f"0 stack 1.0 {100 + 200 * i} 100 {220 + 200 * i} 240" for i in range(4)
@@ -180,3 +181,85 @@ def test_never_matching_replay_script_exits_two(tmp_path, capsys):
     out = tmp_path / "replay"
     assert main(["replay", "--fault-script", str(script), "--outdir", str(out)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "overlay, field_name",
+    [
+        ({"layout": {"zone_sizes": [4, 6, 6, "8"]}}, "layout.zone_sizes[3]"),
+        ({"layout": {"zone_sizes": 5}}, "layout.zone_sizes"),
+        ({"layout": {"home_pose": "abc"}}, "layout.home_pose"),
+        ({"layout": {"home_pose": [0.0, 0.0]}}, "layout.home_pose"),
+        ({"faults": {"pick_grip_fail_prob": "0.1"}}, "faults.pick_grip_fail_prob"),
+        ({"seed": -3}, "seed"),
+        ({"orchestrator": {"cycles_per_test": 2.5}}, "orchestrator.cycles_per_test"),
+        ({"orchestrator": {"detect_attempts": True}}, "orchestrator.detect_attempts"),
+    ],
+)
+def test_mistyped_config_value_is_a_usage_error(tmp_path, capsys, overlay, field_name):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(overlay))
+    assert main(["run", "--config", str(bad), "--cycles", "1"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {field_name}: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["run", "--cycles", "0"], "--cycles"),
+        (["run", "--cycles", "-1"], "--cycles"),
+        (["run", "--cycles", "two"], "--cycles"),
+        (["run", "--seed", "-1"], "--seed"),
+        (["campaign", "--tests", "0"], "--tests"),
+        (["eval", "--preds", "p.txt", "--gts", "g.txt", "--iou", "-1"], "--iou"),
+        (["eval", "--preds", "p.txt", "--gts", "g.txt", "--iou", "2"], "--iou"),
+        (["eval", "--preds", "p.txt", "--gts", "g.txt", "--iou", "nan"], "--iou"),
+    ],
+)
+def test_out_of_range_flag_is_a_usage_error(capsys, argv, flag):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err
+    assert "Traceback" not in err
+
+
+def test_fault_script_selector_of_the_wrong_type_is_a_usage_error(tmp_path, capsys):
+    # "test": "0" can never equal the integer test index, so it would never match.
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({
+        "version": 1,
+        "entries": [{"when": {"action": "pick", "test": "0"}, "outcome": "fail"}],
+    }))
+    assert main(["campaign", "--tests", "1", "--fault-script", str(script)]) == 1
+    assert "entry 0: 'test' must be an integer" in capsys.readouterr().err
+
+
+def _aborted_with_one_line(err):
+    lines = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(lines) == 1 and lines[0].startswith("error: run aborted: ")
+    assert "Traceback" not in err
+    return lines[0]
+
+
+def test_stuck_run_exits_two(tmp_path, capsys):
+    slow = tmp_path / "slow.json"
+    slow.write_text(json.dumps({"orchestrator": {"pacing": {"detect_service_s": 200000}}}))
+    assert main(["run", "--config", str(slow), "--cycles", "1"]) == 2
+    assert "time limit" in _aborted_with_one_line(capsys.readouterr().err)
+
+
+def test_refused_interlock_exits_two(monkeypatch, capsys):
+    # The bank loses bottom_7's seal while the machine still counts it
+    # secured, so the machine starts the cutter and the bank refuses.
+    apply = DeviceBank.apply
+
+    def apply_then_lose_bottom_7(bank, event):
+        apply(bank, event)
+        bank.suction["bottom_7"].secured = False
+
+    monkeypatch.setattr(DeviceBank, "apply", apply_then_lose_bottom_7)
+    assert main(["run", "--cycles", "1"]) == 2
+    line = _aborted_with_one_line(capsys.readouterr().err)
+    assert "cutter.extend: bottom lines [7] not secured" in line

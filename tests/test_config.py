@@ -1,6 +1,10 @@
+import copy
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bagcell.config import (
     DEFAULT_SEED,
@@ -148,3 +152,82 @@ def test_geometry_helpers_consistent():
     ex, ey, _ = cfg.enclosure_drop_pose(3)
     assert ex == pytest.approx(cfg.layout.enclosure_first_x_m + 3 * cfg.layout.enclosure_spacing_m)
     assert ey == cfg.layout.enclosure_y_m
+
+
+# The CLI tests feed the malformed values a hand-edited file is likeliest to
+# hold; these are the rest of the shapes the walk checks.
+@pytest.mark.parametrize(
+    "overlay, field_name",
+    [
+        ({"devices": {"door_travel_s": 10**400}}, "devices.door_travel_s"),
+        ({"camera": {"extrinsic": [[1.0] * 4] * 3 + [[1.0] * 3]}}, "camera.extrinsic"),
+        ({"camera": {"capture_metadata": {"contrast": None}}}, "camera.capture_metadata.contrast"),
+        ({"extra_topics": ["ok", 7]}, "extra_topics[1]"),
+    ],
+)
+def test_wrong_types_rejected_with_dotted_field(overlay, field_name):
+    with pytest.raises(ConfigInvalid) as info:
+        CellConfig.from_dict(overlay)
+    assert info.value.field_name == field_name
+
+
+def test_numbers_are_never_converted():
+    # An int where a float is declared stays an int, so to_json() and the
+    # config digest keep the bytes the file gave.
+    cfg = CellConfig.from_dict({"devices": {"door_travel_s": 3}})
+    assert json.loads(cfg.to_json())["devices"]["door_travel_s"] == 3
+    assert '"door_travel_s": 3,' in cfg.to_json()
+
+
+def _leaves(node, path=""):
+    """(dotted path, key path) of every scalar in a config dict."""
+    if isinstance(node, dict):
+        items = ((f"{path}.{k}" if path else k, k, v) for k, v in node.items())
+    elif isinstance(node, list):
+        items = ((f"{path}[{i}]", i, v) for i, v in enumerate(node))
+    else:
+        yield path, ()
+        return
+    for sub_path, key, value in items:
+        for leaf_path, keys in _leaves(value, sub_path):
+            yield leaf_path, (key, *keys)
+
+
+LEAVES = sorted(_leaves(default_config().to_dict()))
+
+# Values a hand-edited file might put anywhere: the wrong JSON type, a
+# non-finite or negative number, or a float where an int is declared.
+DRAWN_VALUES = st.one_of(
+    st.text(max_size=4),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(max_value=-1),
+    st.floats(max_value=-1e-9, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+# A rule that spans fields names one of them, which may not be the one changed.
+SPANNED_BY = {"devices.secure_threshold_kpa": {"devices.vacuum_level_kpa"}}
+
+
+@settings(max_examples=300, deadline=None)
+@given(leaf=st.sampled_from(LEAVES), value=DRAWN_VALUES)
+def test_one_bad_leaf_is_rejected_at_its_path(leaf, value):
+    path, keys = leaf
+    data = copy.deepcopy(default_config().to_dict())
+    node = data
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    # Every leaf of the default config is a number, so nothing else may pass.
+    not_a_number = isinstance(value, bool) or not isinstance(value, (int, float))
+    never_valid = not_a_number or (isinstance(value, float) and not math.isfinite(value))
+    try:
+        CellConfig.from_dict(data)
+    except ConfigInvalid as exc:
+        assert exc.field_name in {path} | SPANNED_BY.get(path, set()), (exc, value)
+    else:
+        assert not never_valid, f"{path} accepted {value!r}"

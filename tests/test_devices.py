@@ -105,6 +105,7 @@ def test_actuator_completes_at_travel_time():
 
 def test_actuator_stall_fires_late_and_sticks_midway():
     bank = make_bank()
+    bank.apply(bank.command("door", "extend")[1])  # pushers extend only through an open door
     time, event = bank.command("pusher_3", "extend", stall=True)
     assert event == ActStalled(device="pusher_3", op="extend")
     assert time == pytest.approx(2.0 + 1.0)  # travel + stall margin
@@ -119,13 +120,32 @@ def test_unknown_actuator_op_rejected():
         bank.command("door", "wiggle")
 
 
-def test_interlock_hook_blocks_command():
+def test_cutter_refused_until_every_bottom_line_is_secured():
     bank = make_bank()
-    bank.interlocks[("cutter", "extend")] = lambda: (False, "bottom lines not secured")
-    with pytest.raises(InterlockViolation):
+    dues = [bank.open_valve(f"bottom_{i}") for i in range(8)]
+    for due in dues[:7]:
+        settle(bank, due)
+    with pytest.raises(InterlockViolation, match=r"bottom lines \[7\] not secured"):
         bank.command("cutter", "extend")
-    bank.interlocks[("cutter", "extend")] = lambda: (True, "")
+    assert not bank.actuators["cutter"].moving
+    settle(bank, dues[7])
     bank.command("cutter", "extend")  # now allowed
+    bank.command("cutter", "retract")  # retracting is never refused
+
+
+def test_pusher_refused_unless_the_door_is_open_and_at_rest():
+    bank = make_bank()
+    with pytest.raises(InterlockViolation, match="door not open"):
+        bank.command("pusher_0", "extend")
+    door_open = bank.command("door", "extend")
+    with pytest.raises(InterlockViolation):  # still travelling
+        bank.command("pusher_0", "extend")
+    settle(bank, door_open)
+    bank.command("pusher_0", "extend")  # now allowed
+    bank.command("door", "retract")
+    with pytest.raises(InterlockViolation):  # closing again
+        bank.command("pusher_1", "extend")
+    bank.command("pusher_0", "retract")  # retracting is never refused
 
 
 # --- sensors --------------------------------------------------------------
@@ -200,6 +220,17 @@ def test_script_validation_errors(tmp_path):
         FaultScript.from_dict(script_dict([{"when": {"oops": 1}, "outcome": "fail"}]))
     with pytest.raises(MalformedFaultScript):
         FaultScript.from_dict(script_dict([{"when": {"action": "pick"}, "outcome": "explode"}]))
+    # Selector values are typed: a value of the wrong type could never match.
+    typo_cases = {
+        "'action'": {"action": "grab"},
+        "'test'": {"action": "pick", "test": "0"},
+        "'attempt'": {"action": "pick", "attempt": True},
+        "'slot'": {"action": "pick", "slot": 1.0},
+    }
+    for key, when in typo_cases.items():
+        entries = [{"when": {"action": "pick"}, "outcome": "ok"}, {"when": when, "outcome": "fail"}]
+        with pytest.raises(MalformedFaultScript, match=f"entry 1: {key}"):
+            FaultScript.from_dict(script_dict(entries))
     missing = tmp_path / "nope.json"
     with pytest.raises(MalformedFaultScript):
         FaultScript.from_file(missing)
