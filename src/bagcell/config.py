@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Annotated, Any, Callable, NamedTuple, get_args, get_origin, get_type_hints
 
+import numpy as np
+
 DEFAULT_SEED = 12345
 # Enclosures in the bulk loader; every per-enclosure loop and audit reads it here.
 ENCLOSURE_COUNT = 8
@@ -50,6 +52,8 @@ Scaling = Annotated[float, Bound(lambda v: 0 < v <= 1, "must be in (0, 1]")]
 Vacuum = Annotated[float, Bound(lambda v: v < 0, "vacuum levels are negative kPa")]
 Count = Annotated[int, Bound(lambda v: v >= 0, "must be >= 0")]
 AtLeastOne = Annotated[int, Bound(lambda v: v >= 1, "must be >= 1")]
+# Planning retries all run inside one event, so their count is capped.
+PlanAttempts = Annotated[int, Bound(lambda v: 1 <= v <= 1000, "must be in [1, 1000]")]
 Pose = Annotated[list[float], Bound(lambda v: len(v) >= 3, "needs at least x, y and z")]
 
 
@@ -93,8 +97,8 @@ def _default_extrinsic() -> list[list[float]]:
 
 @dataclass
 class CameraConfig:
-    width_px: int = 1920
-    height_px: int = 1080
+    width_px: AtLeastOne = 1920
+    height_px: AtLeastOne = 1080
     fx: Positive = 1000.0
     fy: Positive = 1000.0
     cx: float = 960.0
@@ -118,7 +122,7 @@ class MotionConfig:
     acceleration_scaling: Scaling = 0.03
     base_acceleration_mps2: Positive = 13.0
     planning_time_budget_s: Positive = 5.0
-    max_planning_attempts: AtLeastOne = 10
+    max_planning_attempts: PlanAttempts = 10
 
     @property
     def effective_max_speed_mps(self) -> float:
@@ -223,9 +227,19 @@ class CellConfig:
             )
         if lay.enclosure_count != ENCLOSURE_COUNT:
             raise ConfigInvalid("layout.enclosure_count", f"must be {ENCLOSURE_COUNT}")
-        ext = self.camera.extrinsic
+        cam = self.camera
+        if not 0 <= cam.cx < cam.width_px:
+            raise ConfigInvalid("camera.cx", f"must be in [0, width_px={cam.width_px})")
+        if not 0 <= cam.cy < cam.height_px:
+            raise ConfigInvalid("camera.cy", f"must be in [0, height_px={cam.height_px})")
+        ext = cam.extrinsic
         if len(ext) != 4 or any(len(row) != 4 for row in ext):
             raise ConfigInvalid("camera.extrinsic", "must be a 4x4 matrix")
+        try:
+            # As floats: an int past int64 would make an object array.
+            np.linalg.inv(np.asarray(ext, dtype=float))
+        except np.linalg.LinAlgError:
+            raise ConfigInvalid("camera.extrinsic", "must be invertible") from None
         dev = self.devices
         if dev.vacuum_level_kpa > dev.secure_threshold_kpa:
             raise ConfigInvalid(

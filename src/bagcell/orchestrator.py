@@ -11,8 +11,13 @@ verify), cutting presses and secures all eight bags before the cutter may
 traverse, removal lifts each cut bag to the bin, delivery opens the door and
 pushes the unpacked stacks out, then the cell resets. Failed steps retry up
 to per-action caps; a stack that exhausts its retries is marked unhandled
-and play continues. Events the current step is not waiting for are consumed
-as no-ops, which keeps the function total.
+and play continues.
+
+``STEPS`` is the machine's whole event graph: each row maps a sub-state and
+an event it awaits to the step that handles it. The phase is not stored; each
+``Sub`` member names its phase, and ``OrcState.phase`` reads it off the
+sub-state. Events with no row in the current sub-state are consumed as
+no-ops, which keeps the function total.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from bagcell.config import CellConfig
 
@@ -36,43 +41,52 @@ class Phase(enum.Enum):
 
 
 class Sub(enum.Enum):
-    NONE = "none"
-    AWAIT_FEED_MSG = "await_feed_msg"
-    TO_VIEW = "to_view"
-    AWAIT_DETECT = "await_detect"
-    PLANNING_APPROACH = "planning_approach"
-    APPROACHING = "approaching"
-    GRIPPING = "gripping"
-    GRIP_SETTLE = "grip_settle"
-    PLANNING_TRANSFER = "planning_transfer"
-    TRANSFERRING = "transferring"
-    RELEASING = "releasing"
-    VERIFY_WAIT = "verify_wait"
-    VERIFY_CHECK = "verify_check"
-    RESEAT_GRIPPING = "reseat_gripping"
-    RESEAT_MOVING = "reseat_moving"
-    TO_RESET = "to_reset"
-    RETURNING = "returning"
-    CUT_SWING = "cut_swing"
-    CUT_SECURING = "cut_securing"
-    CUT_SLICING = "cut_slicing"
-    REM_APPROACH = "rem_approach"
-    REM_DESCEND = "rem_descend"
-    REM_GRIPPING = "rem_gripping"
-    REM_RESEAT = "rem_reseat"
-    REM_LIFT = "rem_lift"
-    REM_TO_BIN = "rem_to_bin"
-    REM_RELEASE = "rem_release"
-    DOOR_OPENING = "door_opening"
-    DOOR_SETTLE = "door_settle"
-    PUSHING = "pushing"
-    PUSH_HOLD = "push_hold"
-    VERIFYING_DELIVERY = "verifying_delivery"
-    RETRACTING = "retracting"
-    RETRACT_SETTLE = "retract_settle"
-    DOOR_CLOSING = "door_closing"
-    RESETTING = "resetting"
-    AWAIT_RESET_MSG = "await_reset_msg"
+    """Where the machine is in a cycle; each member is declared with its phase."""
+
+    def __new__(cls, phase: Phase) -> "Sub":
+        sub = object.__new__(cls)
+        sub._value_ = len(cls.__members__)  # distinct, so no member aliases another
+        sub.phase = phase
+        return sub
+
+    IDLE = Phase.IDLE
+    AWAIT_FEED_MSG = Phase.FEEDING
+    TO_VIEW = Phase.FEEDING
+    AWAIT_DETECT = Phase.FEEDING
+    PLANNING_APPROACH = Phase.FEEDING
+    APPROACHING = Phase.FEEDING
+    GRIPPING = Phase.FEEDING
+    GRIP_SETTLE = Phase.FEEDING
+    PLANNING_TRANSFER = Phase.FEEDING
+    TRANSFERRING = Phase.FEEDING
+    RELEASING = Phase.FEEDING
+    VERIFY_WAIT = Phase.FEEDING
+    VERIFY_CHECK = Phase.FEEDING
+    RESEAT_GRIPPING = Phase.FEEDING
+    RESEAT_MOVING = Phase.FEEDING
+    TO_RESET = Phase.FEEDING
+    RETURNING = Phase.FEEDING
+    CUT_SWING = Phase.CUTTING
+    CUT_SECURING = Phase.CUTTING
+    CUT_SLICING = Phase.CUTTING
+    REM_APPROACH = Phase.REMOVAL
+    REM_DESCEND = Phase.REMOVAL
+    REM_GRIPPING = Phase.REMOVAL
+    REM_RESEAT = Phase.REMOVAL
+    REM_LIFT = Phase.REMOVAL
+    REM_TO_BIN = Phase.REMOVAL
+    REM_RELEASE = Phase.REMOVAL
+    DOOR_OPENING = Phase.DELIVERY
+    DOOR_SETTLE = Phase.DELIVERY
+    PUSHING = Phase.DELIVERY
+    PUSH_HOLD = Phase.DELIVERY
+    VERIFYING_DELIVERY = Phase.DELIVERY
+    RETRACTING = Phase.DELIVERY
+    RETRACT_SETTLE = Phase.DELIVERY
+    DOOR_CLOSING = Phase.DELIVERY
+    RESETTING = Phase.RESET
+    AWAIT_RESET_MSG = Phase.RESET
+    DONE = Phase.DONE
 
 
 # --- events (runtime -> machine) -----------------------------------------
@@ -302,8 +316,7 @@ class OrcParams:
 
 @dataclass(frozen=True)
 class OrcState:
-    phase: Phase = Phase.IDLE
-    sub: Sub = Sub.NONE
+    sub: Sub = Sub.IDLE
     cycle: int = 0
     slot: int = 0
     zone: int = 1
@@ -326,6 +339,10 @@ class OrcState:
     push_pending: frozenset = frozenset()
     verify_idx: int = 0
 
+    @property
+    def phase(self) -> Phase:
+        return self.sub.phase
+
 
 def _r(state: OrcState, **kw) -> OrcState:
     return dataclasses.replace(state, **kw)
@@ -333,6 +350,9 @@ def _r(state: OrcState, **kw) -> OrcState:
 
 def initial_state() -> OrcState:
     return OrcState()
+
+
+Step = Callable[[OrcState, Event, OrcParams], Tuple[OrcState, List[Action]]]
 
 
 # --- helpers --------------------------------------------------------------
@@ -375,13 +395,6 @@ def _start_slot(state: OrcState, slot: int) -> Tuple[OrcState, List[Action]]:
     return state, [Move(tag="slot_view", dest=("view", state.zone))]
 
 
-def _detect(state: OrcState) -> Tuple[OrcState, List[Action]]:
-    state = _r(state, sub=Sub.AWAIT_DETECT, detect_attempt=state.detect_attempt + 1)
-    return state, [
-        Detect(zone=state.zone, ctx=_ctx(state, zone=state.zone, attempt=state.detect_attempt))
-    ]
-
-
 def _fail_stack(sid: int, kind: str, enclosure: int = -1) -> List[Action]:
     actions: List[Action] = [MarkOutcome(kind=kind, stack=sid, enclosure=enclosure)]
     if sid >= 0:
@@ -391,15 +404,6 @@ def _fail_stack(sid: int, kind: str, enclosure: int = -1) -> List[Action]:
 
 def _return_home(state: OrcState) -> Tuple[OrcState, List[Action]]:
     return _r(state, sub=Sub.RETURNING), [Move(tag="return", dest=("home_via_mid",))]
-
-
-def _enter_cutting(state: OrcState) -> Tuple[OrcState, List[Action]]:
-    state = _r(state, phase=Phase.CUTTING, sub=Sub.CUT_SWING, secure_attempt=0)
-    return state, [
-        PhaseMark(phase="feeding", edge="end"),
-        PhaseMark(phase="cutting", edge="start"),
-        Command(device="swing", op="extend"),
-    ]
 
 
 def _open_bottom_valves(state: OrcState, slots_to_open) -> List[Action]:
@@ -426,25 +430,6 @@ def _open_bottom_valves(state: OrcState, slots_to_open) -> List[Action]:
     return actions
 
 
-def _bottom_secured_count(state: OrcState, slots: int) -> int:
-    return sum(1 for i in range(slots) if f"bottom_{i}" in state.secured)
-
-
-def _enter_removal(state: OrcState, params: OrcParams) -> Tuple[OrcState, List[Action]]:
-    queue = tuple(sorted(_occ(state)))
-    actions: List[Action] = [
-        PhaseMark(phase="cutting", edge="end"),
-        Publish(topic="cutting_complete", payload={"cycle": state.cycle}),
-        PhaseMark(phase="removal", edge="start"),
-        Command(device="swing", op="retract"),
-        Command(device="cutter", op="retract"),
-    ]
-    state = _r(state, phase=Phase.REMOVAL, removal_queue=queue, removal_idx=0)
-    if not queue:
-        return _enter_delivery(state, actions)
-    return _next_bag(state, actions)
-
-
 def _next_bag(state: OrcState, actions: List[Action]) -> Tuple[OrcState, List[Action]]:
     enc = state.removal_queue[state.removal_idx]
     state = _r(state, sub=Sub.REM_APPROACH, remove_attempt=0)
@@ -456,6 +441,16 @@ def _next_bag(state: OrcState, actions: List[Action]) -> Tuple[OrcState, List[Ac
     return state, actions
 
 
+def _advance_removal(
+    state: OrcState, params: OrcParams, actions: List[Action]
+) -> Tuple[OrcState, List[Action]]:
+    nxt = state.removal_idx + 1
+    state = _r(state, removal_idx=nxt)
+    if nxt < len(state.removal_queue):
+        return _next_bag(state, actions)
+    return _enter_delivery(state, actions)
+
+
 def _enter_delivery(state: OrcState, actions: List[Action]) -> Tuple[OrcState, List[Action]]:
     actions = actions + [
         PhaseMark(phase="removal", edge="end"),
@@ -464,7 +459,7 @@ def _enter_delivery(state: OrcState, actions: List[Action]) -> Tuple[OrcState, L
         Command(device="door", op="extend"),
         Move(tag="park_home", dest=("home_via_mid",)),
     ]
-    return _r(state, phase=Phase.DELIVERY, sub=Sub.DOOR_OPENING), actions
+    return _r(state, sub=Sub.DOOR_OPENING), actions
 
 
 def _enter_reset(
@@ -482,7 +477,6 @@ def _enter_reset(
         cleanup.append(CloseValve(device=f"bottom_{i}"))
     state = _r(
         state,
-        phase=Phase.RESET,
         sub=Sub.RESETTING,
         occupants=(),
         unbagged=frozenset(),
@@ -510,220 +504,134 @@ def _current_removal_enc(state: OrcState) -> int:
 def transition(
     state: OrcState, event: Event, params: OrcParams
 ) -> Tuple[OrcState, List[Action]]:
-    """Advance the machine by one event. Total: unexpected events are no-ops."""
+    """Advance the machine by one event. Total: an event with no row is a no-op."""
 
-    # Suction events always update the secured set first; some substates then
+    # Suction events always update the secured set first; some steps then
     # react to the updated picture.
-    if isinstance(event, SuctionSecured):
+    kind = type(event)
+    if kind is SuctionSecured:
         state = _r(state, secured=state.secured | {event.device})
-    elif isinstance(event, SuctionLost):
+    elif kind is SuctionLost:
         state = _r(state, secured=state.secured - {event.device})
 
-    handler = _PHASE_HANDLERS.get(state.phase)
-    if handler is None:
+    step = STEPS.get((state.sub, event)) or STEPS.get((state.sub, kind))
+    if step is None:
         return state, []
-    return handler(state, event, params)
+    return step(state, event, params)
 
 
-def _on_idle(state, event, params):
-    if isinstance(event, Start):
-        state = _r(state, phase=Phase.FEEDING, sub=Sub.AWAIT_FEED_MSG)
+# --- steps, in cycle order; each is the value of one or more STEPS rows ---
+
+
+def _start(state, event, params):
+    state = _r(state, sub=Sub.AWAIT_FEED_MSG)
+    return state, [
+        Publish(topic="system_ready", payload={}),
+        PhaseMark(phase="feeding", edge="start"),
+        Publish(topic="ready_for_picking", payload={"cycle": state.cycle}),
+    ]
+
+
+def _feed(state, event, params):
+    return _start_slot(state, state.slot)
+
+
+def _detect(state, event, params):
+    state = _r(state, sub=Sub.AWAIT_DETECT, detect_attempt=state.detect_attempt + 1)
+    return state, [
+        Detect(zone=state.zone, ctx=_ctx(state, zone=state.zone, attempt=state.detect_attempt))
+    ]
+
+
+def _detected(state, event, params):
+    if not event.zone_has_stacks:
+        next_zone = state.zone + 1
+        if next_zone > params.zones:
+            return _return_home(_r(state, tote_done=True))
+        state = _r(state, zone=next_zone, sub=Sub.TO_VIEW, detect_attempt=0)
+        return state, [Move(tag="zone_shift", dest=("view", next_zone))]
+    if event.found:
+        state = _r(state, sub=Sub.PLANNING_APPROACH, target=event.stack_id)
         return state, [
-            Publish(topic="system_ready", payload={}),
-            PhaseMark(phase="feeding", edge="start"),
-            Publish(topic="ready_for_picking", payload={"cycle": state.cycle}),
+            MarkOutcome(kind="detected", stack=event.stack_id),
+            Plan(tag="approach", ctx=_ctx(state, attempt=state.pick_attempt + 1)),
         ]
-    return state, []
+    if state.detect_attempt < params.detect_attempts:
+        return _detect(state, event, params)
+    # Detection exhausted: the stack it should have found is skipped.
+    actions = _fail_stack(event.leftmost_stack_id, "detect_failed")
+    state, more = _return_home(state)
+    return state, actions + more
 
 
-def _on_feeding(state, event, params):
-    sub = state.sub
+def _approach(state, event, params):
+    return _r(state, sub=Sub.APPROACHING), [Move(tag="approach", dest=("target",))]
 
-    if sub is Sub.AWAIT_FEED_MSG:
-        if isinstance(event, BusMsg) and event.topic == "ready_for_picking":
-            return _start_slot(state, state.slot)
-        return state, []
 
-    if sub is Sub.TO_VIEW:
-        if isinstance(event, MotionDone) and event.tag in (
-            "slot_view",
-            "zone_shift",
-            "reset_view",
-        ):
-            return _detect(state)
-        return state, []
+def _grip(state, event, params):
+    state = _r(state, sub=Sub.GRIPPING)
+    return state, [
+        Publish(topic="suction_cmd", payload={"device": "gripper", "on": True}),
+        OpenValve(
+            device="gripper",
+            fault_action="pick",
+            ctx=_ctx(state, attempt=state.pick_attempt + 1),
+        ),
+        StartTimer(tag="grip_timeout", seconds=params.grip_timeout_s),
+    ]
 
-    if sub is Sub.AWAIT_DETECT:
-        if isinstance(event, DetectReady):
-            if not event.zone_has_stacks:
-                next_zone = state.zone + 1
-                if next_zone > params.zones:
-                    state = _r(state, tote_done=True)
-                    return _return_home(state)
-                state = _r(state, zone=next_zone, sub=Sub.TO_VIEW, detect_attempt=0)
-                return state, [Move(tag="zone_shift", dest=("view", next_zone))]
-            if event.found:
-                state = _r(state, sub=Sub.PLANNING_APPROACH, target=event.stack_id)
-                return state, [
-                    MarkOutcome(kind="detected", stack=event.stack_id),
-                    Plan(
-                        tag="approach",
-                        ctx=_ctx(state, attempt=state.pick_attempt + 1),
-                    ),
-                ]
-            if state.detect_attempt < params.detect_attempts:
-                return _detect(state)
-            # Detection exhausted: the stack it should have found is skipped.
-            actions = _fail_stack(event.leftmost_stack_id, "detect_failed")
-            state, more = _return_home(state)
-            return state, actions + more
-        return state, []
 
-    if sub is Sub.PLANNING_APPROACH:
-        if isinstance(event, PlanReady) and event.tag == "approach":
-            if event.ok:
-                return _r(state, sub=Sub.APPROACHING), [
-                    Move(tag="approach", dest=("target",))
-                ]
-            return _pick_attempt_failed(state, params, at_view=True)
-        return state, []
+def _gripped(state, event, params):
+    state = _r(state, sub=Sub.GRIP_SETTLE)
+    return state, [
+        CancelTimer(tag="grip_timeout"),
+        MarkOutcome(kind="picked", stack=state.target),
+        SetStack(stack=state.target, state="held"),
+        StartTimer(tag="grip_settle", seconds=params.grip_settle_s),
+    ]
 
-    if sub is Sub.APPROACHING:
-        if isinstance(event, MotionDone) and event.tag == "approach":
-            state = _r(state, sub=Sub.GRIPPING)
-            return state, [
-                Publish(topic="suction_cmd", payload={"device": "gripper", "on": True}),
-                OpenValve(
-                    device="gripper",
-                    fault_action="pick",
-                    ctx=_ctx(state, attempt=state.pick_attempt + 1),
-                ),
-                StartTimer(tag="grip_timeout", seconds=params.grip_timeout_s),
-            ]
-        return state, []
 
-    if sub is Sub.GRIPPING:
-        if isinstance(event, SuctionSecured) and event.device == "gripper":
-            state = _r(state, sub=Sub.GRIP_SETTLE)
-            return state, [
-                CancelTimer(tag="grip_timeout"),
-                MarkOutcome(kind="picked", stack=state.target),
-                SetStack(stack=state.target, state="held"),
-                StartTimer(tag="grip_settle", seconds=params.grip_settle_s),
-            ]
-        if isinstance(event, TimerFired) and event.tag == "grip_timeout":
-            return _pick_attempt_failed(state, params, at_view=False)
-        return state, []
-
-    if sub is Sub.GRIP_SETTLE:
-        if isinstance(event, TimerFired) and event.tag == "grip_settle":
-            state = _r(state, sub=Sub.PLANNING_TRANSFER)
-            return state, [
-                Plan(tag="transfer", ctx=_ctx(state, attempt=state.pick_attempt + 1))
-            ]
-        return state, []
-
-    if sub is Sub.PLANNING_TRANSFER:
-        if isinstance(event, PlanReady) and event.tag == "transfer":
-            if event.ok:
-                return _r(state, sub=Sub.TRANSFERRING), [
-                    Move(tag="transfer", dest=("enclosure", state.slot))
-                ]
-            # Holding the stack but cannot plan: put it back and retry the pick.
-            actions = [
-                SetStack(stack=state.target, state="in_tote"),
-                CloseValve(device="gripper"),
-            ]
-            state, more = _pick_attempt_failed(state, params, at_view=False)
-            return state, actions + more
-        return state, []
-
-    if sub is Sub.TRANSFERRING:
-        if isinstance(event, MotionDone) and event.tag == "transfer":
-            return _release(state, params)
-        return state, []
-
-    if sub is Sub.RELEASING:
-        if isinstance(event, TimerFired) and event.tag == "release":
-            state = _r(state, sub=Sub.VERIFY_WAIT)
-            return state, [
-                OpenValve(
-                    device=f"bottom_{state.slot}",
-                    fault_action="place",
-                    ctx=_ctx(state, enclosure=state.slot, attempt=state.place_attempt + 1),
-                ),
-                StartTimer(tag="verify", seconds=params.placement_window_s),
-            ]
-        return state, []
-
-    if sub is Sub.VERIFY_WAIT:
-        if isinstance(event, TimerFired) and event.tag == "verify":
-            return _r(state, sub=Sub.VERIFY_CHECK), [
-                ReadUltrasonic(enclosure=state.slot)
-            ]
-        return state, []
-
-    if sub is Sub.VERIFY_CHECK:
-        if isinstance(event, UltrasonicRead) and event.enclosure == state.slot:
-            seated = event.present and f"bottom_{state.slot}" in state.secured
-            if seated:
-                state = _occ_add(state, state.slot, state.target)
-                actions = [
-                    MarkOutcome(kind="placed", stack=state.target, enclosure=state.slot),
-                    Publish(
-                        topic="placement_verified",
-                        payload={"enclosure": state.slot, "stack": state.target},
-                    ),
-                    CloseValve(device=f"bottom_{state.slot}"),
-                ]
-                new_state, more = _return_home(state)
-                return new_state, actions + more
-            state = _r(state, place_attempt=state.place_attempt + 1)
-            if state.place_attempt < params.place_attempts:
-                state = _r(state, sub=Sub.RESEAT_GRIPPING)
-                return state, [
-                    Note(text="placement_retry", data={"enclosure": state.slot}),
-                    CloseValve(device=f"bottom_{state.slot}"),
-                    OpenValve(device="gripper"),
-                ]
-            actions = [CloseValve(device=f"bottom_{state.slot}")]
-            actions += _fail_stack(state.target, "place_failed", enclosure=state.slot)
-            new_state, more = _return_home(state)
+def _pick_attempt_failed(state, event, params):
+    """One pick attempt burned (plan failure or grip timeout)."""
+    # Only a failed approach plan leaves the arm at the view pose.
+    at_view = state.sub is Sub.PLANNING_APPROACH
+    attempt = state.pick_attempt + 1
+    state = _r(state, pick_attempt=attempt)
+    actions: List[Action] = []
+    if not at_view:
+        actions.append(CloseValve(device="gripper"))
+    if attempt < params.pick_attempts:
+        if at_view:
+            # Robot never left the view pose; go straight to a fresh frame.
+            new_state, more = _detect(state, event, params)
             return new_state, actions + more
-        return state, []
-
-    if sub is Sub.RESEAT_GRIPPING:
-        if isinstance(event, SuctionSecured) and event.device == "gripper":
-            state = _r(state, sub=Sub.RESEAT_MOVING)
-            return state, [
-                SetStack(stack=state.target, state="held"),
-                Move(tag="reseat", dest=("reseat",)),
-            ]
-        return state, []
-
-    if sub is Sub.RESEAT_MOVING:
-        if isinstance(event, MotionDone) and event.tag == "reseat":
-            return _release(state, params)
-        return state, []
-
-    if sub is Sub.TO_RESET:
-        if isinstance(event, MotionDone) and event.tag == "to_reset":
-            state = _r(state, sub=Sub.TO_VIEW)
-            return state, [Move(tag="reset_view", dest=("view", state.zone))]
-        return state, []
-
-    if sub is Sub.RETURNING:
-        if isinstance(event, MotionDone) and event.tag == "return":
-            next_slot = state.slot + 1
-            if next_slot >= params.slots or state.tote_done:
-                return _enter_cutting(state)
-            return _start_slot(state, next_slot)
-        return state, []
-
-    return state, []
+        state = _r(state, sub=Sub.TO_RESET)
+        return state, actions + [Move(tag="to_reset", dest=("reset",))]
+    actions += _fail_stack(state.target, "pick_failed")
+    new_state, more = _return_home(state)
+    return new_state, actions + more
 
 
-def _release(state: OrcState, params: OrcParams) -> Tuple[OrcState, List[Action]]:
+def _plan_transfer(state, event, params):
+    state = _r(state, sub=Sub.PLANNING_TRANSFER)
+    return state, [Plan(tag="transfer", ctx=_ctx(state, attempt=state.pick_attempt + 1))]
+
+
+def _transfer(state, event, params):
+    return _r(state, sub=Sub.TRANSFERRING), [Move(tag="transfer", dest=("enclosure", state.slot))]
+
+
+def _put_back(state, event, params):
+    # Holding the stack but cannot plan: put it back and retry the pick.
+    actions = [
+        SetStack(stack=state.target, state="in_tote"),
+        CloseValve(device="gripper"),
+    ]
+    state, more = _pick_attempt_failed(state, event, params)
+    return state, actions + more
+
+
+def _release(state, event, params):
     state = _r(state, sub=Sub.RELEASING)
     return state, [
         CloseValve(device="gripper"),
@@ -733,163 +641,143 @@ def _release(state: OrcState, params: OrcParams) -> Tuple[OrcState, List[Action]
     ]
 
 
-def _pick_attempt_failed(
-    state: OrcState, params: OrcParams, at_view: bool
-) -> Tuple[OrcState, List[Action]]:
-    """One pick attempt burned (plan failure or grip timeout)."""
-    attempt = state.pick_attempt + 1
-    state = _r(state, pick_attempt=attempt)
-    actions: List[Action] = []
-    if not at_view:
-        actions.append(CloseValve(device="gripper"))
-    if attempt < params.pick_attempts:
-        if at_view:
-            # Robot never left the view pose; go straight to a fresh frame.
-            new_state, more = _detect(state)
-            return new_state, actions + more
-        state = _r(state, sub=Sub.TO_RESET)
-        return state, actions + [Move(tag="to_reset", dest=("reset",))]
-    actions += _fail_stack(state.target, "pick_failed")
+def _seat(state, event, params):
+    state = _r(state, sub=Sub.VERIFY_WAIT)
+    return state, [
+        OpenValve(
+            device=f"bottom_{state.slot}",
+            fault_action="place",
+            ctx=_ctx(state, enclosure=state.slot, attempt=state.place_attempt + 1),
+        ),
+        StartTimer(tag="verify", seconds=params.placement_window_s),
+    ]
+
+
+def _check_seat(state, event, params):
+    return _r(state, sub=Sub.VERIFY_CHECK), [ReadUltrasonic(enclosure=state.slot)]
+
+
+def _seat_checked(state, event, params):
+    if event.enclosure != state.slot:
+        return state, []
+    if event.present and f"bottom_{state.slot}" in state.secured:
+        state = _occ_add(state, state.slot, state.target)
+        actions = [
+            MarkOutcome(kind="placed", stack=state.target, enclosure=state.slot),
+            Publish(
+                topic="placement_verified",
+                payload={"enclosure": state.slot, "stack": state.target},
+            ),
+            CloseValve(device=f"bottom_{state.slot}"),
+        ]
+        new_state, more = _return_home(state)
+        return new_state, actions + more
+    state = _r(state, place_attempt=state.place_attempt + 1)
+    if state.place_attempt < params.place_attempts:
+        state = _r(state, sub=Sub.RESEAT_GRIPPING)
+        return state, [
+            Note(text="placement_retry", data={"enclosure": state.slot}),
+            CloseValve(device=f"bottom_{state.slot}"),
+            OpenValve(device="gripper"),
+        ]
+    actions = [CloseValve(device=f"bottom_{state.slot}")]
+    actions += _fail_stack(state.target, "place_failed", enclosure=state.slot)
     new_state, more = _return_home(state)
     return new_state, actions + more
 
 
-def _on_cutting(state, event, params):
-    sub = state.sub
+def _reseat(state, event, params):
+    state = _r(state, sub=Sub.RESEAT_MOVING)
+    return state, [
+        SetStack(stack=state.target, state="held"),
+        Move(tag="reseat", dest=("reseat",)),
+    ]
 
-    if sub is Sub.CUT_SWING:
-        if isinstance(event, ActDone) and event.device == "swing" and event.op == "extend":
-            state = _r(state, sub=Sub.CUT_SECURING, secure_attempt=1)
-            actions = _open_bottom_valves(state, range(params.slots))
-            actions.append(StartTimer(tag="secure_timeout", seconds=params.grip_timeout_s))
-            return state, actions
+
+def _back_to_view(state, event, params):
+    state = _r(state, sub=Sub.TO_VIEW)
+    return state, [Move(tag="reset_view", dest=("view", state.zone))]
+
+
+def _returned(state, event, params):
+    next_slot = state.slot + 1
+    if next_slot < params.slots and not state.tote_done:
+        return _start_slot(state, next_slot)
+    state = _r(state, sub=Sub.CUT_SWING, secure_attempt=0)
+    return state, [
+        PhaseMark(phase="feeding", edge="end"),
+        PhaseMark(phase="cutting", edge="start"),
+        Command(device="swing", op="extend"),
+    ]
+
+
+def _secure_bags(state, event, params):
+    state = _r(state, sub=Sub.CUT_SECURING, secure_attempt=1)
+    actions = _open_bottom_valves(state, range(params.slots))
+    actions.append(StartTimer(tag="secure_timeout", seconds=params.grip_timeout_s))
+    return state, actions
+
+
+def _bag_secured(state, event, params):
+    if not all(f"bottom_{i}" in state.secured for i in range(params.slots)):
         return state, []
-
-    if sub is Sub.CUT_SECURING:
-        if isinstance(event, SuctionSecured):
-            if _bottom_secured_count(state, params.slots) == params.slots:
-                state = _r(state, sub=Sub.CUT_SLICING)
-                return state, [
-                    CancelTimer(tag="secure_timeout"),
-                    Note(text="tension_rods_engaged", data={}),
-                    Command(device="cutter", op="extend"),
-                    Move(tag="park_bin", dest=("bin",)),
-                ]
-            return state, []
-        if isinstance(event, TimerFired) and event.tag == "secure_timeout":
-            missing = [
-                i for i in range(params.slots) if f"bottom_{i}" not in state.secured
-            ]
-            if state.secure_attempt < params.secure_attempts:
-                state = _r(state, secure_attempt=state.secure_attempt + 1)
-                actions: List[Action] = [
-                    Note(text="secure_retry", data={"missing": missing})
-                ]
-                for i in missing:
-                    actions.append(CloseValve(device=f"bottom_{i}"))
-                actions += _open_bottom_valves(state, missing)
-                actions.append(
-                    StartTimer(tag="secure_timeout", seconds=params.grip_timeout_s)
-                )
-                return state, actions
-            # Cannot hold all eight bags down: abort the cut for safety.
-            occ = _occ(state)
-            actions = [
-                Publish(
-                    topic="fault",
-                    payload={"kind": "secure_exhausted", "missing": missing},
-                ),
-                Note(text="cutting_aborted", data={"missing": missing}),
-            ]
-            for i in range(params.slots):
-                actions.append(CloseValve(device=f"bottom_{i}"))
-            for enc, sid in sorted(occ.items()):
-                actions += _fail_stack(sid, "cut_failed", enclosure=enc)
-            actions.append(Command(device="swing", op="retract"))
-            actions.append(PhaseMark(phase="cutting", edge="end"))
-            state = _r(state, occupants=())
-            return _enter_reset(state, params, actions)
-        return state, []
-
-    if sub is Sub.CUT_SLICING:
-        if isinstance(event, ActDone) and event.device == "cutter" and event.op == "extend":
-            occ = _occ(state)
-            actions: List[Action] = [
-                SetPackaging(stacks=tuple(occ[e] for e in sorted(occ)), packaging="cut")
-            ]
-            new_state, more = _enter_removal(state, params)
-            return new_state, actions + more
-        return state, []
-
-    return state, []
+    state = _r(state, sub=Sub.CUT_SLICING)
+    return state, [
+        CancelTimer(tag="secure_timeout"),
+        Note(text="tension_rods_engaged", data={}),
+        Command(device="cutter", op="extend"),
+        Move(tag="park_bin", dest=("bin",)),
+    ]
 
 
-def _on_removal(state, event, params):
-    sub = state.sub
-
-    if sub is Sub.REM_APPROACH:
-        if isinstance(event, MotionDone) and event.tag == "rem_approach":
-            return _r(state, sub=Sub.REM_DESCEND), [
-                Move(tag="rem_descend", dest=("rem", "descend"))
-            ]
-        return state, []
-
-    if sub is Sub.REM_DESCEND:
-        if isinstance(event, MotionDone) and event.tag == "rem_descend":
-            return _rem_grip(state, params)
-        return state, []
-
-    if sub is Sub.REM_GRIPPING:
-        if isinstance(event, SuctionSecured) and event.device == "gripper":
-            return _r(state, sub=Sub.REM_LIFT), [
-                CancelTimer(tag="grip_timeout"),
-                Move(tag="rem_lift", dest=("rem", "lift")),
-            ]
-        if isinstance(event, TimerFired) and event.tag == "grip_timeout":
-            enc = _current_removal_enc(state)
-            actions: List[Action] = [CloseValve(device="gripper")]
-            if state.remove_attempt < params.remove_attempts:
-                state = _r(state, sub=Sub.REM_RESEAT)
-                return state, actions + [Move(tag="rem_reseat", dest=("rem", "reseat"))]
-            # Bag stuck on this enclosure: leave it jammed and move on.
-            sid = _occ(state)[enc]
-            actions.append(Note(text="bag_stuck", data={"enclosure": enc, "stack": sid}))
-            actions.append(MarkOutcome(kind="remove_failed", stack=sid, enclosure=enc))
-            state = _r(state, jammed=state.jammed | {enc})
-            return _advance_removal(state, params, actions)
-        return state, []
-
-    if sub is Sub.REM_RESEAT:
-        if isinstance(event, MotionDone) and event.tag == "rem_reseat":
-            return _rem_grip(state, params)
-        return state, []
-
-    if sub is Sub.REM_LIFT:
-        if isinstance(event, MotionDone) and event.tag == "rem_lift":
-            return _r(state, sub=Sub.REM_TO_BIN), [Move(tag="rem_bin", dest=("rem", "bin"))]
-        return state, []
-
-    if sub is Sub.REM_TO_BIN:
-        if isinstance(event, MotionDone) and event.tag == "rem_bin":
-            enc = _current_removal_enc(state)
-            sid = _occ(state)[enc]
-            state = _r(state, sub=Sub.REM_RELEASE, unbagged=state.unbagged | {enc})
-            return state, [
-                CloseValve(device="gripper"),
-                SetPackaging(stacks=(sid,), packaging="removed"),
-                StartTimer(tag="rem_release", seconds=params.removal_release_s),
-            ]
-        return state, []
-
-    if sub is Sub.REM_RELEASE:
-        if isinstance(event, TimerFired) and event.tag == "rem_release":
-            return _advance_removal(state, params, [])
-        return state, []
-
-    return state, []
+def _secure_timed_out(state, event, params):
+    missing = [i for i in range(params.slots) if f"bottom_{i}" not in state.secured]
+    if state.secure_attempt < params.secure_attempts:
+        state = _r(state, secure_attempt=state.secure_attempt + 1)
+        actions: List[Action] = [Note(text="secure_retry", data={"missing": missing})]
+        for i in missing:
+            actions.append(CloseValve(device=f"bottom_{i}"))
+        actions += _open_bottom_valves(state, missing)
+        actions.append(StartTimer(tag="secure_timeout", seconds=params.grip_timeout_s))
+        return state, actions
+    # Cannot hold all eight bags down: abort the cut for safety.
+    occ = _occ(state)
+    actions = [
+        Publish(topic="fault", payload={"kind": "secure_exhausted", "missing": missing}),
+        Note(text="cutting_aborted", data={"missing": missing}),
+    ]
+    for i in range(params.slots):
+        actions.append(CloseValve(device=f"bottom_{i}"))
+    for enc, sid in sorted(occ.items()):
+        actions += _fail_stack(sid, "cut_failed", enclosure=enc)
+    actions.append(Command(device="swing", op="retract"))
+    actions.append(PhaseMark(phase="cutting", edge="end"))
+    state = _r(state, occupants=())
+    return _enter_reset(state, params, actions)
 
 
-def _rem_grip(state: OrcState, params: OrcParams) -> Tuple[OrcState, List[Action]]:
+def _cut(state, event, params):
+    occ = _occ(state)
+    queue = tuple(sorted(occ))
+    actions: List[Action] = [
+        SetPackaging(stacks=tuple(occ[e] for e in queue), packaging="cut"),
+        PhaseMark(phase="cutting", edge="end"),
+        Publish(topic="cutting_complete", payload={"cycle": state.cycle}),
+        PhaseMark(phase="removal", edge="start"),
+        Command(device="swing", op="retract"),
+        Command(device="cutter", op="retract"),
+    ]
+    state = _r(state, removal_queue=queue, removal_idx=0)
+    if not queue:
+        return _enter_delivery(state, actions)
+    return _next_bag(state, actions)
+
+
+def _descend(state, event, params):
+    return _r(state, sub=Sub.REM_DESCEND), [Move(tag="rem_descend", dest=("rem", "descend"))]
+
+
+def _rem_grip(state, event, params):
     enc = _current_removal_enc(state)
     state = _r(state, sub=Sub.REM_GRIPPING, remove_attempt=state.remove_attempt + 1)
     return state, [
@@ -902,194 +790,236 @@ def _rem_grip(state: OrcState, params: OrcParams) -> Tuple[OrcState, List[Action
     ]
 
 
-def _advance_removal(
-    state: OrcState, params: OrcParams, actions: List[Action]
-) -> Tuple[OrcState, List[Action]]:
-    nxt = state.removal_idx + 1
-    state = _r(state, removal_idx=nxt)
-    if nxt < len(state.removal_queue):
-        return _next_bag(state, actions)
-    return _enter_delivery(state, actions)
+def _lift(state, event, params):
+    return _r(state, sub=Sub.REM_LIFT), [
+        CancelTimer(tag="grip_timeout"),
+        Move(tag="rem_lift", dest=("rem", "lift")),
+    ]
 
 
-def _on_delivery(state, event, params):
-    sub = state.sub
+def _rem_grip_timed_out(state, event, params):
+    enc = _current_removal_enc(state)
+    actions: List[Action] = [CloseValve(device="gripper")]
+    if state.remove_attempt < params.remove_attempts:
+        state = _r(state, sub=Sub.REM_RESEAT)
+        return state, actions + [Move(tag="rem_reseat", dest=("rem", "reseat"))]
+    # Bag stuck on this enclosure: leave it jammed and move on.
+    sid = _occ(state)[enc]
+    actions.append(Note(text="bag_stuck", data={"enclosure": enc, "stack": sid}))
+    actions.append(MarkOutcome(kind="remove_failed", stack=sid, enclosure=enc))
+    state = _r(state, jammed=state.jammed | {enc})
+    return _advance_removal(state, params, actions)
 
-    if sub is Sub.DOOR_OPENING:
-        if isinstance(event, ActDone) and event.device == "door" and event.op == "extend":
-            state = _r(state, sub=Sub.DOOR_SETTLE)
-            return state, [
-                Note(text="door_limit_switch", data={"open": True}),
-                StartTimer(tag="door_settle", seconds=params.door_settle_s),
-            ]
-        return state, []
 
-    if sub is Sub.DOOR_SETTLE:
-        if isinstance(event, TimerFired) and event.tag == "door_settle":
-            occ = _occ(state)
-            targets = frozenset(
-                e for e in occ if e in state.unbagged and e not in state.jammed
+def _to_bin(state, event, params):
+    return _r(state, sub=Sub.REM_TO_BIN), [Move(tag="rem_bin", dest=("rem", "bin"))]
+
+
+def _drop_bag(state, event, params):
+    enc = _current_removal_enc(state)
+    sid = _occ(state)[enc]
+    state = _r(state, sub=Sub.REM_RELEASE, unbagged=state.unbagged | {enc})
+    return state, [
+        CloseValve(device="gripper"),
+        SetPackaging(stacks=(sid,), packaging="removed"),
+        StartTimer(tag="rem_release", seconds=params.removal_release_s),
+    ]
+
+
+def _bag_dropped(state, event, params):
+    return _advance_removal(state, params, [])
+
+
+def _door_opened(state, event, params):
+    state = _r(state, sub=Sub.DOOR_SETTLE)
+    return state, [
+        Note(text="door_limit_switch", data={"open": True}),
+        StartTimer(tag="door_settle", seconds=params.door_settle_s),
+    ]
+
+
+def _push(state, event, params):
+    occ = _occ(state)
+    targets = frozenset(e for e in occ if e in state.unbagged and e not in state.jammed)
+    state = _r(state, sub=Sub.PUSHING, push_targets=targets, push_pending=targets)
+    actions: List[Action] = []
+    for e in sorted(targets):
+        actions.append(
+            Command(
+                device=f"pusher_{e}",
+                op="extend",
+                fault_action="push",
+                ctx=_ctx(state, enclosure=e, stack=occ[e]),
             )
-            state = _r(state, sub=Sub.PUSHING, push_targets=targets, push_pending=targets)
-            actions: List[Action] = []
-            for e in sorted(targets):
-                actions.append(
-                    Command(
-                        device=f"pusher_{e}",
-                        op="extend",
-                        fault_action="push",
-                        ctx=_ctx(state, enclosure=e, stack=occ[e]),
-                    )
-                )
-            if not targets:
-                state = _r(state, sub=Sub.PUSH_HOLD)
-                actions.append(StartTimer(tag="push_hold", seconds=params.push_hold_s))
-            return state, actions
+        )
+    if not targets:
+        state = _r(state, sub=Sub.PUSH_HOLD)
+        actions.append(StartTimer(tag="push_hold", seconds=params.push_hold_s))
+    return state, actions
+
+
+def _pushed(state, event, params):
+    """A pusher finished its stroke (``ActDone``) or stalled on it (``ActStalled``)."""
+    if not event.device.startswith("pusher_"):
         return state, []
+    e = int(event.device.split("_")[1])
+    pending = state.push_pending - {e}
+    state = _r(state, push_pending=pending)
+    actions: List[Action] = []
+    if type(event) is ActStalled:
+        sid = _occ(state).get(e, -1)
+        state = _r(state, stalled=state.stalled | {e})
+        actions.append(Publish(topic="fault", payload={"kind": "pusher_stall", "enclosure": e}))
+        actions.append(MarkOutcome(kind="stall_failed", stack=sid, enclosure=e))
+    if not pending:
+        state = _r(state, sub=Sub.PUSH_HOLD)
+        actions.append(StartTimer(tag="push_hold", seconds=params.push_hold_s))
+    return state, actions
 
-    if sub is Sub.PUSHING:
-        if isinstance(event, (ActDone, ActStalled)) and event.device.startswith("pusher_"):
-            e = int(event.device.split("_")[1])
-            pending = state.push_pending - {e}
-            state = _r(state, push_pending=pending)
-            actions: List[Action] = []
-            if isinstance(event, ActStalled):
-                sid = _occ(state).get(e, -1)
-                state = _r(state, stalled=state.stalled | {e})
-                actions.append(
-                    Publish(topic="fault", payload={"kind": "pusher_stall", "enclosure": e})
-                )
-                actions.append(MarkOutcome(kind="stall_failed", stack=sid, enclosure=e))
-            if not pending:
-                state = _r(state, sub=Sub.PUSH_HOLD)
-                actions.append(StartTimer(tag="push_hold", seconds=params.push_hold_s))
-            return state, actions
+
+def _verify_delivery(state, event, params):
+    state = _r(state, sub=Sub.VERIFYING_DELIVERY, verify_idx=0)
+    return state, [StartTimer(tag="dverify", seconds=params.delivery_verify_s)]
+
+
+def _read_enclosure(state, event, params):
+    return state, [ReadUltrasonic(enclosure=state.verify_idx)]
+
+
+def _enclosure_read(state, event, params):
+    e = event.enclosure
+    if e != state.verify_idx:
         return state, []
+    occ = _occ(state)
+    actions: List[Action] = []
+    if not event.present and e in occ:
+        # Pushed clear: the stack left through the open door.
+        sid = occ[e]
+        state = _occ_remove(state, e)
+        actions.append(MarkOutcome(kind="delivered", stack=sid, enclosure=e))
+        actions.append(SetStack(stack=sid, state="delivered"))
+    elif event.present and e in state.push_targets and e not in state.stalled:
+        sid = occ.get(e, -1)
+        actions.append(Note(text="delivery_not_confirmed", data={"enclosure": e, "stack": sid}))
+        actions.append(MarkOutcome(kind="verify_failed", stack=sid, enclosure=e))
+    nxt = state.verify_idx + 1
+    state = _r(state, verify_idx=nxt)
+    if nxt < params.slots:
+        return state, actions + [StartTimer(tag="dverify", seconds=params.delivery_verify_s)]
+    extended = sorted(state.push_targets | state.stalled)
+    if not extended:
+        state = _r(state, sub=Sub.RETRACT_SETTLE)
+        return state, actions + [StartTimer(tag="retract_settle", seconds=params.door_settle_s)]
+    state = _r(state, sub=Sub.RETRACTING, push_pending=frozenset(extended))
+    for e in extended:
+        actions.append(Command(device=f"pusher_{e}", op="retract"))
+    return state, actions
 
-    if sub is Sub.PUSH_HOLD:
-        if isinstance(event, TimerFired) and event.tag == "push_hold":
-            state = _r(state, sub=Sub.VERIFYING_DELIVERY, verify_idx=0)
-            return state, [StartTimer(tag="dverify", seconds=params.delivery_verify_s)]
+
+def _retracted(state, event, params):
+    if not event.device.startswith("pusher_") or event.op != "retract":
         return state, []
-
-    if sub is Sub.VERIFYING_DELIVERY:
-        if isinstance(event, TimerFired) and event.tag == "dverify":
-            return state, [ReadUltrasonic(enclosure=state.verify_idx)]
-        if isinstance(event, UltrasonicRead) and event.enclosure == state.verify_idx:
-            e = event.enclosure
-            occ = _occ(state)
-            actions: List[Action] = []
-            if not event.present and e in occ:
-                # Pushed clear: the stack left through the open door.
-                sid = occ[e]
-                state = _occ_remove(state, e)
-                actions.append(MarkOutcome(kind="delivered", stack=sid, enclosure=e))
-                actions.append(SetStack(stack=sid, state="delivered"))
-            elif event.present and e in state.push_targets and e not in state.stalled:
-                sid = occ.get(e, -1)
-                actions.append(
-                    Note(text="delivery_not_confirmed", data={"enclosure": e, "stack": sid})
-                )
-                actions.append(MarkOutcome(kind="verify_failed", stack=sid, enclosure=e))
-            nxt = state.verify_idx + 1
-            state = _r(state, verify_idx=nxt)
-            if nxt < params.slots:
-                return state, actions + [
-                    StartTimer(tag="dverify", seconds=params.delivery_verify_s)
-                ]
-            extended = sorted(state.push_targets | state.stalled)
-            if not extended:
-                state = _r(state, sub=Sub.RETRACT_SETTLE)
-                return state, actions + [
-                    StartTimer(tag="retract_settle", seconds=params.door_settle_s)
-                ]
-            state = _r(state, sub=Sub.RETRACTING, push_pending=frozenset(extended))
-            for e in extended:
-                actions.append(Command(device=f"pusher_{e}", op="retract"))
-            return state, actions
+    e = int(event.device.split("_")[1])
+    pending = state.push_pending - {e}
+    state = _r(state, push_pending=pending, stalled=state.stalled - {e})
+    if pending:
         return state, []
-
-    if sub is Sub.RETRACTING:
-        if (
-            isinstance(event, ActDone)
-            and event.device.startswith("pusher_")
-            and event.op == "retract"
-        ):
-            e = int(event.device.split("_")[1])
-            pending = state.push_pending - {e}
-            state = _r(state, push_pending=pending, stalled=state.stalled - {e})
-            if not pending:
-                state = _r(state, sub=Sub.RETRACT_SETTLE)
-                return state, [
-                    StartTimer(tag="retract_settle", seconds=params.door_settle_s)
-                ]
-            return state, []
-        return state, []
-
-    if sub is Sub.RETRACT_SETTLE:
-        if isinstance(event, TimerFired) and event.tag == "retract_settle":
-            state = _r(state, sub=Sub.DOOR_CLOSING)
-            return state, [Command(device="door", op="retract")]
-        return state, []
-
-    if sub is Sub.DOOR_CLOSING:
-        if isinstance(event, ActDone) and event.device == "door" and event.op == "retract":
-            actions: List[Action] = [
-                PhaseMark(phase="delivery", edge="end"),
-                Publish(topic="delivery_complete", payload={"cycle": state.cycle}),
-            ]
-            return _enter_reset(state, params, actions)
-        return state, []
-
-    return state, []
+    state = _r(state, sub=Sub.RETRACT_SETTLE)
+    return state, [StartTimer(tag="retract_settle", seconds=params.door_settle_s)]
 
 
-def _on_reset(state, event, params):
-    sub = state.sub
-
-    if sub is Sub.RESETTING:
-        if isinstance(event, TimerFired) and event.tag == "reset":
-            state = _r(state, sub=Sub.AWAIT_RESET_MSG)
-            return state, [
-                PhaseMark(phase="resetting", edge="end"),
-                Publish(topic="system_reset", payload={"cycle": state.cycle}),
-            ]
-        return state, []
-
-    if sub is Sub.AWAIT_RESET_MSG:
-        if isinstance(event, BusMsg) and event.topic == "system_reset":
-            next_cycle = state.cycle + 1
-            if next_cycle >= params.cycles or state.tote_done:
-                state = _r(state, phase=Phase.DONE, sub=Sub.NONE, cycle=next_cycle)
-                return state, [Note(text="session_done", data={"cycles": next_cycle})]
-            state = _r(
-                state,
-                phase=Phase.FEEDING,
-                sub=Sub.AWAIT_FEED_MSG,
-                cycle=next_cycle,
-                slot=0,
-                target=-1,
-                detect_attempt=0,
-                pick_attempt=0,
-                place_attempt=0,
-                secure_attempt=0,
-                remove_attempt=0,
-            )
-            return state, [
-                Publish(topic="cycle_finished", payload={"cycle": next_cycle - 1}),
-                PhaseMark(phase="feeding", edge="start"),
-                Publish(topic="ready_for_picking", payload={"cycle": next_cycle}),
-            ]
-        return state, []
-
-    return state, []
+def _close_door(state, event, params):
+    return _r(state, sub=Sub.DOOR_CLOSING), [Command(device="door", op="retract")]
 
 
-_PHASE_HANDLERS = {
-    Phase.IDLE: _on_idle,
-    Phase.FEEDING: _on_feeding,
-    Phase.CUTTING: _on_cutting,
-    Phase.REMOVAL: _on_removal,
-    Phase.DELIVERY: _on_delivery,
-    Phase.RESET: _on_reset,
+def _door_closed(state, event, params):
+    actions: List[Action] = [
+        PhaseMark(phase="delivery", edge="end"),
+        Publish(topic="delivery_complete", payload={"cycle": state.cycle}),
+    ]
+    return _enter_reset(state, params, actions)
+
+
+def _reset_done(state, event, params):
+    state = _r(state, sub=Sub.AWAIT_RESET_MSG)
+    return state, [
+        PhaseMark(phase="resetting", edge="end"),
+        Publish(topic="system_reset", payload={"cycle": state.cycle}),
+    ]
+
+
+def _next_cycle(state, event, params):
+    next_cycle = state.cycle + 1
+    if next_cycle >= params.cycles or state.tote_done:
+        state = _r(state, sub=Sub.DONE, cycle=next_cycle)
+        return state, [Note(text="session_done", data={"cycles": next_cycle})]
+    state = _r(
+        state,
+        sub=Sub.AWAIT_FEED_MSG,
+        cycle=next_cycle,
+        slot=0,
+        target=-1,
+        detect_attempt=0,
+        pick_attempt=0,
+        place_attempt=0,
+        secure_attempt=0,
+        remove_attempt=0,
+    )
+    return state, [
+        Publish(topic="cycle_finished", payload={"cycle": next_cycle - 1}),
+        PhaseMark(phase="feeding", edge="start"),
+        Publish(topic="ready_for_picking", payload={"cycle": next_cycle}),
+    ]
+
+
+# The machine's whole event graph. A key is (sub-state, awaited event): an
+# exact event value, or an event type where the step reads the event's data
+# and checks its own guard. Any other event leaves the machine where it is.
+STEPS: Dict[Tuple[Sub, Any], Step] = {
+    (Sub.IDLE, Start()): _start,
+    (Sub.AWAIT_FEED_MSG, BusMsg("ready_for_picking")): _feed,
+    (Sub.TO_VIEW, MotionDone("slot_view")): _detect,
+    (Sub.TO_VIEW, MotionDone("zone_shift")): _detect,
+    (Sub.TO_VIEW, MotionDone("reset_view")): _detect,
+    (Sub.AWAIT_DETECT, DetectReady): _detected,
+    (Sub.PLANNING_APPROACH, PlanReady("approach", True)): _approach,
+    (Sub.PLANNING_APPROACH, PlanReady("approach", False)): _pick_attempt_failed,
+    (Sub.APPROACHING, MotionDone("approach")): _grip,
+    (Sub.GRIPPING, SuctionSecured("gripper")): _gripped,
+    (Sub.GRIPPING, TimerFired("grip_timeout")): _pick_attempt_failed,
+    (Sub.GRIP_SETTLE, TimerFired("grip_settle")): _plan_transfer,
+    (Sub.PLANNING_TRANSFER, PlanReady("transfer", True)): _transfer,
+    (Sub.PLANNING_TRANSFER, PlanReady("transfer", False)): _put_back,
+    (Sub.TRANSFERRING, MotionDone("transfer")): _release,
+    (Sub.RELEASING, TimerFired("release")): _seat,
+    (Sub.VERIFY_WAIT, TimerFired("verify")): _check_seat,
+    (Sub.VERIFY_CHECK, UltrasonicRead): _seat_checked,
+    (Sub.RESEAT_GRIPPING, SuctionSecured("gripper")): _reseat,
+    (Sub.RESEAT_MOVING, MotionDone("reseat")): _release,
+    (Sub.TO_RESET, MotionDone("to_reset")): _back_to_view,
+    (Sub.RETURNING, MotionDone("return")): _returned,
+    (Sub.CUT_SWING, ActDone("swing", "extend")): _secure_bags,
+    (Sub.CUT_SECURING, SuctionSecured): _bag_secured,
+    (Sub.CUT_SECURING, TimerFired("secure_timeout")): _secure_timed_out,
+    (Sub.CUT_SLICING, ActDone("cutter", "extend")): _cut,
+    (Sub.REM_APPROACH, MotionDone("rem_approach")): _descend,
+    (Sub.REM_DESCEND, MotionDone("rem_descend")): _rem_grip,
+    (Sub.REM_GRIPPING, SuctionSecured("gripper")): _lift,
+    (Sub.REM_GRIPPING, TimerFired("grip_timeout")): _rem_grip_timed_out,
+    (Sub.REM_RESEAT, MotionDone("rem_reseat")): _rem_grip,
+    (Sub.REM_LIFT, MotionDone("rem_lift")): _to_bin,
+    (Sub.REM_TO_BIN, MotionDone("rem_bin")): _drop_bag,
+    (Sub.REM_RELEASE, TimerFired("rem_release")): _bag_dropped,
+    (Sub.DOOR_OPENING, ActDone("door", "extend")): _door_opened,
+    (Sub.DOOR_SETTLE, TimerFired("door_settle")): _push,
+    (Sub.PUSHING, ActDone): _pushed,
+    (Sub.PUSHING, ActStalled): _pushed,
+    (Sub.PUSH_HOLD, TimerFired("push_hold")): _verify_delivery,
+    (Sub.VERIFYING_DELIVERY, TimerFired("dverify")): _read_enclosure,
+    (Sub.VERIFYING_DELIVERY, UltrasonicRead): _enclosure_read,
+    (Sub.RETRACTING, ActDone): _retracted,
+    (Sub.RETRACT_SETTLE, TimerFired("retract_settle")): _close_door,
+    (Sub.DOOR_CLOSING, ActDone("door", "retract")): _door_closed,
+    (Sub.RESETTING, TimerFired("reset")): _reset_done,
+    (Sub.AWAIT_RESET_MSG, BusMsg("system_reset")): _next_cycle,
 }

@@ -186,7 +186,7 @@ class Simulation:
             self._complete_detection(event)
             return
         self.state, actions = orc.transition(self.state, event, self.params)
-        if self.state.phase is orc.Phase.DONE and self._done_time is None:
+        if self.state.sub is orc.Sub.DONE and self._done_time is None:
             self._done_time = self.now
         for action in actions:
             self._execute(action)

@@ -206,6 +206,30 @@ def test_mistyped_config_value_is_a_usage_error(tmp_path, capsys, overlay, field
 
 
 @pytest.mark.parametrize(
+    "overlay, field_name",
+    [
+        # A billion planning attempts, all failing, spun inside one event.
+        ({"motion": {"max_planning_attempts": 1_000_000_000},
+          "faults": {"plan_failure_prob": 1.0}}, "motion.max_planning_attempts"),
+        # A singular extrinsic ended the run in a LinAlgError traceback.
+        ({"camera": {"extrinsic": [[0.0] * 4] * 4}}, "camera.extrinsic"),
+        # An empty image, or a principal point off it, ran with nothing detected.
+        ({"camera": {"width_px": 0}}, "camera.width_px"),
+        ({"camera": {"height_px": -5}}, "camera.height_px"),
+        ({"camera": {"cx": -10000.0}}, "camera.cx"),
+        ({"camera": {"cy": 1080.0}}, "camera.cy"),
+    ],
+)
+def test_config_the_run_cannot_use_is_a_usage_error(tmp_path, capsys, overlay, field_name):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(overlay))
+    assert main(["run", "--config", str(bad), "--cycles", "1"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {field_name}: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv, flag",
     [
         (["run", "--cycles", "0"], "--cycles"),

@@ -3,7 +3,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bagcell.config import (
@@ -210,11 +210,18 @@ DRAWN_VALUES = st.one_of(
 )
 
 # A rule that spans fields names one of them, which may not be the one changed.
-SPANNED_BY = {"devices.secure_threshold_kpa": {"devices.vacuum_level_kpa"}}
+SPANNED_BY = {
+    "devices.secure_threshold_kpa": {"devices.vacuum_level_kpa"},
+    "camera.width_px": {"camera.cx"},
+    "camera.height_px": {"camera.cy"},
+    **{f"camera.extrinsic[{i}][{j}]": {"camera.extrinsic"} for i in range(4) for j in range(4)},
+}
 
 
 @settings(max_examples=300, deadline=None)
 @given(leaf=st.sampled_from(LEAVES), value=DRAWN_VALUES)
+# An int past int64 in a matrix that numpy inverts.
+@example(leaf=("camera.extrinsic[0][0]", ("camera", "extrinsic", 0, 0)), value=-(2**63) - 1)
 def test_one_bad_leaf_is_rejected_at_its_path(leaf, value):
     path, keys = leaf
     data = copy.deepcopy(default_config().to_dict())

@@ -16,6 +16,7 @@ from bagcell.orchestrator import (
     Command,
     Detect,
     DetectReady,
+    Event,
     MarkOutcome,
     MotionDone,
     Move,
@@ -33,6 +34,7 @@ from bagcell.orchestrator import (
     SetStack,
     StartTimer,
     Start,
+    STEPS,
     Sub,
     SuctionLost,
     SuctionSecured,
@@ -68,7 +70,7 @@ def kinds(actions, cls):
 def test_initial_state_is_idle():
     s = initial_state()
     assert s.phase is Phase.IDLE
-    assert s.sub is Sub.NONE
+    assert s.sub is Sub.IDLE
     assert s.cycle == 0 and s.slot == 0 and s.zone == 1
     assert s.occupants == ()
 
@@ -89,10 +91,10 @@ def test_transition_is_pure():
     # keep hidden state between calls.
     cases = [
         (initial_state(), Start()),
-        (fsm(phase=Phase.FEEDING, sub=Sub.AWAIT_FEED_MSG), BusMsg(topic="ready_for_picking")),
-        (fsm(phase=Phase.FEEDING, sub=Sub.GRIPPING, target=5), SuctionSecured(device="gripper")),
+        (fsm(sub=Sub.AWAIT_FEED_MSG), BusMsg(topic="ready_for_picking")),
+        (fsm(sub=Sub.GRIPPING, target=5), SuctionSecured(device="gripper")),
         (
-            fsm(phase=Phase.FEEDING, sub=Sub.VERIFY_CHECK, slot=2, target=9,
+            fsm(sub=Sub.VERIFY_CHECK, slot=2, target=9,
                 secured=frozenset({"bottom_2"})),
             UltrasonicRead(enclosure=2, present=True),
         ),
@@ -107,11 +109,11 @@ def test_unexpected_events_are_no_ops():
     cases = [
         (initial_state(), TimerFired(tag="grip_timeout")),
         (initial_state(), MotionDone(tag="return")),
-        (fsm(phase=Phase.FEEDING, sub=Sub.AWAIT_FEED_MSG), BusMsg(topic="drop")),
-        (fsm(phase=Phase.FEEDING, sub=Sub.AWAIT_DETECT), MotionDone(tag="slot_view")),
-        (fsm(phase=Phase.FEEDING, sub=Sub.GRIPPING), UltrasonicRead(enclosure=0, present=True)),
-        (fsm(phase=Phase.DONE, sub=Sub.NONE), Start()),
-        (fsm(phase=Phase.DELIVERY, sub=Sub.PUSHING), DetectReady(zone=1, zone_has_stacks=True, found=True)),
+        (fsm(sub=Sub.AWAIT_FEED_MSG), BusMsg(topic="drop")),
+        (fsm(sub=Sub.AWAIT_DETECT), MotionDone(tag="slot_view")),
+        (fsm(sub=Sub.GRIPPING), UltrasonicRead(enclosure=0, present=True)),
+        (fsm(sub=Sub.DONE), Start()),
+        (fsm(sub=Sub.PUSHING), DetectReady(zone=1, zone_has_stacks=True, found=True)),
     ]
     for state, event in cases:
         new_state, acts = transition(state, event, PARAMS)
@@ -121,7 +123,7 @@ def test_unexpected_events_are_no_ops():
 
 def test_suction_events_update_seal_bookkeeping_everywhere():
     # Seal state is tracked even in substates that do not react to it.
-    s = fsm(phase=Phase.FEEDING, sub=Sub.VERIFY_WAIT, slot=0)
+    s = fsm(sub=Sub.VERIFY_WAIT, slot=0)
     s, acts = transition(s, SuctionSecured(device="bottom_0"), PARAMS)
     assert "bottom_0" in s.secured
     assert acts == []
@@ -130,18 +132,32 @@ def test_suction_events_update_seal_bookkeeping_everywhere():
     assert acts == []
 
 
+def test_every_sub_state_but_done_has_a_row():
+    # A sub-state without a row would be a dead end: no event could leave it.
+    assert {sub for sub, _ in STEPS} == set(Sub) - {Sub.DONE}
+
+
+def test_every_row_awaits_an_event_or_an_event_type():
+    for sub, awaited in STEPS:
+        assert isinstance(sub, Sub)
+        if isinstance(awaited, type):
+            assert issubclass(awaited, Event), (sub, awaited)
+        else:
+            assert isinstance(awaited, Event), (sub, awaited)
+
+
 # --- feeding: detect ------------------------------------------------------
 
 
 def test_feed_message_moves_to_view_pose():
-    s = fsm(phase=Phase.FEEDING, sub=Sub.AWAIT_FEED_MSG, zone=1)
+    s = fsm(sub=Sub.AWAIT_FEED_MSG, zone=1)
     s, acts = transition(s, BusMsg(topic="ready_for_picking"), PARAMS)
     assert s.sub is Sub.TO_VIEW
     assert acts == [Move(tag="slot_view", dest=("view", 1))]
 
 
 def test_arrival_at_view_triggers_detection():
-    s = fsm(phase=Phase.FEEDING, sub=Sub.TO_VIEW, zone=2)
+    s = fsm(sub=Sub.TO_VIEW, zone=2)
     s, acts = transition(s, MotionDone(tag="slot_view"), PARAMS)
     assert s.sub is Sub.AWAIT_DETECT
     assert s.detect_attempt == 1
@@ -151,7 +167,7 @@ def test_arrival_at_view_triggers_detection():
 
 
 def test_detect_retries_then_fails_the_leftmost_stack():
-    s = fsm(phase=Phase.FEEDING, sub=Sub.TO_VIEW, zone=1)
+    s = fsm(sub=Sub.TO_VIEW, zone=1)
     miss = DetectReady(zone=1, zone_has_stacks=True, found=False, leftmost_stack_id=2)
     s, _ = transition(s, MotionDone(tag="slot_view"), PARAMS)
     s, acts = transition(s, miss, PARAMS)
@@ -166,12 +182,12 @@ def test_detect_retries_then_fails_the_leftmost_stack():
 
 
 def test_empty_zone_advances_and_empty_tote_returns_home():
-    s = fsm(phase=Phase.FEEDING, sub=Sub.AWAIT_DETECT, zone=1, detect_attempt=1)
+    s = fsm(sub=Sub.AWAIT_DETECT, zone=1, detect_attempt=1)
     s, acts = transition(s, DetectReady(zone=1, zone_has_stacks=False, found=False), PARAMS)
     assert s.zone == 2 and s.sub is Sub.TO_VIEW and s.detect_attempt == 0
     assert acts == [Move(tag="zone_shift", dest=("view", 2))]
 
-    s = fsm(phase=Phase.FEEDING, sub=Sub.AWAIT_DETECT, zone=4, detect_attempt=1)
+    s = fsm(sub=Sub.AWAIT_DETECT, zone=4, detect_attempt=1)
     s, acts = transition(s, DetectReady(zone=4, zone_has_stacks=False, found=False), PARAMS)
     assert s.tote_done
     assert s.sub is Sub.RETURNING
@@ -198,7 +214,7 @@ SLOT_EVENTS = [
 
 
 def test_clean_slot_walkthrough():
-    s, acts = drive(fsm(phase=Phase.FEEDING, sub=Sub.AWAIT_FEED_MSG), SLOT_EVENTS)
+    s, acts = drive(fsm(sub=Sub.AWAIT_FEED_MSG), SLOT_EVENTS)
     assert s.sub is Sub.RETURNING
     assert s.occupants == ((0, 3),)
     marks = [a.kind for a in kinds(acts, MarkOutcome)]
@@ -220,7 +236,7 @@ def test_clean_slot_walkthrough():
 
 
 def test_grip_timeout_retries_via_reset_pose():
-    s = fsm(phase=Phase.FEEDING, sub=Sub.GRIPPING, target=5, pick_attempt=0)
+    s = fsm(sub=Sub.GRIPPING, target=5, pick_attempt=0)
     s, acts = transition(s, TimerFired(tag="grip_timeout"), PARAMS)
     assert s.sub is Sub.TO_RESET and s.pick_attempt == 1
     assert acts == [CloseValve(device="gripper"), Move(tag="to_reset", dest=("reset",))]
@@ -230,7 +246,7 @@ def test_grip_timeout_retries_via_reset_pose():
 
 
 def test_grip_timeout_exhaustion_fails_the_stack():
-    s = fsm(phase=Phase.FEEDING, sub=Sub.GRIPPING, target=5, pick_attempt=2)
+    s = fsm(sub=Sub.GRIPPING, target=5, pick_attempt=2)
     s, acts = transition(s, TimerFired(tag="grip_timeout"), PARAMS)
     assert s.sub is Sub.RETURNING
     assert MarkOutcome(kind="pick_failed", stack=5, enclosure=-1) in acts
@@ -239,14 +255,14 @@ def test_grip_timeout_exhaustion_fails_the_stack():
 
 def test_failed_approach_plan_retries_from_view():
     # The arm never moved, so the retry goes straight to a fresh frame.
-    s = fsm(phase=Phase.FEEDING, sub=Sub.PLANNING_APPROACH, target=5, pick_attempt=0)
+    s = fsm(sub=Sub.PLANNING_APPROACH, target=5, pick_attempt=0)
     s, acts = transition(s, PlanReady(tag="approach", ok=False), PARAMS)
     assert s.sub is Sub.AWAIT_DETECT and s.pick_attempt == 1
     assert len(acts) == 1 and isinstance(acts[0], Detect)
 
 
 def test_failed_transfer_plan_puts_the_stack_back():
-    s = fsm(phase=Phase.FEEDING, sub=Sub.PLANNING_TRANSFER, target=5, pick_attempt=0)
+    s = fsm(sub=Sub.PLANNING_TRANSFER, target=5, pick_attempt=0)
     s, acts = transition(s, PlanReady(tag="transfer", ok=False), PARAMS)
     assert s.sub is Sub.TO_RESET and s.pick_attempt == 1
     assert SetStack(stack=5, state="in_tote") in acts
@@ -254,7 +270,7 @@ def test_failed_transfer_plan_puts_the_stack_back():
 
 
 def test_unseated_placement_reseats_then_succeeds():
-    s = fsm(phase=Phase.FEEDING, sub=Sub.VERIFY_CHECK, slot=1, target=7,
+    s = fsm(sub=Sub.VERIFY_CHECK, slot=1, target=7,
             secured=frozenset({"bottom_1"}))
     # Present reading but without a bottom seal would also fail; here the
     # ultrasonic says the enclosure is empty.
@@ -272,7 +288,7 @@ def test_unseated_placement_reseats_then_succeeds():
 
 
 def test_placement_exhaustion_fails_the_stack():
-    s = fsm(phase=Phase.FEEDING, sub=Sub.VERIFY_CHECK, slot=1, target=7, place_attempt=2)
+    s = fsm(sub=Sub.VERIFY_CHECK, slot=1, target=7, place_attempt=2)
     s, acts = transition(s, UltrasonicRead(enclosure=1, present=False), PARAMS)
     assert s.sub is Sub.RETURNING
     assert MarkOutcome(kind="place_failed", stack=7, enclosure=1) in acts
@@ -281,7 +297,7 @@ def test_placement_exhaustion_fails_the_stack():
 
 
 def test_last_slot_return_enters_cutting():
-    s = fsm(phase=Phase.FEEDING, sub=Sub.RETURNING, slot=7)
+    s = fsm(sub=Sub.RETURNING, slot=7)
     s, acts = transition(s, MotionDone(tag="return"), PARAMS)
     assert s.phase is Phase.CUTTING and s.sub is Sub.CUT_SWING
     assert acts == [
@@ -292,7 +308,7 @@ def test_last_slot_return_enters_cutting():
 
 
 def test_early_empty_tote_also_enters_cutting():
-    s = fsm(phase=Phase.FEEDING, sub=Sub.RETURNING, slot=2, tote_done=True)
+    s = fsm(sub=Sub.RETURNING, slot=2, tote_done=True)
     s, _ = transition(s, MotionDone(tag="return"), PARAMS)
     assert s.phase is Phase.CUTTING
 
@@ -301,7 +317,7 @@ def test_early_empty_tote_also_enters_cutting():
 
 
 def test_swing_down_opens_all_bottom_valves():
-    s = fsm(phase=Phase.CUTTING, sub=Sub.CUT_SWING, occupants=((0, 0), (1, 4)))
+    s = fsm(sub=Sub.CUT_SWING, occupants=((0, 0), (1, 4)))
     s, acts = transition(s, ActDone(device="swing", op="extend"), PARAMS)
     assert s.sub is Sub.CUT_SECURING and s.secure_attempt == 1
     opens = kinds(acts, OpenValve)
@@ -313,7 +329,7 @@ def test_swing_down_opens_all_bottom_valves():
 
 
 def test_eighth_seal_releases_the_cutter():
-    s = fsm(phase=Phase.CUTTING, sub=Sub.CUT_SECURING,
+    s = fsm(sub=Sub.CUT_SECURING,
             secured=frozenset(f"bottom_{i}" for i in range(7)))
     s, acts = transition(s, SuctionSecured(device="bottom_5"), PARAMS)
     assert acts == []  # already counted; still only 7 distinct
@@ -325,7 +341,7 @@ def test_eighth_seal_releases_the_cutter():
 
 
 def test_secure_timeout_retries_only_missing_seals():
-    s = fsm(phase=Phase.CUTTING, sub=Sub.CUT_SECURING, secure_attempt=1,
+    s = fsm(sub=Sub.CUT_SECURING, secure_attempt=1,
             occupants=tuple((i, i) for i in range(8)),
             secured=frozenset(f"bottom_{i}" for i in range(6)))
     s, acts = transition(s, TimerFired(tag="secure_timeout"), PARAMS)
@@ -336,7 +352,7 @@ def test_secure_timeout_retries_only_missing_seals():
 
 
 def test_secure_exhaustion_aborts_the_cut():
-    s = fsm(phase=Phase.CUTTING, sub=Sub.CUT_SECURING, secure_attempt=3,
+    s = fsm(sub=Sub.CUT_SECURING, secure_attempt=3,
             occupants=((0, 0), (1, 4)), secured=frozenset({"bottom_0"}))
     s, acts = transition(s, TimerFired(tag="secure_timeout"), PARAMS)
     assert s.phase is Phase.RESET and s.sub is Sub.RESETTING
@@ -352,7 +368,7 @@ def test_secure_exhaustion_aborts_the_cut():
 
 
 def test_cut_complete_marks_bags_and_starts_removal():
-    s = fsm(phase=Phase.CUTTING, sub=Sub.CUT_SLICING, occupants=((0, 10), (3, 13)))
+    s = fsm(sub=Sub.CUT_SLICING, occupants=((0, 10), (3, 13)))
     s, acts = transition(s, ActDone(device="cutter", op="extend"), PARAMS)
     assert s.phase is Phase.REMOVAL and s.sub is Sub.REM_APPROACH
     assert s.removal_queue == (0, 3) and s.removal_idx == 0
@@ -369,7 +385,7 @@ def test_cut_complete_marks_bags_and_starts_removal():
 
 
 def test_stuck_bag_is_jammed_and_removal_moves_on():
-    s = fsm(phase=Phase.REMOVAL, sub=Sub.REM_GRIPPING, remove_attempt=3,
+    s = fsm(sub=Sub.REM_GRIPPING, remove_attempt=3,
             occupants=((0, 5), (2, 7)), removal_queue=(0, 2), removal_idx=0)
     s, acts = transition(s, TimerFired(tag="grip_timeout"), PARAMS)
     assert s.jammed == frozenset({0})
@@ -395,7 +411,7 @@ def test_stuck_bag_is_jammed_and_removal_moves_on():
 
 
 def test_removal_grip_retry_reseats():
-    s = fsm(phase=Phase.REMOVAL, sub=Sub.REM_GRIPPING, remove_attempt=1,
+    s = fsm(sub=Sub.REM_GRIPPING, remove_attempt=1,
             occupants=((4, 9),), removal_queue=(4,), removal_idx=0)
     s, acts = transition(s, TimerFired(tag="grip_timeout"), PARAMS)
     assert s.sub is Sub.REM_RESEAT
@@ -410,7 +426,7 @@ def test_removal_grip_retry_reseats():
 
 
 def test_delivery_pushes_verifies_and_clears_occupants():
-    s = fsm(phase=Phase.DELIVERY, sub=Sub.DOOR_OPENING,
+    s = fsm(sub=Sub.DOOR_OPENING,
             occupants=((0, 0), (1, 1), (2, 2)),
             unbagged=frozenset({0, 1}), jammed=frozenset({2}))
     s, acts = drive(s, [
@@ -463,7 +479,7 @@ def test_delivery_pushes_verifies_and_clears_occupants():
 
 
 def test_unconfirmed_push_is_noted():
-    s = fsm(phase=Phase.DELIVERY, sub=Sub.VERIFYING_DELIVERY, verify_idx=3,
+    s = fsm(sub=Sub.VERIFYING_DELIVERY, verify_idx=3,
             occupants=((3, 6),), push_targets=frozenset({3}))
     s, acts = transition(s, UltrasonicRead(enclosure=3, present=True), PARAMS)
     assert MarkOutcome(kind="verify_failed", stack=6, enclosure=3) in acts
@@ -471,7 +487,7 @@ def test_unconfirmed_push_is_noted():
 
 
 def test_delivery_with_nothing_to_push_skips_to_hold():
-    s = fsm(phase=Phase.DELIVERY, sub=Sub.DOOR_SETTLE, occupants=(), unbagged=frozenset())
+    s = fsm(sub=Sub.DOOR_SETTLE, occupants=(), unbagged=frozenset())
     s, acts = transition(s, TimerFired(tag="door_settle"), PARAMS)
     assert s.sub is Sub.PUSH_HOLD
     assert acts == [StartTimer(tag="push_hold", seconds=2.0)]
@@ -481,7 +497,7 @@ def test_delivery_with_nothing_to_push_skips_to_hold():
 
 
 def test_reset_finishes_and_next_cycle_starts():
-    s = fsm(phase=Phase.RESET, sub=Sub.RESETTING, cycle=0)
+    s = fsm(sub=Sub.RESETTING, cycle=0)
     s, acts = transition(s, TimerFired(tag="reset"), PARAMS)
     assert s.sub is Sub.AWAIT_RESET_MSG
     assert PhaseMark(phase="resetting", edge="end") in acts
@@ -499,7 +515,7 @@ def test_reset_finishes_and_next_cycle_starts():
 
 
 def test_empty_tote_ends_the_session_early():
-    s = fsm(phase=Phase.RESET, sub=Sub.AWAIT_RESET_MSG, cycle=0, tote_done=True)
+    s = fsm(sub=Sub.AWAIT_RESET_MSG, cycle=0, tote_done=True)
     params = dataclasses.replace(PARAMS, cycles=5)
     s, _ = transition(s, BusMsg(topic="system_reset"), params)
     assert s.phase is Phase.DONE
@@ -515,32 +531,61 @@ _TAGS = ["slot_view", "zone_shift", "reset_view", "approach", "transfer", "resea
          "secure_timeout", "rem_release", "door_settle", "push_hold", "dverify",
          "retract_settle", "reset"]
 
-any_event = st.one_of(
-    st.just(Start()),
-    st.builds(MotionDone, tag=st.sampled_from(_TAGS)),
-    st.builds(TimerFired, tag=st.sampled_from(_TAGS)),
-    st.builds(DetectReady, zone=st.integers(1, 4), zone_has_stacks=st.booleans(),
-              found=st.booleans(), stack_id=st.integers(-1, 23),
-              leftmost_stack_id=st.integers(-1, 23)),
-    st.builds(PlanReady, tag=st.sampled_from(["approach", "transfer"]), ok=st.booleans()),
-    st.builds(SuctionSecured, device=st.sampled_from(_DEVICES)),
-    st.builds(SuctionLost, device=st.sampled_from(_DEVICES)),
-    st.builds(ActDone, device=st.sampled_from(_DEVICES),
-              op=st.sampled_from(["extend", "retract"])),
-    st.builds(ActStalled, device=st.sampled_from(_DEVICES),
-              op=st.sampled_from(["extend", "retract"])),
-    st.builds(UltrasonicRead, enclosure=st.integers(0, 7), present=st.booleans()),
-    st.builds(BusMsg, topic=st.sampled_from(["ready_for_picking", "system_reset", "drop"])),
+# The events a stream draws from; VOCAB[0] is the Start that opens it.
+VOCAB = (
+    [Start()]
+    + [cls(tag) for cls in (MotionDone, TimerFired) for tag in _TAGS]
+    + [DetectReady(zone, has, found, sid, left) for zone in range(1, 5)
+       for has in (True, False) for found in (True, False)
+       for sid in (-1, 3, 17) for left in (-1, 5)]
+    + [PlanReady(tag, ok) for tag in ("approach", "transfer") for ok in (True, False)]
+    + [cls(device) for cls in (SuctionSecured, SuctionLost) for device in _DEVICES]
+    + [cls(device, op) for cls in (ActDone, ActStalled) for device in _DEVICES
+       for op in ("extend", "retract")]
+    + [UltrasonicRead(enc, present) for enc in range(8) for present in (True, False)]
+    + [BusMsg(topic) for topic in ("ready_for_picking", "system_reset", "drop")]
 )
 
 
+# Per sub-state, the events its rows await, plus a seal: ``transition`` books
+# a bottom line's seal in every sub-state, and securing waits on all eight.
+ROWS = {sub: [ev for s, ev in STEPS if s is sub] + [SuctionSecured] for sub in Sub}
+
+
+def awaited_event(state, k):
+    """The ``k``-th event the rows of ``state.sub`` await, counted round-robin.
+
+    An exact row gives its event. A row keyed on a type gives an event of that
+    type aimed at what the step's guard looks at, its fields taken from ``k``.
+    """
+    rows = ROWS[state.sub]
+    ev, k = rows[k % len(rows)], k // len(rows)
+    if not isinstance(ev, type):
+        return ev
+    if ev is DetectReady:
+        return DetectReady(zone=state.zone, zone_has_stacks=k % 4 > 0, found=k % 2 == 0,
+                           stack_id=k % 24, leftmost_stack_id=k % 24)
+    if ev is SuctionSecured:
+        missing = [f"bottom_{e}" for e in range(8) if f"bottom_{e}" not in state.secured]
+        missing = missing or ["gripper"]
+        return SuctionSecured(device=missing[k % len(missing)])
+    if ev is UltrasonicRead:
+        return UltrasonicRead(enclosure=(state.slot, state.verify_idx)[k % 2], present=k % 4 > 1)
+    pushers = sorted(state.push_pending) or [0]
+    return ev(device=f"pusher_{pushers[k % len(pushers)]}", op=("extend", "retract")[k % 2])
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(any_event, max_size=60))
-def test_machine_is_total_under_arbitrary_streams(events):
+@given(st.lists(st.integers(0, 2 * len(VOCAB) - 1), min_size=50, max_size=200))
+def test_machine_is_total_under_arbitrary_streams(stream):
     # No event sequence, however out of order, may crash the machine or
-    # corrupt its bookkeeping.
+    # corrupt its bookkeeping. An entry picks an event of VOCAB, or, in its
+    # upper half, one the current sub-state awaits: about half of each
+    # stream moves the machine on, so streams reach every phase.
     state = initial_state()
-    for ev in [Start()] + events:
+    for x in [0] + stream:
+        awaited, i = divmod(x, len(VOCAB))
+        ev = awaited_event(state, i) if awaited else VOCAB[i]
         state, acts = transition(state, ev, PARAMS)
         assert isinstance(state, OrcState)
         assert isinstance(acts, list)
