@@ -52,8 +52,9 @@ Scaling = Annotated[float, Bound(lambda v: 0 < v <= 1, "must be in (0, 1]")]
 Vacuum = Annotated[float, Bound(lambda v: v < 0, "vacuum levels are negative kPa")]
 Count = Annotated[int, Bound(lambda v: v >= 0, "must be >= 0")]
 AtLeastOne = Annotated[int, Bound(lambda v: v >= 1, "must be >= 1")]
-# Planning retries all run inside one event, so their count is capped.
-PlanAttempts = Annotated[int, Bound(lambda v: 1 <= v <= 1000, "must be in [1, 1000]")]
+# Retries can all run at one simulated instant (planning inside one event, or
+# detection with no service time), so no clock stops them and their count is capped.
+Attempts = Annotated[int, Bound(lambda v: 1 <= v <= 1000, "must be in [1, 1000]")]
 Pose = Annotated[list[float], Bound(lambda v: len(v) >= 3, "needs at least x, y and z")]
 
 
@@ -122,7 +123,7 @@ class MotionConfig:
     acceleration_scaling: Scaling = 0.03
     base_acceleration_mps2: Positive = 13.0
     planning_time_budget_s: Positive = 5.0
-    max_planning_attempts: PlanAttempts = 10
+    max_planning_attempts: Attempts = 10
 
     @property
     def effective_max_speed_mps(self) -> float:
@@ -194,11 +195,11 @@ class PacingConfig:
 @dataclass
 class OrchestratorConfig:
     cycles_per_test: AtLeastOne = 3
-    detect_attempts: AtLeastOne = 3
-    pick_attempts: AtLeastOne = 3
-    place_attempts: AtLeastOne = 3
-    remove_attempts: AtLeastOne = 3
-    secure_attempts: AtLeastOne = 3
+    detect_attempts: Attempts = 3
+    pick_attempts: Attempts = 3
+    place_attempts: Attempts = 3
+    remove_attempts: Attempts = 3
+    secure_attempts: Attempts = 3
     pacing: PacingConfig = field(default_factory=PacingConfig)
 
 

@@ -344,8 +344,18 @@ class OrcState:
         return self.sub.phase
 
 
+_STATE_FIELDS = frozenset(f.name for f in dataclasses.fields(OrcState))
+
+
 def _r(state: OrcState, **kw) -> OrcState:
-    return dataclasses.replace(state, **kw)
+    """``dataclasses.replace`` without the ``__init__`` call: copy the fields, then apply ``kw``."""
+    if not _STATE_FIELDS.issuperset(kw):
+        raise TypeError(f"OrcState has no fields {sorted(kw.keys() - _STATE_FIELDS)}")
+    new = object.__new__(OrcState)
+    fields = new.__dict__
+    fields.update(state.__dict__)
+    fields.update(kw)
+    return new
 
 
 def initial_state() -> OrcState:

@@ -19,7 +19,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence
 
 from bagcell.config import ENCLOSURE_COUNT
 
@@ -36,8 +36,9 @@ class MalformedTrace(ValueError):
         super().__init__(f"{where}: {reason}")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One trace line. A tuple, because a cycle builds hundreds of them."""
+
     seq: int
     time: float
     kind: str
@@ -67,8 +68,9 @@ class Tracer:
             raise ValueError(
                 f"trace time went backwards: {time} after {self._last_time}"
             )
-        self._last_time = max(self._last_time, time)
-        rec = TraceRecord(seq=self._next_seq, time=time, kind=kind, data=data)
+        if time > self._last_time:
+            self._last_time = time
+        rec = TraceRecord(self._next_seq, time, kind, data)
         self._next_seq += 1
         self.records.append(rec)
         return rec
@@ -106,9 +108,7 @@ def read_trace(path: str | Path) -> List[TraceRecord]:
             )
         prev_seq = obj["seq"]
         prev_time = obj["t"]
-        out.append(
-            TraceRecord(seq=obj["seq"], time=obj["t"], kind=obj["kind"], data=obj["data"])
-        )
+        out.append(TraceRecord(obj["seq"], obj["t"], obj["kind"], obj["data"]))
     return out
 
 

@@ -236,8 +236,8 @@ class CameraModel:
         )
 
     def to_camera(self, point_base: Sequence[float]) -> np.ndarray:
-        p = np.append(np.asarray(point_base, dtype=float), 1.0)
-        return (self._inverse @ p)[:3]
+        x, y, z = point_base
+        return (self._inverse @ np.array((x, y, z, 1.0), dtype=float))[:3]
 
     def project(self, point_base: Sequence[float]) -> Tuple[float, float, float]:
         """Base-frame point -> (px, py, depth). Depth <= 0 means behind the camera."""

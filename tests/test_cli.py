@@ -218,6 +218,9 @@ def test_mistyped_config_value_is_a_usage_error(tmp_path, capsys, overlay, field
         ({"camera": {"height_px": -5}}, "camera.height_px"),
         ({"camera": {"cx": -10000.0}}, "camera.cx"),
         ({"camera": {"cy": 1080.0}}, "camera.cy"),
+        # Every detection missed, each retry queued at the same simulated instant.
+        ({"orchestrator": {"detect_attempts": 1_000_000_000, "pacing": {"detect_service_s": 0}},
+          "faults": {"detection_miss_prob": 1.0}}, "orchestrator.detect_attempts"),
     ],
 )
 def test_config_the_run_cannot_use_is_a_usage_error(tmp_path, capsys, overlay, field_name):

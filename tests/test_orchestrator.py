@@ -1,6 +1,7 @@
 """Unit tests for the pure control-logic state machine."""
 
 import dataclasses
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,7 @@ from bagcell.orchestrator import (
     SuctionSecured,
     TimerFired,
     UltrasonicRead,
+    _r,
     initial_state,
     transition,
 )
@@ -144,6 +146,33 @@ def test_every_row_awaits_an_event_or_an_event_type():
             assert issubclass(awaited, Event), (sub, awaited)
         else:
             assert isinstance(awaited, Event), (sub, awaited)
+
+
+STATE_FIELDS = typing.get_type_hints(OrcState)
+STATE_VALUES = {name: st.from_type(hint) for name, hint in STATE_FIELDS.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_state_copy_matches_dataclasses_replace(data):
+    base = data.draw(st.builds(OrcState, **STATE_VALUES), label="base")
+    before = dataclasses.replace(base)
+    names = data.draw(st.sets(st.sampled_from(sorted(STATE_FIELDS))), label="fields")
+    kw = {name: data.draw(STATE_VALUES[name], label=name) for name in sorted(names)}
+    copied = _r(base, **kw)
+    expected = dataclasses.replace(base, **kw)
+    assert copied == expected
+    assert hash(copied) == hash(expected)
+    assert copied.phase is expected.phase
+    assert base == before
+
+
+@pytest.mark.parametrize("name", ["phase", "bogus"])
+def test_state_copy_rejects_an_unknown_field(name):
+    with pytest.raises(TypeError):
+        dataclasses.replace(initial_state(), **{name: 1})
+    with pytest.raises(TypeError):
+        _r(initial_state(), **{name: 1})
 
 
 # --- feeding: detect ------------------------------------------------------

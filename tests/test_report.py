@@ -1,3 +1,4 @@
+import json
 import time
 
 import pytest
@@ -80,6 +81,22 @@ def test_truncated_trace_line_reports_position(tmp_path):
     with pytest.raises(MalformedTrace) as info:
         read_trace(path)
     assert info.value.line_no == 2
+
+
+def test_record_split_across_lines_is_named_at_its_first_line(tmp_path):
+    # Line 2 carries the rest of record 0 and then all of record 1, so the file
+    # has as many lines as records and parses as one JSON array once the lines
+    # are joined with commas; only a line-by-line reading sees the split.
+    first = TraceRecord(0, 0.0, "message", {}).to_line()
+    second = TraceRecord(1, 1.0, "message", {}).to_line()
+    cut = first.index(',"kind"')
+    path = tmp_path / "trace.jsonl"
+    path.write_text(first[:cut] + "\n" + first[cut + 1 :] + "," + second + "\n")
+    joined = "[" + ",".join(path.read_text().splitlines()) + "]"
+    assert json.loads(joined) == [json.loads(first), json.loads(second)]
+    with pytest.raises(MalformedTrace) as info:
+        read_trace(path)
+    assert info.value.line_no == 1
 
 
 def test_trace_validation_catches_gaps_and_regressions(tmp_path):

@@ -117,3 +117,43 @@ def test_held_stack_lookup():
     world = fresh_world()
     world.stacks[9].state = StackState.HELD
     assert len(world.in_tote()) == 23
+
+
+def test_invariant_scan_reports_every_violation_in_a_fixed_order():
+    # Violations are written to the trace, so their codes, details and order
+    # are output bytes; this world breaks every rule the scan knows.
+    world = fresh_world()
+    s, e = world.stacks, world.enclosures
+    s[0].state = StackState.HELD
+    s[1].state = StackState.HELD
+    s[1].enclosure = 6
+    s[2].state = StackState.IN_ENCLOSURE
+    s[2].enclosure = 0
+    e[0].occupant = 2
+    e[1].occupant = 2
+    e[2].occupant = 5
+    s[3].state = StackState.IN_ENCLOSURE
+    s[3].enclosure = 4
+    e[4].occupant = 7
+    s[7].state = StackState.IN_ENCLOSURE
+    s[7].enclosure = 4
+    s[8].state = StackState.IN_ENCLOSURE
+    s[12].state = StackState.IN_ENCLOSURE
+    s[12].enclosure = 99
+    s[9].enclosure = 3
+    s[10].packaging = Packaging.CUT
+    s[11].state = StackState.DELIVERED
+    assert [(v.code, v.detail) for v in check_invariants(world)] == [
+        ("multiple_held", "stacks [0, 1] held simultaneously"),
+        ("occupant_duplicated", "stack 2 listed in enclosures 0 and 1"),
+        ("cross_reference_mismatch", "enclosure 1 points at stack 2 but the stack points at 0"),
+        ("occupant_state_mismatch", "enclosure 2 holds stack 5 whose state is in_tote"),
+        ("cross_reference_mismatch", "enclosure 2 points at stack 5 but the stack points at None"),
+        ("stale_enclosure_reference", "stack 1 in state held still points at enclosure 6"),
+        ("cross_reference_mismatch", "stack 3 claims enclosure 4 which holds 7"),
+        ("orphan_in_enclosure", "stack 8 is in_enclosure with enclosure=None"),
+        ("stale_enclosure_reference", "stack 9 in state in_tote still points at enclosure 3"),
+        ("packaging_mismatch", "stack 10 in the tote has packaging cut"),
+        ("delivered_still_bagged", "stack 11 delivered with packaging bagged"),
+        ("orphan_in_enclosure", "stack 12 is in_enclosure with enclosure=99"),
+    ]
