@@ -15,7 +15,8 @@ from bagcell.report import audit_interlocks, audit_retry_caps, scan_violations
 from bagcell.scenarios import randomized_fault_profile
 from bagcell.simulate import run_single
 
-CAPS = {"pick": 3, "place": 3, "detect": 3, "secure": 3, "remove": 3}
+# Actions whose retries the machine caps at orchestrator.<action>_attempts.
+CAPPED = ("pick", "place", "detect", "secure", "remove")
 
 
 def main() -> None:
@@ -26,6 +27,7 @@ def main() -> None:
 
     cfg = CellConfig()
     cfg.faults = randomized_fault_profile()
+    caps = {action: getattr(cfg.orchestrator, f"{action}_attempts") for action in CAPPED}
 
     totals = collections.Counter()
     losses = collections.Counter()
@@ -44,7 +46,7 @@ def main() -> None:
                 losses[rec.data["kind"]] += 1
         problems += scan_violations(tracer.records)
         problems += audit_interlocks(tracer.records)
-        problems += audit_retry_caps(tracer.records, CAPS)
+        problems += audit_retry_caps(tracer.records, caps)
 
     offered = totals["offered"]
     print(f"cycles={args.cycles} offered={offered}")

@@ -10,10 +10,11 @@ enforces the two safety interlocks itself: it refuses to extend the cutter
 before every bottom line is secured, or a pusher while the door is not
 fully open and at rest.
 
-Fault injection is two-layered: a :class:`FaultProfile` gives stochastic
-per-action failure probabilities, and a :class:`FaultScript` pins specific
-(action, context) occurrences to fixed outcomes. Script entries are consumed
-in file order, first match wins, and always take precedence over the dice.
+Fault injection is two-layered: the config's :class:`FaultConfig` gives
+stochastic per-action failure probabilities, and a :class:`FaultScript` pins
+specific (action, context) occurrences to fixed outcomes. Script entries are
+consumed in file order, first match wins, and always take precedence over
+the dice.
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ import numpy as np
 
 from bagcell import orchestrator as orc
 from bagcell.config import ENCLOSURE_COUNT, DeviceConfig, FaultConfig
-
-# The stochastic fault knobs live in the config tree; the runtime name is the
-# same structure.
-FaultProfile = FaultConfig
 
 
 class InterlockViolation(Exception):
@@ -95,6 +92,8 @@ class FaultScript:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any], path: str = "<dict>") -> "FaultScript":
+        if not isinstance(data, dict):
+            raise MalformedFaultScript(path, None, "script root must be a JSON object")
         if data.get("version") != SCRIPT_VERSION:
             raise MalformedFaultScript(
                 path, None, f"unsupported version {data.get('version')!r}"
@@ -146,7 +145,7 @@ class FaultInjector:
 
     def __init__(
         self,
-        profile: FaultProfile,
+        profile: FaultConfig,
         rng: np.random.Generator,
         script: Optional[FaultScript] = None,
     ):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -32,7 +32,6 @@ class Profile:
     """Timing of a single straight-line move."""
 
     distance: float
-    v_limit: float
     accel: float
     v_peak: float
     t_accel: float
@@ -41,10 +40,6 @@ class Profile:
     @property
     def t_total(self) -> float:
         return 2.0 * self.t_accel + self.t_cruise
-
-    @property
-    def is_triangular(self) -> bool:
-        return self.t_cruise == 0.0
 
     def velocity_at(self, t: float) -> float:
         if t <= 0.0 or t >= self.t_total:
@@ -76,14 +71,14 @@ def plan_profile(distance: float, v_max: float, accel: float) -> Profile:
     if v_max <= 0.0 or accel <= 0.0:
         raise ValueError("v_max and accel must be > 0")
     if distance == 0.0:
-        return Profile(0.0, v_max, accel, 0.0, 0.0, 0.0)
+        return Profile(0.0, accel, 0.0, 0.0, 0.0)
     d_ramp = v_max * v_max / accel  # distance to accelerate up and back down
     if distance <= d_ramp:
         v_peak = math.sqrt(accel * distance)
-        return Profile(distance, v_max, accel, v_peak, v_peak / accel, 0.0)
+        return Profile(distance, accel, v_peak, v_peak / accel, 0.0)
     t_accel = v_max / accel
     t_cruise = (distance - d_ramp) / v_max
-    return Profile(distance, v_max, accel, v_max, t_accel, t_cruise)
+    return Profile(distance, accel, v_max, t_accel, t_cruise)
 
 
 def move_duration(distance: float, v_max: float, accel: float) -> float:

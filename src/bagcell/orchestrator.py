@@ -289,29 +289,19 @@ class OrcParams:
 
     @classmethod
     def from_config(cls, config: CellConfig, cycles: Optional[int] = None) -> "OrcParams":
-        """The machine's caps and timings; ``cycles`` overrides ``cycles_per_test``."""
+        """The machine's caps and timings; ``cycles`` overrides ``cycles_per_test``.
+
+        Every other field is read from the one config section (devices, pacing
+        or orchestrator) that declares its name.
+        """
         o = config.orchestrator
-        p = o.pacing
-        d = config.devices
-        return cls(
+        values = {**vars(config.devices), **vars(o.pacing), **vars(o)}
+        values.update(
             slots=config.layout.enclosure_count,
             zones=len(config.layout.zone_sizes),
             cycles=o.cycles_per_test if cycles is None else cycles,
-            detect_attempts=o.detect_attempts,
-            pick_attempts=o.pick_attempts,
-            place_attempts=o.place_attempts,
-            remove_attempts=o.remove_attempts,
-            secure_attempts=o.secure_attempts,
-            grip_timeout_s=d.grip_timeout_s,
-            placement_window_s=d.placement_window_s,
-            grip_settle_s=p.grip_settle_s,
-            release_settle_s=p.release_settle_s,
-            removal_release_s=p.removal_release_s,
-            push_hold_s=p.push_hold_s,
-            door_settle_s=p.door_settle_s,
-            delivery_verify_s=p.delivery_verify_s,
-            reset_settle_s=p.reset_settle_s,
         )
+        return cls(**{f.name: values[f.name] for f in dataclasses.fields(cls)})
 
 
 @dataclass(frozen=True)

@@ -93,6 +93,8 @@ def read_trace(path: str | Path) -> List[TraceRecord]:
             obj = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise MalformedTrace(str(p), line_no, f"invalid JSON: {exc}")
+        if not isinstance(obj, dict):
+            raise MalformedTrace(str(p), line_no, "record is not a JSON object")
         if obj.get("v") != TRACE_VERSION:
             raise MalformedTrace(str(p), line_no, f"unsupported version {obj.get('v')!r}")
         for key in ("seq", "t", "kind", "data"):
@@ -102,13 +104,16 @@ def read_trace(path: str | Path) -> List[TraceRecord]:
             raise MalformedTrace(
                 str(p), line_no, f"sequence gap: {prev_seq} -> {obj['seq']}"
             )
-        if obj["t"] < prev_time - 1e-9:
+        t = obj["t"]
+        if type(t) is not float and type(t) is not int:  # a bool is not a time
+            raise MalformedTrace(str(p), line_no, f"timestamp is not a number: {t!r}")
+        if t < prev_time - 1e-9:
             raise MalformedTrace(
-                str(p), line_no, f"timestamp regression: {prev_time} -> {obj['t']}"
+                str(p), line_no, f"timestamp regression: {prev_time} -> {t}"
             )
         prev_seq = obj["seq"]
-        prev_time = obj["t"]
-        out.append(TraceRecord(obj["seq"], obj["t"], obj["kind"], obj["data"]))
+        prev_time = t
+        out.append(TraceRecord(obj["seq"], t, obj["kind"], obj["data"]))
     return out
 
 
@@ -152,29 +157,19 @@ class CampaignReport:
     runs: List[RunReport]
     seed: int
     config_digest: str
-    mean_detected: float = 0.0
-    mean_picked: float = 0.0
-    mean_placed: float = 0.0
-    detected_rate_pct: float = 0.0
-    picked_rate_pct: float = 0.0
-    placed_rate_pct: float = 0.0
-    mean_duration_min: float = 0.0
-    unconsumed_script_entries: int = 0
+    mean_detected: float
+    mean_picked: float
+    mean_placed: float
+    detected_rate_pct: float
+    picked_rate_pct: float
+    placed_rate_pct: float
+    mean_duration_min: float
+    unconsumed_script_entries: int
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "config_digest": self.config_digest,
-            "tests": [r.to_dict() for r in self.runs],
-            "mean_detected": round(self.mean_detected, 6),
-            "mean_picked": round(self.mean_picked, 6),
-            "mean_placed": round(self.mean_placed, 6),
-            "detected_rate_pct": round(self.detected_rate_pct, 6),
-            "picked_rate_pct": round(self.picked_rate_pct, 6),
-            "placed_rate_pct": round(self.placed_rate_pct, 6),
-            "mean_duration_min": round(self.mean_duration_min, 6),
-            "unconsumed_script_entries": self.unconsumed_script_entries,
-        }
+        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        d["tests"] = [r.to_dict() for r in d.pop("runs")]
+        return {k: round(v, 6) if isinstance(v, float) else v for k, v in d.items()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -194,21 +189,26 @@ def summarize_campaign(
     if n == 0:
         raise ValueError("campaign has no runs")
     offered = sum(r.stacks_offered for r in runs)
-    rep = CampaignReport(
+    detected = sum(r.detected for r in runs)
+    picked = sum(r.picked for r in runs)
+    placed = sum(r.placed for r in runs)
+
+    def pct(count: int) -> float:
+        return 100.0 * count / offered if offered > 0 else 0.0
+
+    return CampaignReport(
         runs=list(runs),
         seed=seed,
         config_digest=digest,
+        mean_detected=detected / n,
+        mean_picked=picked / n,
+        mean_placed=placed / n,
+        detected_rate_pct=pct(detected),
+        picked_rate_pct=pct(picked),
+        placed_rate_pct=pct(placed),
+        mean_duration_min=sum(r.duration_min for r in runs) / n,
         unconsumed_script_entries=unconsumed_script_entries,
     )
-    rep.mean_detected = sum(r.detected for r in runs) / n
-    rep.mean_picked = sum(r.picked for r in runs) / n
-    rep.mean_placed = sum(r.placed for r in runs) / n
-    if offered > 0:
-        rep.detected_rate_pct = 100.0 * sum(r.detected for r in runs) / offered
-        rep.picked_rate_pct = 100.0 * sum(r.picked for r in runs) / offered
-        rep.placed_rate_pct = 100.0 * sum(r.placed for r in runs) / offered
-    rep.mean_duration_min = sum(r.duration_min for r in runs) / n
-    return rep
 
 
 def render_table(report: CampaignReport, fmt: str = "markdown") -> str:

@@ -11,7 +11,7 @@ sample-size checks cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -63,33 +63,17 @@ def build_reference_script(
         if not (placed <= picked <= detected <= REFERENCE_SLOTS):
             raise ValueError(f"inconsistent row {test}: {(detected, picked, placed)}")
         slot = placed
-        for _ in range(picked - placed):
-            for attempt in range(1, place_attempts + 1):
-                entries.append(
-                    ScriptEntry(
-                        when={"action": "place", "test": test, "slot": slot, "attempt": attempt},
-                        outcome="fail",
-                    )
-                )
-            slot += 1
-        for _ in range(detected - picked):
-            for attempt in range(1, pick_attempts + 1):
-                entries.append(
-                    ScriptEntry(
-                        when={"action": "pick", "test": test, "slot": slot, "attempt": attempt},
-                        outcome="fail",
-                    )
-                )
-            slot += 1
-        for _ in range(REFERENCE_SLOTS - detected):
-            for attempt in range(1, detect_attempts + 1):
-                entries.append(
-                    ScriptEntry(
-                        when={"action": "detect", "test": test, "slot": slot, "attempt": attempt},
-                        outcome="fail",
-                    )
-                )
-            slot += 1
+        exhausted = (
+            ("place", picked - placed, place_attempts),
+            ("pick", detected - picked, pick_attempts),
+            ("detect", REFERENCE_SLOTS - detected, detect_attempts),
+        )
+        for action, count, attempts in exhausted:
+            for _ in range(count):
+                for attempt in range(1, attempts + 1):
+                    when = {"action": action, "test": test, "slot": slot, "attempt": attempt}
+                    entries.append(ScriptEntry(when=when, outcome="fail"))
+                slot += 1
     return FaultScript(entries=entries)
 
 
@@ -151,15 +135,6 @@ def statistical_outcomes(
         picked=int(picked.sum()),
         placed=int(placed.sum()),
     )
-
-
-def per_attempt_failure_prob(success_within: float, attempts: int) -> float:
-    """Per-attempt failure probability q with 1 - q**attempts = success_within."""
-    if not (0.0 <= success_within <= 1.0):
-        raise ValueError("success_within must be in [0, 1]")
-    if attempts < 1:
-        raise ValueError("attempts must be >= 1")
-    return (1.0 - success_within) ** (1.0 / attempts)
 
 
 def randomized_fault_profile() -> FaultConfig:

@@ -47,6 +47,8 @@ from bagcell.world import (
 
 _SIM_TIME_LIMIT_S = 48.0 * 3600.0
 
+# Fallible action -> its failure probability in FaultConfig. A pusher has
+# none: it stalls only when a script says so.
 _FAULT_PROBS = {
     "pick": "pick_grip_fail_prob",
     "remove": "pick_grip_fail_prob",
@@ -71,7 +73,7 @@ class SimulationStuck(RuntimeError):
 @dataclass(frozen=True)
 class _DetectDue(orc.Event):
     zone: int
-    ctx: Tuple[Tuple[str, Any], ...]
+    ctx: Dict[str, Any]
 
 
 class Simulation:
@@ -206,7 +208,8 @@ class Simulation:
 
     def _detect(self, action: orc.Detect) -> None:
         due = self.now + self.config.orchestrator.pacing.detect_service_s
-        self._push(due, _DetectDue(zone=action.zone, ctx=tuple(sorted(action.ctx.items()))))
+        ctx = {**action.ctx, "test": self.test_index}
+        self._push(due, _DetectDue(zone=action.zone, ctx=ctx))
 
     def _start_timer(self, action: orc.StartTimer) -> None:
         fire = (self.now + action.seconds, orc.TimerFired(tag=action.tag))
@@ -220,67 +223,59 @@ class Simulation:
 
     # -- geometry ----------------------------------------------------------
 
-    def _resolve_path(self, dest: Tuple[Any, ...]) -> Optional[List[Tuple[float, float, float]]]:
-        kind = dest[0]
-        cur = self.robot_pos
-        if kind == "view":
-            return [cur, self.config.view_pose(dest[1])]
-        if kind == "target":
-            target = self.pending_target if self.pending_target else cur
-            return [cur, target]
-        if kind == "enclosure":
-            drop = self.config.enclosure_drop_pose(dest[1])
-            lift = (cur[0], cur[1], cur[2] + 0.22)
-            above = (drop[0], drop[1], drop[2] + 0.15)
-            return [cur, lift, self.safe_mid, above, drop]
-        if kind == "home_via_mid":
-            return [cur, self.safe_mid, self.home]
-        if kind == "reset":
-            return [cur, self.reset_pose]
-        if kind == "bin":
-            return [cur, self.safe_mid, self.bin_pose]
-        if kind == "reseat":
-            up = (cur[0], cur[1], cur[2] + 0.06)
-            return [cur, up, cur]
-        return None
+    def _via(self, *points: Tuple[float, float, float]) -> List[float]:
+        """Leg lengths from the arm's position through ``points``; the arm ends at the last."""
+        path = [self.robot_pos, *points]
+        self.robot_pos = tuple(points[-1])
+        return leg_lengths(path)
+
+    def _to_enclosure(self, index: int) -> List[float]:
+        x, y, z = self.robot_pos
+        dx, dy, dz = drop = self.config.enclosure_drop_pose(index)
+        return self._via((x, y, z + 0.22), self.safe_mid, (dx, dy, dz + 0.15), drop)
+
+    def _reseat(self) -> List[float]:
+        x, y, z = self.robot_pos
+        return self._via((x, y, z + 0.06), self.robot_pos)
+
+    def _removal(self, leg: str) -> List[float]:
+        # Bag-removal leg ``x`` runs the fixed clearance ``pacing.removal_x_m``
+        # around the enclosure tops; the bin rides alongside the enclosure row.
+        # A reseat lowers the bag and lifts it again, and the arm's pose stays.
+        pac = self.config.orchestrator.pacing
+        if leg == "reseat":
+            return [pac.removal_descend_m, pac.removal_descend_m]
+        return [getattr(pac, f"removal_{leg}_m")]
+
+    # Move destination kind -> the move's leg lengths, given the destination's arguments.
+    _DESTINATIONS = {
+        "view": lambda self, zone: self._via(self.config.view_pose(zone)),
+        "target": lambda self: self._via(self.pending_target or self.robot_pos),
+        "enclosure": _to_enclosure,
+        "home_via_mid": lambda self: self._via(self.safe_mid, self.home),
+        "reset": lambda self: self._via(self.reset_pose),
+        "bin": lambda self: self._via(self.safe_mid, self.bin_pose),
+        "reseat": _reseat,
+        "rem": _removal,
+    }
 
     def _start_move(self, action: orc.Move) -> None:
+        kind, *args = action.dest
+        build = self._DESTINATIONS.get(kind)
+        if build is None:
+            raise ValueError(f"unresolvable move destination {action.dest!r}")
+        legs = build(self, *args)
         mot = self.config.motion
         v = mot.effective_max_speed_mps
         a = mot.effective_acceleration_mps2
-        pac = self.config.orchestrator.pacing
-        if action.dest[0] == "rem":
-            # Bag-removal legs run on fixed clearance distances around the
-            # enclosure tops; the bin rides alongside the enclosure row.
-            leg = action.dest[1]
-            dist = {
-                "approach": pac.removal_approach_m,
-                "descend": pac.removal_descend_m,
-                "lift": pac.removal_lift_m,
-                "bin": pac.removal_bin_m,
-                "reseat": 2.0 * pac.removal_descend_m,
-            }[leg]
-            duration = (
-                move_duration(dist, v, a)
-                if leg != "reseat"
-                else 2.0 * move_duration(pac.removal_descend_m, v, a)
-            )
-            distance = dist
-        else:
-            path = self._resolve_path(action.dest)
-            if path is None:
-                raise ValueError(f"unresolvable move destination {action.dest!r}")
-            legs = leg_lengths(path)
-            # The arm stops at every waypoint, so each leg is its own profile.
-            duration = sum(move_duration(d, v, a) for d in legs)
-            distance = sum(legs)
-            self.robot_pos = tuple(path[-1])
+        # The arm stops at every waypoint, so each leg is its own profile.
+        duration = sum(move_duration(d, v, a) for d in legs)
         self.tracer.record(
             "motion",
             self.now,
             {
                 "tag": action.tag,
-                "distance_m": round(distance, 6),
+                "distance_m": round(sum(legs), 6),
                 "duration_s": round(duration, 6),
             },
         )
@@ -290,8 +285,6 @@ class Simulation:
 
     def _complete_detection(self, due: _DetectDue) -> None:
         zone = due.zone
-        ctx = dict(due.ctx)
-        ctx["test"] = self.test_index
         pickable = self.world.zone_stacks(zone)
         if not pickable:
             self.tracer.record(
@@ -303,7 +296,7 @@ class Simulation:
             )
             return
         leftmost = min(pickable, key=lambda s: (s.col, s.id)).id
-        scripted = self.injector.scripted("detect", ctx)
+        scripted = self.injector.scripted("detect", due.ctx)
         force_miss = scripted == "fail"
         obs = observe(
             self.world,
@@ -321,7 +314,7 @@ class Simulation:
             idx = select_pick_target(obs.detections)
             box = obs.detections[idx]
             stack_id = obs.detection_sources[idx]
-            depth = estimate_zone_depth(self.camera, self.world.tote.anchors, zone)
+            depth = estimate_zone_depth(self.camera, self.world.anchors, zone)
             cx, cy = box.center
             self.pending_target = pixel_to_robot(self.camera, cx, cy, depth)
         self.tracer.record(
@@ -351,14 +344,13 @@ class Simulation:
 
     def _start_plan(self, action: orc.Plan) -> None:
         mot = self.config.motion
-        ctx = dict(action.ctx)
-        ctx["test"] = self.test_index
         # "attempt" in script selectors refers to the planner's own attempt
         # loop, not the surrounding pick round.
-        base_ctx = {k: v for k, v in ctx.items() if k != "attempt"}
+        ctx = {**action.ctx, "test": self.test_index}
+        ctx.pop("attempt", None)
 
         def forced(attempt: int) -> Optional[bool]:
-            out = self.injector.scripted("plan", {**base_ctx, "attempt": attempt})
+            out = self.injector.scripted("plan", {**ctx, "attempt": attempt})
             if out is None:
                 return None
             return out == "ok"
@@ -384,31 +376,32 @@ class Simulation:
 
     # -- devices -----------------------------------------------------------
 
+    def _decide(self, action: str, action_ctx: Dict[str, Any]) -> str:
+        """Outcome of one fallible action occurrence, traced as a fault decision."""
+        ctx = {**action_ctx, "test": self.test_index}
+        source = {}
+        if action == "pick" and "stack" not in ctx:
+            # Suction on a phantom detection can never seal.
+            outcome, source = "fail", {"source": "phantom"}
+        else:
+            prob_name = _FAULT_PROBS.get(action)
+            prob = getattr(self.injector.profile, prob_name) if prob_name else 0.0
+            outcome = self.injector.decide(action, ctx, prob)
+        self.tracer.record(
+            "fault_decision",
+            self.now,
+            {"action": action, "outcome": outcome, **source, **ctx},
+        )
+        return outcome
+
     def _open_valve(self, action: orc.OpenValve) -> None:
         mode = dv.SuctionMode.SEAL
         if action.fault_action is not None:
-            ctx = dict(action.ctx)
-            ctx["test"] = self.test_index
-            if action.fault_action == "pick" and "stack" not in ctx:
-                # Suction on a phantom detection can never seal.
-                outcome = "fail"
-                self.tracer.record(
-                    "fault_decision",
-                    self.now,
-                    {"action": "pick", "outcome": "fail", "source": "phantom", **ctx},
-                )
-            else:
-                prob = getattr(self.injector.profile, _FAULT_PROBS[action.fault_action])
-                outcome = self.injector.decide(action.fault_action, ctx, prob)
-                self.tracer.record(
-                    "fault_decision",
-                    self.now,
-                    {"action": action.fault_action, "outcome": outcome, **ctx},
-                )
+            outcome = self._decide(action.fault_action, action.ctx)
             if outcome != "ok":
                 mode = dv.SuctionMode.LEAK
             if action.fault_action == "place":
-                self._seated[ctx.get("enclosure", -1)] = outcome == "ok"
+                self._seated[action.ctx.get("enclosure", -1)] = outcome == "ok"
         self.tracer.record(
             "device_cmd",
             self.now,
@@ -423,15 +416,7 @@ class Simulation:
     def _command(self, action: orc.Command) -> None:
         stall = False
         if action.fault_action is not None:
-            ctx = dict(action.ctx)
-            ctx["test"] = self.test_index
-            outcome = self.injector.decide(action.fault_action, ctx, 0.0)
-            self.tracer.record(
-                "fault_decision",
-                self.now,
-                {"action": action.fault_action, "outcome": outcome, **ctx},
-            )
-            if outcome in ("fail", "stall"):
+            if self._decide(action.fault_action, action.ctx) in ("fail", "stall"):
                 stall = True
                 self.stall_count += 1
         self.tracer.record(
@@ -601,9 +586,9 @@ def run_campaign(
     reports: List[RunReport] = []
     tracers: List[Tracer] = []
     for i in range(n_tests):
-        sim = Simulation(
-            config, seed=base + i, script=script, cycles=cycles_per_test, test_index=i
+        report, tracer = run_single(
+            config, seed=base + i, cycles=cycles_per_test, script=script, test_index=i
         )
-        reports.append(sim.run())
-        tracers.append(sim.tracer)
+        reports.append(report)
+        tracers.append(tracer)
     return reports, tracers

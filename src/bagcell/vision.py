@@ -10,6 +10,7 @@ tote rim rather than per-stack depth sensing.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -225,15 +226,7 @@ class CameraModel:
 
     @classmethod
     def from_config(cls, cam) -> "CameraModel":
-        return cls(
-            width_px=cam.width_px,
-            height_px=cam.height_px,
-            fx=cam.fx,
-            fy=cam.fy,
-            cx=cam.cx,
-            cy=cam.cy,
-            extrinsic=np.asarray(cam.extrinsic, dtype=float),
-        )
+        return cls(**{f.name: getattr(cam, f.name) for f in dataclasses.fields(cls)})
 
     def to_camera(self, point_base: Sequence[float]) -> np.ndarray:
         x, y, z = point_base
@@ -269,8 +262,7 @@ def estimate_zone_depth(camera: CameraModel, anchors: Sequence[QRAnchor], zone: 
     """Pick-plane depth for a zone, read off that zone's rim marker."""
     for a in anchors:
         if a.zone == zone:
-            depth = float(camera.to_camera(a.pose.xyz())[2])
-            return depth + a.depth_offset_m
+            return float(camera.to_camera(a.pose.xyz())[2])
     raise KeyError(f"no anchor for zone {zone}")
 
 
@@ -295,11 +287,8 @@ def stack_ground_truth_box(camera: CameraModel, stack: Stack, frame_id: int = 0)
 
 @dataclass
 class Observation:
-    frame_id: int
-    zone: int
     detections: List[Box]
     ground_truth: List[Box]
-    gt_stack_ids: List[int]
     detection_sources: List[int]  # parallel to detections; -1 marks spurious boxes
 
 
@@ -364,14 +353,7 @@ def observe(
                 Box(x0, y0, x0 + w, y0 + h, confidence=SPURIOUS_CONFIDENCE, frame_id=frame_id)
             )
             sources.append(-1)
-    return Observation(
-        frame_id=frame_id,
-        zone=zone,
-        detections=dets,
-        ground_truth=gts,
-        gt_stack_ids=gt_ids,
-        detection_sources=sources,
-    )
+    return Observation(detections=dets, ground_truth=gts, detection_sources=sources)
 
 
 def select_pick_target(boxes: Sequence[Box]) -> Optional[int]:
@@ -417,6 +399,8 @@ def load_boxes(path: str | Path) -> List[Box]:
             coords = [float(v) for v in parts[3:7]]
         except ValueError as exc:
             raise MalformedBoxFile(str(path), line_no, str(exc))
+        if not all(map(math.isfinite, coords)):
+            raise MalformedBoxFile(str(path), line_no, "box coordinates must be finite")
         if coords[2] < coords[0] or coords[3] < coords[1]:
             raise MalformedBoxFile(str(path), line_no, "box extents are inverted")
         if not (0.0 <= confidence <= 1.0):

@@ -46,7 +46,6 @@ class Stack:
 
     id: int
     zone: int
-    row: int
     col: int
     pose: Pose3
     state: StackState = StackState.IN_TOTE
@@ -62,14 +61,6 @@ class QRAnchor:
 
     zone: int
     pose: Pose3
-    depth_offset_m: float = 0.0
-
-
-@dataclass
-class Tote:
-    incline_deg: float
-    zone_sizes: list[int]
-    anchors: list[QRAnchor]
 
 
 @dataclass
@@ -89,7 +80,7 @@ class Violation:
 @dataclass
 class World:
     stacks: list[Stack]
-    tote: Tote
+    anchors: list[QRAnchor]
     enclosures: list[Enclosure]
 
     def in_tote(self) -> list[Stack]:
@@ -119,7 +110,6 @@ def build_world(config: CellConfig) -> World:
                 Stack(
                     id=sid,
                     zone=zone,
-                    row=zone_idx,
                     col=col,
                     pose=Pose3(x, y, z),
                     top_w_m=lay.stack_top_w_m,
@@ -137,9 +127,8 @@ def build_world(config: CellConfig) -> World:
         edge_x = -(max(lay.zone_sizes) / 2.0 + 0.5) * lay.col_pitch_m
         anchors.append(QRAnchor(zone=zone, pose=Pose3(edge_x, y, z)))
 
-    tote = Tote(incline_deg=lay.incline_deg, zone_sizes=list(lay.zone_sizes), anchors=anchors)
     enclosures = [Enclosure(i) for i in range(lay.enclosure_count)]
-    return World(stacks=stacks, tote=tote, enclosures=enclosures)
+    return World(stacks=stacks, anchors=anchors, enclosures=enclosures)
 
 
 # Bound once: on Python 3.11 each lookup of a member on its enum class costs

@@ -152,6 +152,11 @@ def test_malformed_fault_script_is_a_usage_error(tmp_path, capsys):
     bad = tmp_path / "script.json"
     bad.write_text(json.dumps({"version": 1, "entries": [{"outcome": "fail"}]}))
     assert main(["run", "--fault-script", str(bad), "--cycles", "1"]) == 1
+    bad.write_text("[]")
+    assert main(["run", "--fault-script", str(bad), "--cycles", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "script root must be a JSON object" in err
+    assert "Traceback" not in err
 
 
 def test_malformed_box_file_is_a_usage_error(tmp_path, capsys):

@@ -212,6 +212,9 @@ def test_script_round_trip_and_file_io(tmp_path):
 def test_script_validation_errors(tmp_path):
     with pytest.raises(MalformedFaultScript):
         FaultScript.from_dict({"version": 2, "entries": []})
+    for root in ([], "x", 1, None):
+        with pytest.raises(MalformedFaultScript, match="root must be a JSON object"):
+            FaultScript.from_dict(root)
     with pytest.raises(MalformedFaultScript):
         FaultScript.from_dict({"version": 1, "entries": "nope"})
     with pytest.raises(MalformedFaultScript):

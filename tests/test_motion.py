@@ -39,7 +39,7 @@ def test_zero_distance_profile():
 
 def test_reference_trapezoid_case():
     p = plan_profile(2.0, V_REF, A_REF)
-    assert not p.is_triangular
+    assert p.t_cruise > 0.0
     assert p.t_accel == pytest.approx(V_REF / A_REF, abs=1e-12)
     assert p.t_cruise == pytest.approx((2.0 - V_REF**2 / A_REF) / V_REF, abs=1e-12)
     assert p.t_total == pytest.approx(5.007326, abs=1e-5)
@@ -49,7 +49,7 @@ def test_reference_trapezoid_case():
 
 def test_reference_triangle_case():
     p = plan_profile(0.5, V_REF, A_REF)
-    assert p.is_triangular
+    assert p.t_cruise == 0.0
     assert p.v_peak == pytest.approx(math.sqrt(A_REF * 0.5), abs=1e-12)
     assert p.v_peak == pytest.approx(0.441588, abs=1e-5)
     assert p.t_total == pytest.approx(2.264554, abs=1e-5)

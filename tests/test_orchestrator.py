@@ -69,6 +69,19 @@ def kinds(actions, cls):
 # --- basics ---------------------------------------------------------------
 
 
+def test_each_param_is_declared_by_exactly_one_config_section():
+    # from_config takes the first section that has the name, so a second
+    # section declaring it would silently shadow or be shadowed.
+    cfg = CellConfig()
+    sections = (cfg.devices, cfg.orchestrator.pacing, cfg.orchestrator)
+    for f in dataclasses.fields(OrcParams):
+        if f.name in ("slots", "zones", "cycles"):
+            continue
+        owners = [s for s in sections if f.name in {g.name for g in dataclasses.fields(s)}]
+        assert len(owners) == 1, f.name
+        assert getattr(PARAMS, f.name) == getattr(owners[0], f.name)
+
+
 def test_initial_state_is_idle():
     s = initial_state()
     assert s.phase is Phase.IDLE

@@ -115,6 +115,23 @@ def test_trace_validation_catches_gaps_and_regressions(tmp_path):
         read_trace(path)
 
 
+def test_trace_line_that_is_not_an_object_is_malformed(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    path.write_text(TraceRecord(0, 0.0, "message", {}).to_line() + "\n[1]\n")
+    with pytest.raises(MalformedTrace, match="not a JSON object") as info:
+        read_trace(path)
+    assert info.value.line_no == 2
+
+
+def test_trace_timestamp_that_is_not_a_number_is_malformed(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    for t in ('"x"', "true", "null", "[0]"):
+        path.write_text(f'{{"v": 1, "seq": 0, "t": {t}, "kind": "x", "data": {{}}}}\n')
+        with pytest.raises(MalformedTrace, match="timestamp is not a number") as info:
+            read_trace(path)
+        assert info.value.line_no == 1
+
+
 def test_large_trace_round_trip_is_fast(tmp_path):
     tracer = Tracer()
     for i in range(100_000):

@@ -5,13 +5,10 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from bagcell.scenarios import (
     REFERENCE_CAMPAIGN,
     build_reference_script,
-    per_attempt_failure_prob,
     randomized_fault_profile,
     reference_rates,
     statistical_outcomes,
@@ -97,19 +94,6 @@ def test_statistical_outcomes_rejects_unorderable_rates():
     with pytest.raises(ValueError):
         statistical_outcomes(10, seed=0, detected_rate=0.5, picked_rate=0.8,
                              placed_rate=0.1)
-
-
-@given(st.floats(0.01, 0.999), st.integers(1, 10))
-def test_per_attempt_failure_prob_inverts_the_retry_identity(s, k):
-    q = per_attempt_failure_prob(s, k)
-    assert 1.0 - q ** k == pytest.approx(s, rel=1e-9)
-
-
-def test_per_attempt_failure_prob_validates():
-    with pytest.raises(ValueError):
-        per_attempt_failure_prob(1.5, 3)
-    with pytest.raises(ValueError):
-        per_attempt_failure_prob(0.5, 0)
 
 
 def test_randomized_profile_is_stochastic_but_bounded():

@@ -153,6 +153,11 @@ def test_device_event_reaches_the_machine_after_events_due_with_it(monkeypatch):
     assert seen == [orc.Start(), orc.TimerFired("t"), orc.ActDone("door", "extend")]
 
 
+def test_unknown_move_destination_is_refused(monkeypatch):
+    with pytest.raises(ValueError, match="unresolvable move destination"):
+        drive_machine(monkeypatch, {orc.Start(): [orc.Move("lost", ("nowhere",))]})
+
+
 def test_message_seqs_run_from_zero_per_topic():
     _, tracer = run_single(CellConfig(), seed=21, cycles=2)
     seqs = {}

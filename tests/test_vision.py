@@ -273,9 +273,9 @@ def test_zone_depth_reads_anchor_plane():
     world = build_world(cfg)
     cam = CameraModel.from_config(cfg.camera)
     # Camera sits 1.05 m up; zone 1 stack tops are at z = 0.30.
-    assert estimate_zone_depth(cam, world.tote.anchors, 1) == pytest.approx(0.75, abs=1e-9)
+    assert estimate_zone_depth(cam, world.anchors, 1) == pytest.approx(0.75, abs=1e-9)
     with pytest.raises(KeyError):
-        estimate_zone_depth(cam, world.tote.anchors, 9)
+        estimate_zone_depth(cam, world.anchors, 9)
 
 
 # --- synthetic observation ------------------------------------------------
@@ -289,7 +289,7 @@ def test_observe_fault_free_matches_ground_truth():
     obs = observe(world, cam, zone=1, rng=rng, faults=FaultConfig())
     assert len(obs.ground_truth) == 4
     assert len(obs.detections) == 4
-    assert obs.detection_sources == obs.gt_stack_ids
+    assert obs.detection_sources == [s.id for s in world.zone_stacks(1)]
     for det, gt in zip(obs.detections, obs.ground_truth):
         assert det.x_min == gt.x_min and det.y_max == gt.y_max
 
@@ -394,3 +394,10 @@ def test_box_file_malformed_lines(tmp_path):
     path.write_text("0 stack 1.5 0 0 10 10\n")
     with pytest.raises(MalformedBoxFile):
         load_boxes(path)
+
+    # A NaN coordinate fails every extent comparison, so it must be caught first.
+    for bad in ("nan", "inf", "-inf"):
+        path.write_text(f"0 stack 0.9 0 0 10 10\n0 stack 0.9 {bad} 1 2 3\n")
+        with pytest.raises(MalformedBoxFile, match="finite") as info:
+            load_boxes(path)
+        assert info.value.line_no == 2

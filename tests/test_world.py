@@ -21,7 +21,7 @@ def test_build_world_default_layout():
     assert all(s.state is StackState.IN_TOTE for s in world.stacks)
     assert all(s.packaging is Packaging.BAGGED for s in world.stacks)
     assert all(e.occupant is None for e in world.enclosures)
-    assert len(world.tote.anchors) == 4
+    assert len(world.anchors) == 4
 
 
 def test_build_world_is_deterministic():
@@ -42,10 +42,9 @@ def test_zone_rows_recede_from_the_front():
 
 def test_anchor_sits_on_each_zone_plane():
     world = fresh_world()
-    for anchor in world.tote.anchors:
+    for anchor in world.anchors:
         stack = world.zone_stacks(anchor.zone)[0]
         assert anchor.pose.z == pytest.approx(stack.pose.z)
-        assert anchor.depth_offset_m == 0.0
 
 
 def test_fresh_world_has_no_violations():
