@@ -4,11 +4,12 @@
 Each cycle is an independent single-cycle session under the stochastic
 fault profile. The sweep reports stage rates, how stacks were lost, and
 whether any run produced an invariant violation or an interlock/retry-cap
-audit finding (it never should).
+audit finding (it never should). It exits 1 if one did, so it can gate CI.
 """
 
 import argparse
 import collections
+import sys
 
 from bagcell.config import CellConfig
 from bagcell.report import audit_interlocks, audit_retry_caps, scan_violations
@@ -19,7 +20,7 @@ from bagcell.simulate import run_single
 CAPPED = ("pick", "place", "detect", "secure", "remove")
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--cycles", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=20_000)
@@ -60,7 +61,8 @@ def main() -> None:
     print(f"audit findings: {len(problems)}")
     for p in problems[:10]:
         print(f"  {p}")
+    return 1 if totals["violations"] or problems else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -46,14 +46,14 @@ class Bus:
         extra_topics: tuple[str, ...] | list[str] = (),
         on_publish: Optional[Callable[[Message], None]] = None,
     ):
-        self._next_seq: Dict[str, int] = dict.fromkeys((*DEFAULT_TOPICS, *extra_topics), 0)
+        self._topic_seq: Dict[str, int] = dict.fromkeys((*DEFAULT_TOPICS, *extra_topics), 0)
         self.on_publish = on_publish
 
     def publish(self, topic: str, payload: Dict[str, Any], time: float) -> Message:
-        if topic not in self._next_seq:
+        if topic not in self._topic_seq:
             raise UnknownTopic(topic)
-        seq = self._next_seq[topic]
-        self._next_seq[topic] = seq + 1
+        seq = self._topic_seq[topic]
+        self._topic_seq[topic] = seq + 1
         msg = Message(topic=topic, seq=seq, time=time, payload=dict(payload))
         if self.on_publish is not None:
             self.on_publish(msg)

@@ -99,7 +99,8 @@ def cmd_campaign(args) -> int:
     replay = args.command == "replay"
     script = _load_script(args.script)
     if replay and script is None:
-        script = build_reference_script()
+        o = config.orchestrator
+        script = build_reference_script(o.detect_attempts, o.pick_attempts, o.place_attempts)
     reports, tracers = run_campaign(config, args.tests, script=script)
     unconsumed = len(script.unconsumed()) if script else 0
     if unconsumed and not replay:

@@ -94,7 +94,7 @@ class FaultScript:
     def from_dict(cls, data: Dict[str, Any], path: str = "<dict>") -> "FaultScript":
         if not isinstance(data, dict):
             raise MalformedFaultScript(path, None, "script root must be a JSON object")
-        if data.get("version") != SCRIPT_VERSION:
+        if data.get("version") != SCRIPT_VERSION or type(data["version"]) is not int:
             raise MalformedFaultScript(
                 path, None, f"unsupported version {data.get('version')!r}"
             )

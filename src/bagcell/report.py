@@ -4,12 +4,12 @@ A trace is an append-only JSONL stream: one record per line with a version
 tag, a globally monotone sequence number and a non-decreasing timestamp.
 Bus messages, device commands and events, fault decisions, phase marks and
 invariant violations all land in the same stream, so a trace alone is enough
-to audit interlock ordering after the fact.
+to audit interlock ordering after the fact, and to read the run's report.
 
 Reports aggregate a campaign into per-test rows (detected / picked / placed
-/ duration) plus means and percentage rates. All serialization sorts keys
-and rounds floats the same way, so identical runs produce byte-identical
-files.
+/ duration), each read off its run's trace, plus means and percentage rates.
+All serialization sorts keys and rounds floats the same way, so identical
+runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence
@@ -60,7 +61,6 @@ class Tracer:
 
     def __init__(self) -> None:
         self.records: List[TraceRecord] = []
-        self._next_seq = 0
         self._last_time = 0.0
 
     def record(self, kind: str, time: float, data: Dict[str, Any]) -> TraceRecord:
@@ -70,8 +70,7 @@ class Tracer:
             )
         if time > self._last_time:
             self._last_time = time
-        rec = TraceRecord(self._next_seq, time, kind, data)
-        self._next_seq += 1
+        rec = TraceRecord(len(self.records), time, kind, data)
         self.records.append(rec)
         return rec
 
@@ -95,11 +94,14 @@ def read_trace(path: str | Path) -> List[TraceRecord]:
             raise MalformedTrace(str(p), line_no, f"invalid JSON: {exc}")
         if not isinstance(obj, dict):
             raise MalformedTrace(str(p), line_no, "record is not a JSON object")
-        if obj.get("v") != TRACE_VERSION:
+        if obj.get("v") != TRACE_VERSION or type(obj["v"]) is not int:
             raise MalformedTrace(str(p), line_no, f"unsupported version {obj.get('v')!r}")
         for key in ("seq", "t", "kind", "data"):
             if key not in obj:
                 raise MalformedTrace(str(p), line_no, f"missing field {key!r}")
+        for key, want in (("seq", int), ("kind", str), ("data", dict)):  # a bool is no int
+            if type(obj[key]) is not want:
+                raise MalformedTrace(str(p), line_no, f"field {key!r} is not {want.__name__}")
         if obj["seq"] != prev_seq + 1:
             raise MalformedTrace(
                 str(p), line_no, f"sequence gap: {prev_seq} -> {obj['seq']}"
@@ -150,6 +152,53 @@ class RunReport:
             k: round(v, 6) for k, v in sorted(self.phase_durations_s.items())
         }
         return d
+
+
+def summarize_run(
+    records: Sequence[TraceRecord], test_index: int, seed: int, end_s: float
+) -> RunReport:
+    """One run's report, read off its trace in one pass.
+
+    A run that never noted ``session_done`` lasted until ``end_s``, the
+    runtime's final clock.
+    """
+    marks: Dict[str, set] = defaultdict(set)
+    last_state: Dict[int, str] = {}
+    opened: Dict[str, float] = {}
+    spans: Dict[str, List[float]] = defaultdict(list)
+    cycles = violations = stalls = 0
+    done_at = None
+    for rec in records:
+        kind, d = rec.kind, rec.data
+        if kind == "outcome" and d["stack"] >= 0:
+            marks[d["kind"]].add(d["stack"])
+        elif kind == "stack":
+            last_state[d["stack"]] = d["state"]
+        elif kind == "phase":
+            if d["edge"] == "start":
+                opened[d["phase"]] = rec.time
+            elif d["phase"] in opened:
+                spans[d["phase"]].append(rec.time - opened.pop(d["phase"]))
+        elif kind == "violation":
+            violations += 1
+        elif kind == "fault_decision":
+            stalls += d["action"] == "push" and d["outcome"] != "ok"
+        elif kind == "message":
+            cycles += d["topic"] == "cycle_finished"
+        elif kind == "note" and d["text"] == "session_done":
+            cycles, done_at = d["cycles"], rec.time
+    return RunReport(
+        test_index=test_index,
+        seed=seed,
+        cycles=cycles,
+        stacks_offered=len(marks["detected"] | marks["detect_failed"]),
+        **{stage: len(marks[stage]) for stage in ("detected", "picked", "placed", "delivered")},
+        failed_unhandled=sum(state == "failed_unhandled" for state in last_state.values()),
+        duration_s=end_s if done_at is None else done_at,
+        phase_durations_s={name: sum(s) / len(s) for name, s in sorted(spans.items())},
+        violations=violations,
+        pusher_stalls=stalls,
+    )
 
 
 @dataclass

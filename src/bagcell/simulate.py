@@ -29,7 +29,7 @@ from bagcell import orchestrator as orc
 from bagcell.bus import Bus
 from bagcell.config import CellConfig
 from bagcell.motion import PlanFailure, leg_lengths, move_duration, plan_with_retries
-from bagcell.report import RunReport, Tracer
+from bagcell.report import RunReport, Tracer, summarize_run
 from bagcell.vision import (
     CameraModel,
     estimate_zone_depth,
@@ -125,13 +125,6 @@ class Simulation:
 
         self._seated: Dict[int, bool] = {}
         self._pushed_out: set[int] = set()
-        self._frame_counter = 0
-        self._marks: Dict[str, set[int]] = {}
-        self._phase_open: Dict[str, float] = {}
-        self._phase_spans: Dict[str, List[float]] = {}
-        self.violation_count = 0
-        self.stall_count = 0
-        self._done_time: Optional[float] = None
 
     # -- event plumbing ----------------------------------------------------
 
@@ -181,15 +174,13 @@ class Simulation:
                 continue
             self.now = self.bank.now = time
             self._dispatch(event)
-        return self._build_report()
+        return summarize_run(self.tracer.records, self.test_index, self.seed, self.now)
 
     def _dispatch(self, event: orc.Event) -> None:
         if isinstance(event, _DetectDue):
             self._complete_detection(event)
             return
         self.state, actions = orc.transition(self.state, event, self.params)
-        if self.state.sub is orc.Sub.DONE and self._done_time is None:
-            self._done_time = self.now
         for action in actions:
             self._execute(action)
 
@@ -304,10 +295,8 @@ class Simulation:
             zone,
             self.rng,
             self.config.faults,
-            frame_id=self._frame_counter,
             force_miss=force_miss,
         )
-        self._frame_counter += 1
         found = bool(obs.detections)
         stack_id = -1
         if found:
@@ -414,11 +403,8 @@ class Simulation:
         self._supersede(action.device, self.bank.close_valve(action.device))
 
     def _command(self, action: orc.Command) -> None:
-        stall = False
-        if action.fault_action is not None:
-            if self._decide(action.fault_action, action.ctx) in ("fail", "stall"):
-                stall = True
-                self.stall_count += 1
+        fault = action.fault_action
+        stall = fault is not None and self._decide(fault, action.ctx) != "ok"
         self.tracer.record(
             "device_cmd", self.now, {"device": action.device, "op": action.op}
         )
@@ -480,9 +466,7 @@ class Simulation:
         self._check_world()
 
     def _check_world(self) -> None:
-        violations = check_invariants(self.world)
-        for v in violations:
-            self.violation_count += 1
+        for v in check_invariants(self.world):
             self.tracer.record(
                 "violation", self.now, {"code": v.code, "detail": v.detail}
             )
@@ -490,8 +474,6 @@ class Simulation:
     # -- bookkeeping -------------------------------------------------------
 
     def _mark(self, action: orc.MarkOutcome) -> None:
-        if action.stack >= 0:
-            self._marks.setdefault(action.kind, set()).add(action.stack)
         self.tracer.record(
             "outcome",
             self.now,
@@ -502,42 +484,9 @@ class Simulation:
         self.tracer.record(
             "phase", self.now, {"phase": action.phase, "edge": action.edge}
         )
-        if action.edge == "start":
-            self._phase_open[action.phase] = self.now
-            if action.phase == "resetting":
-                self._seated.clear()
-                self._pushed_out.clear()
-        else:
-            start = self._phase_open.pop(action.phase, None)
-            if start is not None:
-                self._phase_spans.setdefault(action.phase, []).append(self.now - start)
-
-    def mark_count(self, kind: str) -> int:
-        return len(self._marks.get(kind, ()))
-
-    def _build_report(self) -> RunReport:
-        detected = self._marks.get("detected", set())
-        engaged = detected | self._marks.get("detect_failed", set())
-        counts = self.world.counts()
-        phase_means = {
-            name: sum(spans) / len(spans) for name, spans in sorted(self._phase_spans.items())
-        }
-        duration = self._done_time if self._done_time is not None else self.now
-        return RunReport(
-            test_index=self.test_index,
-            seed=self.seed,
-            cycles=self.state.cycle,
-            stacks_offered=len(engaged),
-            detected=len(detected),
-            picked=self.mark_count("picked"),
-            placed=self.mark_count("placed"),
-            delivered=self.mark_count("delivered"),
-            failed_unhandled=counts[StackState.FAILED_UNHANDLED.value],
-            duration_s=duration,
-            phase_durations_s=phase_means,
-            violations=self.violation_count,
-            pusher_stalls=self.stall_count,
-        )
+        if action.phase == "resetting" and action.edge == "start":
+            self._seated.clear()
+            self._pushed_out.clear()
 
     _EXECUTORS = {
         orc.Publish: _publish,

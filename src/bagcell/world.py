@@ -90,12 +90,6 @@ class World:
         """Pickable stacks currently presented in a zone."""
         return [s for s in self.in_tote() if s.zone == zone]
 
-    def counts(self) -> dict[str, int]:
-        out = {state.value: 0 for state in StackState}
-        for s in self.stacks:
-            out[s.state.value] += 1
-        return out
-
 
 def build_world(config: CellConfig) -> World:
     """Construct the initial world from layout config, all stacks bagged in the tote."""

@@ -7,6 +7,7 @@ import pytest
 from bagcell.cli import main
 from bagcell.config import CellConfig
 from bagcell.devices import DeviceBank
+from bagcell.scenarios import REFERENCE_CAMPAIGN
 
 GT_LINES = "\n".join(
     f"0 stack 1.0 {100 + 200 * i} 100 {220 + 200 * i} 240" for i in range(4)
@@ -104,6 +105,19 @@ def test_replay_reproduces_reference_rates(tmp_path, capsys):
         assert rate in stdout
     report = json.loads((out / "report.json").read_text())
     assert report["unconsumed_script_entries"] == 0
+
+
+def test_replay_scripts_the_configured_retry_caps(tmp_path, capsys):
+    # The built-in script exhausts a failing step with one failure per
+    # configured attempt, so raised caps still give the reference rows.
+    caps = {f"{step}_attempts": 4 for step in ("detect", "pick", "place")}
+    config = tmp_path / "caps.json"
+    config.write_text(json.dumps({"orchestrator": caps}))
+    out = tmp_path / "replay"
+    argv = ["replay", "--config", str(config), "--table", "csv", "--outdir", str(out)]
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1 : 1 + len(REFERENCE_CAMPAIGN)]
+    assert [tuple(int(n) for n in row.split(",")[1:4]) for row in rows] == list(REFERENCE_CAMPAIGN)
 
 
 def test_replay_outputs_are_byte_identical(tmp_path, capsys):

@@ -210,8 +210,9 @@ def test_script_round_trip_and_file_io(tmp_path):
 
 
 def test_script_validation_errors(tmp_path):
-    with pytest.raises(MalformedFaultScript):
-        FaultScript.from_dict({"version": 2, "entries": []})
+    for version in (2, True, 1.0):  # only the int 1 is version 1
+        with pytest.raises(MalformedFaultScript, match="unsupported version"):
+            FaultScript.from_dict({"version": version, "entries": []})
     for root in ([], "x", 1, None):
         with pytest.raises(MalformedFaultScript, match="root must be a JSON object"):
             FaultScript.from_dict(root)

@@ -15,6 +15,7 @@ from bagcell.report import (
     render_table,
     scan_violations,
     summarize_campaign,
+    summarize_run,
     write_trace,
 )
 
@@ -123,6 +124,25 @@ def test_trace_line_that_is_not_an_object_is_malformed(tmp_path):
     assert info.value.line_no == 2
 
 
+@pytest.mark.parametrize(
+    "fields, reason",
+    [
+        ('"v": 1, "seq": 1, "t": 0.0, "kind": "device_cmd", "data": 1', "'data' is not dict"),
+        ('"v": 1, "seq": 1, "t": 0.0, "kind": 7, "data": {}', "'kind' is not str"),
+        ('"v": 1, "seq": false, "t": 0.0, "kind": "x", "data": {}', "'seq' is not int"),
+        ('"v": true, "seq": false, "t": 0.0, "kind": "x", "data": {}', "unsupported version"),
+    ],
+    ids=["data", "kind", "seq", "version"],
+)
+def test_trace_field_of_the_wrong_type_is_malformed(tmp_path, fields, reason):
+    # A bool is not an int, though True == 1 and False == 0.
+    path = tmp_path / "trace.jsonl"
+    path.write_text(TraceRecord(0, 0.0, "message", {}).to_line() + "\n{" + fields + "}\n")
+    with pytest.raises(MalformedTrace, match=reason) as info:
+        read_trace(path)
+    assert info.value.line_no == 2
+
+
 def test_trace_timestamp_that_is_not_a_number_is_malformed(tmp_path):
     path = tmp_path / "trace.jsonl"
     for t in ('"x"', "true", "null", "[0]"):
@@ -144,6 +164,43 @@ def test_large_trace_round_trip_is_fast(tmp_path):
     assert len(back) == 100_000
     assert back[-1] == tracer.records[-1]
     assert elapsed < 2.0
+
+
+# --- run summaries --------------------------------------------------------
+
+
+def test_run_summary_reads_each_field_off_the_trace():
+    tracer = Tracer()
+    for kind, time, data in [
+        ("phase", 1.0, {"phase": "cutting", "edge": "start"}),
+        ("outcome", 1.0, {"kind": "detected", "stack": 4, "enclosure": None}),
+        ("outcome", 1.0, {"kind": "detected", "stack": 4, "enclosure": None}),
+        ("outcome", 1.0, {"kind": "detect_failed", "stack": 5, "enclosure": None}),
+        ("outcome", 1.0, {"kind": "picked", "stack": -1, "enclosure": None}),
+        ("stack", 2.0, {"stack": 4, "state": "failed_unhandled", "enclosure": None}),
+        ("stack", 2.0, {"stack": 5, "state": "failed_unhandled", "enclosure": None}),
+        ("stack", 3.0, {"stack": 5, "state": "delivered", "enclosure": None}),
+        ("fault_decision", 3.0, {"action": "push", "outcome": "stall"}),
+        ("fault_decision", 3.0, {"action": "push", "outcome": "ok"}),
+        ("fault_decision", 3.0, {"action": "pick", "outcome": "fail"}),
+        ("violation", 3.0, {"code": "x", "detail": ""}),
+        ("phase", 4.0, {"phase": "cutting", "edge": "end"}),
+        ("phase", 4.0, {"phase": "removal", "edge": "end"}),  # never started: ignored
+        ("message", 5.0, {"topic": "cycle_finished", "seq": 0, "payload": {}}),
+        ("phase", 5.0, {"phase": "cutting", "edge": "start"}),
+        ("phase", 6.0, {"phase": "cutting", "edge": "end"}),
+        ("phase", 6.5, {"phase": "cutting", "edge": "end"}),  # its start is spent: ignored
+    ]:
+        tracer.record(kind, time, data)
+    report = summarize_run(tracer.records, test_index=3, seed=9, end_s=7.5)
+    assert (report.test_index, report.seed, report.cycles) == (3, 9, 1)
+    assert (report.stacks_offered, report.detected, report.picked) == (2, 1, 0)
+    assert (report.failed_unhandled, report.violations, report.pusher_stalls) == (1, 1, 1)
+    assert report.phase_durations_s == {"cutting": 2.0}
+    assert report.duration_s == 7.5  # no session_done note: the final clock
+    tracer.record("note", 8.0, {"text": "session_done", "cycles": 2})
+    report = summarize_run(tracer.records, test_index=3, seed=9, end_s=9.0)
+    assert (report.cycles, report.duration_s) == (2, 8.0)
 
 
 # --- campaign summaries ---------------------------------------------------

@@ -14,8 +14,10 @@ from bagcell.devices import FaultScript
 from bagcell.report import (
     audit_interlocks,
     audit_retry_caps,
+    read_trace,
     scan_violations,
     summarize_campaign,
+    summarize_run,
     config_digest,
 )
 from bagcell.scenarios import REFERENCE_TESTS, build_reference_script, randomized_fault_profile
@@ -93,7 +95,7 @@ def drive_machine(monkeypatch, script):
     """Run a Simulation whose machine answers events from ``script``.
 
     ``script`` maps an event to the actions returned for it; every event the
-    machine receives is logged and returned with the simulation.
+    machine receives is logged and returned with the simulation and its report.
     """
     seen = []
 
@@ -103,8 +105,8 @@ def drive_machine(monkeypatch, script):
 
     monkeypatch.setattr(orc, "transition", transition)
     sim = Simulation(CellConfig(), cycles=1)
-    sim.run()
-    return sim, seen
+    report = sim.run()
+    return sim, seen, report
 
 
 def device_events(sim):
@@ -113,7 +115,7 @@ def device_events(sim):
 
 
 def test_recommand_supersedes_pending_completion(monkeypatch):
-    sim, seen = drive_machine(monkeypatch, {
+    sim, seen, _ = drive_machine(monkeypatch, {
         orc.Start(): [orc.Command("swing", "extend"), orc.StartTimer("turn", 0.4)],
         orc.TimerFired("turn"): [orc.Command("swing", "retract")],
     })
@@ -124,7 +126,7 @@ def test_recommand_supersedes_pending_completion(monkeypatch):
 
 
 def test_valve_epoch_invalidates_stale_events(monkeypatch):
-    sim, seen = drive_machine(monkeypatch, {
+    sim, seen, _ = drive_machine(monkeypatch, {
         orc.Start(): [orc.OpenValve("gripper"), orc.StartTimer("vent", 0.2)],
         orc.TimerFired("vent"): [orc.CloseValve("gripper")],  # before the 0.5 s crossing
     })
@@ -134,7 +136,7 @@ def test_valve_epoch_invalidates_stale_events(monkeypatch):
 
 
 def test_restarted_or_cancelled_timer_fires_at_most_once(monkeypatch):
-    sim, seen = drive_machine(monkeypatch, {
+    sim, seen, _ = drive_machine(monkeypatch, {
         orc.Start(): [
             orc.StartTimer("a", 1.0), orc.StartTimer("a", 2.0),
             orc.StartTimer("b", 1.0), orc.CancelTimer("b"),
@@ -147,7 +149,7 @@ def test_restarted_or_cancelled_timer_fires_at_most_once(monkeypatch):
 def test_device_event_reaches_the_machine_after_events_due_with_it(monkeypatch):
     # The door finishes as the timer fires. The completion was queued first,
     # yet control sees it behind everything else due at that instant.
-    _, seen = drive_machine(monkeypatch, {
+    _, seen, _ = drive_machine(monkeypatch, {
         orc.Start(): [orc.Command("door", "extend"), orc.StartTimer("t", 2.0)],
     })
     assert seen == [orc.Start(), orc.TimerFired("t"), orc.ActDone("door", "extend")]
@@ -156,6 +158,14 @@ def test_device_event_reaches_the_machine_after_events_due_with_it(monkeypatch):
 def test_unknown_move_destination_is_refused(monkeypatch):
     with pytest.raises(ValueError, match="unresolvable move destination"):
         drive_machine(monkeypatch, {orc.Start(): [orc.Move("lost", ("nowhere",))]})
+
+
+def test_run_that_never_finishes_lasts_until_the_final_clock(monkeypatch):
+    sim, _, report = drive_machine(monkeypatch, {
+        orc.Start(): [orc.PhaseMark("feeding", "start"), orc.StartTimer("t", 2.5)],
+    })
+    assert report.duration_s == sim.now == 2.5
+    assert (report.cycles, report.phase_durations_s) == (0, {})
 
 
 def test_message_seqs_run_from_zero_per_topic():
@@ -219,6 +229,26 @@ def test_outputs_match_recorded_bytes(tmp_path):
             h.update(rec.to_line().encode() + b"\n")
         h.update(json.dumps(report.to_dict(), sort_keys=True).encode())
         assert h.hexdigest() == want, seed
+
+
+def test_replay_report_rows_read_back_off_the_written_traces(tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["replay", "--outdir", str(tmp_path)]) == 0
+    rows = json.loads((tmp_path / "report.json").read_text())["tests"]
+    assert len(rows) == REFERENCE_TESTS
+    for i, row in enumerate(rows):
+        records = read_trace(tmp_path / f"trace_{i:02d}.jsonl")
+        report = summarize_run(records, i, CellConfig().seed + i, records[-1].time)
+        assert report.to_dict() == row, i
+
+
+@pytest.mark.parametrize("seed", [0, 32, 44])
+def test_cycle_report_is_read_off_its_trace(seed):
+    cfg = CellConfig()
+    cfg.faults = randomized_fault_profile()
+    report, tracer = run_single(cfg, seed=seed, cycles=1)
+    records = tracer.records
+    assert summarize_run(records, 0, seed, records[-1].time).to_dict() == report.to_dict()
 
 
 def test_every_device_event_answers_the_latest_command_on_its_device():
