@@ -5,6 +5,9 @@ tag, a globally monotone sequence number and a non-decreasing timestamp.
 Bus messages, device commands and events, fault decisions, phase marks and
 invariant violations all land in the same stream, so a trace alone is enough
 to audit interlock ordering after the fact, and to read the run's report.
+Reading a trace back checks each line's envelope and the payload fields those
+readers index, so a hand-edited line fails with its line number and field
+instead of crashing an audit.
 
 Reports aggregate a campaign into per-test rows (detected / picked / placed
 / duration), each read off its run's trace, plus means and percentage rates.
@@ -20,13 +23,27 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from bagcell.config import ENCLOSURE_COUNT
 
 TRACE_VERSION = 1
 # One encoder for every trace line; json.dumps with options builds a new one per call.
 _LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+# Payload fields the trace readers index, by record kind: (field, type, required).
+# A field that is not required has a default where it is read; if present, it
+# must still have its type. A ``session_done`` note must also carry ``cycles``.
+PAYLOAD_FIELDS: Dict[str, Tuple[Tuple[str, type, bool], ...]] = {
+    "outcome": (("kind", str, True), ("stack", int, True)),
+    "stack": (("stack", int, True), ("state", str, True)),
+    "phase": (("phase", str, True), ("edge", str, True)),
+    "fault_decision": (("action", str, True), ("outcome", str, True), ("attempt", int, False)),
+    "note": (("text", str, True), ("cycles", int, False)),
+    "device_event": (("device", str, False), ("event", str, False), ("op", str, False)),
+    "device_cmd": (("device", str, False), ("op", str, False)),
+}
+_ABSENT = object()
 
 
 class MalformedTrace(ValueError):
@@ -96,26 +113,34 @@ def read_trace(path: str | Path) -> List[TraceRecord]:
             raise MalformedTrace(str(p), line_no, "record is not a JSON object")
         if obj.get("v") != TRACE_VERSION or type(obj["v"]) is not int:
             raise MalformedTrace(str(p), line_no, f"unsupported version {obj.get('v')!r}")
-        for key in ("seq", "t", "kind", "data"):
-            if key not in obj:
-                raise MalformedTrace(str(p), line_no, f"missing field {key!r}")
-        for key, want in (("seq", int), ("kind", str), ("data", dict)):  # a bool is no int
-            if type(obj[key]) is not want:
+        try:
+            seq, t, kind, data = obj["seq"], obj["t"], obj["kind"], obj["data"]
+        except KeyError as exc:
+            raise MalformedTrace(str(p), line_no, f"missing field {exc.args[0]!r}")
+        for value, key, want in ((seq, "seq", int), (kind, "kind", str), (data, "data", dict)):
+            if type(value) is not want:  # a bool is no int
                 raise MalformedTrace(str(p), line_no, f"field {key!r} is not {want.__name__}")
-        if obj["seq"] != prev_seq + 1:
-            raise MalformedTrace(
-                str(p), line_no, f"sequence gap: {prev_seq} -> {obj['seq']}"
-            )
-        t = obj["t"]
+        if seq != prev_seq + 1:
+            raise MalformedTrace(str(p), line_no, f"sequence gap: {prev_seq} -> {seq}")
         if type(t) is not float and type(t) is not int:  # a bool is not a time
             raise MalformedTrace(str(p), line_no, f"timestamp is not a number: {t!r}")
         if t < prev_time - 1e-9:
             raise MalformedTrace(
                 str(p), line_no, f"timestamp regression: {prev_time} -> {t}"
             )
-        prev_seq = obj["seq"]
+        for key, want, required in PAYLOAD_FIELDS.get(kind, ()):
+            value = data.get(key, _ABSENT)
+            if type(value) is want:  # a bool is no int
+                continue
+            if value is not _ABSENT:
+                raise MalformedTrace(
+                    str(p), line_no, f"{kind} field {key!r} is not {want.__name__}"
+                )
+            if required or (key == "cycles" and data["text"] == "session_done"):
+                raise MalformedTrace(str(p), line_no, f"{kind} is missing field {key!r}")
+        prev_seq = seq
         prev_time = t
-        out.append(TraceRecord(obj["seq"], t, obj["kind"], obj["data"]))
+        out.append(TraceRecord(seq, t, kind, data))
     return out
 
 
@@ -184,7 +209,7 @@ def summarize_run(
         elif kind == "fault_decision":
             stalls += d["action"] == "push" and d["outcome"] != "ok"
         elif kind == "message":
-            cycles += d["topic"] == "cycle_finished"
+            cycles += d.get("topic") == "cycle_finished"
         elif kind == "note" and d["text"] == "session_done":
             cycles, done_at = d["cycles"], rec.time
     return RunReport(

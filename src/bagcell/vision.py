@@ -1,20 +1,23 @@
 """Synthetic detection, box matching, metrics, and camera geometry.
 
 Detections are axis-aligned boxes in pixel space. The matcher is greedy in
-confidence order with one-to-one assignment at an IoU threshold; metrics can
-be computed either from matched box lists or directly from confusion counts
-(the O(1) path for large benchmark tallies). The camera is an ideal pinhole
-with a fixed extrinsic; per-zone pick depth is anchored by a marker on the
-tote rim rather than per-stack depth sensing.
+confidence order with one-to-one assignment at an IoU threshold, per image as
+in the PASCAL VOC protocol: a prediction is compared only with ground truth of
+its own frame and label, so scoring time is linear in the number of frames.
+Metrics can be computed either from matched box lists or directly from
+confusion counts (the O(1) path for large benchmark tallies). The camera is an
+ideal pinhole with a fixed extrinsic; per-zone pick depth is anchored by a
+marker on the tote rim rather than per-stack depth sensing.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -90,16 +93,21 @@ def match_detections(
     unmatched_gt_indices).
     """
     order = sorted(range(len(preds)), key=lambda i: (-preds[i].confidence, i))
+    # Ground-truth indices per (frame, label), ascending; a prediction scans
+    # only its own group.
+    groups: Dict[Tuple[int, str], List[int]] = defaultdict(list)
+    for gj, g in enumerate(gts):
+        groups[g.frame_id, g.label].append(gj)
     taken: set[int] = set()
     matches: List[Match] = []
     for pi in order:
         p = preds[pi]
         best_j = -1
         best_iou = iou_threshold
-        for gj, g in enumerate(gts):
-            if gj in taken or g.frame_id != p.frame_id or g.label != p.label:
+        for gj in groups.get((p.frame_id, p.label), ()):
+            if gj in taken:
                 continue
-            ov = iou(p, g)
+            ov = iou(p, gts[gj])
             if ov > best_iou or (ov == best_iou and ov > 0.0 and best_j == -1):
                 best_iou = ov
                 best_j = gj
@@ -385,35 +393,26 @@ def save_boxes(path: str | Path, boxes: Iterable[Box]) -> None:
 
 def load_boxes(path: str | Path) -> List[Box]:
     out: List[Box] = []
+    isfinite = math.isfinite
     text = Path(path).read_text()
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if len(parts) != 7:
             raise MalformedBoxFile(str(path), line_no, f"expected 7 fields, got {len(parts)}")
+        frame, label, conf, x0, y0, x1, y1 = parts
         try:
-            frame_id = int(parts[0])
-            confidence = float(parts[2])
-            coords = [float(v) for v in parts[3:7]]
+            frame_id = int(frame)
+            confidence = float(conf)
+            x_min, y_min, x_max, y_max = float(x0), float(y0), float(x1), float(y1)
         except ValueError as exc:
             raise MalformedBoxFile(str(path), line_no, str(exc))
-        if not all(map(math.isfinite, coords)):
+        if not (isfinite(x_min) and isfinite(y_min) and isfinite(x_max) and isfinite(y_max)):
             raise MalformedBoxFile(str(path), line_no, "box coordinates must be finite")
-        if coords[2] < coords[0] or coords[3] < coords[1]:
+        if x_max < x_min or y_max < y_min:
             raise MalformedBoxFile(str(path), line_no, "box extents are inverted")
         if not (0.0 <= confidence <= 1.0):
             raise MalformedBoxFile(str(path), line_no, f"confidence {confidence} outside [0, 1]")
-        out.append(
-            Box(
-                x_min=coords[0],
-                y_min=coords[1],
-                x_max=coords[2],
-                y_max=coords[3],
-                confidence=confidence,
-                label=parts[1],
-                frame_id=frame_id,
-            )
-        )
+        out.append(Box(x_min, y_min, x_max, y_max, confidence, label, frame_id))
     return out

@@ -143,6 +143,47 @@ def test_trace_field_of_the_wrong_type_is_malformed(tmp_path, fields, reason):
     assert info.value.line_no == 2
 
 
+@pytest.mark.parametrize(
+    "kind, data, reason",
+    [
+        ("device_cmd", '{"device":1,"op":"extend"}', "device_cmd field 'device' is not str"),
+        ("outcome", '{"kind":"picked"}', "outcome is missing field 'stack'"),
+        ("stack", '{"stack":true,"state":"picked"}', "stack field 'stack' is not int"),
+        ("phase", '{"phase":"cutting"}', "phase is missing field 'edge'"),
+        ("fault_decision", '{"action":"pick","outcome":"ok","attempt":"2"}',
+         "fault_decision field 'attempt' is not int"),
+        ("device_event", '{"device":["door"],"event":"done"}',
+         "device_event field 'device' is not str"),
+        ("note", '{"text":"session_done"}', "note is missing field 'cycles'"),
+    ],
+    ids=["cmd-device", "outcome-stack", "bool-stack", "phase-edge", "attempt",
+         "event-device", "session_done"],
+)
+def test_trace_payload_field_a_reader_needs_is_checked(tmp_path, kind, data, reason):
+    # The first two crashed audit_interlocks and summarize_run before payloads were checked.
+    path = tmp_path / "trace.jsonl"
+    path.write_text(f'{{"v":1,"seq":0,"t":0.0,"kind":"{kind}","data":{data}}}\n')
+    with pytest.raises(MalformedTrace, match=reason) as info:
+        read_trace(path)
+    assert info.value.line_no == 1
+
+
+def test_trace_payload_optional_fields_may_be_absent(tmp_path):
+    records = [
+        TraceRecord(0, 0.0, "device_cmd", {}),
+        TraceRecord(1, 0.0, "fault_decision", {"action": "pick", "outcome": "ok"}),
+        TraceRecord(2, 0.0, "note", {"text": "bag_stuck"}),
+        TraceRecord(3, 0.0, "message", {}),
+        TraceRecord(4, 0.0, "custom", {"device": 1}),
+    ]
+    path = tmp_path / "trace.jsonl"
+    write_trace(path, records)
+    back = read_trace(path)
+    assert back == records
+    assert audit_interlocks(back) == [] and audit_retry_caps(back, {"pick": 1}) == []
+    assert summarize_run(back, 0, 0, 1.0).cycles == 0
+
+
 def test_trace_timestamp_that_is_not_a_number_is_malformed(tmp_path):
     path = tmp_path / "trace.jsonl"
     for t in ('"x"', "true", "null", "[0]"):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import hypothesis.strategies as st
 import numpy as np
@@ -10,8 +11,10 @@ from bagcell.config import CameraConfig, FaultConfig, default_config
 from bagcell.vision import (
     Box,
     CameraModel,
+    ConfusionCounts,
     EmptyGroundTruth,
     MalformedBoxFile,
+    Match,
     ap_at_threshold,
     estimate_zone_depth,
     evaluate,
@@ -151,6 +154,79 @@ def test_greedy_equals_optimal_on_unambiguous_instances():
             )
         matches, _, _ = match_detections(preds, gts)
         assert len(matches) == brute_force_optimal_tp(preds, gts, 0.5)
+
+
+def all_pairs_match(preds, gts, iou_threshold=0.5):
+    """The matcher as it was before grouping: every prediction scans every truth."""
+    order = sorted(range(len(preds)), key=lambda i: (-preds[i].confidence, i))
+    taken = set()
+    matches = []
+    for pi in order:
+        p = preds[pi]
+        best_j = -1
+        best_iou = iou_threshold
+        for gj, g in enumerate(gts):
+            if gj in taken or g.frame_id != p.frame_id or g.label != p.label:
+                continue
+            ov = iou(p, g)
+            if ov > best_iou or (ov == best_iou and ov > 0.0 and best_j == -1):
+                best_iou = ov
+                best_j = gj
+        if best_j >= 0:
+            taken.add(best_j)
+            matches.append(Match(pred_index=pi, gt_index=best_j, iou=best_iou))
+    matched_preds = {m.pred_index for m in matches}
+    unmatched_preds = [i for i in range(len(preds)) if i not in matched_preds]
+    unmatched_gts = [j for j in range(len(gts)) if j not in taken]
+    return matches, unmatched_preds, unmatched_gts
+
+
+def frame_label_pool():
+    # Small integer boxes on a small canvas overlap often and tie in IoU;
+    # drawing both lists from one pool repeats boxes outright.
+    corner = st.integers(min_value=0, max_value=40)
+    size = st.integers(min_value=5, max_value=40)
+    box = st.builds(
+        lambda x, y, w, h, c, f, lab: Box(x, y, x + w, y + h, c, lab, f),
+        corner,
+        corner,
+        size,
+        size,
+        st.sampled_from([0.3, 0.6, 0.9]),
+        st.sampled_from([0, 1, 2]),
+        st.sampled_from(["stack", "bag"]),
+    )
+    return st.lists(box, min_size=1, max_size=8)
+
+
+@given(
+    data=st.data(),
+    pool=frame_label_pool(),
+    thr=st.sampled_from([0.0, 0.1, 0.5]),
+)
+@settings(max_examples=400, deadline=None)
+def test_match_equals_all_pairs_reference(data, pool, thr):
+    preds = data.draw(st.lists(st.sampled_from(pool), max_size=12))
+    gts = data.draw(st.lists(st.sampled_from(pool), max_size=12))
+    assert match_detections(preds, gts, thr) == all_pairs_match(preds, gts, thr)
+
+
+def test_evaluate_scales_linearly_in_frames():
+    # 1,000 frames x 8 stacks. Scanning all ground truth for every prediction
+    # is 64 M comparisons and takes seconds; grouping by frame and label keeps
+    # it well under the bound. A gate: if it gets close, make the code faster.
+    gts, preds = [], []
+    for frame in range(1000):
+        for k in range(8):
+            x = 60.0 * k
+            gts.append(Box(x, 0.0, x + 40.0, 40.0, frame_id=frame))
+            if (frame + k) % 10:
+                preds.append(Box(x + 2.0, 1.0, x + 42.0, 41.0, 0.5 + k / 20, frame_id=frame))
+    tic = time.perf_counter()
+    m = evaluate(preds, gts)
+    elapsed = time.perf_counter() - tic
+    assert m.counts == ConfusionCounts(tp=7200, fp=0, fn=800)
+    assert elapsed < 1.0
 
 
 # --- metrics --------------------------------------------------------------
