@@ -211,10 +211,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     try:
         return args.func(args)
-    except (ConfigInvalid, MalformedFaultScript, MalformedBoxFile) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ConfigInvalid, MalformedFaultScript, MalformedBoxFile, OSError) as exc:
+        # A reader names its unreadable input; an OSError is an unwritable output.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (InterlockViolation, SimulationStuck) as exc:

@@ -298,6 +298,8 @@ class CellConfig:
             data = json.loads(path.read_text())
         except FileNotFoundError:
             raise ConfigInvalid(str(path), "config file not found")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigInvalid(str(path), f"cannot read config file: {exc}")
         except json.JSONDecodeError as exc:
             raise ConfigInvalid(str(path), f"invalid JSON: {exc}")
         if not isinstance(data, dict):

@@ -1,20 +1,21 @@
-"""Device bank: suction lines, linear actuators, rangefinders, and faults.
+"""Device bank: suction lines, linear actuators, rangefinders, and fault scripts.
 
 All device dynamics are piecewise linear, so the bank never ticks: every
 command computes its threshold crossing or completion time in closed form
 and returns it with the machine event that will fire then (or None when
 nothing will). The runtime queues that event on its own timeline, decides
 whether a later command superseded it, and calls ``apply`` when it comes
-due. ``now`` is the runtime's clock at the moment of a command. The bank
-enforces the two safety interlocks itself: it refuses to extend the cutter
-before every bottom line is secured, or a pusher while the door is not
-fully open and at rest.
+due. The bank keeps no clock: each command takes the runtime's ``now``. The
+bank enforces the two safety interlocks itself: it refuses to extend the
+cutter before every bottom line is secured, or a pusher while the door is
+not fully open and at rest. Its sensor noise comes from the config's
+:class:`FaultConfig`.
 
-Fault injection is two-layered: the config's :class:`FaultConfig` gives
-stochastic per-action failure probabilities, and a :class:`FaultScript` pins
-specific (action, context) occurrences to fixed outcomes. Script entries are
-consumed in file order, first match wins, and always take precedence over
-the dice.
+Fault injection is two-layered: :class:`FaultConfig` gives stochastic
+per-action failure probabilities, and a :class:`FaultScript` pins specific
+(action, context) occurrences to fixed outcomes. Script entries are consumed
+in file order, first match wins, and always take precedence over the dice,
+which the runtime rolls.
 """
 
 from __future__ import annotations
@@ -129,6 +130,8 @@ class FaultScript:
             data = json.loads(p.read_text())
         except FileNotFoundError:
             raise MalformedFaultScript(str(p), None, "file not found")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise MalformedFaultScript(str(p), None, f"cannot read: {exc}")
         except json.JSONDecodeError as exc:
             raise MalformedFaultScript(str(p), None, f"invalid JSON: {exc}")
         return cls.from_dict(data, path=str(p))
@@ -138,35 +141,6 @@ class FaultScript:
             "version": SCRIPT_VERSION,
             "entries": [{"when": e.when, "outcome": e.outcome} for e in self.entries],
         }
-
-
-class FaultInjector:
-    """Single decision point for every fallible action in a run."""
-
-    def __init__(
-        self,
-        profile: FaultConfig,
-        rng: np.random.Generator,
-        script: Optional[FaultScript] = None,
-    ):
-        self.profile = profile
-        self.rng = rng
-        self.script = script
-
-    def decide(self, action: str, context: Dict[str, Any], prob: float = 0.0) -> str:
-        """Outcome for one action occurrence: scripted first, then dice."""
-        scripted = self.scripted(action, context)
-        if scripted is not None:
-            return scripted
-        if prob > 0.0 and self.rng.random() < prob:
-            return "fail"
-        return "ok"
-
-    def scripted(self, action: str, context: Dict[str, Any]) -> Optional[str]:
-        """Scripted outcome for this occurrence, or None; never rolls dice."""
-        if self.script is None:
-            return None
-        return self.script.consume({"action": action, **context})
 
 
 # --- analog/timed devices -------------------------------------------------
@@ -211,7 +185,6 @@ class _Segment:
 
 @dataclass
 class SuctionLine:
-    name: str
     secured: bool = False
     segment: _Segment = field(default_factory=lambda: _Segment(0.0, 0.0, 0.0, 0.0))
 
@@ -223,11 +196,9 @@ class SuctionLine:
 class Actuator:
     """Linear actuator with normalized position 0 (retracted) .. 1 (extended)."""
 
-    name: str
     travel_s: float
     position: float = 0.0
     moving: bool = False
-    stalled: bool = False
 
 
 # A device command's closed-form outcome: when its event fires, and the event.
@@ -240,25 +211,24 @@ class DeviceBank:
     def __init__(
         self,
         devcfg: DeviceConfig,
-        injector: FaultInjector,
+        faults: FaultConfig,
         occupied_distance_cm: float = 5.0,
         empty_distance_cm: float = 30.0,
     ):
         self.cfg = devcfg
-        self.injector = injector
+        self.faults = faults
         self.occupied_distance_cm = occupied_distance_cm
         self.empty_distance_cm = empty_distance_cm
-        self.now = 0.0
 
-        self.suction: Dict[str, SuctionLine] = {"gripper": SuctionLine("gripper")}
+        self.suction: Dict[str, SuctionLine] = {"gripper": SuctionLine()}
         self.actuators: Dict[str, Actuator] = {
-            "door": Actuator("door", devcfg.door_travel_s),
-            "swing": Actuator("swing", devcfg.swing_travel_s),
-            "cutter": Actuator("cutter", devcfg.cutter_traverse_s),
+            "door": Actuator(devcfg.door_travel_s),
+            "swing": Actuator(devcfg.swing_travel_s),
+            "cutter": Actuator(devcfg.cutter_traverse_s),
         }
         for i in range(ENCLOSURE_COUNT):
-            self.suction[f"bottom_{i}"] = SuctionLine(f"bottom_{i}")
-            self.actuators[f"pusher_{i}"] = Actuator(f"pusher_{i}", devcfg.pusher_travel_s)
+            self.suction[f"bottom_{i}"] = SuctionLine()
+            self.actuators[f"pusher_{i}"] = Actuator(devcfg.pusher_travel_s)
 
     def apply(self, event: orc.Event) -> None:
         """Update the line or actuator ``event`` concerns, as it comes due."""
@@ -268,7 +238,6 @@ class DeviceBank:
         act = self.actuators[event.device]
         act.moving = False
         if isinstance(event, orc.ActStalled):
-            act.stalled = True
             act.position = 0.5
         else:
             act.position = 1.0 if event.op == "extend" else 0.0
@@ -279,23 +248,21 @@ class DeviceBank:
         # Crosses the secure threshold exactly at the configured ramp time.
         return abs(self.cfg.secure_threshold_kpa) / self.cfg.ramp_to_secure_s
 
-    def open_valve(self, name: str, mode: SuctionMode = SuctionMode.SEAL) -> Due:
+    def open_valve(self, name: str, now: float, mode: SuctionMode = SuctionMode.SEAL) -> Due:
         line = self.suction[name]
-        p_now = line.pressure_at(self.now)
         target = (
             self.cfg.vacuum_level_kpa if mode is SuctionMode.SEAL else self.cfg.leak_level_kpa
         )
-        line.segment = _Segment(self.now, p_now, -self._ramp_rate(), target)
+        line.segment = _Segment(now, line.pressure_at(now), -self._ramp_rate(), target)
         if not line.secured:
             t_cross = line.segment.crossing_time(self.cfg.secure_threshold_kpa)
             if t_cross is not None:
                 return t_cross, orc.SuctionSecured(device=name)
         return None
 
-    def close_valve(self, name: str) -> Due:
+    def close_valve(self, name: str, now: float) -> Due:
         line = self.suction[name]
-        p_now = line.pressure_at(self.now)
-        line.segment = _Segment(self.now, p_now, self._ramp_rate(), 0.0)
+        line.segment = _Segment(now, line.pressure_at(now), self._ramp_rate(), 0.0)
         if line.secured:
             t_cross = line.segment.crossing_time(self.cfg.secure_threshold_kpa)
             if t_cross is not None:
@@ -305,7 +272,9 @@ class DeviceBank:
 
     # -- actuator commands -------------------------------------------------
 
-    def command(self, name: str, op: str, stall: bool = False) -> Tuple[float, orc.Event]:
+    def command(
+        self, name: str, op: str, now: float, stall: bool = False
+    ) -> Tuple[float, orc.Event]:
         """Start an actuator move; returns its completion (or stall)."""
         if op not in ("extend", "retract"):
             raise ValueError(f"unknown actuator op {op!r}")
@@ -313,11 +282,10 @@ class DeviceBank:
             self._interlock(name)
         act = self.actuators[name]
         act.moving = True
-        act.stalled = False
         if stall:
-            t_stall = self.now + act.travel_s + self.cfg.actuator_stall_margin_s
+            t_stall = now + act.travel_s + self.cfg.actuator_stall_margin_s
             return t_stall, orc.ActStalled(device=name, op=op)
-        return self.now + act.travel_s, orc.ActDone(device=name, op=op)
+        return now + act.travel_s, orc.ActDone(device=name, op=op)
 
     def _interlock(self, name: str) -> None:
         """Refuse to extend the cutter or a pusher while it would be unsafe."""
@@ -335,14 +303,14 @@ class DeviceBank:
     def read_distance(self, occupied: bool, rng: np.random.Generator) -> float:
         """Ultrasonic distance to the nearest face inside an enclosure, in cm."""
         base = self.occupied_distance_cm if occupied else self.empty_distance_cm
-        sigma = self.injector.profile.ultrasonic_noise_sigma_cm
+        sigma = self.faults.ultrasonic_noise_sigma_cm
         if sigma > 0.0:
             base += float(rng.normal(0.0, sigma))
         return max(0.0, base)
 
-    def read_pressure(self, name: str, rng: np.random.Generator) -> float:
-        p = self.suction[name].pressure_at(self.now)
-        sigma = self.injector.profile.pressure_noise_sigma_kpa
+    def read_pressure(self, name: str, now: float, rng: np.random.Generator) -> float:
+        p = self.suction[name].pressure_at(now)
+        sigma = self.faults.pressure_noise_sigma_kpa
         if sigma > 0.0:
             p += float(rng.normal(0.0, sigma))
         return p

@@ -320,12 +320,12 @@ class OrcState:
     secured: frozenset = frozenset()
     # (enclosure, stack) pairs for stacks currently seated in enclosures
     occupants: Tuple[Tuple[int, int], ...] = ()
+    # enclosures whose cut bag went to the bin, so the pushers extend them
     unbagged: frozenset = frozenset()
-    jammed: frozenset = frozenset()
     stalled: frozenset = frozenset()
-    removal_queue: Tuple[int, ...] = ()
+    # the bag being removed, as an index into ``occupants`` (which holds still
+    # from the cut to delivery verification); 0 outside removal
     removal_idx: int = 0
-    push_targets: frozenset = frozenset()
     push_pending: frozenset = frozenset()
     verify_idx: int = 0
 
@@ -431,7 +431,10 @@ def _open_bottom_valves(state: OrcState, slots_to_open) -> List[Action]:
 
 
 def _next_bag(state: OrcState, actions: List[Action]) -> Tuple[OrcState, List[Action]]:
-    enc = state.removal_queue[state.removal_idx]
+    """Start removing the bag at ``removal_idx``, or enter delivery once none is left."""
+    if state.removal_idx == len(state.occupants):
+        return _enter_delivery(state, actions)
+    enc = state.occupants[state.removal_idx][0]
     state = _r(state, sub=Sub.REM_APPROACH, remove_attempt=0)
     actions = actions + [
         Publish(topic="removing_bag", payload={"enclosure": enc, "cycle": state.cycle}),
@@ -439,16 +442,6 @@ def _next_bag(state: OrcState, actions: List[Action]) -> Tuple[OrcState, List[Ac
         Move(tag="rem_approach", dest=("rem", "approach")),
     ]
     return state, actions
-
-
-def _advance_removal(
-    state: OrcState, params: OrcParams, actions: List[Action]
-) -> Tuple[OrcState, List[Action]]:
-    nxt = state.removal_idx + 1
-    state = _r(state, removal_idx=nxt)
-    if nxt < len(state.removal_queue):
-        return _next_bag(state, actions)
-    return _enter_delivery(state, actions)
 
 
 def _enter_delivery(state: OrcState, actions: List[Action]) -> Tuple[OrcState, List[Action]]:
@@ -459,7 +452,7 @@ def _enter_delivery(state: OrcState, actions: List[Action]) -> Tuple[OrcState, L
         Command(device="door", op="extend"),
         Move(tag="park_home", dest=("home_via_mid",)),
     ]
-    return _r(state, sub=Sub.DOOR_OPENING), actions
+    return _r(state, sub=Sub.DOOR_OPENING, removal_idx=0), actions
 
 
 def _enter_reset(
@@ -480,11 +473,7 @@ def _enter_reset(
         sub=Sub.RESETTING,
         occupants=(),
         unbagged=frozenset(),
-        jammed=frozenset(),
         stalled=frozenset(),
-        removal_queue=(),
-        removal_idx=0,
-        push_targets=frozenset(),
         push_pending=frozenset(),
         verify_idx=0,
     )
@@ -492,10 +481,6 @@ def _enter_reset(
         PhaseMark(phase="resetting", edge="start"),
         StartTimer(tag="reset", seconds=params.reset_settle_s),
     ]
-
-
-def _current_removal_enc(state: OrcState) -> int:
-    return state.removal_queue[state.removal_idx]
 
 
 # --- the transition function ---------------------------------------------
@@ -757,19 +742,14 @@ def _secure_timed_out(state, event, params):
 
 
 def _cut(state, event, params):
-    occ = _occ(state)
-    queue = tuple(sorted(occ))
     actions: List[Action] = [
-        SetPackaging(stacks=tuple(occ[e] for e in queue), packaging="cut"),
+        SetPackaging(stacks=tuple(sid for _, sid in state.occupants), packaging="cut"),
         PhaseMark(phase="cutting", edge="end"),
         Publish(topic="cutting_complete", payload={"cycle": state.cycle}),
         PhaseMark(phase="removal", edge="start"),
         Command(device="swing", op="retract"),
         Command(device="cutter", op="retract"),
     ]
-    state = _r(state, removal_queue=queue, removal_idx=0)
-    if not queue:
-        return _enter_delivery(state, actions)
     return _next_bag(state, actions)
 
 
@@ -778,13 +758,13 @@ def _descend(state, event, params):
 
 
 def _rem_grip(state, event, params):
-    enc = _current_removal_enc(state)
+    enc, sid = state.occupants[state.removal_idx]
     state = _r(state, sub=Sub.REM_GRIPPING, remove_attempt=state.remove_attempt + 1)
     return state, [
         OpenValve(
             device="gripper",
             fault_action="remove",
-            ctx=_ctx(state, enclosure=enc, stack=_occ(state)[enc], attempt=state.remove_attempt),
+            ctx=_ctx(state, enclosure=enc, stack=sid, attempt=state.remove_attempt),
         ),
         StartTimer(tag="grip_timeout", seconds=params.grip_timeout_s),
     ]
@@ -798,17 +778,16 @@ def _lift(state, event, params):
 
 
 def _rem_grip_timed_out(state, event, params):
-    enc = _current_removal_enc(state)
     actions: List[Action] = [CloseValve(device="gripper")]
     if state.remove_attempt < params.remove_attempts:
         state = _r(state, sub=Sub.REM_RESEAT)
         return state, actions + [Move(tag="rem_reseat", dest=("rem", "reseat"))]
-    # Bag stuck on this enclosure: leave it jammed and move on.
-    sid = _occ(state)[enc]
+    # Bag stuck on this enclosure: leave it on (never unbagged, so never
+    # pushed) and move on.
+    enc, sid = state.occupants[state.removal_idx]
     actions.append(Note(text="bag_stuck", data={"enclosure": enc, "stack": sid}))
     actions.append(MarkOutcome(kind="remove_failed", stack=sid, enclosure=enc))
-    state = _r(state, jammed=state.jammed | {enc})
-    return _advance_removal(state, params, actions)
+    return _next_bag(_r(state, removal_idx=state.removal_idx + 1), actions)
 
 
 def _to_bin(state, event, params):
@@ -816,8 +795,7 @@ def _to_bin(state, event, params):
 
 
 def _drop_bag(state, event, params):
-    enc = _current_removal_enc(state)
-    sid = _occ(state)[enc]
+    enc, sid = state.occupants[state.removal_idx]
     state = _r(state, sub=Sub.REM_RELEASE, unbagged=state.unbagged | {enc})
     return state, [
         CloseValve(device="gripper"),
@@ -827,7 +805,7 @@ def _drop_bag(state, event, params):
 
 
 def _bag_dropped(state, event, params):
-    return _advance_removal(state, params, [])
+    return _next_bag(_r(state, removal_idx=state.removal_idx + 1), [])
 
 
 def _door_opened(state, event, params):
@@ -839,11 +817,12 @@ def _door_opened(state, event, params):
 
 
 def _push(state, event, params):
+    # Every unbagged enclosure is still occupied: occupants change again
+    # only when verification confirms a delivery.
     occ = _occ(state)
-    targets = frozenset(e for e in occ if e in state.unbagged and e not in state.jammed)
-    state = _r(state, sub=Sub.PUSHING, push_targets=targets, push_pending=targets)
+    state = _r(state, sub=Sub.PUSHING, push_pending=state.unbagged)
     actions: List[Action] = []
-    for e in sorted(targets):
+    for e in sorted(state.unbagged):
         actions.append(
             Command(
                 device=f"pusher_{e}",
@@ -852,7 +831,7 @@ def _push(state, event, params):
                 ctx=_ctx(state, enclosure=e, stack=occ[e]),
             )
         )
-    if not targets:
+    if not state.unbagged:
         state = _r(state, sub=Sub.PUSH_HOLD)
         actions.append(StartTimer(tag="push_hold", seconds=params.push_hold_s))
     return state, actions
@@ -898,7 +877,7 @@ def _enclosure_read(state, event, params):
         state = _occ_remove(state, e)
         actions.append(MarkOutcome(kind="delivered", stack=sid, enclosure=e))
         actions.append(SetStack(stack=sid, state="delivered"))
-    elif event.present and e in state.push_targets and e not in state.stalled:
+    elif event.present and e in state.unbagged and e not in state.stalled:
         sid = occ.get(e, -1)
         actions.append(Note(text="delivery_not_confirmed", data={"enclosure": e, "stack": sid}))
         actions.append(MarkOutcome(kind="verify_failed", stack=sid, enclosure=e))
@@ -906,7 +885,7 @@ def _enclosure_read(state, event, params):
     state = _r(state, verify_idx=nxt)
     if nxt < params.slots:
         return state, actions + [StartTimer(tag="dverify", seconds=params.delivery_verify_s)]
-    extended = sorted(state.push_targets | state.stalled)
+    extended = sorted(state.unbagged | state.stalled)
     if not extended:
         state = _r(state, sub=Sub.RETRACT_SETTLE)
         return state, actions + [StartTimer(tag="retract_settle", seconds=params.door_settle_s)]
@@ -921,7 +900,7 @@ def _retracted(state, event, params):
         return state, []
     e = int(event.device.split("_")[1])
     pending = state.push_pending - {e}
-    state = _r(state, push_pending=pending, stalled=state.stalled - {e})
+    state = _r(state, push_pending=pending)
     if pending:
         return state, []
     state = _r(state, sub=Sub.RETRACT_SETTLE)

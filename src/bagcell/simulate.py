@@ -3,13 +3,14 @@
 The simulation owns the clock, the one event heap, the world, the device
 bank, the bus and the tracer. It feeds events to ``orchestrator.transition``
 and executes the returned actions: resolving move geometry into profile
-durations, taking synthetic camera frames, consulting the fault injector,
-mutating the world, and scheduling timers. The event a device command
-returns joins the same heap at rank 0, so it wins ties: it is applied to the
-bank and traced, then re-queued at rank 1, behind everything already due at
-that instant. Every timer start or cancel and every device command bumps
-one epoch map, keyed by timer tag or device name; a popped entry whose
-epoch is behind was superseded and is dropped.
+durations, taking synthetic camera frames, deciding each fallible action
+(fault script first, then the seeded dice), mutating the world, and
+scheduling timers. The event a device command returns joins the same heap
+at rank 0, so it wins ties: it is applied to the bank and traced, then
+re-queued at rank 1, behind everything already due at that instant. Every
+timer start or cancel and every device command bumps one epoch map, keyed
+by timer tag or device name; a popped entry whose epoch is behind was
+superseded and is dropped.
 
 Nothing here reads a wall clock and all randomness flows through one seeded
 generator, so a given (config, seed, script) triple always produces the same
@@ -93,10 +94,10 @@ class Simulation:
         self.test_index = test_index
         self.rng = np.random.Generator(np.random.PCG64(self.seed))
         self.world: World = build_world(config)
-        self.injector = dv.FaultInjector(config.faults, self.rng, script)
+        self.script = script
         self.bank = dv.DeviceBank(
             config.devices,
-            self.injector,
+            config.faults,
             occupied_distance_cm=config.layout.occupied_distance_cm,
             empty_distance_cm=config.layout.back_wall_cm,
         )
@@ -124,7 +125,6 @@ class Simulation:
         self.pending_target: Optional[Tuple[float, float, float]] = None
 
         self._seated: Dict[int, bool] = {}
-        self._pushed_out: set[int] = set()
 
     # -- event plumbing ----------------------------------------------------
 
@@ -172,7 +172,7 @@ class Simulation:
                 )
                 self._push(time, event)
                 continue
-            self.now = self.bank.now = time
+            self.now = time
             self._dispatch(event)
         return summarize_run(self.tracer.records, self.test_index, self.seed, self.now)
 
@@ -287,7 +287,7 @@ class Simulation:
             )
             return
         leftmost = min(pickable, key=lambda s: (s.col, s.id)).id
-        scripted = self.injector.scripted("detect", due.ctx)
+        scripted = self._scripted("detect", due.ctx)
         force_miss = scripted == "fail"
         obs = observe(
             self.world,
@@ -339,7 +339,7 @@ class Simulation:
         ctx.pop("attempt", None)
 
         def forced(attempt: int) -> Optional[bool]:
-            out = self.injector.scripted("plan", {**ctx, "attempt": attempt})
+            out = self._scripted("plan", {**ctx, "attempt": attempt})
             if out is None:
                 return None
             return out == "ok"
@@ -365,17 +365,29 @@ class Simulation:
 
     # -- devices -----------------------------------------------------------
 
+    def _scripted(self, action: str, ctx: Dict[str, Any]) -> Optional[str]:
+        """The fault script's outcome for this occurrence, or None; never rolls dice."""
+        if self.script is None:
+            return None
+        return self.script.consume({"action": action, **ctx})
+
     def _decide(self, action: str, action_ctx: Dict[str, Any]) -> str:
-        """Outcome of one fallible action occurrence, traced as a fault decision."""
+        """Outcome of one fallible action occurrence, traced as a fault decision.
+
+        A script entry wins; otherwise the dice roll, once, only if the
+        action can fail at all.
+        """
         ctx = {**action_ctx, "test": self.test_index}
         source = {}
         if action == "pick" and "stack" not in ctx:
             # Suction on a phantom detection can never seal.
             outcome, source = "fail", {"source": "phantom"}
         else:
-            prob_name = _FAULT_PROBS.get(action)
-            prob = getattr(self.injector.profile, prob_name) if prob_name else 0.0
-            outcome = self.injector.decide(action, ctx, prob)
+            outcome = self._scripted(action, ctx)
+            if outcome is None:
+                prob_name = _FAULT_PROBS.get(action)
+                prob = getattr(self.config.faults, prob_name) if prob_name else 0.0
+                outcome = "fail" if prob > 0.0 and self.rng.random() < prob else "ok"
         self.tracer.record(
             "fault_decision",
             self.now,
@@ -396,11 +408,11 @@ class Simulation:
             self.now,
             {"device": action.device, "op": "open", "mode": mode.value},
         )
-        self._supersede(action.device, self.bank.open_valve(action.device, mode))
+        self._supersede(action.device, self.bank.open_valve(action.device, self.now, mode))
 
     def _close_valve(self, action: orc.CloseValve) -> None:
         self.tracer.record("device_cmd", self.now, {"device": action.device, "op": "close"})
-        self._supersede(action.device, self.bank.close_valve(action.device))
+        self._supersede(action.device, self.bank.close_valve(action.device, self.now))
 
     def _command(self, action: orc.Command) -> None:
         fault = action.fault_action
@@ -408,16 +420,16 @@ class Simulation:
         self.tracer.record(
             "device_cmd", self.now, {"device": action.device, "op": action.op}
         )
-        self._supersede(action.device, self.bank.command(action.device, action.op, stall))
-        if action.device.startswith("pusher_") and action.op == "extend" and not stall:
-            self._pushed_out.add(int(action.device.split("_")[1]))
+        due = self.bank.command(action.device, action.op, self.now, stall)
+        self._supersede(action.device, due)
 
     def _read_ultrasonic(self, action: orc.ReadUltrasonic) -> None:
         enclosure = action.enclosure
-        enc = self.world.enclosures[enclosure]
+        # A pusher at full stroke has pushed its stack out. Every read comes
+        # while the pushers are at rest, so the stroke is never mid-travel.
         physically_present = (
-            enc.occupant is not None
-            and enclosure not in self._pushed_out
+            self.world.enclosures[enclosure].occupant is not None
+            and self.bank.actuators[f"pusher_{enclosure}"].position != 1.0
             and self._seated.get(enclosure, True)
         )
         present = self.bank.presence(physically_present, self.rng)
@@ -486,7 +498,6 @@ class Simulation:
         )
         if action.phase == "resetting" and action.edge == "start":
             self._seated.clear()
-            self._pushed_out.clear()
 
     _EXECUTORS = {
         orc.Publish: _publish,

@@ -29,11 +29,12 @@ class EmptyGroundTruth(ValueError):
 
 
 class MalformedBoxFile(ValueError):
-    def __init__(self, path: str, line_no: int, reason: str):
+    def __init__(self, path: str, line_no: Optional[int], reason: str):
         self.path = path
         self.line_no = line_no
         self.reason = reason
-        super().__init__(f"{path}:{line_no}: {reason}")
+        where = path if line_no is None else f"{path}:{line_no}"
+        super().__init__(f"{where}: {reason}")
 
 
 @dataclass(frozen=True)
@@ -394,7 +395,10 @@ def save_boxes(path: str | Path, boxes: Iterable[Box]) -> None:
 def load_boxes(path: str | Path) -> List[Box]:
     out: List[Box] = []
     isfinite = math.isfinite
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedBoxFile(str(path), None, f"cannot read: {exc}")
     for line_no, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts or parts[0].startswith("#"):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from bagcell.config import CellConfig, FaultConfig
-from bagcell.devices import DeviceBank, FaultInjector, FaultScript
+from bagcell.devices import DeviceBank, FaultScript
 from bagcell.motion import plan_profile
 from bagcell.report import (
     audit_interlocks,
@@ -209,10 +209,9 @@ def test_hardware_measured_quantities_are_config_noise_knobs():
     assert missed < 40 * len(clean.ground_truth)
 
     def pressure_spread(profile):
-        bank = DeviceBank(cfg.devices, FaultInjector(profile, np.random.default_rng(3)))
-        bank.open_valve("gripper")
-        bank.now = 1.0
-        draws = [bank.read_pressure("gripper", np.random.default_rng(3 + i))
+        bank = DeviceBank(cfg.devices, profile)
+        bank.open_valve("gripper", 0.0)
+        draws = [bank.read_pressure("gripper", 1.0, np.random.default_rng(3 + i))
                  for i in range(200)]
         return float(np.std(draws))
 

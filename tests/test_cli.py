@@ -180,6 +180,34 @@ def test_malformed_box_file_is_a_usage_error(tmp_path, capsys):
     assert "gt.txt:1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--cycles", "1", "--config", "{a_dir}"],
+        ["run", "--cycles", "1", "--config", "{latin1}"],
+        ["run", "--cycles", "1", "--fault-script", "{a_dir}"],
+        ["run", "--cycles", "1", "--fault-script", "{latin1}"],
+        ["eval", "--preds", "{a_dir}", "--gts", "{a_dir}"],
+        ["eval", "--preds", "{latin1}", "--gts", "{latin1}"],
+        ["run", "--cycles", "1", "--outdir", "{latin1}"],  # a file, not a directory
+        ["dump-config", "--out", "{a_dir}"],
+    ],
+    ids=["config-dir", "config-latin1", "script-dir", "script-latin1",
+         "preds-dir", "preds-latin1", "outdir-file", "out-dir"],
+)
+def test_unreadable_input_or_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
+    paths = {"a_dir": tmp_path / "a_dir", "latin1": tmp_path / "latin1.txt"}
+    paths["a_dir"].mkdir()
+    paths["latin1"].write_bytes(b"\xff\xfe caf\xe9\n")  # not UTF-8 text
+    argv = [arg.format(**paths) for arg in argv]
+    named = next(arg for arg in argv if arg.startswith(str(tmp_path)))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(lines) == 1 and named in lines[0]
+    assert "Traceback" not in err
+
+
 def test_usage_errors_exit_one(capsys):
     assert main(["run", "--no-such-flag"]) == 1
     assert main([]) == 1

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from bagcell.config import DeviceConfig, FaultConfig
+from bagcell.config import CellConfig, DeviceConfig, FaultConfig
 from bagcell.devices import (
     DeviceBank,
-    FaultInjector,
     FaultScript,
     InterlockViolation,
     MalformedFaultScript,
@@ -12,18 +11,18 @@ from bagcell.devices import (
     SuctionMode,
 )
 from bagcell.orchestrator import ActDone, ActStalled, SuctionLost, SuctionSecured
+from bagcell.simulate import Simulation
 
 
-def make_bank(profile=None, script=None, seed=0):
-    injector = FaultInjector(profile or FaultConfig(), np.random.default_rng(seed), script)
-    return DeviceBank(DeviceConfig(), injector)
+def make_bank(profile=None):
+    return DeviceBank(DeviceConfig(), profile or FaultConfig())
 
 
 def settle(bank, due):
-    """Advance the bank's clock to a returned event and apply it."""
+    """Apply a returned event; returns the time it came due."""
     time, event = due
-    bank.now = time
     bank.apply(event)
+    return time
 
 
 # --- suction ramps --------------------------------------------------------
@@ -31,7 +30,7 @@ def settle(bank, due):
 
 def test_seal_crosses_threshold_at_ramp_time():
     bank = make_bank()
-    time, event = bank.open_valve("gripper", SuctionMode.SEAL)
+    time, event = bank.open_valve("gripper", 0.0, SuctionMode.SEAL)
     assert time == pytest.approx(0.5)
     assert event == SuctionSecured(device="gripper")
     assert not bank.suction["gripper"].secured
@@ -41,7 +40,7 @@ def test_seal_crosses_threshold_at_ramp_time():
 
 def test_seal_pressure_trajectory():
     bank = make_bank()
-    bank.open_valve("gripper", SuctionMode.SEAL)
+    bank.open_valve("gripper", 0.0, SuctionMode.SEAL)
     line = bank.suction["gripper"]
     assert line.pressure_at(0.25) == pytest.approx(-15.0)
     assert line.pressure_at(1.0) == pytest.approx(-60.0)
@@ -50,16 +49,15 @@ def test_seal_pressure_trajectory():
 
 def test_leak_never_secures():
     bank = make_bank()
-    assert bank.open_valve("gripper", SuctionMode.LEAK) is None
+    assert bank.open_valve("gripper", 0.0, SuctionMode.LEAK) is None
     assert not bank.suction["gripper"].secured
     assert bank.suction["gripper"].pressure_at(10.0) == pytest.approx(-10.0)
 
 
 def test_vent_emits_lost_on_threshold_recross():
     bank = make_bank()
-    settle(bank, bank.open_valve("gripper"))
-    bank.now = 1.0
-    time, event = bank.close_valve("gripper")
+    settle(bank, bank.open_valve("gripper", 0.0))
+    time, event = bank.close_valve("gripper", 1.0)
     assert event == SuctionLost(device="gripper")
     # From -60 kPa at +60 kPa/s the -30 threshold is recrossed after 0.5 s.
     assert time == pytest.approx(1.5)
@@ -70,15 +68,14 @@ def test_vent_emits_lost_on_threshold_recross():
 
 def test_close_before_the_threshold_returns_nothing():
     bank = make_bank()
-    bank.open_valve("gripper")
-    bank.now = 0.2
-    assert bank.close_valve("gripper") is None  # never secured, nothing to lose
+    bank.open_valve("gripper", 0.0)
+    assert bank.close_valve("gripper", 0.2) is None  # never secured, nothing to lose
     assert not bank.suction["gripper"].secured
 
 
 def test_bottom_lines_ramp_in_parallel():
     bank = make_bank()
-    dues = [bank.open_valve(f"bottom_{i}") for i in range(8)]
+    dues = [bank.open_valve(f"bottom_{i}", 0.0) for i in range(8)]
     assert [time for time, _ in dues] == [pytest.approx(0.5)] * 8
     for due in dues:
         settle(bank, due)
@@ -90,14 +87,13 @@ def test_bottom_lines_ramp_in_parallel():
 
 def test_actuator_completes_at_travel_time():
     bank = make_bank()
-    time, event = bank.command("door", "extend")
+    time, event = bank.command("door", "extend", 0.0)
     assert bank.actuators["door"].moving
     assert (time, event) == (pytest.approx(2.0), ActDone(device="door", op="extend"))
     bank.apply(event)
     door = bank.actuators["door"]
     assert door.position == 1.0 and not door.moving
-    bank.now = time
-    time, event = bank.command("door", "retract")
+    time, event = bank.command("door", "retract", time)
     assert time == pytest.approx(4.0)
     bank.apply(event)
     assert door.position == 0.0 and not door.moving
@@ -105,47 +101,47 @@ def test_actuator_completes_at_travel_time():
 
 def test_actuator_stall_fires_late_and_sticks_midway():
     bank = make_bank()
-    bank.apply(bank.command("door", "extend")[1])  # pushers extend only through an open door
-    time, event = bank.command("pusher_3", "extend", stall=True)
+    bank.apply(bank.command("door", "extend", 0.0)[1])  # pushers extend only through an open door
+    time, event = bank.command("pusher_3", "extend", 0.0, stall=True)
     assert event == ActStalled(device="pusher_3", op="extend")
     assert time == pytest.approx(2.0 + 1.0)  # travel + stall margin
     bank.apply(event)
     act = bank.actuators["pusher_3"]
-    assert act.stalled and act.position == pytest.approx(0.5)
+    assert not act.moving and act.position == pytest.approx(0.5)
 
 
 def test_unknown_actuator_op_rejected():
     bank = make_bank()
     with pytest.raises(ValueError):
-        bank.command("door", "wiggle")
+        bank.command("door", "wiggle", 0.0)
 
 
 def test_cutter_refused_until_every_bottom_line_is_secured():
     bank = make_bank()
-    dues = [bank.open_valve(f"bottom_{i}") for i in range(8)]
+    dues = [bank.open_valve(f"bottom_{i}", 0.0) for i in range(8)]
     for due in dues[:7]:
         settle(bank, due)
     with pytest.raises(InterlockViolation, match=r"bottom lines \[7\] not secured"):
-        bank.command("cutter", "extend")
+        bank.command("cutter", "extend", 0.5)
     assert not bank.actuators["cutter"].moving
     settle(bank, dues[7])
-    bank.command("cutter", "extend")  # now allowed
-    bank.command("cutter", "retract")  # retracting is never refused
+    bank.command("cutter", "extend", 0.5)  # now allowed
+    bank.command("cutter", "retract", 0.5)  # retracting is never refused
 
 
 def test_pusher_refused_unless_the_door_is_open_and_at_rest():
     bank = make_bank()
     with pytest.raises(InterlockViolation, match="door not open"):
-        bank.command("pusher_0", "extend")
-    door_open = bank.command("door", "extend")
+        bank.command("pusher_0", "extend", 0.0)
+    door_open = bank.command("door", "extend", 0.0)
     with pytest.raises(InterlockViolation):  # still travelling
-        bank.command("pusher_0", "extend")
-    settle(bank, door_open)
-    bank.command("pusher_0", "extend")  # now allowed
-    bank.command("door", "retract")
+        bank.command("pusher_0", "extend", 1.0)
+    now = settle(bank, door_open)
+    bank.command("pusher_0", "extend", now)  # now allowed
+    bank.command("door", "retract", now)
     with pytest.raises(InterlockViolation):  # closing again
-        bank.command("pusher_1", "extend")
-    bank.command("pusher_0", "retract")  # retracting is never refused
+        bank.command("pusher_1", "extend", now)
+    bank.command("pusher_0", "retract", now)  # retracting is never refused
 
 
 # --- sensors --------------------------------------------------------------
@@ -163,10 +159,10 @@ def test_distance_and_presence_noise_free():
 def test_pressure_noise_sample_mean():
     profile = FaultConfig(pressure_noise_sigma_kpa=1.0)
     bank = make_bank(profile=profile)
-    bank.open_valve("gripper")
-    bank.now = 2.0  # steady at -60
+    bank.open_valve("gripper", 0.0)
     rng = np.random.default_rng(123)
-    samples = np.array([bank.read_pressure("gripper", rng) for _ in range(10_000)])
+    # At 2 s the line is steady at -60.
+    samples = np.array([bank.read_pressure("gripper", 2.0, rng) for _ in range(10_000)])
     assert abs(samples.mean() + 60.0) < 0.05
     assert abs(samples.std() - 1.0) < 0.05
 
@@ -244,36 +240,50 @@ def test_script_validation_errors(tmp_path):
         FaultScript.from_file(bad)
 
 
-# --- injector -------------------------------------------------------------
+# --- fault decisions (Simulation._decide) --------------------------------
+
+
+def decider(seed=0, script=None, pick_prob=0.0):
+    """A fresh run whose pick actions fail with ``pick_prob`` unless scripted."""
+    cfg = CellConfig()
+    cfg.faults.pick_grip_fail_prob = pick_prob
+    return Simulation(cfg, seed=seed, script=script)
+
+
+def decide_picks(sim, n):
+    return [sim._decide("pick", {"slot": i, "stack": i}) for i in range(n)]
+
+
+def fresh_draw(sim):
+    """The next draw of a new generator on ``sim``'s seed."""
+    return np.random.Generator(np.random.PCG64(sim.seed)).random()
 
 
 def test_injector_prob_zero_and_one():
-    inj = FaultInjector(FaultConfig(), np.random.default_rng(0))
-    assert all(inj.decide("pick", {"slot": i}, prob=0.0) == "ok" for i in range(20))
-    assert all(inj.decide("pick", {"slot": i}, prob=1.0) == "fail" for i in range(20))
+    sim = decider(pick_prob=0.0)
+    assert decide_picks(sim, 20) == ["ok"] * 20
+    assert sim.rng.random() == fresh_draw(sim)  # prob 0 rolls no dice
+    assert decide_picks(decider(pick_prob=1.0), 20) == ["fail"] * 20
 
 
 def test_injector_script_overrides_dice():
     script = FaultScript(entries=[ScriptEntry(when={"action": "pick", "slot": 0}, outcome="ok")])
-    inj = FaultInjector(FaultConfig(), np.random.default_rng(0), script)
-    assert inj.decide("pick", {"slot": 0}, prob=1.0) == "ok"
+    sim = decider(script=script, pick_prob=1.0)
+    assert sim._decide("pick", {"slot": 0, "stack": 0}) == "ok"
     # Script exhausted: the dice (prob 1) decide again.
-    assert inj.decide("pick", {"slot": 0}, prob=1.0) == "fail"
+    assert sim._decide("pick", {"slot": 0, "stack": 0}) == "fail"
 
 
 def test_injector_seeded_replay():
-    seqs = []
-    for _ in range(2):
-        inj = FaultInjector(FaultConfig(), np.random.default_rng(77))
-        seqs.append([inj.decide("pick", {"i": i}, prob=0.5) for i in range(30)])
+    seqs = [decide_picks(decider(seed=77, pick_prob=0.5), 30) for _ in range(2)]
     assert seqs[0] == seqs[1]
     assert set(seqs[0]) == {"ok", "fail"}
 
 
 def test_injector_scripted_never_rolls_dice():
     script = FaultScript(entries=[ScriptEntry(when={"action": "pick", "slot": 0}, outcome="fail")])
-    inj = FaultInjector(FaultConfig(), np.random.default_rng(0), script)
-    assert inj.scripted("pick", {"slot": 0}) == "fail"
-    assert inj.scripted("pick", {"slot": 1}) is None
+    sim = decider(script=script, pick_prob=0.5)
+    assert sim._decide("pick", {"slot": 0, "stack": 0}) == "fail"
+    assert sim._scripted("pick", {"slot": 1}) is None
     # The generator was not advanced: its next draw is a fresh generator's first.
-    assert inj.rng.random() == np.random.default_rng(0).random()
+    assert sim.rng.random() == fresh_draw(sim)

@@ -1,0 +1,39 @@
+"""Smoke tests: every script under scripts/ runs as its own process."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_robustness_sweep_finds_nothing():
+    out = run_script("robustness_sweep.py", "--cycles", "20")
+    assert "cycles=20 " in out
+    assert "audit findings: 0" in out.splitlines()
+
+
+def test_pacing_sweep_reproduces_the_reference_test_time():
+    out = run_script("pacing_sweep.py", "--detect", "15", "--plan", "4.5")
+    detect_s, plan_s, minutes = out.splitlines()[1].split()
+    assert (float(detect_s), float(plan_s)) == (15.0, 4.5)
+    assert float(minutes) == pytest.approx(8.3, abs=0.05)
+
+
+def test_make_reference_script_writes_the_shipped_file(tmp_path):
+    out = tmp_path / "campaign.json"
+    run_script("make_reference_script.py", "--out", str(out))
+    assert out.read_bytes() == (ROOT / "scenarios" / "reference_campaign.json").read_bytes()

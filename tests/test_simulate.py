@@ -76,14 +76,13 @@ def test_phase_durations_are_exact_when_fault_free():
 def test_every_action_and_device_event_type_is_dispatched():
     assert set(orc.Action.__subclasses__()) == set(Simulation._EXECUTORS)
     bank = Simulation(CellConfig()).bank
-    _, secured = bank.open_valve("gripper")
+    _, secured = bank.open_valve("gripper", 0.0)
     bank.apply(secured)
-    bank.now = 1.0  # well below the threshold, so closing must lose it
     returned = [
         secured,
-        bank.close_valve("gripper")[1],
-        bank.command("door", "extend")[1],
-        bank.command("door", "retract", stall=True)[1],
+        bank.close_valve("gripper", 1.0)[1],  # well below the threshold, so it is lost
+        bank.command("door", "extend", 1.0)[1],
+        bank.command("door", "retract", 1.0, stall=True)[1],
     ]
     assert {type(ev) for ev in returned} == set(DEVICE_EVENTS)
 
