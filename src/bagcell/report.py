@@ -99,10 +99,14 @@ def write_trace(path: str | Path, records: Sequence[TraceRecord]) -> None:
 
 def read_trace(path: str | Path) -> List[TraceRecord]:
     p = Path(path)
+    try:
+        text = p.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedTrace(str(p), None, f"cannot read: {exc}")
     out: List[TraceRecord] = []
     prev_seq = -1
     prev_time = 0.0
-    for line_no, raw in enumerate(p.read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
         try:

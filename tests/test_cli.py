@@ -1,6 +1,7 @@
 """Command-line interface tests, driven through main() in-process."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from bagcell.config import CellConfig
 from bagcell.devices import DeviceBank
 from bagcell.scenarios import REFERENCE_CAMPAIGN
 
+STAGE_RATES = Path(__file__).resolve().parent.parent / "scenarios" / "stage_rates.json"
 GT_LINES = "\n".join(
     f"0 stack 1.0 {100 + 200 * i} 100 {220 + 200 * i} 240" for i in range(4)
 )
@@ -95,6 +97,16 @@ def test_campaign_csv_table(tmp_path, capsys):
     header = capsys.readouterr().out.splitlines()[0]
     assert header.split(",") == ["Test", "Detected", "Picked", "Placed", "Time (min)"]
     assert (out / "table.csv").exists()
+
+
+def test_campaign_runs_on_the_shipped_stage_rate_profile(tmp_path, capsys):
+    out = tmp_path / "camp"
+    assert main(["campaign", "--config", str(STAGE_RATES), "--tests", "5",
+                 "--seed", "31415", "--outdir", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads((out / "report.json").read_text())
+    assert report["seed"] == 31415
+    assert [run["seed"] for run in report["tests"]] == list(range(31415, 31420))
 
 
 def test_replay_reproduces_reference_rates(tmp_path, capsys):

@@ -193,6 +193,17 @@ def test_trace_timestamp_that_is_not_a_number_is_malformed(tmp_path):
         assert info.value.line_no == 1
 
 
+@pytest.mark.parametrize("name", ["a_dir", "latin1.jsonl", "missing.jsonl"])
+def test_unreadable_trace_path_is_malformed(tmp_path, name):
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "latin1.jsonl").write_bytes(b"\xff\xfe caf\xe9\n")  # not UTF-8 text
+    path = tmp_path / name
+    with pytest.raises(MalformedTrace, match="cannot read") as info:
+        read_trace(path)
+    assert info.value.path == str(path)
+    assert info.value.line_no is None
+
+
 def test_large_trace_round_trip_is_fast(tmp_path):
     tracer = Tracer()
     for i in range(100_000):

@@ -1,4 +1,4 @@
-"""Tests for the canned reference campaign and the outcome-level model."""
+"""Tests for the canned reference campaign and the randomized fault profile."""
 
 import dataclasses
 import json
@@ -11,7 +11,6 @@ from bagcell.scenarios import (
     build_reference_script,
     randomized_fault_profile,
     reference_rates,
-    statistical_outcomes,
 )
 
 
@@ -66,34 +65,6 @@ def test_reference_script_failing_slots_sit_at_the_tail():
     assert by_test[6] == {6, 7}
     # Fully clean tests have no entries at all.
     assert 1 not in by_test and 4 not in by_test
-
-
-def test_statistical_outcomes_is_seeded():
-    a = statistical_outcomes(500, seed=33)
-    b = statistical_outcomes(500, seed=33)
-    c = statistical_outcomes(500, seed=34)
-    assert a == b
-    assert a != c
-    assert a.offered == 4000
-
-
-def test_statistical_outcomes_respects_stage_chain():
-    tally = statistical_outcomes(2000, seed=7)
-    assert tally.placed <= tally.picked <= tally.detected <= tally.offered
-
-
-def test_statistical_outcomes_hits_requested_rates():
-    tally = statistical_outcomes(5000, seed=21, detected_rate=0.9,
-                                 picked_rate=0.6, placed_rate=0.3)
-    assert tally.detected_rate == pytest.approx(0.9, abs=0.02)
-    assert tally.picked_rate == pytest.approx(0.6, abs=0.02)
-    assert tally.placed_rate == pytest.approx(0.3, abs=0.02)
-
-
-def test_statistical_outcomes_rejects_unorderable_rates():
-    with pytest.raises(ValueError):
-        statistical_outcomes(10, seed=0, detected_rate=0.5, picked_rate=0.8,
-                             placed_rate=0.1)
 
 
 def test_randomized_profile_is_stochastic_but_bounded():

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from bagcell.config import CellConfig
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -37,3 +39,14 @@ def test_make_reference_script_writes_the_shipped_file(tmp_path):
     out = tmp_path / "campaign.json"
     run_script("make_reference_script.py", "--out", str(out))
     assert out.read_bytes() == (ROOT / "scenarios" / "reference_campaign.json").read_bytes()
+
+
+def test_fit_stage_rates_writes_a_fault_override(tmp_path):
+    out = tmp_path / "stage_rates.json"
+    run_script("fit_stage_rates.py", "--cycles", "10", "--out", str(out))
+    fitted = CellConfig.from_file(out).to_dict()
+    default = CellConfig().to_dict()
+    fitted_faults, default_faults = fitted.pop("faults"), default.pop("faults")
+    assert fitted == default
+    changed = {k for k in default_faults if fitted_faults[k] != default_faults[k]}
+    assert changed == {"detection_miss_prob", "pick_grip_fail_prob", "place_drop_fail_prob"}
