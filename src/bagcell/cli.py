@@ -32,6 +32,7 @@ from bagcell.simulate import SimulationStuck, run_campaign, run_single
 from bagcell.vision import MalformedBoxFile, evaluate, load_boxes
 
 log = logging.getLogger(__name__)
+_UNMATCHED = "%d fault script entries were never matched"
 
 
 def _flag(hint: Any) -> Callable[[str], Any]:
@@ -74,8 +75,14 @@ def cmd_run(args) -> int:
     report, tracer = run_single(config, cycles=args.cycles, script=script)
     outdir = _outdir(args.outdir)
     write_trace(outdir / "trace.jsonl", tracer.records)
+    unconsumed = len(script.unconsumed()) if script else 0
+    if unconsumed:
+        log.warning(_UNMATCHED, unconsumed)
     campaign = summarize_campaign(
-        [report], seed=config.seed, digest=config_digest(config.to_json())
+        [report],
+        seed=config.seed,
+        digest=config_digest(config.to_json()),
+        unconsumed_script_entries=unconsumed,
     )
     (outdir / "report.json").write_text(campaign.to_json())
     print(
@@ -101,25 +108,26 @@ def cmd_campaign(args) -> int:
     if replay and script is None:
         o = config.orchestrator
         script = build_reference_script(o.detect_attempts, o.pick_attempts, o.place_attempts)
-    reports, tracers = run_campaign(config, args.tests, script=script)
+    outdir = _outdir(args.outdir)
+    reports = []
+    for i, (report, tracer) in enumerate(run_campaign(config, args.tests, script=script)):
+        write_trace(outdir / f"trace_{i:02d}.jsonl", tracer.records)
+        reports.append(report)
     unconsumed = len(script.unconsumed()) if script else 0
     if unconsumed and not replay:
-        log.warning("%d fault script entries were never matched", unconsumed)
+        log.warning(_UNMATCHED, unconsumed)
     campaign = summarize_campaign(
         reports,
         seed=config.seed,
         digest=config_digest(config.to_json()),
         unconsumed_script_entries=unconsumed,
     )
-    outdir = _outdir(args.outdir)
     (outdir / "report.json").write_text(campaign.to_json())
     ext = "csv" if args.table == "csv" else "md"
     (outdir / f"table.{ext}").write_text(render_table(campaign, args.table))
-    for i, tracer in enumerate(tracers):
-        write_trace(outdir / f"trace_{i:02d}.jsonl", tracer.records)
     print(render_table(campaign, args.table), end="")
     if unconsumed and replay:
-        log.error("%d fault script entries were never matched", unconsumed)
+        log.error(_UNMATCHED, unconsumed)
         return 2
     if any(r.violations for r in reports):
         log.error("%s finished with safety violations", args.command)

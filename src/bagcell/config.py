@@ -71,7 +71,7 @@ class LayoutConfig:
     stack_top_d_m: float = 0.15
     tote_front_y_m: float = -0.45
     tote_top_z_m: float = 0.30
-    enclosure_count: int = ENCLOSURE_COUNT
+    enclosure_count: int = ENCLOSURE_COUNT  # validate() pins it; kept for the config digest
     enclosure_first_x_m: float = -0.42
     enclosure_spacing_m: float = 0.12
     enclosure_y_m: float = 0.72
@@ -212,7 +212,7 @@ class CellConfig:
     devices: DeviceConfig = field(default_factory=DeviceConfig)
     faults: FaultConfig = field(default_factory=FaultConfig)
     orchestrator: OrchestratorConfig = field(default_factory=OrchestratorConfig)
-    extra_topics: list[str] = field(default_factory=list)
+    extra_topics: list[str] = field(default_factory=list)  # unread; kept for the config digest
 
     def validate(self) -> None:
         """Check each field's type and bound, then the rules that span fields."""

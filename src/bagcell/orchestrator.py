@@ -27,7 +27,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from bagcell.config import CellConfig
+from bagcell.config import ENCLOSURE_COUNT, CellConfig
 
 
 class Phase(enum.Enum):
@@ -160,10 +160,6 @@ class BusMsg(Event):
     topic: str
 
 
-# Topics the machine publishes and then waits to receive back as a BusMsg.
-AWAITED_TOPICS = frozenset({"ready_for_picking", "system_reset"})
-
-
 # --- actions (machine -> runtime) ----------------------------------------
 
 
@@ -269,7 +265,6 @@ class Note(Action):
 
 @dataclass(frozen=True)
 class OrcParams:
-    slots: int
     zones: int
     cycles: int
     detect_attempts: int
@@ -297,7 +292,6 @@ class OrcParams:
         o = config.orchestrator
         values = {**vars(config.devices), **vars(o.pacing), **vars(o)}
         values.update(
-            slots=config.layout.enclosure_count,
             zones=len(config.layout.zone_sizes),
             cycles=o.cycles_per_test if cycles is None else cycles,
         )
@@ -466,7 +460,7 @@ def _enter_reset(
             Note(text="reset_clearing_enclosure", data={"enclosure": enc, "stack": sid})
         )
         cleanup.append(SetStack(stack=sid, state="failed_unhandled"))
-    for i in range(params.slots):
+    for i in range(ENCLOSURE_COUNT):
         cleanup.append(CloseValve(device=f"bottom_{i}"))
     state = _r(
         state,
@@ -686,7 +680,7 @@ def _back_to_view(state, event, params):
 
 def _returned(state, event, params):
     next_slot = state.slot + 1
-    if next_slot < params.slots and not state.tote_done:
+    if next_slot < ENCLOSURE_COUNT and not state.tote_done:
         return _start_slot(state, next_slot)
     state = _r(state, sub=Sub.CUT_SWING, secure_attempt=0)
     return state, [
@@ -698,13 +692,13 @@ def _returned(state, event, params):
 
 def _secure_bags(state, event, params):
     state = _r(state, sub=Sub.CUT_SECURING, secure_attempt=1)
-    actions = _open_bottom_valves(state, range(params.slots))
+    actions = _open_bottom_valves(state, range(ENCLOSURE_COUNT))
     actions.append(StartTimer(tag="secure_timeout", seconds=params.grip_timeout_s))
     return state, actions
 
 
 def _bag_secured(state, event, params):
-    if not all(f"bottom_{i}" in state.secured for i in range(params.slots)):
+    if not all(f"bottom_{i}" in state.secured for i in range(ENCLOSURE_COUNT)):
         return state, []
     state = _r(state, sub=Sub.CUT_SLICING)
     return state, [
@@ -716,7 +710,7 @@ def _bag_secured(state, event, params):
 
 
 def _secure_timed_out(state, event, params):
-    missing = [i for i in range(params.slots) if f"bottom_{i}" not in state.secured]
+    missing = [i for i in range(ENCLOSURE_COUNT) if f"bottom_{i}" not in state.secured]
     if state.secure_attempt < params.secure_attempts:
         state = _r(state, secure_attempt=state.secure_attempt + 1)
         actions: List[Action] = [Note(text="secure_retry", data={"missing": missing})]
@@ -731,7 +725,7 @@ def _secure_timed_out(state, event, params):
         Publish(topic="fault", payload={"kind": "secure_exhausted", "missing": missing}),
         Note(text="cutting_aborted", data={"missing": missing}),
     ]
-    for i in range(params.slots):
+    for i in range(ENCLOSURE_COUNT):
         actions.append(CloseValve(device=f"bottom_{i}"))
     for enc, sid in sorted(occ.items()):
         actions += _fail_stack(sid, "cut_failed", enclosure=enc)
@@ -883,7 +877,7 @@ def _enclosure_read(state, event, params):
         actions.append(MarkOutcome(kind="verify_failed", stack=sid, enclosure=e))
     nxt = state.verify_idx + 1
     state = _r(state, verify_idx=nxt)
-    if nxt < params.slots:
+    if nxt < ENCLOSURE_COUNT:
         return state, actions + [StartTimer(tag="dverify", seconds=params.delivery_verify_s)]
     extended = sorted(state.unbagged | state.stalled)
     if not extended:

@@ -2,7 +2,7 @@
 
 A trace is an append-only JSONL stream: one record per line with a version
 tag, a globally monotone sequence number and a non-decreasing timestamp.
-Bus messages, device commands and events, fault decisions, phase marks and
+Published messages, device commands and events, fault decisions, phase marks and
 invariant violations all land in the same stream, so a trace alone is enough
 to audit interlock ordering after the fact, and to read the run's report.
 Reading a trace back checks each line's envelope and the payload fields those

@@ -1,16 +1,18 @@
 """Discrete-event runtime that executes the control machine.
 
 The simulation owns the clock, the one event heap, the world, the device
-bank, the bus and the tracer. It feeds events to ``orchestrator.transition``
-and executes the returned actions: resolving move geometry into profile
+bank and the tracer. It feeds events to ``orchestrator.transition`` and
+executes the returned actions: resolving move geometry into profile
 durations, taking synthetic camera frames, deciding each fallible action
 (fault script first, then the seeded dice), mutating the world, and
-scheduling timers. The event a device command returns joins the same heap
-at rank 0, so it wins ties: it is applied to the bank and traced, then
-re-queued at rank 1, behind everything already due at that instant. Every
-timer start or cancel and every device command bumps one epoch map, keyed
-by timer tag or device name; a popped entry whose epoch is behind was
-superseded and is dropped.
+scheduling timers. A publish is traced as a ``message`` numbered per topic;
+a topic in ``bus.TOPICS`` that the machine awaits comes back to it as a
+``BusMsg`` at the same instant. The event a device command returns joins
+the same heap at rank 0, so it wins ties: it is applied to the bank and
+traced, then re-queued at rank 1, behind everything already due at that
+instant. Every timer start or cancel and every device command bumps one
+epoch map, keyed by timer tag or device name; a popped entry whose epoch is
+behind was superseded and is dropped.
 
 Nothing here reads a wall clock and all randomness flows through one seeded
 generator, so a given (config, seed, script) triple always produces the same
@@ -21,13 +23,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from bagcell import devices as dv
 from bagcell import orchestrator as orc
-from bagcell.bus import Bus
+from bagcell.bus import TOPICS
 from bagcell.config import CellConfig
 from bagcell.motion import PlanFailure, leg_lengths, move_duration, plan_with_retries
 from bagcell.report import RunReport, Tracer, summarize_run
@@ -103,7 +105,7 @@ class Simulation:
         )
         self.camera = CameraModel.from_config(config.camera)
         self.tracer = Tracer()
-        self.bus = Bus(extra_topics=tuple(config.extra_topics), on_publish=self._on_publish)
+        self._topic_seq = dict.fromkeys(TOPICS, 0)
         self.params = orc.OrcParams.from_config(config, cycles)
         self.state = orc.initial_state()
 
@@ -143,13 +145,6 @@ class Simulation:
         epoch = self._epoch[key] = self._epoch.get(key, 0) + 1
         if due is not None:
             self._push(*due, guard=(key, epoch), rank=rank)
-
-    def _on_publish(self, msg) -> None:
-        self.tracer.record(
-            "message",
-            msg.time,
-            {"topic": msg.topic, "seq": msg.seq, "payload": msg.payload},
-        )
 
     # -- main loop ---------------------------------------------------------
 
@@ -193,9 +188,14 @@ class Simulation:
         executor(self, action)
 
     def _publish(self, action: orc.Publish) -> None:
-        self.bus.publish(action.topic, action.payload, self.now)
-        if action.topic in orc.AWAITED_TOPICS:
-            self._push(self.now, orc.BusMsg(topic=action.topic))
+        topic = action.topic
+        seq = self._topic_seq[topic]  # a topic outside TOPICS is a KeyError
+        self._topic_seq[topic] = seq + 1
+        self.tracer.record(
+            "message", self.now, {"topic": topic, "seq": seq, "payload": dict(action.payload)}
+        )
+        if TOPICS[topic]:
+            self._push(self.now, orc.BusMsg(topic=topic))
 
     def _detect(self, action: orc.Detect) -> None:
         due = self.now + self.config.orchestrator.pacing.detect_service_s
@@ -535,20 +535,14 @@ def run_campaign(
     n_tests: int,
     script: Optional[dv.FaultScript] = None,
     base_seed: Optional[int] = None,
-    cycles_per_test: int = 1,
-) -> Tuple[List[RunReport], List[Tracer]]:
-    """Sequential campaign: each test is a fresh cell on seed base+index.
+) -> Iterator[Tuple[RunReport, Tracer]]:
+    """Sequential campaign: each test is a fresh single-cycle cell on seed base+index.
 
-    A shared fault script is consumed across tests (its entries carry test
-    selectors), mirroring how one scripted bench session spans many runs.
+    Yields each test's report and tracer as its run ends, so a caller can
+    write a trace out before the next run starts. A shared fault script is
+    consumed across tests (its entries carry test selectors), mirroring how
+    one scripted bench session spans many runs.
     """
     base = config.seed if base_seed is None else base_seed
-    reports: List[RunReport] = []
-    tracers: List[Tracer] = []
     for i in range(n_tests):
-        report, tracer = run_single(
-            config, seed=base + i, cycles=cycles_per_test, script=script, test_index=i
-        )
-        reports.append(report)
-        tracers.append(tracer)
-    return reports, tracers
+        yield run_single(config, seed=base + i, cycles=1, script=script, test_index=i)

@@ -3,8 +3,9 @@
 The world is plain mutable state; all transitions are applied by the
 simulation loop. ``check_invariants`` is the single source of truth for the
 structural safety properties (single occupancy, at most one held stack,
-stack/enclosure cross-reference consistency, packaging per state) and is
-re-checked after every event during simulation.
+stack/enclosure cross-reference consistency, packaging per state); the
+simulation re-checks them after each stack or packaging update, the only
+actions that change the world.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from bagcell.config import CellConfig
+from bagcell.config import ENCLOSURE_COUNT, CellConfig
 
 
 class StackState(enum.Enum):
@@ -121,7 +122,7 @@ def build_world(config: CellConfig) -> World:
         edge_x = -(max(lay.zone_sizes) / 2.0 + 0.5) * lay.col_pitch_m
         anchors.append(QRAnchor(zone=zone, pose=Pose3(edge_x, y, z)))
 
-    enclosures = [Enclosure(i) for i in range(lay.enclosure_count)]
+    enclosures = [Enclosure(i) for i in range(ENCLOSURE_COUNT)]
     return World(stacks=stacks, anchors=anchors, enclosures=enclosures)
 
 

@@ -1,57 +1,57 @@
+"""The topic table, and how the runtime numbers and traces each publish."""
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from bagcell.bus import DEFAULT_TOPICS, Bus, Message, UnknownTopic
+from bagcell import orchestrator as orc
+from bagcell.bus import TOPICS
+from bagcell.config import CellConfig
+from bagcell.simulate import Simulation
+from test_simulate import drive_machine
 
 
-def test_unknown_topic_rejected():
-    bus = Bus()
-    with pytest.raises(UnknownTopic):
-        bus.publish("no_such_topic", {}, time=0.0)
+def messages(sim):
+    return [r.data for r in sim.tracer.records if r.kind == "message"]
 
 
-def test_extra_topics_registered():
-    with pytest.raises(UnknownTopic):
-        Bus().publish("custom_alert", {}, time=0.0)
-    bus = Bus(extra_topics=("custom_alert",))
-    assert bus.publish("custom_alert", {}, time=0.0).seq == 0
-    for topic in DEFAULT_TOPICS:
-        assert bus.publish(topic, {}, time=0.0).seq == 0
+def test_awaited_topics_are_the_ones_the_machine_waits_on(monkeypatch):
+    awaited = {ev.topic for (_, ev) in orc.STEPS if type(ev) is orc.BusMsg}
+    assert {t for t, back in TOPICS.items() if back} == awaited
+    _, seen, _ = drive_machine(monkeypatch, {
+        orc.Start(): [orc.Publish("drop", {}), orc.Publish("system_reset", {})],
+    })
+    assert seen == [orc.Start(), orc.BusMsg("system_reset")]
 
 
-def test_per_topic_sequences_are_independent():
-    bus = Bus()
-    seqs = [bus.publish(t, {}, time=0.0).seq for t in ("drop", "fault", "drop")]
-    assert seqs == [0, 0, 1]
+def test_unknown_topic_rejected(monkeypatch):
+    with pytest.raises(KeyError, match="no_such_topic"):
+        drive_machine(monkeypatch, {orc.Start(): [orc.Publish("no_such_topic", {})]})
 
 
-def test_payload_copied_at_publish():
-    seen = []
-    bus = Bus(on_publish=seen.append)
+def test_per_topic_sequences_are_independent(monkeypatch):
+    sim, _, _ = drive_machine(monkeypatch, {
+        orc.Start(): [orc.Publish(t, {}) for t in ("drop", "fault", "drop")],
+    })
+    assert [(m["topic"], m["seq"]) for m in messages(sim)] == [
+        ("drop", 0), ("fault", 0), ("drop", 1),
+    ]
+
+
+def test_payload_copied_at_publish(monkeypatch):
     payload = {"value": 1}
-    bus.publish("drop", payload, time=0.0)
+    sim, _, _ = drive_machine(monkeypatch, {orc.Start(): [orc.Publish("drop", payload)]})
     payload["value"] = 999
-    assert seen[0].payload["value"] == 1
-
-
-def test_on_publish_mirror_sees_everything():
-    seen = []
-    bus = Bus(on_publish=seen.append)
-    bus.publish("drop", {"n": 0}, time=0.0)
-    bus.publish("fault", {"n": 1}, time=1.0)
-    assert [(m.topic, m.seq) for m in seen] == [("drop", 0), ("fault", 0)]
-    assert all(isinstance(m, Message) for m in seen)
+    assert messages(sim)[0]["payload"] == {"value": 1}
 
 
 @given(topics=st.lists(st.sampled_from(["drop", "fault", "system_reset"]), max_size=40))
 @settings(max_examples=200, deadline=None)
 def test_subscribers_see_gap_free_increasing_seqs(topics):
-    # The on_publish mirror is the bus's one subscriber.
-    seen = []
-    bus = Bus(on_publish=seen.append)
-    for i, topic in enumerate(topics):
-        bus.publish(topic, {}, time=float(i))
+    # The trace is the messages' one reader.
+    sim = Simulation(CellConfig())
+    for topic in topics:
+        sim._publish(orc.Publish(topic, {}))
     for topic in set(topics):
-        seqs = [m.seq for m in seen if m.topic == topic]
+        seqs = [m["seq"] for m in messages(sim) if m["topic"] == topic]
         assert seqs == list(range(len(seqs)))

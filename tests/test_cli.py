@@ -9,6 +9,7 @@ from bagcell.cli import main
 from bagcell.config import CellConfig
 from bagcell.devices import DeviceBank
 from bagcell.scenarios import REFERENCE_CAMPAIGN
+from bagcell.simulate import Simulation
 
 STAGE_RATES = Path(__file__).resolve().parent.parent / "scenarios" / "stage_rates.json"
 GT_LINES = "\n".join(
@@ -88,6 +89,25 @@ def test_campaign_prints_and_writes_table(tmp_path, capsys):
     assert (out / "table.md").read_text() == stdout
     assert (out / "trace_00.jsonl").exists()
     assert (out / "trace_01.jsonl").exists()
+
+
+def test_campaign_writes_each_trace_as_its_run_ends(tmp_path, monkeypatch, capsys):
+    # Only the reports outlive a run, so a campaign's memory does not grow
+    # with --tests.
+    out = tmp_path / "camp"
+    started = []
+    run = Simulation.run
+
+    def run_after_earlier_traces(sim):
+        written = sorted(p.name for p in out.glob("trace_*.jsonl"))
+        assert written == [f"trace_{i:02d}.jsonl" for i in range(sim.test_index)]
+        started.append(sim.test_index)
+        return run(sim)
+
+    monkeypatch.setattr(Simulation, "run", run_after_earlier_traces)
+    assert main(["campaign", "--tests", "3", "--outdir", str(out)]) == 0
+    capsys.readouterr()
+    assert started == [0, 1, 2]
 
 
 def test_campaign_csv_table(tmp_path, capsys):
@@ -240,6 +260,20 @@ def test_never_matching_replay_script_exits_two(tmp_path, capsys):
     out = tmp_path / "replay"
     assert main(["replay", "--fault-script", str(script), "--outdir", str(out)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["run", "--cycles", "1"], ["campaign", "--tests", "1"]])
+def test_unmatched_script_entries_are_reported_and_warned(tmp_path, capsys, caplog, argv):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({
+        "version": 1,
+        "entries": [{"when": {"action": "pick", "test": 5}, "outcome": "fail"}],
+    }))
+    out = tmp_path / "out"
+    assert main([*argv, "--fault-script", str(script), "--outdir", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads((out / "report.json").read_text())["unconsumed_script_entries"] == 1
+    assert "1 fault script entries were never matched" in caplog.text
 
 
 @pytest.mark.parametrize(

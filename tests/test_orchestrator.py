@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bagcell.config import CellConfig
+from bagcell.config import ENCLOSURE_COUNT, CellConfig
 from bagcell.orchestrator import (
     ActDone,
     ActStalled,
@@ -75,7 +75,7 @@ def test_each_param_is_declared_by_exactly_one_config_section():
     cfg = CellConfig()
     sections = (cfg.devices, cfg.orchestrator.pacing, cfg.orchestrator)
     for f in dataclasses.fields(OrcParams):
-        if f.name in ("slots", "zones", "cycles"):
+        if f.name in ("zones", "cycles"):
             continue
         owners = [s for s in sections if f.name in {g.name for g in dataclasses.fields(s)}]
         assert len(owners) == 1, f.name
@@ -646,7 +646,7 @@ def test_machine_is_total_under_arbitrary_streams(start, stream):
         assert isinstance(acts, list)
         encs = [e for e, _ in state.occupants]
         assert len(encs) == len(set(encs))
-        assert 0 <= state.slot < PARAMS.slots
+        assert 0 <= state.slot < ENCLOSURE_COUNT
         assert 1 <= state.zone <= PARAMS.zones
         # Removal indexes ``occupants``, and pushing extends ``unbagged``:
         # both hold only while the stored facts they derive from agree.

@@ -257,7 +257,8 @@ def test_every_device_event_answers_the_latest_command_on_its_device():
     cfg = CellConfig()
     cfg.faults = randomized_fault_profile()
     traces = [run_single(cfg, seed=seed, cycles=1)[1] for seed in (32, 44)]
-    traces += run_campaign(CellConfig(), REFERENCE_TESTS, script=build_reference_script())[1]
+    campaign = run_campaign(CellConfig(), REFERENCE_TESTS, script=build_reference_script())
+    traces += [t for _, t in campaign]
     answers = {"secured": "open", "lost": "close"}
     checked = 0
     for tracer in traces:
@@ -352,7 +353,7 @@ def test_script_entries_are_consumed_most_specific_first_match():
 
 
 def test_campaign_runs_fresh_cells_on_consecutive_seeds():
-    reports, tracers = run_campaign(CellConfig(), 3, base_seed=900)
+    reports, tracers = zip(*run_campaign(CellConfig(), 3, base_seed=900))
     assert [r.seed for r in reports] == [900, 901, 902]
     assert [r.test_index for r in reports] == [0, 1, 2]
     assert all(r.delivered == 8 for r in reports)
@@ -361,14 +362,14 @@ def test_campaign_runs_fresh_cells_on_consecutive_seeds():
 
 def test_campaign_script_test_selector_scopes_faults():
     sc = script(*[({"action": "pick", "test": 1, "cycle": 0, "slot": 0}, "fail")] * 3)
-    reports, _ = run_campaign(CellConfig(), 3, script=sc, base_seed=50)
+    reports = [r for r, _ in run_campaign(CellConfig(), 3, script=sc, base_seed=50)]
     assert [r.delivered for r in reports] == [8, 7, 8]
     assert sc.unconsumed() == []
 
 
 def test_campaign_reports_summarize():
     cfg = CellConfig()
-    reports, _ = run_campaign(cfg, 2, base_seed=60)
+    reports = [r for r, _ in run_campaign(cfg, 2, base_seed=60)]
     summary = summarize_campaign(reports, seed=60, digest=config_digest(cfg.to_json()))
     assert summary.picked_rate_pct == pytest.approx(100.0)
     assert summary.placed_rate_pct == pytest.approx(100.0)
@@ -377,5 +378,5 @@ def test_campaign_reports_summarize():
 
 def test_unmatched_script_entries_are_reported():
     sc = script(({"action": "pick", "test": 5}, "fail"))
-    run_campaign(CellConfig(), 2, script=sc, base_seed=70)
+    list(run_campaign(CellConfig(), 2, script=sc, base_seed=70))
     assert len(sc.unconsumed()) == 1
