@@ -302,6 +302,8 @@ class CellConfig:
             raise ConfigInvalid(str(path), f"cannot read config file: {exc}")
         except json.JSONDecodeError as exc:
             raise ConfigInvalid(str(path), f"invalid JSON: {exc}")
+        except RecursionError:
+            raise ConfigInvalid(str(path), "invalid JSON: nested too deeply")
         if not isinstance(data, dict):
             raise ConfigInvalid(str(path), "config root must be a JSON object")
         return cls.from_dict(data)

@@ -15,7 +15,9 @@ Fault injection is two-layered: :class:`FaultConfig` gives stochastic
 per-action failure probabilities, and a :class:`FaultScript` pins specific
 (action, context) occurrences to fixed outcomes. Script entries are consumed
 in file order, first match wins, and always take precedence over the dice,
-which the runtime rolls.
+which the runtime rolls. A script indexes its entries once by their ``test``
+selector, so an occurrence is matched only against its test's bucket (the
+entries that select its test, and those that select no test), in file order.
 """
 
 from __future__ import annotations
@@ -79,10 +81,28 @@ class ScriptEntry:
 @dataclass
 class FaultScript:
     entries: List[ScriptEntry] = field(default_factory=list)
+    # test index -> the entries that can match a context of that test, in file
+    # order; ``_any_test`` holds the entries with no ``test`` selector.
+    _by_test: Dict[Any, List[ScriptEntry]] = field(init=False, repr=False, compare=False)
+    _any_test: List[ScriptEntry] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._by_test = {}
+        self._any_test = []
+        for entry in self.entries:
+            if "test" in entry.when:
+                test = entry.when["test"]
+                if test not in self._by_test:
+                    self._by_test[test] = list(self._any_test)
+                self._by_test[test].append(entry)
+            else:
+                self._any_test.append(entry)
+                for bucket in self._by_test.values():
+                    bucket.append(entry)
 
     def consume(self, context: Dict[str, Any]) -> Optional[str]:
         """First unconsumed entry matching ``context``, marked consumed."""
-        for entry in self.entries:
+        for entry in self._by_test.get(context.get("test"), self._any_test):
             if entry.matches(context):
                 entry.consumed = True
                 return entry.outcome
@@ -134,6 +154,8 @@ class FaultScript:
             raise MalformedFaultScript(str(p), None, f"cannot read: {exc}")
         except json.JSONDecodeError as exc:
             raise MalformedFaultScript(str(p), None, f"invalid JSON: {exc}")
+        except RecursionError:
+            raise MalformedFaultScript(str(p), None, "invalid JSON: nested too deeply")
         return cls.from_dict(data, path=str(p))
 
     def to_dict(self) -> Dict[str, Any]:

@@ -9,6 +9,13 @@ Reading a trace back checks each line's envelope and the payload fields those
 readers index, so a hand-edited line fails with its line number and field
 instead of crashing an audit.
 
+Every line is built by ``_line`` from one envelope template, with its keys in
+sorted order, and one JSON encoder made at import encodes the payload; a
+time is formatted once for the consecutive records that share it. A
+line is parsed by the decoder's scanner alone when the scan ends at the end of
+the line; any other line goes through ``json.loads``, which either accepts it
+(padding whitespace) or gives the reason a ``MalformedTrace`` names it by.
+
 Reports aggregate a campaign into per-test rows (detected / picked / placed
 / duration), each read off its run's trace, plus means and percentage rates.
 All serialization sorts keys and rounds floats the same way, so identical
@@ -22,14 +29,31 @@ import hashlib
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from bagcell.config import ENCLOSURE_COUNT
 
 TRACE_VERSION = 1
-# One encoder for every trace line; json.dumps with options builds a new one per call.
-_LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# One C encoder for every trace value, with the options of
+# json.dumps(sort_keys=True, separators=(",", ":")); JSONEncoder.encode builds
+# a new one per call. No circular-reference markers: a payload holds no cycles,
+# and a cyclic one fails with RecursionError instead of ValueError.
+_ENCODE = c_make_encoder(
+    None,  # markers
+    json.JSONEncoder().default,  # raises TypeError for a value JSON has no form for
+    encode_basestring_ascii,
+    None,  # indent
+    ":",
+    ",",
+    True,  # sort_keys
+    False,  # skipkeys
+    True,  # allow_nan
+)
+# The decoder's scanner parses one JSON value from a given index; json.loads
+# wraps it in whitespace skipping, an end check and the error reasons.
+_SCAN = json.JSONDecoder().scan_once
 
 # Payload fields the trace readers index, by record kind: (field, type, required).
 # A field that is not required has a default where it is read; if present, it
@@ -63,14 +87,19 @@ class TraceRecord(NamedTuple):
     data: Dict[str, Any]
 
     def to_line(self) -> str:
-        payload = {
-            "v": TRACE_VERSION,
-            "seq": self.seq,
-            "t": round(self.time, 9),
-            "kind": self.kind,
-            "data": self.data,
-        }
-        return _LINE_ENCODER.encode(payload)
+        return _line(self, _time_text(self.time))
+
+
+def _time_text(time: float) -> str:
+    return "".join(_ENCODE(round(time, 9), 0))
+
+
+def _line(rec: TraceRecord, time_text: str) -> str:
+    """``rec`` as json.dumps writes its envelope with sorted keys, no spaces."""
+    return (
+        f'{{"data":{"".join(_ENCODE(rec.data, 0))},"kind":{encode_basestring_ascii(rec.kind)},'
+        f'"seq":{rec.seq},"t":{time_text},"v":{TRACE_VERSION}}}'
+    )
 
 
 class Tracer:
@@ -93,8 +122,25 @@ class Tracer:
 
 
 def write_trace(path: str | Path, records: Sequence[TraceRecord]) -> None:
-    lines = [r.to_line() for r in records]
+    lines = []
+    last_time = time_text = None
+    for rec in records:
+        # Records of one instant share its float; equal times need not share a
+        # text (0.0 and -0.0, 1 and 1.0), so reuse it only for the same object.
+        if rec.time is not last_time:
+            last_time, time_text = rec.time, _time_text(rec.time)
+        lines.append(_line(rec, time_text))
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+
+
+def _loads(path: str, line_no: int, raw: str) -> Any:
+    """``raw`` as json.loads reads it, or the reason it cannot, naming the line."""
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise MalformedTrace(path, line_no, f"invalid JSON: {exc}")
+    except RecursionError:
+        raise MalformedTrace(path, line_no, "invalid JSON: nested too deeply")
 
 
 def read_trace(path: str | Path) -> List[TraceRecord]:
@@ -107,23 +153,29 @@ def read_trace(path: str | Path) -> List[TraceRecord]:
     prev_seq = -1
     prev_time = 0.0
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
         try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise MalformedTrace(str(p), line_no, f"invalid JSON: {exc}")
-        if not isinstance(obj, dict):
+            obj, end = _SCAN(raw, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(raw):  # blank, padded or malformed
+            if not raw.strip():
+                continue
+            obj = _loads(str(p), line_no, raw)
+        if type(obj) is not dict:
             raise MalformedTrace(str(p), line_no, "record is not a JSON object")
-        if obj.get("v") != TRACE_VERSION or type(obj["v"]) is not int:
-            raise MalformedTrace(str(p), line_no, f"unsupported version {obj.get('v')!r}")
+        v = obj.get("v")
+        if type(v) is not int or v != TRACE_VERSION:
+            raise MalformedTrace(str(p), line_no, f"unsupported version {v!r}")
         try:
             seq, t, kind, data = obj["seq"], obj["t"], obj["kind"], obj["data"]
         except KeyError as exc:
             raise MalformedTrace(str(p), line_no, f"missing field {exc.args[0]!r}")
-        for value, key, want in ((seq, "seq", int), (kind, "kind", str), (data, "data", dict)):
-            if type(value) is not want:  # a bool is no int
-                raise MalformedTrace(str(p), line_no, f"field {key!r} is not {want.__name__}")
+        if type(seq) is not int:  # a bool is no int
+            raise MalformedTrace(str(p), line_no, "field 'seq' is not int")
+        if type(kind) is not str:
+            raise MalformedTrace(str(p), line_no, "field 'kind' is not str")
+        if type(data) is not dict:
+            raise MalformedTrace(str(p), line_no, "field 'data' is not dict")
         if seq != prev_seq + 1:
             raise MalformedTrace(str(p), line_no, f"sequence gap: {prev_seq} -> {seq}")
         if type(t) is not float and type(t) is not int:  # a bool is not a time

@@ -205,6 +205,18 @@ def test_malformed_fault_script_is_a_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["replay", "--fault-script", "deep.json"], ["run", "--config", "deep.json", "--cycles", "1"]],
+    ids=["fault-script", "config"],
+)
+def test_deeply_nested_json_input_is_a_usage_error(tmp_path, capsys, argv):
+    # json.loads raises RecursionError, not JSONDecodeError, past its depth limit.
+    (tmp_path / "deep.json").write_text("[" * 100_000)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: deep.json: invalid JSON: nested too deeply\n"
+
+
 def test_malformed_box_file_is_a_usage_error(tmp_path, capsys):
     gt = tmp_path / "gt.txt"
     gt.write_text("0 stack 1.0 100 100\n")  # wrong field count

@@ -1,6 +1,9 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from bagcell.cli import main
 from bagcell.config import CellConfig, DeviceConfig, FaultConfig
 from bagcell.devices import (
     DeviceBank,
@@ -195,6 +198,58 @@ def test_script_selector_must_match_every_key():
     assert script.consume({"action": "place", "slot": 1}) is None
     assert script.consume({"action": "place"}) is None
     assert script.consume({"action": "place", "slot": 2, "cycle": 0}) == "fail"
+
+
+_WHENS = st.fixed_dictionaries(
+    {"action": st.sampled_from(["pick", "place"])},
+    optional={"test": st.integers(0, 3), "slot": st.integers(0, 2), "attempt": st.integers(1, 2)},
+)
+_CONTEXTS = st.fixed_dictionaries(
+    {"action": st.sampled_from(["pick", "place"]), "slot": st.integers(0, 2),
+     "attempt": st.integers(1, 2)},
+    optional={"test": st.integers(0, 4)},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    entries=st.lists(st.tuples(_WHENS, st.sampled_from(["ok", "fail", "stall"])), max_size=12),
+    contexts=st.lists(_CONTEXTS, max_size=30),
+)
+def test_script_consumes_as_a_linear_first_match_scan(entries, contexts):
+    # Entries with and without a test selector, against contexts with and
+    # without a test: the per-test index must pick what a scan of every entry
+    # in file order picks, and leave the same entries unconsumed.
+    script = FaultScript(entries=[ScriptEntry(when=dict(w), outcome=o) for w, o in entries])
+    used = [False] * len(entries)
+
+    def linear(context):
+        for i, (when, outcome) in enumerate(entries):
+            if not used[i] and all(context.get(k) == v for k, v in when.items()):
+                used[i] = True
+                return outcome
+        return None
+
+    assert [script.consume(c) for c in contexts] == [linear(c) for c in contexts]
+    left = [e for e, was_used in zip(script.entries, used) if not was_used]
+    assert [id(e) for e in script.unconsumed()] == [id(e) for e in left]
+
+
+def test_replay_matches_each_script_entry_only_within_its_test(tmp_path, monkeypatch, capsys):
+    # The shipped replay makes 630 script lookups against 42 entries; a scan of
+    # the whole script on each one made 25,599 matches calls, the per-test
+    # index about 2,500.
+    calls = 0
+    matches = ScriptEntry.matches
+
+    def counted(entry, context):
+        nonlocal calls
+        calls += 1
+        return matches(entry, context)
+
+    monkeypatch.setattr(ScriptEntry, "matches", counted)
+    assert main(["replay", "--outdir", str(tmp_path)]) == 0
+    assert 0 < calls <= 3000
 
 
 def test_script_round_trip_and_file_io(tmp_path):

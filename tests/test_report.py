@@ -1,7 +1,10 @@
 import json
+import math
 import time
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from bagcell.report import (
     MalformedTrace,
@@ -202,6 +205,100 @@ def test_unreadable_trace_path_is_malformed(tmp_path, name):
         read_trace(path)
     assert info.value.path == str(path)
     assert info.value.line_no is None
+
+
+def reference_line(rec):
+    """A trace line as json.dumps writes the envelope."""
+    envelope = {"v": 1, "seq": rec.seq, "t": round(rec.time, 9), "kind": rec.kind,
+                "data": rec.data}
+    return json.dumps(envelope, sort_keys=True, separators=(",", ":"))
+
+
+_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+_PAYLOADS = st.dictionaries(
+    st.text(),
+    st.recursive(
+        _LEAVES,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+        max_leaves=10,
+    ),
+    max_size=4,
+)
+_EDGE_TIMES = [0, 1, 0.0, -0.0, 1.0, 1e-10, 5e-10, 0.123456789123, 1e300, -1e300,
+               1.7976931348623157e308, math.nan, math.inf, -math.inf]
+_TIMES = st.integers() | st.floats() | st.sampled_from(_EDGE_TIMES)
+
+
+@given(seq=st.integers(min_value=0), time=_TIMES, kind=st.text(), data=_PAYLOADS)
+def test_trace_line_is_byte_equal_to_json_dumps(seq, time, kind, data):
+    rec = TraceRecord(seq, time, kind, data)
+    assert rec.to_line() == reference_line(rec)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(times=st.lists(st.sampled_from(_EDGE_TIMES), max_size=12), data=_PAYLOADS)
+def test_written_trace_is_byte_equal_to_json_dumps(tmp_path, times, data):
+    # Neighbouring equal times of another type or sign (0 and 0.0, 0.0 and
+    # -0.0) must not share the text the first of them was written with.
+    records = [TraceRecord(i, t, "message", data) for i, t in enumerate(times)]
+    path = tmp_path / "trace.jsonl"
+    write_trace(path, records)
+    assert path.read_text() == "".join(reference_line(r) + "\n" for r in records)
+
+
+@pytest.mark.parametrize("data", [{"a": object()}, {"a": {1, 2}}, {1: "a", "b": 2}],
+                         ids=["object", "set", "mixed-keys"])
+def test_payload_json_cannot_encode_raises_type_error(tmp_path, data):
+    rec = TraceRecord(0, 0.0, "message", data)
+    with pytest.raises(TypeError):
+        rec.to_line()
+    with pytest.raises(TypeError):
+        write_trace(tmp_path / "trace.jsonl", [rec])
+
+
+def loads_reason(line):
+    """The reason json.loads gives for rejecting ``line``."""
+    with pytest.raises(json.JSONDecodeError) as info:
+        json.loads(line)
+    return f"invalid JSON: {info.value}"
+
+
+_REC0 = TraceRecord(0, 0.0, "message", {"topic": "drop"})
+_REC1 = TraceRecord(1, 0.5, "note", {"text": "bag_stuck"})
+_LINE0, _LINE1 = _REC0.to_line(), _REC1.to_line()
+
+
+@pytest.mark.parametrize(
+    "lines, expected",
+    [
+        ([" " + _LINE0 + "\t", "  " + _LINE1 + "  "], [_REC0, _REC1]),
+        (["\ufeff" + _LINE0], (1, loads_reason("\ufeff" + _LINE0))),
+        ([_LINE0, _LINE1 + " junk"], (2, loads_reason(_LINE1 + " junk"))),
+        ([_LINE0, _LINE1 + _LINE1], (2, loads_reason(_LINE1 + _LINE1))),
+        ([_LINE0, "{}"], (2, "unsupported version None")),
+    ],
+    ids=["padded", "bom", "extra-data", "two-objects", "empty-object"],
+)
+def test_trace_line_reads_as_json_loads_reads_it(tmp_path, lines, expected):
+    # The scanner reads a line on its own only when it parses to the line's
+    # end; every other line gets json.loads' verdict and reason.
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    if isinstance(expected, list):
+        assert read_trace(path) == expected
+        return
+    line_no, reason = expected
+    with pytest.raises(MalformedTrace) as info:
+        read_trace(path)
+    assert (info.value.line_no, str(info.value)) == (line_no, f"{path}:{line_no}: {reason}")
+
+
+def test_deeply_nested_trace_line_is_malformed(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    path.write_text(_LINE0 + "\n" + "[" * 100_000 + "\n")
+    with pytest.raises(MalformedTrace, match="invalid JSON: nested too deeply") as info:
+        read_trace(path)
+    assert info.value.line_no == 2
 
 
 def test_large_trace_round_trip_is_fast(tmp_path):
