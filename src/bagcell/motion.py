@@ -3,28 +3,14 @@
 Every move accelerates at a constant rate toward the speed limit, optionally
 cruises, then decelerates symmetrically; short moves never reach the limit
 and become triangular. The arm stops at each waypoint, so multi-leg paths
-are the sum of independent profiles. Planning itself is modelled as an
-attempt loop where only failed attempts consume time (a failure burns the
-whole planning budget).
+are the sum of independent profiles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
-
-
-class PlanFailure(Exception):
-    """All planning attempts were exhausted."""
-
-    def __init__(self, attempts: int, penalty_s: float):
-        self.attempts = attempts
-        self.penalty_s = penalty_s
-        super().__init__(f"planning failed after {attempts} attempts")
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -88,45 +74,3 @@ def move_duration(distance: float, v_max: float, accel: float) -> float:
 def leg_lengths(waypoints: Sequence[Sequence[float]]) -> list[float]:
     """Straight-line length of each leg between consecutive waypoints."""
     return [math.dist(a, b) for a, b in zip(waypoints[:-1], waypoints[1:])]
-
-
-@dataclass(frozen=True)
-class PlanResult:
-    attempts: int
-    penalty_s: float
-
-
-def plan_with_retries(
-    failure_prob: float,
-    budget_s: float,
-    max_attempts: int,
-    rng: Optional[np.random.Generator] = None,
-    forced_outcomes: Optional[Callable[[int], Optional[bool]]] = None,
-) -> PlanResult:
-    """Run the planning attempt loop.
-
-    Each attempt either succeeds (consuming no time) or fails, burning the
-    full ``budget_s``. ``forced_outcomes(attempt)`` may pin an attempt's
-    result (True=succeed, False=fail, None=draw from ``failure_prob``).
-    Raises :class:`PlanFailure` when every attempt fails.
-    """
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be >= 1")
-    penalty = 0.0
-    for attempt in range(1, max_attempts + 1):
-        outcome: Optional[bool] = None
-        if forced_outcomes is not None:
-            outcome = forced_outcomes(attempt)
-        if outcome is None:
-            if failure_prob <= 0.0:
-                outcome = True
-            elif failure_prob >= 1.0:
-                outcome = False
-            else:
-                if rng is None:
-                    raise ValueError("rng required for probabilistic planning")
-                outcome = bool(rng.random() >= failure_prob)
-        if outcome:
-            return PlanResult(attempts=attempt, penalty_s=penalty)
-        penalty += budget_s
-    raise PlanFailure(attempts=max_attempts, penalty_s=penalty)

@@ -533,7 +533,7 @@ def _detected(state, event, params):
         state = _r(state, sub=Sub.PLANNING_APPROACH, target=event.stack_id)
         return state, [
             MarkOutcome(kind="detected", stack=event.stack_id),
-            Plan(tag="approach", ctx=_ctx(state, attempt=state.pick_attempt + 1)),
+            Plan(tag="approach", ctx=_ctx(state)),
         ]
     if state.detect_attempt < params.detect_attempts:
         return _detect(state, event, params)
@@ -593,7 +593,7 @@ def _pick_attempt_failed(state, event, params):
 
 def _plan_transfer(state, event, params):
     state = _r(state, sub=Sub.PLANNING_TRANSFER)
-    return state, [Plan(tag="transfer", ctx=_ctx(state, attempt=state.pick_attempt + 1))]
+    return state, [Plan(tag="transfer", ctx=_ctx(state))]
 
 
 def _transfer(state, event, params):

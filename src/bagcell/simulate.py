@@ -4,15 +4,15 @@ The simulation owns the clock, the one event heap, the world, the device
 bank and the tracer. It feeds events to ``orchestrator.transition`` and
 executes the returned actions: resolving move geometry into profile
 durations, taking synthetic camera frames, deciding each fallible action
-(fault script first, then the seeded dice), mutating the world, and
-scheduling timers. A publish is traced as a ``message`` numbered per topic;
-a topic in ``bus.TOPICS`` that the machine awaits comes back to it as a
-``BusMsg`` at the same instant. The event a device command returns joins
-the same heap at rank 0, so it wins ties: it is applied to the bank and
-traced, then re-queued at rank 1, behind everything already due at that
-instant. Every timer start or cancel and every device command bumps one
-epoch map, keyed by timer tag or device name; a popped entry whose epoch is
-behind was superseded and is dropped.
+and each planning attempt (fault script first, then the seeded dice),
+mutating the world, and scheduling timers. A publish is traced as a
+``message`` numbered per topic; a topic in ``bus.TOPICS`` that the machine
+awaits comes back to it as a ``BusMsg`` at the same instant. The event a
+device command returns joins the same heap at rank 0, so it wins ties: it
+is applied to the bank and traced, then re-queued at rank 1, behind
+everything already due at that instant. Every timer start or cancel and
+every device command bumps one epoch map, keyed by timer tag or device name;
+a popped entry whose epoch is behind was superseded and is dropped.
 
 Nothing here reads a wall clock and all randomness flows through one seeded
 generator, so a given (config, seed, script) triple always produces the same
@@ -31,7 +31,7 @@ from bagcell import devices as dv
 from bagcell import orchestrator as orc
 from bagcell.bus import TOPICS
 from bagcell.config import CellConfig
-from bagcell.motion import PlanFailure, leg_lengths, move_duration, plan_with_retries
+from bagcell.motion import leg_lengths, move_duration
 from bagcell.report import RunReport, Tracer, summarize_run
 from bagcell.vision import (
     CameraModel,
@@ -126,6 +126,7 @@ class Simulation:
         self.robot_pos: Tuple[float, float, float] = self.home
         self.pending_target: Optional[Tuple[float, float, float]] = None
 
+        # Placed stack id -> whether its latest place decision seated it.
         self._seated: Dict[int, bool] = {}
 
     # -- event plumbing ----------------------------------------------------
@@ -287,16 +288,10 @@ class Simulation:
             )
             return
         leftmost = min(pickable, key=lambda s: (s.col, s.id)).id
+        # Like every scripted action, any outcome but "ok" is a failure.
         scripted = self._scripted("detect", due.ctx)
-        force_miss = scripted == "fail"
-        obs = observe(
-            self.world,
-            self.camera,
-            zone,
-            self.rng,
-            self.config.faults,
-            force_miss=force_miss,
-        )
+        miss = None if scripted is None else scripted != "ok"
+        obs = observe(self.world, self.camera, zone, self.rng, self.config.faults, miss=miss)
         found = bool(obs.detections)
         stack_id = -1
         if found:
@@ -315,7 +310,7 @@ class Simulation:
                 "boxes": len(obs.detections),
                 "found": found,
                 "target": stack_id,
-                "forced_miss": force_miss,
+                "forced_miss": bool(miss),
             },
         )
         self._push(
@@ -332,29 +327,25 @@ class Simulation:
     # -- planning ----------------------------------------------------------
 
     def _start_plan(self, action: orc.Plan) -> None:
+        """Run the planner's attempts; each failed one burns the whole budget.
+
+        A ``plan`` script entry pins an attempt, its ``attempt`` selector
+        naming the planner's own attempt. Otherwise the dice roll, once, only
+        when the failure probability lies strictly between 0 and 1.
+        """
         mot = self.config.motion
-        # "attempt" in script selectors refers to the planner's own attempt
-        # loop, not the surrounding pick round.
+        prob = self.config.faults.plan_failure_prob
         ctx = {**action.ctx, "test": self.test_index}
-        ctx.pop("attempt", None)
-
-        def forced(attempt: int) -> Optional[bool]:
-            out = self._scripted("plan", {**ctx, "attempt": attempt})
-            if out is None:
-                return None
-            return out == "ok"
-
-        try:
-            result = plan_with_retries(
-                failure_prob=self.config.faults.plan_failure_prob,
-                budget_s=mot.planning_time_budget_s,
-                max_attempts=mot.max_planning_attempts,
-                rng=self.rng,
-                forced_outcomes=forced,
-            )
-            ok, attempts, penalty = True, result.attempts, result.penalty_s
-        except PlanFailure as exc:
-            ok, attempts, penalty = False, exc.attempts, exc.penalty_s
+        penalty = 0.0
+        for attempts in range(1, mot.max_planning_attempts + 1):
+            outcome = self._scripted("plan", {**ctx, "attempt": attempts})
+            if outcome is None:
+                ok = prob <= 0.0 or (prob < 1.0 and self.rng.random() >= prob)
+            else:
+                ok = outcome == "ok"
+            if ok:
+                break
+            penalty += mot.planning_time_budget_s
         duration = self.config.orchestrator.pacing.plan_service_s + penalty
         self.tracer.record(
             "plan",
@@ -402,7 +393,7 @@ class Simulation:
             if outcome != "ok":
                 mode = dv.SuctionMode.LEAK
             if action.fault_action == "place":
-                self._seated[action.ctx.get("enclosure", -1)] = outcome == "ok"
+                self._seated[action.ctx["stack"]] = outcome == "ok"
         self.tracer.record(
             "device_cmd",
             self.now,
@@ -427,10 +418,11 @@ class Simulation:
         enclosure = action.enclosure
         # A pusher at full stroke has pushed its stack out. Every read comes
         # while the pushers are at rest, so the stroke is never mid-travel.
+        occupant = self.world.enclosures[enclosure].occupant
         physically_present = (
-            self.world.enclosures[enclosure].occupant is not None
+            occupant is not None
             and self.bank.actuators[f"pusher_{enclosure}"].position != 1.0
-            and self._seated.get(enclosure, True)
+            and self._seated.get(occupant, True)
         )
         present = self.bank.presence(physically_present, self.rng)
         self.tracer.record(
@@ -496,8 +488,6 @@ class Simulation:
         self.tracer.record(
             "phase", self.now, {"phase": action.phase, "edge": action.edge}
         )
-        if action.phase == "resetting" and action.edge == "start":
-            self._seated.clear()
 
     _EXECUTORS = {
         orc.Publish: _publish,

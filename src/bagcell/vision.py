@@ -312,14 +312,15 @@ def observe(
     rng: np.random.Generator,
     faults,
     frame_id: int = 0,
-    force_miss: bool = False,
+    miss: Optional[bool] = None,
 ) -> Observation:
     """Take one synthetic frame of a zone.
 
     Ground truth covers the stacks still pickable in the zone. Faults degrade
     the detection list: whole-frame misses, per-box misses, pixel jitter,
-    confidence noise, and spurious boxes. ``force_miss`` empties the
-    detection list outright (used by scripted fault injection).
+    confidence noise, and spurious boxes. ``miss`` pins the frame's
+    outcome (scripted fault injection): True empties the detection list
+    outright, False draws no per-box misses, None draws them.
     """
     gts: List[Box] = []
     gt_ids: List[int] = []
@@ -331,9 +332,10 @@ def observe(
 
     dets: List[Box] = []
     sources: List[int] = []
-    if not force_miss:
+    miss_prob = faults.detection_miss_prob if miss is None else 0.0
+    if not miss:
         for box, sid in zip(gts, gt_ids):
-            if faults.detection_miss_prob > 0.0 and rng.random() < faults.detection_miss_prob:
+            if miss_prob > 0.0 and rng.random() < miss_prob:
                 continue
             jx = jy = 0.0
             if faults.detection_jitter_sigma_px > 0.0:

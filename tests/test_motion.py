@@ -6,13 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from bagcell.config import MotionConfig
-from bagcell.motion import (
-    PlanFailure,
-    leg_lengths,
-    move_duration,
-    plan_profile,
-    plan_with_retries,
-)
+from bagcell.motion import leg_lengths, move_duration, plan_profile
 
 V_REF = 0.56  # 2.0 m/s * 0.28 velocity scaling
 A_REF = 0.39  # 13.0 m/s^2 * 0.03 acceleration scaling
@@ -148,44 +142,3 @@ def test_leg_lengths_degenerate_inputs():
     assert leg_lengths([]) == []
     assert leg_lengths([(0.0, 0.0, 0.0)]) == []
     assert leg_lengths([(0.0, 0.0, 0.0), (3.0, 4.0, 0.0)]) == [pytest.approx(5.0)]
-
-
-def test_plan_with_retries_never_fails_at_zero_prob():
-    res = plan_with_retries(0.0, budget_s=5.0, max_attempts=10)
-    assert res.attempts == 1
-    assert res.penalty_s == 0.0
-
-
-def test_plan_with_retries_exhausts_at_prob_one():
-    with pytest.raises(PlanFailure) as info:
-        plan_with_retries(1.0, budget_s=5.0, max_attempts=10)
-    assert info.value.attempts == 10
-    assert info.value.penalty_s == pytest.approx(50.0)
-
-
-def test_plan_with_retries_scripted_fail_fail_succeed():
-    forced = {1: False, 2: False, 3: True}
-    res = plan_with_retries(
-        0.0, budget_s=5.0, max_attempts=10, forced_outcomes=forced.get
-    )
-    assert res.attempts == 3
-    assert res.penalty_s == pytest.approx(10.0)
-
-
-def test_plan_with_retries_seeded_replay():
-    outcomes = []
-    for _ in range(2):
-        rng = np.random.default_rng(1234)
-        run = []
-        for _ in range(20):
-            try:
-                run.append(plan_with_retries(0.5, 5.0, 10, rng=rng).attempts)
-            except PlanFailure:
-                run.append(-1)
-        outcomes.append(run)
-    assert outcomes[0] == outcomes[1]
-
-
-def test_plan_with_retries_requires_rng_for_probabilistic_draws():
-    with pytest.raises(ValueError):
-        plan_with_retries(0.5, 5.0, 10, rng=None)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 from bagcell import orchestrator as orc
@@ -90,20 +91,20 @@ def test_every_action_and_device_event_type_is_dispatched():
 # --- supersession: a later command or timer drops what is still queued ----
 
 
-def drive_machine(monkeypatch, script):
-    """Run a Simulation whose machine answers events from ``script``.
+def drive_machine(monkeypatch, answers, config=None, **sim_args):
+    """Run a Simulation whose machine answers events from ``answers``.
 
-    ``script`` maps an event to the actions returned for it; every event the
+    ``answers`` maps an event to the actions returned for it; every event the
     machine receives is logged and returned with the simulation and its report.
     """
     seen = []
 
     def transition(state, event, params):
         seen.append(event)
-        return state, list(script.get(event, ()))
+        return state, list(answers.get(event, ()))
 
     monkeypatch.setattr(orc, "transition", transition)
-    sim = Simulation(CellConfig(), cycles=1)
+    sim = Simulation(config or CellConfig(), cycles=1, **sim_args)
     report = sim.run()
     return sim, seen, report
 
@@ -165,6 +166,72 @@ def test_run_that_never_finishes_lasts_until_the_final_clock(monkeypatch):
     })
     assert report.duration_s == sim.now == 2.5
     assert (report.cycles, report.phase_durations_s) == (0, {})
+
+
+# --- planning: the runtime decides each planner attempt -------------------
+
+
+def drive_plan(monkeypatch, prob, *entries):
+    """One approach plan at ``plan_failure_prob`` ``prob`` under ``entries``."""
+    cfg = CellConfig()
+    cfg.faults.plan_failure_prob = prob
+    sc = script(*entries)
+    sim, seen, _ = drive_machine(
+        monkeypatch,
+        {orc.Start(): [orc.Plan("approach", {"cycle": 0, "slot": 0})]},
+        cfg,
+        seed=3,
+        script=sc,
+    )
+    (plan,) = [r for r in sim.tracer.records if r.kind == "plan"]
+    assert sc.unconsumed() == []
+    return sim, seen, plan.data
+
+
+def untouched(sim):
+    """The run's generator is still where a fresh one on its seed starts."""
+    return sim.rng.bit_generator.state == np.random.PCG64(sim.seed).state
+
+
+def test_scripted_plan_attempts_win_over_the_dice(monkeypatch):
+    # The attempt selector names the planner's own attempt.
+    sim, seen, plan = drive_plan(monkeypatch, 1.0, *[
+        ({"action": "plan", "slot": 0, "attempt": n}, out)
+        for n, out in ((1, "fail"), (2, "fail"), (3, "ok"))
+    ])
+    budget = sim.config.motion.planning_time_budget_s
+    assert (plan["ok"], plan["attempts"]) == (True, 3)
+    assert plan["penalty_s"] == pytest.approx(2 * budget)
+    assert seen[-1] == orc.PlanReady("approach", True)
+    assert sim.now == pytest.approx(
+        sim.config.orchestrator.pacing.plan_service_s + 2 * budget
+    )
+
+
+def test_plan_at_probability_zero_succeeds_first_time_without_a_draw(monkeypatch):
+    sim, seen, plan = drive_plan(monkeypatch, 0.0)
+    assert (plan["ok"], plan["attempts"], plan["penalty_s"]) == (True, 1, 0.0)
+    assert seen[-1] == orc.PlanReady("approach", True)
+    assert untouched(sim)
+
+
+def test_plan_at_probability_one_exhausts_every_attempt_without_a_draw(monkeypatch):
+    sim, seen, plan = drive_plan(monkeypatch, 1.0)
+    mot = sim.config.motion
+    assert (plan["ok"], plan["attempts"]) == (False, mot.max_planning_attempts)
+    assert plan["penalty_s"] == pytest.approx(
+        mot.max_planning_attempts * mot.planning_time_budget_s
+    )
+    assert seen[-1] == orc.PlanReady("approach", False)
+    assert untouched(sim)
+
+
+def test_plan_between_zero_and_one_rolls_the_run_dice(monkeypatch):
+    sim, _, plan = drive_plan(monkeypatch, 0.5)
+    assert not untouched(sim)
+    again, _, replayed = drive_plan(monkeypatch, 0.5)
+    assert replayed == plan
+    assert again.rng.bit_generator.state == sim.rng.bit_generator.state
 
 
 def test_message_seqs_run_from_zero_per_topic():
@@ -300,6 +367,25 @@ def test_scripted_detect_exhaustion_skips_one_stack():
     assert report.stacks_offered == 8
     assert (report.detected, report.picked, report.placed, report.delivered) == (7, 7, 7, 7)
     assert report.failed_unhandled == 1
+    assert_clean_audits(tracer)
+
+
+def test_scripted_detect_ok_pins_a_frame_and_stall_forces_a_miss():
+    # A scripted outcome pins its action; any outcome but "ok" is a failure.
+    cfg = CellConfig()
+    cfg.faults.detection_miss_prob = 1.0
+    sc = script(({"action": "detect", "slot": 0, "attempt": 1}, "ok"))
+    report, tracer = run_single(cfg, seed=13, cycles=1, script=sc)
+    frame = next(r.data for r in tracer.records if r.kind == "detect")
+    assert (frame["boxes"] > 0, frame["found"], frame["forced_miss"]) == (True, True, False)
+    assert report.detected == 1
+    assert sc.unconsumed() == []
+
+    sc = script(*[({"action": "detect", "cycle": 0, "slot": 0}, "stall")] * 3)
+    report, tracer = run_single(CellConfig(), seed=13, cycles=1, script=sc)
+    frames = [r.data for r in tracer.records if r.kind == "detect"][:3]
+    assert [(f["boxes"], f["forced_miss"]) for f in frames] == [(0, True)] * 3
+    assert (report.detected, report.failed_unhandled) == (7, 1)
     assert_clean_audits(tracer)
 
 

@@ -377,8 +377,10 @@ def test_observe_total_miss_and_forced_miss():
     rng = np.random.default_rng(0)
     all_miss = observe(world, cam, 1, rng, FaultConfig(detection_miss_prob=1.0))
     assert all_miss.detections == [] and len(all_miss.ground_truth) == 4
-    forced = observe(world, cam, 1, rng, FaultConfig(), force_miss=True)
+    forced = observe(world, cam, 1, rng, FaultConfig(), miss=True)
     assert forced.detections == []
+    pinned = observe(world, cam, 1, rng, FaultConfig(detection_miss_prob=1.0), miss=False)
+    assert len(pinned.detections) == 4
 
 
 def test_observe_miss_rate_matches_probability():
