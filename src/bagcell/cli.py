@@ -16,6 +16,7 @@ replay script entries that never matched).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -29,7 +30,7 @@ from bagcell.devices import FaultScript, InterlockViolation, MalformedFaultScrip
 from bagcell.report import config_digest, render_table, summarize_campaign, write_trace
 from bagcell.scenarios import REFERENCE_TESTS, build_reference_script
 from bagcell.simulate import SimulationStuck, run_campaign, run_single
-from bagcell.vision import MalformedBoxFile, evaluate, load_boxes
+from bagcell.vision import EmptyGroundTruth, MalformedBoxFile, evaluate, load_boxes
 
 log = logging.getLogger(__name__)
 _UNMATCHED = "%d fault script entries were never matched"
@@ -162,6 +163,7 @@ def cmd_dump_config(args) -> int:
     return 0
 
 
+@functools.cache  # built on first use, once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bagcell",
@@ -222,6 +224,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ConfigInvalid, MalformedFaultScript, MalformedBoxFile, OSError) as exc:
         # A reader names its unreadable input; an OSError is an unwritable output.
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except EmptyGroundTruth as exc:  # only eval scores, so the empty file is --gts
+        print(f"error: {args.gts}: {exc}", file=sys.stderr)
         return 1
     except (InterlockViolation, SimulationStuck) as exc:
         print(f"error: run aborted: {exc}", file=sys.stderr)

@@ -13,11 +13,12 @@ marker on the tote rim rather than per-stack depth sensing.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,8 +38,7 @@ class MalformedBoxFile(ValueError):
         super().__init__(f"{where}: {reason}")
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(NamedTuple):
     """Axis-aligned detection box in pixel coordinates."""
 
     x_min: float
@@ -50,37 +50,20 @@ class Box:
     frame_id: int = 0
 
     @property
-    def width(self) -> float:
-        return max(0.0, self.x_max - self.x_min)
-
-    @property
-    def height(self) -> float:
-        return max(0.0, self.y_max - self.y_min)
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    @property
     def center(self) -> Tuple[float, float]:
         return ((self.x_min + self.x_max) / 2.0, (self.y_min + self.y_max) / 2.0)
 
 
-def iou(a: Box, b: Box) -> float:
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    union = a.area + b.area - inter
-    return inter / union if union > 0.0 else 0.0
-
-
-@dataclass(frozen=True)
-class Match:
+class Match(NamedTuple):
     pred_index: int
     gt_index: int
     iou: float
+
+
+@functools.lru_cache(maxsize=1)  # evaluate ranks once for the matcher and the AP
+def _ranking(confidences: Tuple[float, ...]) -> Tuple[int, ...]:
+    """Indices in ``(-confidence, index)`` order: a stable descending sort."""
+    return tuple(sorted(range(len(confidences)), key=confidences.__getitem__, reverse=True))
 
 
 def match_detections(
@@ -93,28 +76,38 @@ def match_detections(
     ground-truth index. Returns (matches, unmatched_pred_indices,
     unmatched_gt_indices).
     """
-    order = sorted(range(len(preds)), key=lambda i: (-preds[i].confidence, i))
-    # Ground-truth indices per (frame, label), ascending; a prediction scans
-    # only its own group.
-    groups: Dict[Tuple[int, str], List[int]] = defaultdict(list)
-    for gj, g in enumerate(gts):
-        groups[g.frame_id, g.label].append(gj)
+    # Ground truth per (frame, label), indices ascending, with its extents and
+    # area computed once; a prediction scans only its own group.
+    groups: Dict[Tuple[int, str], List[tuple]] = defaultdict(list)
+    for gj, (x0, y0, x1, y1, _, label, frame_id) in enumerate(gts):
+        w, h = x1 - x0, y1 - y0
+        area = (w if w > 0.0 else 0.0) * (h if h > 0.0 else 0.0)
+        groups[frame_id, label].append((gj, x0, y0, x1, y1, area))
     taken: set[int] = set()
     matches: List[Match] = []
-    for pi in order:
-        p = preds[pi]
+    for pi in _ranking(tuple([p.confidence for p in preds])):
+        px0, py0, px1, py1, _, label, frame_id = preds[pi]
+        w, h = px1 - px0, py1 - py0
+        p_area = (w if w > 0.0 else 0.0) * (h if h > 0.0 else 0.0)
         best_j = -1
         best_iou = iou_threshold
-        for gj in groups.get((p.frame_id, p.label), ()):
+        for gj, gx0, gy0, gx1, gy1, g_area in groups.get((frame_id, label), ()):
             if gj in taken:
                 continue
-            ov = iou(p, gts[gj])
+            # IoU(pred, gt), operands in min/max(pred, gt) order: every float is unchanged.
+            ix = (gx1 if gx1 < px1 else px1) - (gx0 if gx0 > px0 else px0)
+            iy = (gy1 if gy1 < py1 else py1) - (gy0 if gy0 > py0 else py0)
+            if ix <= 0.0 or iy <= 0.0:
+                ov = 0.0
+            else:
+                union = p_area + g_area - (inter := ix * iy)
+                ov = inter / union if union > 0.0 else 0.0
             if ov > best_iou or (ov == best_iou and ov > 0.0 and best_j == -1):
                 best_iou = ov
                 best_j = gj
         if best_j >= 0:
             taken.add(best_j)
-            matches.append(Match(pred_index=pi, gt_index=best_j, iou=best_iou))
+            matches.append(Match(pi, best_j, best_iou))
     matched_preds = {m.pred_index for m in matches}
     unmatched_preds = [i for i in range(len(preds)) if i not in matched_preds]
     unmatched_gts = [j for j in range(len(gts)) if j not in taken]
@@ -190,8 +183,8 @@ def ap_at_threshold(preds: Sequence[Box], matches: Sequence[Match], n_gt: int) -
         raise EmptyGroundTruth("AP requested against empty ground truth")
     if not preds:
         return 0.0
-    order = sorted(range(len(preds)), key=lambda i: (-preds[i].confidence, i))
     matched = {m.pred_index for m in matches}
+    order = _ranking(tuple([p.confidence for p in preds]))
     tp_flags = np.array([1.0 if pi in matched else 0.0 for pi in order])
     tp_cum = np.cumsum(tp_flags)
     fp_cum = np.cumsum(1.0 - tp_flags)
@@ -201,11 +194,11 @@ def ap_at_threshold(preds: Sequence[Box], matches: Sequence[Match], n_gt: int) -
     envelope = np.maximum.accumulate(precision[::-1])[::-1]
     prev_r = 0.0
     ap = 0.0
-    for r, p_env in zip(recall, envelope):
+    for r, p_env in zip(recall.tolist(), envelope.tolist()):
         if r > prev_r:
             ap += (r - prev_r) * p_env
             prev_r = r
-    return float(ap)
+    return ap
 
 
 # --- camera geometry -----------------------------------------------------

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from bagcell.cli import main
+from bagcell.cli import build_parser, main
 from bagcell.config import CellConfig
 from bagcell.devices import DeviceBank
 from bagcell.scenarios import REFERENCE_CAMPAIGN
@@ -70,6 +70,27 @@ def test_eval_iou_threshold_is_respected(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["tp"] == 1
     assert main(["eval", "--preds", str(pred), "--gts", str(gt), "--iou", "0.9"]) == 0
     assert json.loads(capsys.readouterr().out)["tp"] == 0
+
+
+def test_one_parser_serves_each_call_its_own_arguments(tmp_path, capsys):
+    gt = tmp_path / "gt.txt"
+    gt.write_text(GT_LINES + "\n")
+    assert main(["eval", "--preds", str(gt), "--gts", str(gt), "--iou", "0.3"]) == 0
+    assert json.loads(capsys.readouterr().out)["iou_threshold"] == 0.3
+    assert main(["eval", "--preds", str(gt), "--gts", str(gt)]) == 0
+    assert json.loads(capsys.readouterr().out)["iou_threshold"] == 0.5
+    assert build_parser() is build_parser()
+
+
+def test_eval_against_empty_ground_truth_is_a_usage_error(tmp_path, capsys):
+    pred = tmp_path / "pred.txt"
+    pred.write_text(GT_LINES + "\n")
+    gt = tmp_path / "gt.txt"
+    gt.write_text("# no boxes\n")
+    assert main(["eval", "--preds", str(pred), "--gts", str(gt)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {gt}: ")
+    assert "Traceback" not in err
 
 
 def test_run_writes_trace_and_report(tmp_path, capsys):

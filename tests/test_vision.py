@@ -18,7 +18,6 @@ from bagcell.vision import (
     ap_at_threshold,
     estimate_zone_depth,
     evaluate,
-    iou,
     load_boxes,
     match_detections,
     metrics_from_counts,
@@ -46,26 +45,62 @@ def boxes_strategy():
 # --- iou ------------------------------------------------------------------
 
 
+def iou(a, b):
+    """Reference IoU, as the matcher computed it before it was inlined."""
+    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
+    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+    if ix <= 0.0 or iy <= 0.0:
+        return 0.0
+    inter = ix * iy
+    union = area(a) + area(b) - inter
+    return inter / union if union > 0.0 else 0.0
+
+
+def area(b):
+    return max(0.0, b.x_max - b.x_min) * max(0.0, b.y_max - b.y_min)
+
+
+def match_iou(pred, gt):
+    """The IoU the matcher records for one pair, 0.0 when they do not match."""
+    matches, _, _ = match_detections([pred], [gt], iou_threshold=0.0)
+    return matches[0].iou if matches else 0.0
+
+
 def test_iou_identical_and_disjoint():
     a = Box(0, 0, 10, 10)
-    assert iou(a, a) == 1.0
-    assert iou(a, Box(20, 20, 30, 30)) == 0.0
+    assert match_detections([a], [a])[0] == [Match(pred_index=0, gt_index=0, iou=1.0)]
+    assert match_detections([a], [Box(20, 20, 30, 30)], iou_threshold=0.0)[0] == []
 
 
 def test_iou_half_overlap_reference():
     # Overlap area 50, union 150: matches a pixel-grid count of the same boxes.
     a = Box(0, 0, 10, 10)
     b = Box(5, 0, 15, 10)
-    assert iou(a, b) == pytest.approx(50.0 / 150.0, abs=1e-12)
+    assert match_iou(a, b) == pytest.approx(50.0 / 150.0, abs=1e-12)
 
 
 @given(a=boxes_strategy(), b=boxes_strategy())
 @settings(max_examples=300, deadline=None)
 def test_iou_symmetric_and_bounded(a, b):
-    ab = iou(a, b)
-    assert ab == iou(b, a)
+    ab = match_iou(a, b)
+    assert ab == match_iou(b, a) == iou(a, b)
     assert 0.0 <= ab <= 1.0 + 1e-12
-    assert iou(a, a) == pytest.approx(1.0)
+    assert match_iou(a, a) == pytest.approx(1.0)
+
+
+def test_box_and_match_are_immutable_and_keep_their_constructors():
+    b = Box(1, 2, 3, 4)
+    assert (b.confidence, b.label, b.frame_id) == (1.0, "stack", 0)
+    assert b.center == (2.0, 3.0)
+    named = Box(x_min=1, y_min=2, x_max=3, y_max=4, confidence=0.5, label="bag", frame_id=7)
+    assert named == Box(1, 2, 3, 4, 0.5, "bag", 7)
+    assert (named.x_max, named.label, named.frame_id) == (3, "bag", 7)
+    with pytest.raises(AttributeError):
+        b.x_min = 5.0
+    m = Match(pred_index=0, gt_index=1, iou=0.5)
+    assert (m.pred_index, m.gt_index, m.iou) == (0, 1, 0.5)
+    with pytest.raises(AttributeError):
+        m.iou = 1.0
 
 
 # --- matching -------------------------------------------------------------
@@ -209,6 +244,81 @@ def test_match_equals_all_pairs_reference(data, pool, thr):
     preds = data.draw(st.lists(st.sampled_from(pool), max_size=12))
     gts = data.draw(st.lists(st.sampled_from(pool), max_size=12))
     assert match_detections(preds, gts, thr) == all_pairs_match(preds, gts, thr)
+
+
+def float_pool():
+    # Float extents with the IoU edge cases: zero width or height, -0.0,
+    # boxes that share an edge (coordinates repeat across boxes), and int and
+    # float coordinates mixed. Quotients k / 83,333 fill the mantissa, so
+    # areas and unions round. Confidences tie, including 0 against -0.0.
+    coord = st.one_of(
+        st.sampled_from([-0.0, 0.0, 0, 1, 2.5, 3, 10, 10.0, 1 / 3]),
+        st.floats(min_value=0.0, max_value=12.0),
+        st.integers(min_value=1, max_value=10**6).map(lambda k: k / 83_333),
+    )
+    box = st.builds(
+        lambda xs, ys, c, f, lab: Box(min(xs), min(ys), max(xs), max(ys), c, lab, f),
+        st.tuples(coord, coord),
+        st.tuples(coord, coord),
+        st.sampled_from([0.0, -0.0, 0.3, 0.6, 1, 1.0]),
+        st.sampled_from([0, 1]),
+        st.sampled_from(["stack", "bag"]),
+    )
+    return st.lists(box, min_size=1, max_size=8)
+
+
+def bits(matches):
+    return [(m.pred_index, m.gt_index, m.iou.hex()) for m in matches]
+
+
+@given(
+    data=st.data(),
+    pool=float_pool(),
+    thr=st.sampled_from([0.0, 0.1, 0.5, 1 / 3, 1.0]),
+)
+@settings(max_examples=400, deadline=None)
+def test_inlined_iou_is_bit_identical_to_the_reference(data, pool, thr):
+    preds = data.draw(st.lists(st.sampled_from(pool), max_size=12))
+    gts = data.draw(st.lists(st.sampled_from(pool), max_size=12))
+    got = match_detections(preds, gts, thr)
+    want = all_pairs_match(preds, gts, thr)
+    assert got == want
+    assert bits(got[0]) == bits(want[0])
+    for a, b in itertools.product(pool, repeat=2):
+        if a.frame_id == b.frame_id and a.label == b.label:
+            assert match_iou(a, b).hex() == iou(a, b).hex()
+
+
+def reference_ap(preds, matches, n_gt):
+    """``ap_at_threshold`` as it was before it shared the matcher's ranking."""
+    if not preds:
+        return 0.0
+    order = sorted(range(len(preds)), key=lambda i: (-preds[i].confidence, i))
+    matched = {m.pred_index for m in matches}
+    tp_flags = np.array([1.0 if pi in matched else 0.0 for pi in order])
+    tp_cum = np.cumsum(tp_flags)
+    fp_cum = np.cumsum(1.0 - tp_flags)
+    recall = tp_cum / n_gt
+    precision = tp_cum / np.maximum(tp_cum + fp_cum, 1e-12)
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    prev_r = 0.0
+    ap = 0.0
+    for r, p_env in zip(recall, envelope):
+        if r > prev_r:
+            ap += (r - prev_r) * p_env
+            prev_r = r
+    return float(ap)
+
+
+@given(data=st.data(), pool=float_pool(), thr=st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+@settings(max_examples=300, deadline=None)
+def test_ap_equals_the_reference_exactly(data, pool, thr):
+    preds = data.draw(st.lists(st.sampled_from(pool), max_size=16))
+    gts = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=16))
+    matches = all_pairs_match(preds, gts, thr)[0]
+    want = reference_ap(preds, matches, len(gts))
+    assert ap_at_threshold(preds, matches, len(gts)) == want
+    assert evaluate(preds, gts, thr).ap50 == want
 
 
 def test_evaluate_scales_linearly_in_frames():
