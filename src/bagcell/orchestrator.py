@@ -13,19 +13,25 @@ pushes the unpacked stacks out, then the cell resets. Failed steps retry up
 to per-action caps; a stack that exhausts its retries is marked unhandled
 and play continues.
 
+Events and actions are immutable tuple records whose equality carries the
+type as well as the values, so ``MotionDone("x") != TimerFired("x")``.
+
 ``STEPS`` is the machine's whole event graph: each row maps a sub-state and
-an event it awaits to the step that handles it. The phase is not stored; each
-``Sub`` member names its phase, and ``OrcState.phase`` reads it off the
-sub-state. Events with no row in the current sub-state are consumed as
-no-ops, which keeps the function total.
+an event it awaits to the step that handles it. Each ``Sub`` member's
+``rows`` are derived from it once, at import, so a transition looks up one
+small dict. The phase is not stored; each ``Sub`` member names its phase,
+and ``OrcState.phase`` reads it off the sub-state. Events with no row in the
+current sub-state are consumed as no-ops, which keeps the function total.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from collections import namedtuple
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from bagcell.config import ENCLOSURE_COUNT, CellConfig
 
@@ -41,12 +47,17 @@ class Phase(enum.Enum):
 
 
 class Sub(enum.Enum):
-    """Where the machine is in a cycle; each member is declared with its phase."""
+    """Where the machine is in a cycle; each member is declared with its phase.
+
+    ``rows`` maps each event the sub-state awaits to its step: its rows of
+    ``STEPS``, filled in once that table is built.
+    """
 
     def __new__(cls, phase: Phase) -> "Sub":
         sub = object.__new__(cls)
         sub._value_ = len(cls.__members__)  # distinct, so no member aliases another
         sub.phase = phase
+        sub.rows = {}
         return sub
 
     IDLE = Phase.IDLE
@@ -89,175 +100,81 @@ class Sub(enum.Enum):
     DONE = Phase.DONE
 
 
-# --- events (runtime -> machine) -----------------------------------------
+# --- events (runtime -> machine) and actions (machine -> runtime) --------
 
 
-@dataclass(frozen=True)
-class Event:
-    pass
+class _Record(tuple):
+    """A tuple whose equality carries its type: ``MotionDone("x") != TimerFired("x")``."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return type(self) is not type(other) or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
 
 
-@dataclass(frozen=True)
-class Start(Event):
-    pass
+def _record(base: type, name: str, fields: str = "", defaults: tuple = ()) -> type:
+    """Record type ``name`` under ``base``: a ``namedtuple`` of ``fields`` with no ``__dict__``.
+
+    It keeps the field order, the ``defaults`` of the last fields, keyword
+    construction and a ``Name(field=value)`` repr; building one is a tuple
+    allocation and hashing one is ``tuple.__hash__``, both in C.
+    """
+    fields_type = namedtuple(name, fields, defaults=defaults, module=__name__)
+    return type(name, (fields_type, base), {"__slots__": (), "__module__": __name__})
 
 
-@dataclass(frozen=True)
-class MotionDone(Event):
-    tag: str
+class Event(_Record):
+    """What the runtime feeds the machine."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TimerFired(Event):
-    tag: str
+Start = _record(Event, "Start")
+MotionDone = _record(Event, "MotionDone", "tag")
+TimerFired = _record(Event, "TimerFired", "tag")
+DetectReady = _record(
+    Event, "DetectReady", "zone zone_has_stacks found stack_id leftmost_stack_id", (-1, -1)
+)
+PlanReady = _record(Event, "PlanReady", "tag ok")
+SuctionSecured = _record(Event, "SuctionSecured", "device")
+SuctionLost = _record(Event, "SuctionLost", "device")
+ActDone = _record(Event, "ActDone", "device op")
+ActStalled = _record(Event, "ActStalled", "device op")
+UltrasonicRead = _record(Event, "UltrasonicRead", "enclosure present")
+BusMsg = _record(Event, "BusMsg", "topic")
 
 
-@dataclass(frozen=True)
-class DetectReady(Event):
-    zone: int
-    zone_has_stacks: bool
-    found: bool
-    stack_id: int = -1
-    leftmost_stack_id: int = -1
+class Action(_Record):
+    """What the machine returns for the runtime to execute."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PlanReady(Event):
-    tag: str
-    ok: bool
+# The default of every mapping field: read-only, so no record can change
+# what another one holds.
+_EMPTY: Mapping[str, Any] = MappingProxyType({})
 
-
-@dataclass(frozen=True)
-class SuctionSecured(Event):
-    device: str
-
-
-@dataclass(frozen=True)
-class SuctionLost(Event):
-    device: str
-
-
-@dataclass(frozen=True)
-class ActDone(Event):
-    device: str
-    op: str
-
-
-@dataclass(frozen=True)
-class ActStalled(Event):
-    device: str
-    op: str
-
-
-@dataclass(frozen=True)
-class UltrasonicRead(Event):
-    enclosure: int
-    present: bool
-
-
-@dataclass(frozen=True)
-class BusMsg(Event):
-    topic: str
-
-
-# --- actions (machine -> runtime) ----------------------------------------
-
-
-@dataclass(frozen=True)
-class Action:
-    pass
-
-
-@dataclass(frozen=True)
-class Publish(Action):
-    topic: str
-    payload: Dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class Move(Action):
-    tag: str
-    dest: Tuple[Any, ...]
-
-
-@dataclass(frozen=True)
-class Detect(Action):
-    zone: int
-    ctx: Dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class Plan(Action):
-    tag: str
-    ctx: Dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class StartTimer(Action):
-    tag: str
-    seconds: float
-
-
-@dataclass(frozen=True)
-class CancelTimer(Action):
-    tag: str
-
-
-@dataclass(frozen=True)
-class OpenValve(Action):
-    device: str
-    fault_action: Optional[str] = None
-    ctx: Dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class CloseValve(Action):
-    device: str
-
-
-@dataclass(frozen=True)
-class Command(Action):
-    device: str
-    op: str
-    fault_action: Optional[str] = None
-    ctx: Dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class ReadUltrasonic(Action):
-    enclosure: int
-
-
-@dataclass(frozen=True)
-class SetStack(Action):
-    stack: int
-    state: str  # StackState value
-    enclosure: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class SetPackaging(Action):
-    stacks: Tuple[int, ...]
-    packaging: str  # Packaging value
-
-
-@dataclass(frozen=True)
-class MarkOutcome(Action):
-    kind: str
-    stack: int = -1
-    enclosure: int = -1
-
-
-@dataclass(frozen=True)
-class PhaseMark(Action):
-    phase: str
-    edge: str  # "start" | "end"
-
-
-@dataclass(frozen=True)
-class Note(Action):
-    text: str
-    data: Dict[str, Any] = field(default_factory=dict)
+Publish = _record(Action, "Publish", "topic payload", (_EMPTY,))
+Move = _record(Action, "Move", "tag dest")
+Detect = _record(Action, "Detect", "zone ctx", (_EMPTY,))
+Plan = _record(Action, "Plan", "tag ctx", (_EMPTY,))
+StartTimer = _record(Action, "StartTimer", "tag seconds")
+CancelTimer = _record(Action, "CancelTimer", "tag")
+OpenValve = _record(Action, "OpenValve", "device fault_action ctx", (None, _EMPTY))
+CloseValve = _record(Action, "CloseValve", "device")
+Command = _record(Action, "Command", "device op fault_action ctx", (None, _EMPTY))
+ReadUltrasonic = _record(Action, "ReadUltrasonic", "enclosure")
+# ``state`` is a StackState value, ``packaging`` a Packaging value.
+SetStack = _record(Action, "SetStack", "stack state enclosure", (None,))
+SetPackaging = _record(Action, "SetPackaging", "stacks packaging")
+MarkOutcome = _record(Action, "MarkOutcome", "kind stack enclosure", (-1, -1))
+PhaseMark = _record(Action, "PhaseMark", "phase edge")  # edge: "start" | "end"
+Note = _record(Action, "Note", "text data", (_EMPTY,))
 
 
 # --- parameters and state -------------------------------------------------
@@ -493,7 +410,8 @@ def transition(
     elif kind is SuctionLost:
         state = _r(state, secured=state.secured - {event.device})
 
-    step = STEPS.get((state.sub, event)) or STEPS.get((state.sub, kind))
+    rows = state.sub.rows
+    step = rows.get(event) or rows.get(kind)
     if step is None:
         return state, []
     return step(state, event, params)
@@ -996,3 +914,9 @@ STEPS: Dict[Tuple[Sub, Any], Step] = {
     (Sub.RESETTING, TimerFired("reset")): _reset_done,
     (Sub.AWAIT_RESET_MSG, BusMsg("system_reset")): _next_cycle,
 }
+
+# Each sub-state's own rows: ``transition`` looks up one small dict, keyed by
+# the event or by its type, and hashes the event in C.
+for (_sub, _awaited), _step in STEPS.items():
+    _sub.rows[_awaited] = _step
+del _sub, _awaited, _step

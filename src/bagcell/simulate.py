@@ -2,17 +2,21 @@
 
 The simulation owns the clock, the one event heap, the world, the device
 bank and the tracer. It feeds events to ``orchestrator.transition`` and
-executes the returned actions: resolving move geometry into profile
-durations, taking synthetic camera frames, deciding each fallible action
-and each planning attempt (fault script first, then the seeded dice),
-mutating the world, and scheduling timers. A publish is traced as a
-``message`` numbered per topic; a topic in ``bus.TOPICS`` that the machine
-awaits comes back to it as a ``BusMsg`` at the same instant. The event a
-device command returns joins the same heap at rank 0, so it wins ties: it
-is applied to the bank and traced, then re-queued at rank 1, behind
-everything already due at that instant. Every timer start or cancel and
-every device command bumps one epoch map, keyed by timer tag or device name;
-a popped entry whose epoch is behind was superseded and is dropped.
+hands each returned action to its executor, picked by the action's type:
+resolving move geometry into profile durations, taking synthetic camera
+frames, deciding each fallible action and each planning attempt (fault
+script first, then the seeded dice), mutating the world, and scheduling
+timers. What a run cannot change is computed once per run: the camera's
+view of each stack top and rim marker, and the move time of each leg
+length, filled through ``motion.move_duration`` the first time the length
+comes up. A publish is traced as a ``message`` numbered per topic; a topic
+in ``bus.TOPICS`` that the machine awaits comes back to it as a ``BusMsg``
+at the same instant. The event a device command returns joins the same
+heap at rank 0, so it wins ties: it is applied to the bank and traced, then
+re-queued at rank 1, behind everything already due at that instant. Every
+timer start or cancel and every device command bumps one epoch map, keyed
+by timer tag or device name; a popped entry whose epoch is behind was
+superseded and is dropped.
 
 Nothing here reads a wall clock and all randomness flows through one seeded
 generator, so a given (config, seed, script) triple always produces the same
@@ -22,7 +26,7 @@ trace, byte for byte.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -39,6 +43,7 @@ from bagcell.vision import (
     observe,
     pixel_to_robot,
     select_pick_target,
+    stack_tops,
 )
 from bagcell.world import (
     Packaging,
@@ -73,10 +78,8 @@ class SimulationStuck(RuntimeError):
     """The run passed its simulated-time limit: the control loop never finished."""
 
 
-@dataclass(frozen=True)
-class _DetectDue(orc.Event):
-    zone: int
-    ctx: Dict[str, Any]
+class _DetectDue(namedtuple("_DetectDue", "zone ctx"), orc.Event):
+    __slots__ = ()
 
 
 class Simulation:
@@ -104,6 +107,12 @@ class Simulation:
             empty_distance_cm=config.layout.back_wall_cm,
         )
         self.camera = CameraModel.from_config(config.camera)
+        # Stacks and anchors never move: each is seen through the camera once.
+        self._tops = stack_tops(self.camera, self.world.stacks)
+        anchors = self.world.anchors
+        self._depths = {
+            a.zone: estimate_zone_depth(self.camera, anchors, a.zone) for a in anchors
+        }
         self.tracer = Tracer()
         self._topic_seq = dict.fromkeys(TOPICS, 0)
         self.params = orc.OrcParams.from_config(config, cycles)
@@ -125,6 +134,11 @@ class Simulation:
         self.bin_pose = tuple(lay.bin_pose[:3])
         self.robot_pos: Tuple[float, float, float] = self.home
         self.pending_target: Optional[Tuple[float, float, float]] = None
+        mot = config.motion
+        self._limits = mot.effective_max_speed_mps, mot.effective_acceleration_mps2
+        # Leg length -> its move time under this run's limits. Most moves run
+        # between the same fixed poses, so few lengths recur many times.
+        self._leg_s: Dict[float, float] = {}
 
         # Placed stack id -> whether its latest place decision seated it.
         self._seated: Dict[int, bool] = {}
@@ -173,20 +187,18 @@ class Simulation:
         return summarize_run(self.tracer.records, self.test_index, self.seed, self.now)
 
     def _dispatch(self, event: orc.Event) -> None:
-        if isinstance(event, _DetectDue):
+        if type(event) is _DetectDue:
             self._complete_detection(event)
             return
         self.state, actions = orc.transition(self.state, event, self.params)
+        executors = self._EXECUTORS
         for action in actions:
-            self._execute(action)
+            executor = executors.get(type(action))
+            if executor is None:
+                raise TypeError(f"unknown action {action!r}")
+            executor(self, action)
 
     # -- action execution --------------------------------------------------
-
-    def _execute(self, action: orc.Action) -> None:
-        executor = self._EXECUTORS.get(type(action))
-        if executor is None:
-            raise TypeError(f"unknown action {action!r}")
-        executor(self, action)
 
     def _publish(self, action: orc.Publish) -> None:
         topic = action.topic
@@ -257,11 +269,12 @@ class Simulation:
         if build is None:
             raise ValueError(f"unresolvable move destination {action.dest!r}")
         legs = build(self, *args)
-        mot = self.config.motion
-        v = mot.effective_max_speed_mps
-        a = mot.effective_acceleration_mps2
         # The arm stops at every waypoint, so each leg is its own profile.
-        duration = sum(move_duration(d, v, a) for d in legs)
+        leg_s = self._leg_s
+        for d in legs:
+            if d not in leg_s:
+                leg_s[d] = move_duration(d, *self._limits)
+        duration = sum([leg_s[d] for d in legs])
         self.tracer.record(
             "motion",
             self.now,
@@ -291,16 +304,15 @@ class Simulation:
         # Like every scripted action, any outcome but "ok" is a failure.
         scripted = self._scripted("detect", due.ctx)
         miss = None if scripted is None else scripted != "ok"
-        obs = observe(self.world, self.camera, zone, self.rng, self.config.faults, miss=miss)
+        obs = observe(pickable, self._tops, self.camera, self.rng, self.config.faults, miss=miss)
         found = bool(obs.detections)
         stack_id = -1
         if found:
             idx = select_pick_target(obs.detections)
             box = obs.detections[idx]
             stack_id = obs.detection_sources[idx]
-            depth = estimate_zone_depth(self.camera, self.world.anchors, zone)
             cx, cy = box.center
-            self.pending_target = pixel_to_robot(self.camera, cx, cy, depth)
+            self.pending_target = pixel_to_robot(self.camera, cx, cy, self._depths[zone])
         self.tracer.record(
             "detect",
             self.now,

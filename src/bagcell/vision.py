@@ -18,11 +18,11 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from bagcell.world import QRAnchor, Stack, World
+from bagcell.world import QRAnchor, Stack
 
 
 class EmptyGroundTruth(ValueError):
@@ -268,9 +268,23 @@ def estimate_zone_depth(camera: CameraModel, anchors: Sequence[QRAnchor], zone: 
     raise KeyError(f"no anchor for zone {zone}")
 
 
-def stack_ground_truth_box(camera: CameraModel, stack: Stack, frame_id: int = 0) -> Optional[Box]:
-    """Project a stack's top face into the image; None if outside the frame."""
-    cxp, cyp, depth = camera.project(stack.pose.xyz())
+Projection = Tuple[float, float, float]
+
+
+def stack_tops(camera: CameraModel, stacks: Iterable[Stack]) -> Dict[int, Projection]:
+    """Each stack's top centre through ``camera.project``, by stack id.
+
+    Stacks never move, so a run projects them once and hands the result to
+    every frame it takes.
+    """
+    return {s.id: camera.project(s.pose.xyz()) for s in stacks}
+
+
+def stack_ground_truth_box(
+    camera: CameraModel, stack: Stack, top: Projection, frame_id: int = 0
+) -> Optional[Box]:
+    """A stack's top face in the image, from its projected ``top``; None if outside the frame."""
+    cxp, cyp, depth = top
     if not (depth > 0.0) or math.isnan(cxp):
         return None
     half_w = 0.5 * stack.top_w_m * camera.fx / depth
@@ -299,9 +313,9 @@ SPURIOUS_CONFIDENCE = 0.55
 
 
 def observe(
-    world: World,
+    stacks: Sequence[Stack],
+    tops: Mapping[int, Projection],
     camera: CameraModel,
-    zone: int,
     rng: np.random.Generator,
     faults,
     frame_id: int = 0,
@@ -309,16 +323,18 @@ def observe(
 ) -> Observation:
     """Take one synthetic frame of a zone.
 
-    Ground truth covers the stacks still pickable in the zone. Faults degrade
-    the detection list: whole-frame misses, per-box misses, pixel jitter,
+    Ground truth covers ``stacks``, the stacks still pickable in the zone
+    (``World.zone_stacks``), drawn in ``(col, id)`` order; ``tops`` maps
+    each stack id to its projected top (``stack_tops``). Faults degrade the
+    detection list: whole-frame misses, per-box misses, pixel jitter,
     confidence noise, and spurious boxes. ``miss`` pins the frame's
     outcome (scripted fault injection): True empties the detection list
     outright, False draws no per-box misses, None draws them.
     """
     gts: List[Box] = []
     gt_ids: List[int] = []
-    for s in sorted(world.zone_stacks(zone), key=lambda s: (s.col, s.id)):
-        box = stack_ground_truth_box(camera, s, frame_id)
+    for s in sorted(stacks, key=lambda s: (s.col, s.id)):
+        box = stack_ground_truth_box(camera, s, tops[s.id], frame_id)
         if box is not None:
             gts.append(box)
             gt_ids.append(s.id)

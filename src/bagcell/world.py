@@ -84,12 +84,9 @@ class World:
     anchors: list[QRAnchor]
     enclosures: list[Enclosure]
 
-    def in_tote(self) -> list[Stack]:
-        return [s for s in self.stacks if s.state is StackState.IN_TOTE]
-
     def zone_stacks(self, zone: int) -> list[Stack]:
-        """Pickable stacks currently presented in a zone."""
-        return [s for s in self.in_tote() if s.zone == zone]
+        """Pickable stacks currently presented in a zone, in one pass over the stacks."""
+        return [s for s in self.stacks if s.zone == zone and s.state is _IN_TOTE]
 
 
 def build_world(config: CellConfig) -> World:

@@ -4,14 +4,16 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
 from bagcell import orchestrator as orc
 from bagcell.cli import main
-from bagcell.config import CellConfig
+from bagcell.config import CellConfig, FaultConfig
 from bagcell.devices import FaultScript
+from bagcell.motion import move_duration
 from bagcell.report import (
     audit_interlocks,
     audit_retry_caps,
@@ -23,6 +25,7 @@ from bagcell.report import (
 )
 from bagcell.scenarios import REFERENCE_TESTS, build_reference_script, randomized_fault_profile
 from bagcell.simulate import DEVICE_EVENTS, Simulation, run_campaign, run_single
+from bagcell.vision import CameraModel, estimate_zone_depth, observe
 
 
 def script(*entries) -> FaultScript:
@@ -243,6 +246,64 @@ def test_message_seqs_run_from_zero_per_topic():
     assert {"ready_for_picking", "system_reset", "drop", "cycle_finished"} <= set(seqs)
     for topic_seqs in seqs.values():
         assert topic_seqs == list(range(len(topic_seqs)))
+
+
+# --- per-run geometry: stacks, anchors and leg times computed once ---------
+
+_TURNED = [  # the default camera turned 0.1 rad about its axis and shifted
+    [math.cos(0.1), math.sin(0.1), 0.0, 0.02],
+    [math.sin(0.1), -math.cos(0.1), 0.0, -0.71],
+    [0.0, 0.0, -1.0, 1.10],
+    [0.0, 0.0, 0.0, 1.0],
+]
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("extrinsic", [None, _TURNED], ids=["default", "turned"])
+def test_run_geometry_is_the_fresh_projection_bit_for_bit(extrinsic):
+    config = CellConfig()
+    if extrinsic is not None:
+        config.camera.extrinsic = extrinsic
+    sim = Simulation(config)
+    fresh = CameraModel.from_config(config.camera)
+    anchors = sim.world.anchors
+    assert sorted(sim._tops) == [s.id for s in sim.world.stacks]
+    for stack in sim.world.stacks:
+        assert bits(sim._tops[stack.id]) == bits(fresh.project(stack.pose.xyz()))
+    assert sorted(sim._depths) == sorted(a.zone for a in anchors)
+    for a in anchors:
+        assert bits([sim._depths[a.zone]]) == bits([estimate_zone_depth(fresh, anchors, a.zone)])
+
+
+def test_a_mutated_frame_does_not_change_the_next():
+    config = CellConfig()
+    faults = FaultConfig(detection_miss_prob=0.2, detection_jitter_sigma_px=2.0,
+                         spurious_box_prob=0.5)
+
+    def frame(sim, zone):
+        stacks = sim.world.zone_stacks(zone)
+        return observe(stacks, sim._tops, sim.camera, np.random.default_rng(7), faults)
+
+    sim, clean = Simulation(config), Simulation(config)
+    for zone in (1, 2, 3, 4):
+        first = frame(sim, zone)
+        first.detections.clear()
+        first.ground_truth.append(first.ground_truth[0])
+        first.detection_sources[:] = [-5]
+        assert frame(sim, zone) == frame(clean, zone)
+
+
+def test_leg_times_come_from_the_one_formula():
+    sim = Simulation(CellConfig(), cycles=1)
+    sim.run()
+    mot = sim.config.motion
+    assert len(sim._leg_s) > 5
+    for d, seconds in sim._leg_s.items():
+        want = move_duration(d, mot.effective_max_speed_mps, mot.effective_acceleration_mps2)
+        assert seconds.hex() == want.hex()
 
 
 # --- determinism ----------------------------------------------------------

@@ -25,6 +25,7 @@ from bagcell.vision import (
     pixel_to_robot,
     save_boxes,
     select_pick_target,
+    stack_tops,
 )
 from bagcell.world import build_world
 
@@ -471,8 +472,9 @@ def test_observe_fault_free_matches_ground_truth():
     cfg = default_config()
     world = build_world(cfg)
     cam = CameraModel.from_config(cfg.camera)
+    tops = stack_tops(cam, world.stacks)
     rng = np.random.default_rng(0)
-    obs = observe(world, cam, zone=1, rng=rng, faults=FaultConfig())
+    obs = observe(world.zone_stacks(1), tops, cam, rng=rng, faults=FaultConfig())
     assert len(obs.ground_truth) == 4
     assert len(obs.detections) == 4
     assert obs.detection_sources == [s.id for s in world.zone_stacks(1)]
@@ -484,12 +486,14 @@ def test_observe_total_miss_and_forced_miss():
     cfg = default_config()
     world = build_world(cfg)
     cam = CameraModel.from_config(cfg.camera)
+    tops = stack_tops(cam, world.stacks)
+    zone_1 = world.zone_stacks(1)
     rng = np.random.default_rng(0)
-    all_miss = observe(world, cam, 1, rng, FaultConfig(detection_miss_prob=1.0))
+    all_miss = observe(zone_1, tops, cam, rng, FaultConfig(detection_miss_prob=1.0))
     assert all_miss.detections == [] and len(all_miss.ground_truth) == 4
-    forced = observe(world, cam, 1, rng, FaultConfig(), miss=True)
+    forced = observe(zone_1, tops, cam, rng, FaultConfig(), miss=True)
     assert forced.detections == []
-    pinned = observe(world, cam, 1, rng, FaultConfig(detection_miss_prob=1.0), miss=False)
+    pinned = observe(zone_1, tops, cam, rng, FaultConfig(detection_miss_prob=1.0), miss=False)
     assert len(pinned.detections) == 4
 
 
@@ -497,11 +501,13 @@ def test_observe_miss_rate_matches_probability():
     cfg = default_config()
     world = build_world(cfg)
     cam = CameraModel.from_config(cfg.camera)
+    tops = stack_tops(cam, world.stacks)
+    zone_4 = world.zone_stacks(4)
     rng = np.random.default_rng(99)
     faults = FaultConfig(detection_miss_prob=0.125)
     total = missed = 0
     for frame in range(80):
-        obs = observe(world, cam, zone=4, rng=rng, faults=faults, frame_id=frame)
+        obs = observe(zone_4, tops, cam, rng=rng, faults=faults, frame_id=frame)
         total += len(obs.ground_truth)
         missed += len(obs.ground_truth) - len(obs.detections)
     assert total == 80 * 8
@@ -512,11 +518,13 @@ def test_observe_deterministic_per_seed():
     cfg = default_config()
     world = build_world(cfg)
     cam = CameraModel.from_config(cfg.camera)
+    tops = stack_tops(cam, world.stacks)
+    zone_2 = world.zone_stacks(2)
     faults = FaultConfig(
         detection_miss_prob=0.2, detection_jitter_sigma_px=2.0, spurious_box_prob=0.2
     )
-    a = observe(world, cam, 2, np.random.default_rng(5), faults)
-    b = observe(world, cam, 2, np.random.default_rng(5), faults)
+    a = observe(zone_2, tops, cam, np.random.default_rng(5), faults)
+    b = observe(zone_2, tops, cam, np.random.default_rng(5), faults)
     assert a.detections == b.detections
     assert a.detection_sources == b.detection_sources
 

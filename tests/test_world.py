@@ -115,7 +115,8 @@ def test_packaging_rules_flagged():
 def test_held_stack_lookup():
     world = fresh_world()
     world.stacks[9].state = StackState.HELD
-    assert len(world.in_tote()) == 23
+    assert sum(len(world.zone_stacks(z)) for z in (1, 2, 3, 4)) == 23
+    assert 9 not in [s.id for s in world.zone_stacks(2)]
 
 
 def test_invariant_scan_reports_every_violation_in_a_fixed_order():
