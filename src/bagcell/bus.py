@@ -1,22 +1,22 @@
 """The topics of the cross-phase coordination messages.
 
-``TOPICS`` maps each topic the machine publishes to whether the machine
-waits to receive it back as a ``BusMsg``. The runtime numbers each topic's
-messages from 0 and traces them; publishing a topic outside the table is
-a ``KeyError``.
+``TOPICS`` names each topic the machine may publish. The runtime numbers
+each topic's messages from 0 and traces them; publishing a topic outside
+the tuple is a ``KeyError``. Which topics come back to the machine as a
+``BusMsg`` is read off the ``BusMsg`` rows of ``orchestrator.STEPS``.
 """
 
-TOPICS = {
-    "system_ready": False,
-    "ready_for_picking": True,
-    "drop": False,
-    "placement_verified": False,
-    "cycle_finished": False,
-    "removing_bag": False,
-    "suction_cmd": False,
-    "cutting_complete": False,
-    "removal_complete": False,
-    "delivery_complete": False,
-    "system_reset": True,
-    "fault": False,
-}
+TOPICS = (
+    "system_ready",
+    "ready_for_picking",
+    "drop",
+    "placement_verified",
+    "cycle_finished",
+    "removing_bag",
+    "suction_cmd",
+    "cutting_complete",
+    "removal_complete",
+    "delivery_complete",
+    "system_reset",
+    "fault",
+)

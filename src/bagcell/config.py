@@ -247,6 +247,12 @@ class CellConfig:
                 "devices.vacuum_level_kpa",
                 "steady-state vacuum must be at or below the secure threshold",
             )
+        # A rate of inf or 0 would put a NaN or a division by zero into an event time.
+        if not 0.0 < abs(dev.secure_threshold_kpa) / dev.ramp_to_secure_s < math.inf:
+            raise ConfigInvalid(
+                "devices.ramp_to_secure_s",
+                "|secure_threshold_kpa| / ramp_to_secure_s must be a finite, nonzero ramp rate",
+            )
 
     # --- geometry helpers -------------------------------------------------
 

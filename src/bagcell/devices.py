@@ -3,13 +3,18 @@
 All device dynamics are piecewise linear, so the bank never ticks: every
 command computes its threshold crossing or completion time in closed form
 and returns it with the machine event that will fire then (or None when
-nothing will). The runtime queues that event on its own timeline, decides
+nothing will). Every valve command is one ramp: the line moves at a fixed
+rate from its pressure now toward the command's target. A ramp that settles
+at or below the secure threshold answers ``SuctionSecured``; one that
+settles above answers ``SuctionLost`` if the line is secured, else nothing.
+Either comes due as the ramp crosses the threshold, or now if the line is
+already past it. The runtime queues the event on its own timeline, decides
 whether a later command superseded it, and calls ``apply`` when it comes
-due. The bank keeps no clock: each command takes the runtime's ``now``. The
-bank enforces the two safety interlocks itself: it refuses to extend the
-cutter before every bottom line is secured, or a pusher while the door is
-not fully open and at rest. Its sensor noise comes from the config's
-:class:`FaultConfig`.
+due; only ``apply`` changes a line's ``secured``. The bank keeps no
+clock: each command takes the runtime's ``now``. The bank enforces the two
+safety interlocks itself: it refuses to extend the cutter before every
+bottom line is secured, or a pusher while the door is not fully open and at
+rest. Its sensor noise comes from the config's :class:`FaultConfig`.
 
 Fault injection is two-layered: :class:`FaultConfig` gives stochastic
 per-action failure probabilities, and a :class:`FaultScript` pins specific
@@ -174,44 +179,18 @@ class SuctionMode(enum.Enum):
 
 
 @dataclass
-class _Segment:
-    """Linear analog trajectory: value(t) = clamp(v0 + rate*(t - t0) -> target)."""
-
-    t0: float
-    v0: float
-    rate: float
-    target: float
-
-    def value_at(self, t: float) -> float:
-        if self.rate == 0.0:
-            return self.v0
-        v = self.v0 + self.rate * (t - self.t0)
-        if self.rate < 0.0:
-            return max(v, self.target)
-        return min(v, self.target)
-
-    def crossing_time(self, level: float) -> Optional[float]:
-        """Time the segment reaches ``level``, None if it never does."""
-        if self.rate == 0.0 or self.v0 == level:
-            return None
-        t = self.t0 + (level - self.v0) / self.rate
-        if t <= self.t0:
-            return None
-        # must reach level before plateauing at target
-        if self.rate < 0.0 and level < self.target:
-            return None
-        if self.rate > 0.0 and level > self.target:
-            return None
-        return t
-
-
-@dataclass
 class SuctionLine:
+    """A line ramping linearly from ``p0`` at ``t0`` and holding at ``target``."""
+
     secured: bool = False
-    segment: _Segment = field(default_factory=lambda: _Segment(0.0, 0.0, 0.0, 0.0))
+    t0: float = 0.0
+    p0: float = 0.0
+    rate: float = 0.0
+    target: float = 0.0
 
     def pressure_at(self, t: float) -> float:
-        return self.segment.value_at(t)
+        p = self.p0 + self.rate * (t - self.t0)
+        return max(p, self.target) if self.rate < 0.0 else min(p, self.target)
 
 
 @dataclass
@@ -266,31 +245,30 @@ class DeviceBank:
 
     # -- suction commands --------------------------------------------------
 
-    def _ramp_rate(self) -> float:
-        # Crosses the secure threshold exactly at the configured ramp time.
-        return abs(self.cfg.secure_threshold_kpa) / self.cfg.ramp_to_secure_s
-
     def open_valve(self, name: str, now: float, mode: SuctionMode = SuctionMode.SEAL) -> Due:
-        line = self.suction[name]
-        target = (
-            self.cfg.vacuum_level_kpa if mode is SuctionMode.SEAL else self.cfg.leak_level_kpa
-        )
-        line.segment = _Segment(now, line.pressure_at(now), -self._ramp_rate(), target)
-        if not line.secured:
-            t_cross = line.segment.crossing_time(self.cfg.secure_threshold_kpa)
-            if t_cross is not None:
-                return t_cross, orc.SuctionSecured(device=name)
-        return None
+        target = self.cfg.vacuum_level_kpa if mode is SuctionMode.SEAL else self.cfg.leak_level_kpa
+        return self._ramp(name, now, target)
 
     def close_valve(self, name: str, now: float) -> Due:
+        return self._ramp(name, now, 0.0)
+
+    def _ramp(self, name: str, now: float, target: float) -> Due:
+        """Ramp ``name`` from its pressure at ``now`` toward ``target``; answer its edge."""
         line = self.suction[name]
-        line.segment = _Segment(now, line.pressure_at(now), self._ramp_rate(), 0.0)
-        if line.secured:
-            t_cross = line.segment.crossing_time(self.cfg.secure_threshold_kpa)
-            if t_cross is not None:
-                return t_cross, orc.SuctionLost(device=name)
-            line.secured = False
-        return None
+        p0 = line.pressure_at(now)
+        threshold = self.cfg.secure_threshold_kpa
+        # Crosses the secure threshold from 0 kPa exactly at the configured ramp time.
+        rate = abs(threshold) / self.cfg.ramp_to_secure_s
+        line.t0, line.p0, line.rate, line.target = now, p0, -rate if target < p0 else rate, target
+        if target <= threshold:
+            event: orc.Event = orc.SuctionSecured(device=name)
+        elif line.secured:
+            event = orc.SuctionLost(device=name)
+        else:
+            return None
+        if (p0 > threshold) == (target > threshold):
+            return now, event
+        return now + (threshold - p0) / line.rate, event
 
     # -- actuator commands -------------------------------------------------
 

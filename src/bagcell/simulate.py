@@ -10,13 +10,13 @@ timers. What a run cannot change is computed once per run: the camera's
 view of each stack top and rim marker, and the move time of each leg
 length, filled through ``motion.move_duration`` the first time the length
 comes up. A publish is traced as a ``message`` numbered per topic; a topic
-in ``bus.TOPICS`` that the machine awaits comes back to it as a ``BusMsg``
-at the same instant. The event a device command returns joins the same
-heap at rank 0, so it wins ties: it is applied to the bank and traced, then
-re-queued at rank 1, behind everything already due at that instant. Every
-timer start or cancel and every device command bumps one epoch map, keyed
-by timer tag or device name; a popped entry whose epoch is behind was
-superseded and is dropped.
+that the machine awaits in a ``BusMsg`` row of ``orchestrator.STEPS`` comes
+back to it as that ``BusMsg`` at the same instant. The event a device
+command returns joins the same heap at rank 0, so it wins ties: it is
+applied to the bank and traced, then re-queued at rank 1, behind everything
+already due at that instant. Every timer start or cancel and every device
+command bumps one epoch map, keyed by timer tag or device name; a popped
+entry whose epoch is behind was superseded and is dropped.
 
 Nothing here reads a wall clock and all randomness flows through one seeded
 generator, so a given (config, seed, script) triple always produces the same
@@ -64,6 +64,9 @@ _FAULT_PROBS = {
     "secure": "bottom_suction_fail_prob",
 }
 
+
+# The topics the machine waits to receive back, read off its event graph.
+_AWAITED_TOPICS = frozenset(ev.topic for (_, ev) in orc.STEPS if type(ev) is orc.BusMsg)
 
 # Device-event type -> its trace name.
 DEVICE_EVENTS = {
@@ -207,7 +210,7 @@ class Simulation:
         self.tracer.record(
             "message", self.now, {"topic": topic, "seq": seq, "payload": dict(action.payload)}
         )
-        if TOPICS[topic]:
+        if topic in _AWAITED_TOPICS:
             self._push(self.now, orc.BusMsg(topic=topic))
 
     def _detect(self, action: orc.Detect) -> None:

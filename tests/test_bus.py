@@ -17,7 +17,7 @@ def messages(sim):
 
 def test_awaited_topics_are_the_ones_the_machine_waits_on(monkeypatch):
     awaited = {ev.topic for (_, ev) in orc.STEPS if type(ev) is orc.BusMsg}
-    assert {t for t, back in TOPICS.items() if back} == awaited
+    assert awaited <= set(TOPICS)
     _, seen, _ = drive_machine(monkeypatch, {
         orc.Start(): [orc.Publish("drop", {}), orc.Publish("system_reset", {})],
     })

@@ -347,6 +347,8 @@ def test_mistyped_config_value_is_a_usage_error(tmp_path, capsys, overlay, field
         # Every detection missed, each retry queued at the same simulated instant.
         ({"orchestrator": {"detect_attempts": 1_000_000_000, "pacing": {"detect_service_s": 0}},
           "faults": {"detection_miss_prob": 1.0}}, "orchestrator.detect_attempts"),
+        # A ramp rate of inf made a NaN event time: "trace time went backwards".
+        ({"devices": {"ramp_to_secure_s": 1e-320}}, "devices.ramp_to_secure_s"),
     ],
 )
 def test_config_the_run_cannot_use_is_a_usage_error(tmp_path, capsys, overlay, field_name):

@@ -76,6 +76,68 @@ def test_close_before_the_threshold_returns_nothing():
     assert not bank.suction["gripper"].secured
 
 
+def test_sealing_open_of_a_secured_line_answers_at_once():
+    bank = make_bank()
+    settle(bank, bank.open_valve("gripper", 0.0))
+    assert bank.open_valve("gripper", 1.0) == (1.0, SuctionSecured(device="gripper"))
+
+
+def test_leaking_open_of_a_secured_line_ramps_up_and_is_lost():
+    bank = make_bank()
+    assert settle(bank, bank.open_valve("gripper", 0.0)) == pytest.approx(0.5)
+    time, event = bank.open_valve("gripper", 1.0, SuctionMode.LEAK)
+    assert (time, event) == (pytest.approx(1.5), SuctionLost(device="gripper"))
+    line = bank.suction["gripper"]
+    assert line.secured  # until the edge is applied
+    assert line.pressure_at(1.2) == pytest.approx(-48.0)
+    assert line.pressure_at(3.0) == pytest.approx(-10.0)
+    bank.apply(event)
+    assert not line.secured
+
+
+def test_a_crossing_within_one_ulp_of_now_is_answered():
+    bank = DeviceBank(DeviceConfig(ramp_to_secure_s=1e-300), FaultConfig())
+    assert bank.open_valve("gripper", 700.0) == (700.0, SuctionSecured(device="gripper"))
+
+
+_VALVE_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["seal", "leak", "close"]),
+        st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]),  # gaps that land on crossings
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=_VALVE_OPS)
+def test_secured_changes_only_when_a_returned_edge_is_applied(ops):
+    # Drive one line like the runtime does: a due edge is applied before a
+    # command at the same instant, and each command drops the pending one.
+    bank = make_bank()
+    line = bank.suction["gripper"]
+    cfg = bank.cfg
+    settles_at = {"seal": cfg.vacuum_level_kpa, "leak": cfg.leak_level_kpa, "close": 0.0}
+    now, pending, target = 0.0, None, 0.0
+    for op, gap in ops:
+        now += gap
+        if pending is not None and pending[0] <= now:
+            bank.apply(pending[1])
+            pending = None
+        before, target = line.secured, settles_at[op]
+        if op == "close":
+            pending = bank.close_valve("gripper", now)
+        else:
+            mode = SuctionMode.SEAL if op == "seal" else SuctionMode.LEAK
+            pending = bank.open_valve("gripper", now, mode)
+        assert line.secured == before
+        assert pending is None or pending[0] >= now
+    if pending is not None:
+        bank.apply(pending[1])
+    # Once every edge is in, the flag says where the line settles.
+    assert line.secured == (target <= cfg.secure_threshold_kpa)
+
+
 def test_bottom_lines_ramp_in_parallel():
     bank = make_bank()
     dues = [bank.open_valve(f"bottom_{i}", 0.0) for i in range(8)]

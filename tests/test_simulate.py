@@ -463,6 +463,21 @@ def test_persistent_seal_failure_aborts_the_cut():
     assert_clean_audits(tracer)
 
 
+def test_a_reseat_of_a_still_secured_gripper_is_answered():
+    # With no release settle and a 0.1 s placement window, a reseat reopens
+    # the gripper 0.1 s after closing it, while it is still secured. That
+    # reopen must answer SuctionSecured, or the machine waits in
+    # RESEAT_GRIPPING on an empty queue.
+    cfg = CellConfig.from_dict({
+        "devices": {"placement_window_s": 0.1},
+        "orchestrator": {"pacing": {"release_settle_s": 0.0}},
+    })
+    report, tracer = run_single(cfg, cycles=1)
+    assert report.cycles == 1
+    assert tracer.records[-1].data["text"] == "session_done"
+    assert_clean_audits(tracer)
+
+
 def test_scripted_pusher_stall_loses_one_delivery():
     sc = script(({"action": "push", "enclosure": 3}, "stall"))
     report, tracer = run_single(CellConfig(), seed=15, cycles=1, script=sc)
