@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Annotated, Any, Callable, NamedTuple, get_args, get_origin, get_type_hints
 
-import numpy as np
-
 DEFAULT_SEED = 12345
 # Enclosures in the bulk loader; every per-enclosure loop and audit reads it here.
 ENCLOSURE_COUNT = 8
@@ -236,6 +234,8 @@ class CellConfig:
         ext = cam.extrinsic
         if len(ext) != 4 or any(len(row) != 4 for row in ext):
             raise ConfigInvalid("camera.extrinsic", "must be a 4x4 matrix")
+        import numpy as np  # imported here so that `bagcell eval` never loads it
+
         try:
             # As floats: an int past int64 would make an object array.
             np.linalg.inv(np.asarray(ext, dtype=float))
@@ -252,6 +252,12 @@ class CellConfig:
             raise ConfigInvalid(
                 "devices.ramp_to_secure_s",
                 "|secure_threshold_kpa| / ramp_to_secure_s must be a finite, nonzero ramp rate",
+            )
+        # The verify timer would always fire before a bottom line could secure.
+        if dev.placement_window_s < dev.ramp_to_secure_s:
+            raise ConfigInvalid(
+                "devices.placement_window_s",
+                f"must be at least ramp_to_secure_s={dev.ramp_to_secure_s}",
             )
 
     # --- geometry helpers -------------------------------------------------

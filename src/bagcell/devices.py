@@ -31,12 +31,13 @@ import enum
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from bagcell import orchestrator as orc
 from bagcell.config import ENCLOSURE_COUNT, DeviceConfig, FaultConfig
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class InterlockViolation(Exception):

@@ -20,7 +20,10 @@ entry whose epoch is behind was superseded and is dropped.
 
 Nothing here reads a wall clock and all randomness flows through one seeded
 generator, so a given (config, seed, script) triple always produces the same
-trace, byte for byte.
+trace, byte for byte. That generator is numpy's ``Generator(PCG64(seed))``,
+and numpy is imported in ``Simulation.__init__`` where it is built, not at
+module level, so that importing the CLI (and scoring with ``bagcell eval``)
+does not load numpy.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from __future__ import annotations
 import heapq
 from collections import namedtuple
 from typing import Any, Dict, Iterator, List, Optional, Tuple
-
-import numpy as np
 
 from bagcell import devices as dv
 from bagcell import orchestrator as orc
@@ -100,6 +101,8 @@ class Simulation:
         self.config = config
         self.seed = config.seed if seed is None else seed
         self.test_index = test_index
+        import numpy as np
+
         self.rng = np.random.Generator(np.random.PCG64(self.seed))
         self.world: World = build_world(config)
         self.script = script

@@ -8,6 +8,10 @@ Metrics can be computed either from matched box lists or directly from
 confusion counts (the O(1) path for large benchmark tallies). The camera is an
 ideal pinhole with a fixed extrinsic; per-zone pick depth is anchored by a
 marker on the tote rim rather than per-stack depth sensing.
+
+Scoring is plain Python float arithmetic. numpy is imported only in
+``CameraModel.__post_init__``, for the extrinsic and its inverse, so
+``bagcell eval`` (load two box files, match, score) never loads it.
 """
 
 from __future__ import annotations
@@ -17,12 +21,24 @@ import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from bagcell.world import QRAnchor, Stack
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class EmptyGroundTruth(ValueError):
@@ -185,19 +201,22 @@ def ap_at_threshold(preds: Sequence[Box], matches: Sequence[Match], n_gt: int) -
         return 0.0
     matched = {m.pred_index for m in matches}
     order = _ranking(tuple([p.confidence for p in preds]))
-    tp_flags = np.array([1.0 if pi in matched else 0.0 for pi in order])
-    tp_cum = np.cumsum(tp_flags)
-    fp_cum = np.cumsum(1.0 - tp_flags)
-    recall = tp_cum / n_gt
-    precision = tp_cum / np.maximum(tp_cum + fp_cum, 1e-12)
-    # Monotone precision envelope, then sum rectangle areas between recall steps.
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    # Precision m / k at the m-th hit's 1-based rank k. Between hits it only
+    # falls, so the envelope over all ranks is the running max of these from
+    # the last hit back, and recall steps up by 1 / n_gt at each hit.
+    hit_ranks = compress(range(1, len(order) + 1), map(matched.__contains__, order))
+    envelope = [m / k for m, k in enumerate(hit_ranks, 1)]
+    p_env = 0.0
+    for i in range(len(envelope) - 1, -1, -1):
+        if envelope[i] > p_env:
+            p_env = envelope[i]
+        envelope[i] = p_env
     prev_r = 0.0
     ap = 0.0
-    for r, p_env in zip(recall.tolist(), envelope.tolist()):
-        if r > prev_r:
-            ap += (r - prev_r) * p_env
-            prev_r = r
+    for m, p_env in enumerate(envelope, 1):
+        r = m / n_gt
+        ap += (r - prev_r) * p_env
+        prev_r = r
     return ap
 
 
@@ -221,6 +240,8 @@ class CameraModel:
     extrinsic: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         self.extrinsic = np.asarray(self.extrinsic, dtype=float)
         if self.extrinsic.shape != (4, 4):
             raise ValueError("extrinsic must be 4x4")
@@ -232,7 +253,7 @@ class CameraModel:
 
     def to_camera(self, point_base: Sequence[float]) -> np.ndarray:
         x, y, z = point_base
-        return (self._inverse @ np.array((x, y, z, 1.0), dtype=float))[:3]
+        return (self._inverse @ (x, y, z, 1.0))[:3]
 
     def project(self, point_base: Sequence[float]) -> Tuple[float, float, float]:
         """Base-frame point -> (px, py, depth). Depth <= 0 means behind the camera."""
@@ -245,7 +266,7 @@ class CameraModel:
         """Pixel + depth -> base-frame point (inverse of :meth:`project`)."""
         xc = (px - self.cx) * depth / self.fx
         yc = (py - self.cy) * depth / self.fy
-        p = self.extrinsic @ np.array([xc, yc, depth, 1.0])
+        p = self.extrinsic @ (xc, yc, depth, 1.0)
         return (float(p[0]), float(p[1]), float(p[2]))
 
     def in_frame(self, px: float, py: float) -> bool:

@@ -1,6 +1,9 @@
 """Command-line interface tests, driven through main() in-process."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,7 +14,9 @@ from bagcell.devices import DeviceBank
 from bagcell.scenarios import REFERENCE_CAMPAIGN
 from bagcell.simulate import Simulation
 
-STAGE_RATES = Path(__file__).resolve().parent.parent / "scenarios" / "stage_rates.json"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+STAGE_RATES = ROOT / "scenarios" / "stage_rates.json"
 GT_LINES = "\n".join(
     f"0 stack 1.0 {100 + 200 * i} 100 {220 + 200 * i} 240" for i in range(4)
 )
@@ -91,6 +96,33 @@ def test_eval_against_empty_ground_truth_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: {gt}: ")
     assert "Traceback" not in err
+
+
+def test_eval_never_loads_numpy(tmp_path):
+    # numpy is imported only to simulate: the run's generator, the camera's
+    # matrices and the config's extrinsic check. Scoring a box file, and a
+    # usage error, start without it.
+    program = """
+import sys
+import bagcell.cli, bagcell.scenarios, bagcell.vision
+from bagcell import cli, vision
+boxes = [vision.Box(100.0 + 200 * i, 100.0, 220.0 + 200 * i, 240.0) for i in range(4)]
+vision.save_boxes("gt.txt", boxes)
+vision.save_boxes("pred.txt", boxes[:3])
+assert cli.main(["eval", "--preds", "pred.txt", "--gts", "gt.txt"]) == 0
+assert cli.main(["eval", "--preds", "pred.txt", "--gts", "gt.txt", "--iou", "2"]) == 1
+print("numpy" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", program],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *report, numpy_loaded = proc.stdout.splitlines()
+    assert json.loads("\n".join(report))["fn"] == 1
+    assert "error: argument --iou: must be in [0, 1], got '2'" in proc.stderr
+    assert numpy_loaded == "False"
 
 
 def test_run_writes_trace_and_report(tmp_path, capsys):
@@ -349,6 +381,8 @@ def test_mistyped_config_value_is_a_usage_error(tmp_path, capsys, overlay, field
           "faults": {"detection_miss_prob": 1.0}}, "orchestrator.detect_attempts"),
         # A ramp rate of inf made a NaN event time: "trace time went backwards".
         ({"devices": {"ramp_to_secure_s": 1e-320}}, "devices.ramp_to_secure_s"),
+        # The verify timer fired before any bottom line secured: 0 of 8 placed, exit 0.
+        ({"devices": {"placement_window_s": 0.1}}, "devices.placement_window_s"),
     ],
 )
 def test_config_the_run_cannot_use_is_a_usage_error(tmp_path, capsys, overlay, field_name):

@@ -11,7 +11,7 @@ import pytest
 
 from bagcell import orchestrator as orc
 from bagcell.cli import main
-from bagcell.config import CellConfig, FaultConfig
+from bagcell.config import CellConfig, ConfigInvalid, FaultConfig
 from bagcell.devices import FaultScript
 from bagcell.motion import move_duration
 from bagcell.report import (
@@ -464,18 +464,65 @@ def test_persistent_seal_failure_aborts_the_cut():
 
 
 def test_a_reseat_of_a_still_secured_gripper_is_answered():
-    # With no release settle and a 0.1 s placement window, a reseat reopens
-    # the gripper 0.1 s after closing it, while it is still secured. That
-    # reopen must answer SuctionSecured, or the machine waits in
-    # RESEAT_GRIPPING on an empty queue.
-    cfg = CellConfig.from_dict({
-        "devices": {"placement_window_s": 0.1},
-        "orchestrator": {"pacing": {"release_settle_s": 0.0}},
-    })
-    report, tracer = run_single(cfg, cycles=1)
+    # A scripted place fail sends the machine to reseat once the release
+    # settle and the placement window are over (5 s). From -400 kPa the
+    # released gripper takes 370 / 60 s to cross the -30 kPa threshold, so
+    # the reseat reopens it while it is still secured. That reopen must answer
+    # SuctionSecured at once, or the machine waits in RESEAT_GRIPPING on an
+    # empty queue.
+    cfg = CellConfig.from_dict({"devices": {"vacuum_level_kpa": -400.0}})
+    sc = script(({"action": "place", "slot": 0}, "fail"))
+    report, tracer = run_single(cfg, cycles=1, script=sc)
     assert report.cycles == 1
+    assert report.placed == 8
     assert tracer.records[-1].data["text"] == "session_done"
     assert_clean_audits(tracer)
+
+    records = tracer.records
+    retry = next(i for i, r in enumerate(records) if r.data.get("text") == "placement_retry")
+    reopen = next(
+        i for i in range(retry, len(records))
+        if records[i].kind == "device_cmd"
+        and records[i].data == {"device": "gripper", "op": "open", "mode": "seal"}
+    )
+    gripper_edges = [
+        r.data["event"] for r in records[:reopen]
+        if r.kind == "device_event" and r.data["device"] == "gripper"
+    ]
+    assert gripper_edges[-1] == "secured"  # the release's SuctionLost never came
+    answer = records[reopen + 1]
+    assert (answer.time, answer.kind, answer.data["device"], answer.data["event"]) == (
+        records[reopen].time, "device_event", "gripper", "secured"
+    )
+
+
+def test_a_placement_window_equal_to_the_ramp_seats_every_stack():
+    # The shortest window the config accepts: the bottom line crosses the
+    # secure threshold at the instant the verify timer fires, and the rank-0
+    # SuctionSecured is applied before the seat is checked.
+    cfg = CellConfig.from_dict({"devices": {"placement_window_s": 0.5, "ramp_to_secure_s": 0.5}})
+    report, tracer = run_single(cfg, cycles=1)
+    assert (report.placed, report.delivered) == (8, 8)
+    assert_clean_audits(tracer)
+    records = tracer.records
+    opened = next(
+        r.time for r in records
+        if r.kind == "device_cmd" and r.data["device"] == "bottom_0" and r.data["op"] == "open"
+    )
+    edge = next(
+        i for i, r in enumerate(records)
+        if r.kind == "device_event" and r.data["device"] == "bottom_0"
+    )
+    check = next(
+        i for i, r in enumerate(records)
+        if r.kind == "sensor" and r.data == {"kind": "ultrasonic", "enclosure": 0, "present": True}
+    )
+    assert records[edge].data["event"] == "secured"
+    assert edge < check
+    assert records[edge].time == records[check].time == opened + 0.5
+    with pytest.raises(ConfigInvalid) as exc:
+        CellConfig.from_dict({"devices": {"placement_window_s": math.nextafter(0.5, 0.0)}})
+    assert exc.value.field_name == "devices.placement_window_s"
 
 
 def test_scripted_pusher_stall_loses_one_delivery():
