@@ -259,6 +259,26 @@ class CellConfig:
                 "devices.placement_window_s",
                 f"must be at least ramp_to_secure_s={dev.ramp_to_secure_s}",
             )
+        # The grip and secure timers start with the valve; at equality the
+        # timer comes due ahead of the re-queued SuctionSecured.
+        if dev.grip_timeout_s <= dev.ramp_to_secure_s:
+            raise ConfigInvalid(
+                "devices.grip_timeout_s",
+                f"must be longer than ramp_to_secure_s={dev.ramp_to_secure_s}",
+            )
+        # An occupied enclosure must read present and an empty one absent.
+        if not lay.occupied_distance_cm < dev.presence_threshold_cm <= lay.back_wall_cm:
+            raise ConfigInvalid(
+                "devices.presence_threshold_cm",
+                f"must be in (layout.occupied_distance_cm={lay.occupied_distance_cm}, "
+                f"layout.back_wall_cm={lay.back_wall_cm}]",
+            )
+        # A leaking line that still seals would make every fault decision a no-op.
+        if dev.leak_level_kpa <= dev.secure_threshold_kpa:
+            raise ConfigInvalid(
+                "devices.leak_level_kpa",
+                f"must be above secure_threshold_kpa={dev.secure_threshold_kpa}",
+            )
 
     # --- geometry helpers -------------------------------------------------
 

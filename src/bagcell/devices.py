@@ -56,7 +56,19 @@ class MalformedFaultScript(ValueError):
 
 SCRIPT_VERSION = 1
 _OUTCOMES = ("ok", "fail", "stall")
-_ACTIONS = ("detect", "plan", "pick", "place", "secure", "remove", "push")
+# Fallible action -> the name of its failure probability in FaultConfig, or
+# None. Detection draws its misses per box in ``vision.observe``; a pusher
+# stalls only when a script says so.
+FAULT_PROBS = {
+    "detect": None,
+    "plan": "plan_failure_prob",
+    "pick": "pick_grip_fail_prob",
+    "place": "place_drop_fail_prob",
+    "secure": "bottom_suction_fail_prob",
+    "remove": "pick_grip_fail_prob",
+    "push": None,
+}
+_ACTIONS = tuple(FAULT_PROBS)
 _SELECTOR_KEYS = (
     "action",
     "test",

@@ -4,19 +4,20 @@ The simulation owns the clock, the one event heap, the world, the device
 bank and the tracer. It feeds events to ``orchestrator.transition`` and
 hands each returned action to its executor, picked by the action's type:
 resolving move geometry into profile durations, taking synthetic camera
-frames, deciding each fallible action and each planning attempt (fault
-script first, then the seeded dice), mutating the world, and scheduling
-timers. What a run cannot change is computed once per run: the camera's
-view of each stack top and rim marker, and the move time of each leg
-length, filled through ``motion.move_duration`` the first time the length
-comes up. A publish is traced as a ``message`` numbered per topic; a topic
-that the machine awaits in a ``BusMsg`` row of ``orchestrator.STEPS`` comes
-back to it as that ``BusMsg`` at the same instant. The event a device
-command returns joins the same heap at rank 0, so it wins ties: it is
-applied to the bank and traced, then re-queued at rank 1, behind everything
-already due at that instant. Every timer start or cancel and every device
-command bumps one epoch map, keyed by timer tag or device name; a popped
-entry whose epoch is behind was superseded and is dropped.
+frames, deciding each fallible occurrence (a detection frame, a planning
+attempt, a device action) by one rule in ``Simulation._outcome``, mutating
+the world, and scheduling timers. What a run cannot change is computed once
+per run: the camera's view of each stack top and rim marker, and the move
+time of each leg length, filled through ``motion.move_duration`` the first
+time the length comes up. A publish is traced as a ``message`` numbered per
+topic; a topic that the machine awaits in a ``BusMsg`` row of
+``orchestrator.STEPS`` comes back to it as that ``BusMsg`` at the same
+instant. The event a device command returns joins the same heap at rank 0,
+so it wins ties: it is applied to the bank and traced, then re-queued at
+rank 1, behind everything already due at that instant. Every timer start or
+cancel and every device command bumps one epoch map, keyed by timer tag or
+device name; a popped entry whose epoch is behind was superseded and is
+dropped.
 
 Nothing here reads a wall clock and all randomness flows through one seeded
 generator, so a given (config, seed, script) triple always produces the same
@@ -55,16 +56,6 @@ from bagcell.world import (
 )
 
 _SIM_TIME_LIMIT_S = 48.0 * 3600.0
-
-# Fallible action -> its failure probability in FaultConfig. A pusher has
-# none: it stalls only when a script says so.
-_FAULT_PROBS = {
-    "pick": "pick_grip_fail_prob",
-    "remove": "pick_grip_fail_prob",
-    "place": "place_drop_fail_prob",
-    "secure": "bottom_suction_fail_prob",
-}
-
 
 # The topics the machine waits to receive back, read off its event graph.
 _AWAITED_TOPICS = frozenset(ev.topic for (_, ev) in orc.STEPS if type(ev) is orc.BusMsg)
@@ -297,70 +288,45 @@ class Simulation:
     def _complete_detection(self, due: _DetectDue) -> None:
         zone = due.zone
         pickable = self.world.zone_stacks(zone)
-        if not pickable:
-            self.tracer.record(
-                "detect", self.now, {"zone": zone, "gt": 0, "boxes": 0, "found": False}
+        record = {"zone": zone, "gt": 0, "boxes": 0, "found": False}
+        found, stack_id, leftmost = False, -1, -1
+        if pickable:
+            leftmost = min(pickable, key=lambda s: (s.col, s.id)).id
+            # Like every scripted action, any outcome but "ok" is a failure.
+            scripted = self._outcome("detect", due.ctx)
+            miss = None if scripted is None else scripted != "ok"
+            obs = observe(
+                pickable, self._tops, self.camera, self.rng, self.config.faults, miss=miss
             )
-            self._push(
-                self.now,
-                orc.DetectReady(zone=zone, zone_has_stacks=False, found=False),
-            )
-            return
-        leftmost = min(pickable, key=lambda s: (s.col, s.id)).id
-        # Like every scripted action, any outcome but "ok" is a failure.
-        scripted = self._scripted("detect", due.ctx)
-        miss = None if scripted is None else scripted != "ok"
-        obs = observe(pickable, self._tops, self.camera, self.rng, self.config.faults, miss=miss)
-        found = bool(obs.detections)
-        stack_id = -1
-        if found:
-            idx = select_pick_target(obs.detections)
-            box = obs.detections[idx]
-            stack_id = obs.detection_sources[idx]
-            cx, cy = box.center
-            self.pending_target = pixel_to_robot(self.camera, cx, cy, self._depths[zone])
-        self.tracer.record(
-            "detect",
-            self.now,
-            {
-                "zone": zone,
-                "gt": len(obs.ground_truth),
-                "boxes": len(obs.detections),
-                "found": found,
-                "target": stack_id,
-                "forced_miss": bool(miss),
-            },
-        )
-        self._push(
-            self.now,
-            orc.DetectReady(
-                zone=zone,
-                zone_has_stacks=True,
+            found = bool(obs.detections)
+            if found:
+                idx = select_pick_target(obs.detections)
+                stack_id = obs.detection_sources[idx]
+                cx, cy = obs.detections[idx].center
+                self.pending_target = pixel_to_robot(self.camera, cx, cy, self._depths[zone])
+            record.update(
+                gt=len(obs.ground_truth),
+                boxes=len(obs.detections),
                 found=found,
-                stack_id=stack_id,
-                leftmost_stack_id=leftmost,
-            ),
-        )
+                target=stack_id,
+                forced_miss=bool(miss),
+            )
+        self.tracer.record("detect", self.now, record)
+        self._push(self.now, orc.DetectReady(zone, bool(pickable), found, stack_id, leftmost))
 
     # -- planning ----------------------------------------------------------
 
     def _start_plan(self, action: orc.Plan) -> None:
         """Run the planner's attempts; each failed one burns the whole budget.
 
-        A ``plan`` script entry pins an attempt, its ``attempt`` selector
-        naming the planner's own attempt. Otherwise the dice roll, once, only
-        when the failure probability lies strictly between 0 and 1.
+        Each attempt is one fallible occurrence (``_outcome``); a ``plan``
+        script entry's ``attempt`` selector names the planner's own attempt.
         """
         mot = self.config.motion
-        prob = self.config.faults.plan_failure_prob
         ctx = {**action.ctx, "test": self.test_index}
         penalty = 0.0
         for attempts in range(1, mot.max_planning_attempts + 1):
-            outcome = self._scripted("plan", {**ctx, "attempt": attempts})
-            if outcome is None:
-                ok = prob <= 0.0 or (prob < 1.0 and self.rng.random() >= prob)
-            else:
-                ok = outcome == "ok"
+            ok = self._outcome("plan", {**ctx, "attempt": attempts}) == "ok"
             if ok:
                 break
             penalty += mot.planning_time_budget_s
@@ -374,29 +340,32 @@ class Simulation:
 
     # -- devices -----------------------------------------------------------
 
-    def _scripted(self, action: str, ctx: Dict[str, Any]) -> Optional[str]:
-        """The fault script's outcome for this occurrence, or None; never rolls dice."""
-        if self.script is None:
+    def _outcome(self, action: str, ctx: Dict[str, Any]) -> Optional[str]:
+        """One fallible occurrence's outcome: a matching script entry's, else the dice's.
+
+        Of the action's failure probability (``devices.FAULT_PROBS``), 0 passes
+        and 1 fails without a draw; one draw decides anything strictly between.
+        An action with no probability gets None.
+        """
+        if self.script is not None:
+            scripted = self.script.consume({"action": action, **ctx})
+            if scripted is not None:
+                return scripted
+        prob_name = dv.FAULT_PROBS[action]
+        if prob_name is None:
             return None
-        return self.script.consume({"action": action, **ctx})
+        prob = getattr(self.config.faults, prob_name)
+        return "fail" if prob >= 1.0 or (prob > 0.0 and self.rng.random() < prob) else "ok"
 
     def _decide(self, action: str, action_ctx: Dict[str, Any]) -> str:
-        """Outcome of one fallible action occurrence, traced as a fault decision.
-
-        A script entry wins; otherwise the dice roll, once, only if the
-        action can fail at all.
-        """
+        """Outcome of one fallible device action, traced as a fault decision."""
         ctx = {**action_ctx, "test": self.test_index}
         source = {}
         if action == "pick" and "stack" not in ctx:
             # Suction on a phantom detection can never seal.
             outcome, source = "fail", {"source": "phantom"}
         else:
-            outcome = self._scripted(action, ctx)
-            if outcome is None:
-                prob_name = _FAULT_PROBS.get(action)
-                prob = getattr(self.config.faults, prob_name) if prob_name else 0.0
-                outcome = "fail" if prob > 0.0 and self.rng.random() < prob else "ok"
+            outcome = self._outcome(action, ctx) or "ok"
         self.tracer.record(
             "fault_decision",
             self.now,

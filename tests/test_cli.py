@@ -383,6 +383,14 @@ def test_mistyped_config_value_is_a_usage_error(tmp_path, capsys, overlay, field
         ({"devices": {"ramp_to_secure_s": 1e-320}}, "devices.ramp_to_secure_s"),
         # The verify timer fired before any bottom line secured: 0 of 8 placed, exit 0.
         ({"devices": {"placement_window_s": 0.1}}, "devices.placement_window_s"),
+        # The grip timer fired ahead of the secured gripper: 0 of 8 picked, exit 0.
+        ({"devices": {"ramp_to_secure_s": 2.0}}, "devices.grip_timeout_s"),
+        # An occupied enclosure read absent (0 of 8 placed), or an emptied one
+        # present (0 of 8 delivered), each with exit 0.
+        ({"devices": {"presence_threshold_cm": 5.0}}, "devices.presence_threshold_cm"),
+        ({"devices": {"presence_threshold_cm": 30.01}}, "devices.presence_threshold_cm"),
+        # A leaking line that sealed anyway: a scripted pick fail was picked.
+        ({"devices": {"leak_level_kpa": -30.0}}, "devices.leak_level_kpa"),
     ],
 )
 def test_config_the_run_cannot_use_is_a_usage_error(tmp_path, capsys, overlay, field_name):

@@ -211,8 +211,10 @@ DRAWN_VALUES = st.one_of(
 
 # A rule that spans fields names one of them, which may not be the one changed.
 SPANNED_BY = {
-    "devices.secure_threshold_kpa": {"devices.vacuum_level_kpa"},
-    "devices.ramp_to_secure_s": {"devices.placement_window_s"},
+    "devices.secure_threshold_kpa": {"devices.vacuum_level_kpa", "devices.leak_level_kpa"},
+    "devices.ramp_to_secure_s": {"devices.placement_window_s", "devices.grip_timeout_s"},
+    "layout.occupied_distance_cm": {"devices.presence_threshold_cm"},
+    "layout.back_wall_cm": {"devices.presence_threshold_cm"},
     "camera.width_px": {"camera.cx"},
     "camera.height_px": {"camera.cy"},
     **{f"camera.extrinsic[{i}][{j}]": {"camera.extrinsic"} for i in range(4) for j in range(4)},

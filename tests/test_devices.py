@@ -381,6 +381,20 @@ def test_injector_prob_zero_and_one():
     assert decide_picks(sim, 20) == ["ok"] * 20
     assert sim.rng.random() == fresh_draw(sim)  # prob 0 rolls no dice
     assert decide_picks(decider(pick_prob=1.0), 20) == ["fail"] * 20
+    # Prob 1 fails and, like prob 0, rolls no dice.
+    probs = {
+        "pick": "pick_grip_fail_prob",
+        "remove": "pick_grip_fail_prob",
+        "place": "place_drop_fail_prob",
+        "secure": "bottom_suction_fail_prob",
+    }
+    for action, prob in probs.items():
+        cfg = CellConfig()
+        setattr(cfg.faults, prob, 1.0)
+        sim = Simulation(cfg, seed=0)
+        decided = [sim._decide(action, {"slot": i, "stack": i}) for i in range(20)]
+        assert decided == ["fail"] * 20, action
+        assert sim.rng.random() == fresh_draw(sim), action
 
 
 def test_injector_script_overrides_dice():
@@ -401,6 +415,6 @@ def test_injector_scripted_never_rolls_dice():
     script = FaultScript(entries=[ScriptEntry(when={"action": "pick", "slot": 0}, outcome="fail")])
     sim = decider(script=script, pick_prob=0.5)
     assert sim._decide("pick", {"slot": 0, "stack": 0}) == "fail"
-    assert sim._scripted("pick", {"slot": 1}) is None
+    assert sim.script.consume({"action": "pick", "slot": 1}) is None
     # The generator was not advanced: its next draw is a fresh generator's first.
     assert sim.rng.random() == fresh_draw(sim)
