@@ -24,13 +24,13 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, List, Optional, get_args
 
-from bagcell.config import AtLeastOne, CellConfig, ConfigInvalid, Count, Probability
-from bagcell.config import check, default_config
-from bagcell.devices import FaultScript, InterlockViolation, MalformedFaultScript
+from bagcell.config import AtLeastOne, CellConfig, ConfigInvalid, Count, MalformedInput
+from bagcell.config import Probability, check, default_config
+from bagcell.devices import FaultScript, InterlockViolation
 from bagcell.report import config_digest, render_table, summarize_campaign, write_trace
 from bagcell.scenarios import REFERENCE_TESTS, build_reference_script
 from bagcell.simulate import SimulationStuck, run_campaign, run_single
-from bagcell.vision import EmptyGroundTruth, MalformedBoxFile, evaluate, load_boxes
+from bagcell.vision import EmptyGroundTruth, evaluate, load_boxes
 
 log = logging.getLogger(__name__)
 _UNMATCHED = "%d fault script entries were never matched"
@@ -221,7 +221,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     try:
         return args.func(args)
-    except (ConfigInvalid, MalformedFaultScript, MalformedBoxFile, OSError) as exc:
+    except (MalformedInput, OSError) as exc:
         # A reader names its unreadable input; an OSError is an unwritable output.
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -27,13 +27,40 @@ DEFAULT_SEED = 12345
 ENCLOSURE_COUNT = 8
 
 
-class ConfigInvalid(ValueError):
+class MalformedInput(ValueError):
+    """Rejected input: ``path`` (a file, or a config field), the line at fault if one, and why."""
+
+    def __init__(self, path: str, line_no: int | None, reason: str):
+        self.path = path
+        self.line_no = line_no
+        self.reason = reason
+        super().__init__(f"{path if line_no is None else f'{path}:{line_no}'}: {reason}")
+
+
+def read_text(path: str | Path, fail: Callable[[str], MalformedInput]) -> str:
+    """``path``'s UTF-8 text, or ``fail``'s error naming why it cannot be read."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise fail(f"cannot read: {exc}")
+
+
+def parse_json(text: str, fail: Callable[[str], MalformedInput]) -> Any:
+    """``text`` as ``json.loads`` reads it, or ``fail``'s error naming why it cannot."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
+        raise fail(f"invalid JSON: {exc}")
+    except RecursionError:
+        raise fail("invalid JSON: nested too deeply")
+
+
+class ConfigInvalid(MalformedInput):
     """Raised when a config value has the wrong type or breaks its bound."""
 
     def __init__(self, field_name: str, reason: str):
         self.field_name = field_name
-        self.reason = reason
-        super().__init__(f"{field_name}: {reason}")
+        super().__init__(field_name, None, reason)
 
 
 class Bound(NamedTuple):
@@ -238,9 +265,15 @@ class CellConfig:
 
         try:
             # As floats: an int past int64 would make an object array.
-            np.linalg.inv(np.asarray(ext, dtype=float))
+            inverse = np.linalg.inv(np.asarray(ext, dtype=float))
         except np.linalg.LinAlgError:
             raise ConfigInvalid("camera.extrinsic", "must be invertible") from None
+        # A zone's pick depth is its rim marker's depth in the camera frame.
+        for zone in range(1, len(lay.zone_sizes) + 1):
+            if not (inverse @ (*self.rim_marker_position(zone), 1.0))[2] > 0.0:
+                raise ConfigInvalid(
+                    "camera.extrinsic", f"puts the zone {zone} rim marker behind the camera"
+                )
         dev = self.devices
         if dev.vacuum_level_kpa > dev.secure_threshold_kpa:
             raise ConfigInvalid(
@@ -297,6 +330,16 @@ class CellConfig:
         )
         return (x, y, z)
 
+    def rim_marker_position(self, zone: int) -> tuple[float, float, float]:
+        """Base-frame position of a zone's marker on the tote rim.
+
+        It sits left of the widest row, in the plane of the zone row's stack
+        tops, so its depth in the camera frame is the zone's pick depth.
+        """
+        lay = self.layout
+        _, y, z = self.stack_top_position(zone, zone - 1, 0)
+        return (-(max(lay.zone_sizes) / 2.0 + 0.5) * lay.col_pitch_m, y, z)
+
     def zone_row_y(self, zone: int) -> float:
         return self.layout.tote_front_y_m - (zone - 1) * self.layout.row_pitch_m
 
@@ -325,17 +368,8 @@ class CellConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CellConfig":
-        path = Path(path)
-        try:
-            data = json.loads(path.read_text())
-        except FileNotFoundError:
-            raise ConfigInvalid(str(path), "config file not found")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigInvalid(str(path), f"cannot read config file: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ConfigInvalid(str(path), f"invalid JSON: {exc}")
-        except RecursionError:
-            raise ConfigInvalid(str(path), "invalid JSON: nested too deeply")
+        fail = functools.partial(ConfigInvalid, str(path))
+        data = parse_json(read_text(path, fail), fail)
         if not isinstance(data, dict):
             raise ConfigInvalid(str(path), "config root must be a JSON object")
         return cls.from_dict(data)

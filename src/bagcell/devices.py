@@ -28,13 +28,14 @@ entries that select its test, and those that select no test), in file order.
 from __future__ import annotations
 
 import enum
-import json
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from bagcell import orchestrator as orc
-from bagcell.config import ENCLOSURE_COUNT, DeviceConfig, FaultConfig
+from bagcell.config import ENCLOSURE_COUNT, DeviceConfig, FaultConfig, MalformedInput
+from bagcell.config import parse_json, read_text
 
 if TYPE_CHECKING:
     import numpy as np
@@ -44,12 +45,10 @@ class InterlockViolation(Exception):
     """The bank refused a command whose safety precondition was false."""
 
 
-class MalformedFaultScript(ValueError):
+class MalformedFaultScript(MalformedInput):
     def __init__(self, path: str, index: Optional[int], reason: str):
-        self.path = path
         self.index = index
-        where = f"{path}" if index is None else f"{path} entry {index}"
-        super().__init__(f"{where}: {reason}")
+        super().__init__(path, None, reason if index is None else f"entry {index}: {reason}")
 
 
 # --- fault script ---------------------------------------------------------
@@ -163,18 +162,8 @@ class FaultScript:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "FaultScript":
-        p = Path(path)
-        try:
-            data = json.loads(p.read_text())
-        except FileNotFoundError:
-            raise MalformedFaultScript(str(p), None, "file not found")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise MalformedFaultScript(str(p), None, f"cannot read: {exc}")
-        except json.JSONDecodeError as exc:
-            raise MalformedFaultScript(str(p), None, f"invalid JSON: {exc}")
-        except RecursionError:
-            raise MalformedFaultScript(str(p), None, "invalid JSON: nested too deeply")
-        return cls.from_dict(data, path=str(p))
+        fail = functools.partial(MalformedFaultScript, str(path), None)
+        return cls.from_dict(parse_json(read_text(path, fail), fail), path=str(path))
 
     def to_dict(self) -> Dict[str, Any]:
         return {

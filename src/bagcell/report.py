@@ -1,20 +1,22 @@
 """Run traces, campaign reports, table rendering, and safety scans.
 
 A trace is an append-only JSONL stream: one record per line with a version
-tag, a globally monotone sequence number and a non-decreasing timestamp.
+tag, a globally monotone sequence number and a finite, non-decreasing timestamp.
 Published messages, device commands and events, fault decisions, phase marks and
 invariant violations all land in the same stream, so a trace alone is enough
 to audit interlock ordering after the fact, and to read the run's report.
 Reading a trace back checks each line's envelope and the payload fields those
 readers index, so a hand-edited line fails with its line number and field
-instead of crashing an audit.
+instead of crashing an audit. The file is read and parsed by the rule of
+every input file (``config.read_text``, ``config.parse_json``), so a trace
+is rejected with the reasons a config, fault-script or box file would be.
 
 Every line is built by ``_line`` from one envelope template, with its keys in
 sorted order, and one JSON encoder made at import encodes the payload; a
 time is formatted once for the consecutive records that share it. A
 line is parsed by the decoder's scanner alone when the scan ends at the end of
-the line; any other line goes through ``json.loads``, which either accepts it
-(padding whitespace) or gives the reason a ``MalformedTrace`` names it by.
+the line; any other line goes through ``parse_json``, which either accepts it
+(padding whitespace) or names the line and the reason.
 
 Reports aggregate a campaign into per-test rows (detected / picked / placed
 / duration), each read off its run's trace, plus means and percentage rates.
@@ -25,15 +27,17 @@ runs produce byte-identical files.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Sequence, Tuple
 
-from bagcell.config import ENCLOSURE_COUNT
+from bagcell.config import ENCLOSURE_COUNT, MalformedInput, parse_json, read_text
 
 TRACE_VERSION = 1
 # One C encoder for every trace value, with the options of
@@ -54,6 +58,7 @@ _ENCODE = c_make_encoder(
 # The decoder's scanner parses one JSON value from a given index; json.loads
 # wraps it in whitespace skipping, an end check and the error reasons.
 _SCAN = json.JSONDecoder().scan_once
+_FLOAT_MAX = sys.float_info.max
 
 # Payload fields the trace readers index, by record kind: (field, type, required).
 # A field that is not required has a default where it is read; if present, it
@@ -70,12 +75,8 @@ PAYLOAD_FIELDS: Dict[str, Tuple[Tuple[str, type, bool], ...]] = {
 _ABSENT = object()
 
 
-class MalformedTrace(ValueError):
-    def __init__(self, path: str, line_no: Optional[int], reason: str):
-        self.path = path
-        self.line_no = line_no
-        where = path if line_no is None else f"{path}:{line_no}"
-        super().__init__(f"{where}: {reason}")
+class MalformedTrace(MalformedInput):
+    """A trace that cannot be read, or a line of it that is not a record."""
 
 
 class TraceRecord(NamedTuple):
@@ -133,22 +134,9 @@ def write_trace(path: str | Path, records: Sequence[TraceRecord]) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
-def _loads(path: str, line_no: int, raw: str) -> Any:
-    """``raw`` as json.loads reads it, or the reason it cannot, naming the line."""
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise MalformedTrace(path, line_no, f"invalid JSON: {exc}")
-    except RecursionError:
-        raise MalformedTrace(path, line_no, "invalid JSON: nested too deeply")
-
-
 def read_trace(path: str | Path) -> List[TraceRecord]:
-    p = Path(path)
-    try:
-        text = p.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise MalformedTrace(str(p), None, f"cannot read: {exc}")
+    where = str(path)
+    text = read_text(path, functools.partial(MalformedTrace, where, None))
     out: List[TraceRecord] = []
     prev_seq = -1
     prev_time = 0.0
@@ -160,29 +148,31 @@ def read_trace(path: str | Path) -> List[TraceRecord]:
         if end != len(raw):  # blank, padded or malformed
             if not raw.strip():
                 continue
-            obj = _loads(str(p), line_no, raw)
+            obj = parse_json(raw, functools.partial(MalformedTrace, where, line_no))
         if type(obj) is not dict:
-            raise MalformedTrace(str(p), line_no, "record is not a JSON object")
+            raise MalformedTrace(where, line_no, "record is not a JSON object")
         v = obj.get("v")
         if type(v) is not int or v != TRACE_VERSION:
-            raise MalformedTrace(str(p), line_no, f"unsupported version {v!r}")
+            raise MalformedTrace(where, line_no, f"unsupported version {v!r}")
         try:
             seq, t, kind, data = obj["seq"], obj["t"], obj["kind"], obj["data"]
         except KeyError as exc:
-            raise MalformedTrace(str(p), line_no, f"missing field {exc.args[0]!r}")
+            raise MalformedTrace(where, line_no, f"missing field {exc.args[0]!r}")
         if type(seq) is not int:  # a bool is no int
-            raise MalformedTrace(str(p), line_no, "field 'seq' is not int")
+            raise MalformedTrace(where, line_no, "field 'seq' is not int")
         if type(kind) is not str:
-            raise MalformedTrace(str(p), line_no, "field 'kind' is not str")
+            raise MalformedTrace(where, line_no, "field 'kind' is not str")
         if type(data) is not dict:
-            raise MalformedTrace(str(p), line_no, "field 'data' is not dict")
+            raise MalformedTrace(where, line_no, "field 'data' is not dict")
         if seq != prev_seq + 1:
-            raise MalformedTrace(str(p), line_no, f"sequence gap: {prev_seq} -> {seq}")
+            raise MalformedTrace(where, line_no, f"sequence gap: {prev_seq} -> {seq}")
         if type(t) is not float and type(t) is not int:  # a bool is not a time
-            raise MalformedTrace(str(p), line_no, f"timestamp is not a number: {t!r}")
-        if t < prev_time - 1e-9:
+            raise MalformedTrace(where, line_no, f"timestamp is not a number: {t!r}")
+        if not prev_time - 1e-9 <= t <= _FLOAT_MAX:  # also False for NaN
+            if not abs(t) <= _FLOAT_MAX:  # NaN, infinity or an int too large for a float
+                raise MalformedTrace(where, line_no, f"timestamp is not a finite number: {t!r}")
             raise MalformedTrace(
-                str(p), line_no, f"timestamp regression: {prev_time} -> {t}"
+                where, line_no, f"timestamp regression: {prev_time} -> {t}"
             )
         for key, want, required in PAYLOAD_FIELDS.get(kind, ()):
             value = data.get(key, _ABSENT)
@@ -190,10 +180,10 @@ def read_trace(path: str | Path) -> List[TraceRecord]:
                 continue
             if value is not _ABSENT:
                 raise MalformedTrace(
-                    str(p), line_no, f"{kind} field {key!r} is not {want.__name__}"
+                    where, line_no, f"{kind} field {key!r} is not {want.__name__}"
                 )
             if required or (key == "cycles" and data["text"] == "session_done"):
-                raise MalformedTrace(str(p), line_no, f"{kind} is missing field {key!r}")
+                raise MalformedTrace(where, line_no, f"{kind} is missing field {key!r}")
         prev_seq = seq
         prev_time = t
         out.append(TraceRecord(seq, t, kind, data))

@@ -35,6 +35,7 @@ from typing import (
     Tuple,
 )
 
+from bagcell.config import MalformedInput, read_text
 from bagcell.world import QRAnchor, Stack
 
 if TYPE_CHECKING:
@@ -45,13 +46,8 @@ class EmptyGroundTruth(ValueError):
     """Metrics were requested against an empty ground-truth set."""
 
 
-class MalformedBoxFile(ValueError):
-    def __init__(self, path: str, line_no: Optional[int], reason: str):
-        self.path = path
-        self.line_no = line_no
-        self.reason = reason
-        where = path if line_no is None else f"{path}:{line_no}"
-        super().__init__(f"{where}: {reason}")
+class MalformedBoxFile(MalformedInput):
+    """A box file that cannot be read, or a line of it that is not a box."""
 
 
 class Box(NamedTuple):
@@ -427,10 +423,7 @@ def save_boxes(path: str | Path, boxes: Iterable[Box]) -> None:
 def load_boxes(path: str | Path) -> List[Box]:
     out: List[Box] = []
     isfinite = math.isfinite
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise MalformedBoxFile(str(path), None, f"cannot read: {exc}")
+    text = read_text(path, functools.partial(MalformedBoxFile, str(path), None))
     for line_no, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts or parts[0].startswith("#"):

@@ -110,14 +110,10 @@ def build_world(config: CellConfig) -> World:
             )
             sid += 1
 
-    anchors = []
-    for zone_idx in range(len(lay.zone_sizes)):
-        zone = zone_idx + 1
-        # Anchor sits on the tote rim at the zone row's stack-top plane, so
-        # its depth in the camera frame matches the pick plane directly.
-        _, y, z = config.stack_top_position(zone, zone_idx, 0)
-        edge_x = -(max(lay.zone_sizes) / 2.0 + 0.5) * lay.col_pitch_m
-        anchors.append(QRAnchor(zone=zone, pose=Pose3(edge_x, y, z)))
+    anchors = [
+        QRAnchor(zone=zone, pose=Pose3(*config.rim_marker_position(zone)))
+        for zone in range(1, len(lay.zone_sizes) + 1)
+    ]
 
     enclosures = [Enclosure(i) for i in range(ENCLOSURE_COUNT)]
     return World(stacks=stacks, anchors=anchors, enclosures=enclosures)

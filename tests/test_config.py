@@ -218,6 +218,9 @@ SPANNED_BY = {
     "camera.width_px": {"camera.cx"},
     "camera.height_px": {"camera.cy"},
     **{f"camera.extrinsic[{i}][{j}]": {"camera.extrinsic"} for i in range(4) for j in range(4)},
+    # The camera must face each zone's rim marker, which the tote geometry places.
+    **{f"layout.{name}": {"camera.extrinsic"} for name in (
+        "tote_top_z_m", "tote_front_y_m", "row_pitch_m", "col_pitch_m", "incline_deg")},
 }
 
 

@@ -196,6 +196,23 @@ def test_trace_timestamp_that_is_not_a_number_is_malformed(tmp_path):
         assert info.value.line_no == 1
 
 
+@pytest.mark.parametrize(
+    "t, shown",
+    [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1" + "0" * 400, "1" + "0" * 400)],
+    ids=["nan", "inf", "-inf", "int-past-float"],
+)
+def test_trace_timestamp_that_is_not_finite_is_malformed(tmp_path, t, shown):
+    # A NaN compares false both ways, so it would switch off the regression
+    # check for the line after it.
+    path = tmp_path / "trace.jsonl"
+    lines = [f'{{"v": 1, "seq": {i}, "t": {ti}, "kind": "x", "data": {{}}}}'
+             for i, ti in enumerate(["5.0", t, "1.0"])]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MalformedTrace, match=f"timestamp is not a finite number: {shown}$") as info:
+        read_trace(path)
+    assert info.value.line_no == 2
+
+
 @pytest.mark.parametrize("name", ["a_dir", "latin1.jsonl", "missing.jsonl"])
 def test_unreadable_trace_path_is_malformed(tmp_path, name):
     (tmp_path / "a_dir").mkdir()
