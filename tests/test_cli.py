@@ -371,13 +371,6 @@ def test_mistyped_config_value_is_a_usage_error(tmp_path, capsys, overlay, field
           "faults": {"plan_failure_prob": 1.0}}, "motion.max_planning_attempts"),
         # A singular extrinsic ended the run in a LinAlgError traceback.
         ({"camera": {"extrinsic": [[0.0] * 4] * 4}}, "camera.extrinsic"),
-        # A tilted camera saw a stack but had a rim marker behind it: a
-        # ValueError traceback at the first detection.
-        ({"camera": {"extrinsic": [[1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, -0.69],
-                                   [7.0, 0.0, -1.0, 1.05], [0.0, 0.0, 0.0, 1.0]]}},
-         "camera.extrinsic"),
-        # A tote above the camera ran with nothing detected, exit 0.
-        ({"layout": {"tote_top_z_m": 300.0}}, "camera.extrinsic"),
         # An empty image, or a principal point off it, ran with nothing detected.
         ({"camera": {"width_px": 0}}, "camera.width_px"),
         ({"camera": {"height_px": -5}}, "camera.height_px"),
@@ -398,6 +391,13 @@ def test_mistyped_config_value_is_a_usage_error(tmp_path, capsys, overlay, field
         ({"devices": {"presence_threshold_cm": 30.01}}, "devices.presence_threshold_cm"),
         # A leaking line that sealed anyway: a scripted pick fail was picked.
         ({"devices": {"leak_level_kpa": -30.0}}, "devices.leak_level_kpa"),
+        # A tilted camera saw a stack but had a rim marker behind it: a
+        # ValueError traceback at the first detection.
+        ({"camera": {"extrinsic": [[1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, -0.69],
+                                   [7.0, 0.0, -1.0, 1.05], [0.0, 0.0, 0.0, 1.0]]}},
+         "camera.extrinsic"),
+        # A tote above the camera ran with nothing detected, exit 0.
+        ({"layout": {"tote_top_z_m": 300.0}}, "camera.extrinsic"),
     ],
 )
 def test_config_the_run_cannot_use_is_a_usage_error(tmp_path, capsys, overlay, field_name):
