@@ -315,20 +315,19 @@ class CellConfig:
 
     # --- geometry helpers -------------------------------------------------
 
-    def stack_top_position(self, zone: int, row: int, col: int) -> tuple[float, float, float]:
-        """Base-frame position of a stack's top centre.
+    def stack_top_position(self, zone: int, col: int) -> tuple[float, float, float]:
+        """Base-frame position of a stack's top centre; ``zone`` is 1-based.
 
-        ``zone`` is 1-based and equals ``row + 1`` in the default layout; the
-        tote incline lowers each successive row.
+        Each zone is one row of the tote, and the incline lowers each
+        successive row.
         """
         lay = self.layout
         n = lay.zone_sizes[zone - 1]
         x = (col - (n - 1) / 2.0) * lay.col_pitch_m
-        y = lay.tote_front_y_m - row * lay.row_pitch_m
-        z = lay.tote_top_z_m - row * lay.row_pitch_m * math.sin(
+        z = lay.tote_top_z_m - (zone - 1) * lay.row_pitch_m * math.sin(
             math.radians(lay.incline_deg)
         )
-        return (x, y, z)
+        return (x, self.zone_row_y(zone), z)
 
     def rim_marker_position(self, zone: int) -> tuple[float, float, float]:
         """Base-frame position of a zone's marker on the tote rim.
@@ -337,7 +336,7 @@ class CellConfig:
         tops, so its depth in the camera frame is the zone's pick depth.
         """
         lay = self.layout
-        _, y, z = self.stack_top_position(zone, zone - 1, 0)
+        _, y, z = self.stack_top_position(zone, 0)
         return (-(max(lay.zone_sizes) / 2.0 + 0.5) * lay.col_pitch_m, y, z)
 
     def zone_row_y(self, zone: int) -> float:

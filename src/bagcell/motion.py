@@ -36,19 +36,6 @@ class Profile:
             return self.v_peak
         return self.accel * (self.t_total - t)
 
-    def position_at(self, t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        if t >= self.t_total:
-            return self.distance
-        if t < self.t_accel:
-            return 0.5 * self.accel * t * t
-        d_accel = 0.5 * self.v_peak * self.t_accel
-        if t < self.t_accel + self.t_cruise:
-            return d_accel + self.v_peak * (t - self.t_accel)
-        remaining = self.t_total - t
-        return self.distance - 0.5 * self.accel * remaining * remaining
-
 
 def plan_profile(distance: float, v_max: float, accel: float) -> Profile:
     """Time a straight move of ``distance`` metres under the given limits."""

@@ -19,8 +19,8 @@ type as well as the values, so ``MotionDone("x") != TimerFired("x")``.
 ``STEPS`` is the machine's whole event graph: each row maps a sub-state and
 an event it awaits to the step that handles it. Each ``Sub`` member's
 ``rows`` are derived from it once, at import, so a transition looks up one
-small dict. The phase is not stored; each ``Sub`` member names its phase,
-and ``OrcState.phase`` reads it off the sub-state. Events with no row in the
+small dict. The phase is not stored: each ``Sub`` member names its phase,
+so a state's phase is ``state.sub.phase``. Events with no row in the
 current sub-state are consumed as no-ops, which keeps the function total.
 """
 
@@ -111,8 +111,7 @@ class _Record(tuple):
     def __eq__(self, other):
         return type(self) is type(other) and tuple.__eq__(self, other)
 
-    def __ne__(self, other):
-        return type(self) is not type(other) or tuple.__ne__(self, other)
+    __ne__ = object.__ne__  # the inverse of __eq__ above, not tuple's
 
     __hash__ = tuple.__hash__
 
@@ -239,10 +238,6 @@ class OrcState:
     removal_idx: int = 0
     push_pending: frozenset = frozenset()
     verify_idx: int = 0
-
-    @property
-    def phase(self) -> Phase:
-        return self.sub.phase
 
 
 _STATE_FIELDS = frozenset(f.name for f in dataclasses.fields(OrcState))

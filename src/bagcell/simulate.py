@@ -7,17 +7,18 @@ resolving move geometry into profile durations, taking synthetic camera
 frames, deciding each fallible occurrence (a detection frame, a planning
 attempt, a device action) by one rule in ``Simulation._outcome``, mutating
 the world, and scheduling timers. What a run cannot change is computed once
-per run: the camera's view of each stack top and rim marker, and the move
-time of each leg length, filled through ``motion.move_duration`` the first
-time the length comes up. A publish is traced as a ``message`` numbered per
-topic; a topic that the machine awaits in a ``BusMsg`` row of
-``orchestrator.STEPS`` comes back to it as that ``BusMsg`` at the same
-instant. The event a device command returns joins the same heap at rank 0,
-so it wins ties: it is applied to the bank and traced, then re-queued at
-rank 1, behind everything already due at that instant. Every timer start or
-cancel and every device command bumps one epoch map, keyed by timer tag or
-device name; a popped entry whose epoch is behind was superseded and is
-dropped.
+per run: from the config, each stack's ground-truth box
+(``vision.ground_truth_boxes``) and each zone's pick depth, its rim marker's
+depth in the camera frame; and the move time of each leg length, filled
+through ``motion.move_duration`` the first time the length comes up. A
+publish is traced as a ``message`` numbered per topic; a topic that the
+machine awaits in a ``BusMsg`` row of ``orchestrator.STEPS`` comes back to it
+as that ``BusMsg`` at the same instant. The event a device command returns
+joins the same heap at rank 0, so it wins ties: it is applied to the bank and
+traced, then re-queued at rank 1, behind everything already due at that
+instant. Every timer start or cancel and every device command bumps one epoch
+map, keyed by timer tag or device name; a popped entry whose epoch is behind
+was superseded and is dropped.
 
 Nothing here reads a wall clock and all randomness flows through one seeded
 generator, so a given (config, seed, script) triple always produces the same
@@ -39,14 +40,7 @@ from bagcell.bus import TOPICS
 from bagcell.config import CellConfig
 from bagcell.motion import leg_lengths, move_duration
 from bagcell.report import RunReport, Tracer, summarize_run
-from bagcell.vision import (
-    CameraModel,
-    estimate_zone_depth,
-    observe,
-    pixel_to_robot,
-    select_pick_target,
-    stack_tops,
-)
+from bagcell.vision import CameraModel, ground_truth_boxes, observe, select_pick_target
 from bagcell.world import (
     Packaging,
     StackState,
@@ -97,18 +91,21 @@ class Simulation:
         self.rng = np.random.Generator(np.random.PCG64(self.seed))
         self.world: World = build_world(config)
         self.script = script
+        lay = config.layout
         self.bank = dv.DeviceBank(
             config.devices,
             config.faults,
-            occupied_distance_cm=config.layout.occupied_distance_cm,
-            empty_distance_cm=config.layout.back_wall_cm,
+            occupied_distance_cm=lay.occupied_distance_cm,
+            empty_distance_cm=lay.back_wall_cm,
         )
-        self.camera = CameraModel.from_config(config.camera)
-        # Stacks and anchors never move: each is seen through the camera once.
-        self._tops = stack_tops(self.camera, self.world.stacks)
-        anchors = self.world.anchors
+        camera = self.camera = CameraModel.from_config(config.camera)
+        # Stack tops and rim markers never move: each is seen through the camera once.
+        tops = {s.id: config.stack_top_position(s.zone, s.col) for s in self.world.stacks}
+        self._boxes = ground_truth_boxes(camera, tops, lay.stack_top_w_m, lay.stack_top_d_m)
+        # A zone's pick depth; validate() has checked that each is positive.
         self._depths = {
-            a.zone: estimate_zone_depth(self.camera, anchors, a.zone) for a in anchors
+            zone: float(camera.to_camera(config.rim_marker_position(zone))[2])
+            for zone in range(1, len(lay.zone_sizes) + 1)
         }
         self.tracer = Tracer()
         self._topic_seq = dict.fromkeys(TOPICS, 0)
@@ -124,7 +121,6 @@ class Simulation:
         # Timer tags and device names share one key space; they never collide.
         self._epoch: Dict[str, int] = {}
 
-        lay = config.layout
         self.home = tuple(lay.home_pose[:3])
         self.reset_pose = tuple(lay.reset_pose[:3])
         self.safe_mid = tuple(lay.safe_mid_pose[:3])
@@ -296,14 +292,14 @@ class Simulation:
             scripted = self._outcome("detect", due.ctx)
             miss = None if scripted is None else scripted != "ok"
             obs = observe(
-                pickable, self._tops, self.camera, self.rng, self.config.faults, miss=miss
+                pickable, self._boxes, self.camera, self.rng, self.config.faults, miss=miss
             )
             found = bool(obs.detections)
             if found:
                 idx = select_pick_target(obs.detections)
                 stack_id = obs.detection_sources[idx]
                 cx, cy = obs.detections[idx].center
-                self.pending_target = pixel_to_robot(self.camera, cx, cy, self._depths[zone])
+                self.pending_target = self.camera.back_project(cx, cy, self._depths[zone])
             record.update(
                 gt=len(obs.ground_truth),
                 boxes=len(obs.detections),

@@ -6,8 +6,9 @@ in the PASCAL VOC protocol: a prediction is compared only with ground truth of
 its own frame and label, so scoring time is linear in the number of frames.
 Metrics can be computed either from matched box lists or directly from
 confusion counts (the O(1) path for large benchmark tallies). The camera is an
-ideal pinhole with a fixed extrinsic; per-zone pick depth is anchored by a
-marker on the tote rim rather than per-stack depth sensing.
+ideal pinhole with a fixed extrinsic. Stacks never move, so a run draws each
+stack's top face once (``ground_truth_boxes``) and ``observe`` looks the boxes
+up frame by frame.
 
 Scoring is plain Python float arithmetic. numpy is imported only in
 ``CameraModel.__post_init__``, for the extrinsic and its inverse, so
@@ -36,7 +37,7 @@ from typing import (
 )
 
 from bagcell.config import MalformedInput, read_text
-from bagcell.world import QRAnchor, Stack
+from bagcell.world import Stack
 
 if TYPE_CHECKING:
     import numpy as np
@@ -269,53 +270,23 @@ class CameraModel:
         return 0.0 <= px < self.width_px and 0.0 <= py < self.height_px
 
 
-def pixel_to_robot(
-    camera: CameraModel, px: float, py: float, depth: float
-) -> Tuple[float, float, float]:
-    if depth <= 0.0:
-        raise ValueError(f"depth must be > 0, got {depth}")
-    return camera.back_project(px, py, depth)
+def ground_truth_boxes(
+    camera: CameraModel, tops: Mapping[int, Sequence[float]], width_m: float, depth_m: float
+) -> Dict[int, Box]:
+    """Each stack's top face in the image, by stack id, from its base-frame top centre.
 
-
-def estimate_zone_depth(camera: CameraModel, anchors: Sequence[QRAnchor], zone: int) -> float:
-    """Pick-plane depth for a zone, read off that zone's rim marker."""
-    for a in anchors:
-        if a.zone == zone:
-            return float(camera.to_camera(a.pose.xyz())[2])
-    raise KeyError(f"no anchor for zone {zone}")
-
-
-Projection = Tuple[float, float, float]
-
-
-def stack_tops(camera: CameraModel, stacks: Iterable[Stack]) -> Dict[int, Projection]:
-    """Each stack's top centre through ``camera.project``, by stack id.
-
-    Stacks never move, so a run projects them once and hands the result to
-    every frame it takes.
+    The face is ``width_m`` by ``depth_m`` around the projected centre. A top
+    outside the frame gets no box, and so does one behind the camera, which
+    ``project`` puts at NaN pixels.
     """
-    return {s.id: camera.project(s.pose.xyz()) for s in stacks}
-
-
-def stack_ground_truth_box(
-    camera: CameraModel, stack: Stack, top: Projection, frame_id: int = 0
-) -> Optional[Box]:
-    """A stack's top face in the image, from its projected ``top``; None if outside the frame."""
-    cxp, cyp, depth = top
-    if not (depth > 0.0) or math.isnan(cxp):
-        return None
-    half_w = 0.5 * stack.top_w_m * camera.fx / depth
-    half_h = 0.5 * stack.top_d_m * camera.fy / depth
-    if not camera.in_frame(cxp, cyp):
-        return None
-    return Box(
-        x_min=cxp - half_w,
-        y_min=cyp - half_h,
-        x_max=cxp + half_w,
-        y_max=cyp + half_h,
-        confidence=1.0,
-        frame_id=frame_id,
-    )
+    boxes: Dict[int, Box] = {}
+    for sid, top in tops.items():
+        cxp, cyp, depth = camera.project(top)
+        if camera.in_frame(cxp, cyp):
+            half_w = 0.5 * width_m * camera.fx / depth
+            half_h = 0.5 * depth_m * camera.fy / depth
+            boxes[sid] = Box(cxp - half_w, cyp - half_h, cxp + half_w, cyp + half_h)
+    return boxes
 
 
 @dataclass
@@ -331,27 +302,26 @@ SPURIOUS_CONFIDENCE = 0.55
 
 def observe(
     stacks: Sequence[Stack],
-    tops: Mapping[int, Projection],
+    boxes: Mapping[int, Box],
     camera: CameraModel,
     rng: np.random.Generator,
     faults,
-    frame_id: int = 0,
     miss: Optional[bool] = None,
 ) -> Observation:
     """Take one synthetic frame of a zone.
 
     Ground truth covers ``stacks``, the stacks still pickable in the zone
-    (``World.zone_stacks``), drawn in ``(col, id)`` order; ``tops`` maps
-    each stack id to its projected top (``stack_tops``). Faults degrade the
-    detection list: whole-frame misses, per-box misses, pixel jitter,
-    confidence noise, and spurious boxes. ``miss`` pins the frame's
+    (``World.zone_stacks``), drawn in ``(col, id)`` order; ``boxes`` maps
+    each stack id in view to its box (``ground_truth_boxes``). Faults
+    degrade the detection list: whole-frame misses, per-box misses, pixel
+    jitter, confidence noise, and spurious boxes. ``miss`` pins the frame's
     outcome (scripted fault injection): True empties the detection list
     outright, False draws no per-box misses, None draws them.
     """
     gts: List[Box] = []
     gt_ids: List[int] = []
     for s in sorted(stacks, key=lambda s: (s.col, s.id)):
-        box = stack_ground_truth_box(camera, s, tops[s.id], frame_id)
+        box = boxes.get(s.id)
         if box is not None:
             gts.append(box)
             gt_ids.append(s.id)
@@ -377,7 +347,6 @@ def observe(
                     x_max=box.x_max + jx,
                     y_max=box.y_max + jy,
                     confidence=conf,
-                    frame_id=frame_id,
                 )
             )
             sources.append(sid)
@@ -386,9 +355,7 @@ def observe(
             h = 0.10 * camera.height_px
             x0 = rng.uniform(0.0, camera.width_px - w)
             y0 = rng.uniform(0.0, camera.height_px - h)
-            dets.append(
-                Box(x0, y0, x0 + w, y0 + h, confidence=SPURIOUS_CONFIDENCE, frame_id=frame_id)
-            )
+            dets.append(Box(x0, y0, x0 + w, y0 + h, confidence=SPURIOUS_CONFIDENCE))
             sources.append(-1)
     return Observation(detections=dets, ground_truth=gts, detection_sources=sources)
 

@@ -1,11 +1,13 @@
 """Physical state of the cell: stacks, tote zones, enclosures.
 
-The world is plain mutable state; all transitions are applied by the
-simulation loop. ``check_invariants`` is the single source of truth for the
-structural safety properties (single occupancy, at most one held stack,
-stack/enclosure cross-reference consistency, packaging per state); the
-simulation re-checks them after each stack or packaging update, the only
-actions that change the world.
+A stack is numbered by its zone and column; where its top sits is the
+config's to say (``CellConfig.stack_top_position``). The world is plain
+mutable state; all transitions are applied by the simulation loop.
+``check_invariants`` is the single source of truth for the structural safety
+properties (single occupancy, at most one held stack, stack/enclosure
+cross-reference consistency, packaging per state); the simulation re-checks
+them after each stack or packaging update, the only actions that change the
+world.
 """
 
 from __future__ import annotations
@@ -32,36 +34,15 @@ class Packaging(enum.Enum):
 
 
 @dataclass
-class Pose3:
-    x: float
-    y: float
-    z: float
-
-    def xyz(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
-
-
-@dataclass
 class Stack:
-    """One transparent-bagged stack of containers."""
+    """One transparent-bagged stack of containers, numbered by zone and column."""
 
     id: int
     zone: int
     col: int
-    pose: Pose3
     state: StackState = StackState.IN_TOTE
     packaging: Packaging = Packaging.BAGGED
     enclosure: Optional[int] = None
-    top_w_m: float = 0.10
-    top_d_m: float = 0.15
-
-
-@dataclass
-class QRAnchor:
-    """Zone marker on the tote rim; anchors per-zone pick depth."""
-
-    zone: int
-    pose: Pose3
 
 
 @dataclass
@@ -81,7 +62,6 @@ class Violation:
 @dataclass
 class World:
     stacks: list[Stack]
-    anchors: list[QRAnchor]
     enclosures: list[Enclosure]
 
     def zone_stacks(self, zone: int) -> list[Stack]:
@@ -90,33 +70,10 @@ class World:
 
 
 def build_world(config: CellConfig) -> World:
-    """Construct the initial world from layout config, all stacks bagged in the tote."""
-    lay = config.layout
-    stacks: list[Stack] = []
-    sid = 0
-    for zone_idx, n in enumerate(lay.zone_sizes):
-        zone = zone_idx + 1
-        for col in range(n):
-            x, y, z = config.stack_top_position(zone, zone_idx, col)
-            stacks.append(
-                Stack(
-                    id=sid,
-                    zone=zone,
-                    col=col,
-                    pose=Pose3(x, y, z),
-                    top_w_m=lay.stack_top_w_m,
-                    top_d_m=lay.stack_top_d_m,
-                )
-            )
-            sid += 1
-
-    anchors = [
-        QRAnchor(zone=zone, pose=Pose3(*config.rim_marker_position(zone)))
-        for zone in range(1, len(lay.zone_sizes) + 1)
-    ]
-
-    enclosures = [Enclosure(i) for i in range(ENCLOSURE_COUNT)]
-    return World(stacks=stacks, anchors=anchors, enclosures=enclosures)
+    """The initial world: every stack bagged in the tote, numbered by zone and column."""
+    cells = [(zone, col) for zone, n in enumerate(config.layout.zone_sizes, 1) for col in range(n)]
+    stacks = [Stack(id=i, zone=zone, col=col) for i, (zone, col) in enumerate(cells)]
+    return World(stacks=stacks, enclosures=[Enclosure(i) for i in range(ENCLOSURE_COUNT)])
 
 
 # Bound once: on Python 3.11 each lookup of a member on its enum class costs

@@ -204,14 +204,18 @@ def test_hardware_measured_quantities_are_config_noise_knobs():
     cfg = CellConfig()
     world = build_world(cfg)
     camera = vision.CameraModel.from_config(cfg.camera)
-    zone_4, tops = world.zone_stacks(4), vision.stack_tops(camera, world.stacks)
+    zone_4 = world.zone_stacks(4)
+    boxes = vision.ground_truth_boxes(
+        camera, {s.id: cfg.stack_top_position(s.zone, s.col) for s in zone_4},
+        cfg.layout.stack_top_w_m, cfg.layout.stack_top_d_m,
+    )
     rng = np.random.default_rng(5)
-    clean = vision.observe(zone_4, tops, camera, rng=rng, faults=FaultConfig())
+    clean = vision.observe(zone_4, boxes, camera, rng=rng, faults=FaultConfig())
     assert len(clean.detections) == len(clean.ground_truth)
 
     noisy_cfg = FaultConfig(detection_miss_prob=0.5, detection_jitter_sigma_px=3.0)
     missed = sum(
-        len(vision.observe(zone_4, tops, camera, rng=rng, faults=noisy_cfg).detections)
+        len(vision.observe(zone_4, boxes, camera, rng=rng, faults=noisy_cfg).detections)
         for _ in range(40)
     )
     assert missed < 40 * len(clean.ground_truth)

@@ -143,7 +143,7 @@ def test_to_json_is_stable_and_parseable():
 
 def test_geometry_helpers_consistent():
     cfg = default_config()
-    x, y, z = cfg.stack_top_position(1, 0, 0)
+    x, y, z = cfg.stack_top_position(1, 0)
     assert y == pytest.approx(cfg.layout.tote_front_y_m)
     assert z == pytest.approx(cfg.layout.tote_top_z_m)
     vx, vy, vz = cfg.view_pose(2)

@@ -91,7 +91,7 @@ def test_each_param_is_declared_by_exactly_one_config_section():
 
 def test_initial_state_is_idle():
     s = initial_state()
-    assert s.phase is Phase.IDLE
+    assert s.sub.phase is Phase.IDLE
     assert s.sub is Sub.IDLE
     assert s.cycle == 0 and s.slot == 0 and s.zone == 1
     assert s.occupants == ()
@@ -99,7 +99,7 @@ def test_initial_state_is_idle():
 
 def test_start_announces_and_waits_for_feed_message():
     s, acts = transition(initial_state(), Start(), PARAMS)
-    assert s.phase is Phase.FEEDING
+    assert s.sub.phase is Phase.FEEDING
     assert s.sub is Sub.AWAIT_FEED_MSG
     assert acts == [
         Publish(topic="system_ready", payload={}),
@@ -258,7 +258,7 @@ def test_state_copy_matches_dataclasses_replace(data):
     expected = dataclasses.replace(base, **kw)
     assert copied == expected
     assert hash(copied) == hash(expected)
-    assert copied.phase is expected.phase
+    assert copied.sub.phase is expected.sub.phase
     assert base == before
 
 
@@ -423,7 +423,7 @@ def test_placement_exhaustion_fails_the_stack():
 def test_last_slot_return_enters_cutting():
     s = fsm(sub=Sub.RETURNING, slot=7)
     s, acts = transition(s, MotionDone(tag="return"), PARAMS)
-    assert s.phase is Phase.CUTTING and s.sub is Sub.CUT_SWING
+    assert s.sub.phase is Phase.CUTTING and s.sub is Sub.CUT_SWING
     assert acts == [
         PhaseMark(phase="feeding", edge="end"),
         PhaseMark(phase="cutting", edge="start"),
@@ -434,7 +434,7 @@ def test_last_slot_return_enters_cutting():
 def test_early_empty_tote_also_enters_cutting():
     s = fsm(sub=Sub.RETURNING, slot=2, tote_done=True)
     s, _ = transition(s, MotionDone(tag="return"), PARAMS)
-    assert s.phase is Phase.CUTTING
+    assert s.sub.phase is Phase.CUTTING
 
 
 # --- cutting --------------------------------------------------------------
@@ -479,7 +479,7 @@ def test_secure_exhaustion_aborts_the_cut():
     s = fsm(sub=Sub.CUT_SECURING, secure_attempt=3,
             occupants=((0, 0), (1, 4)), secured=frozenset({"bottom_0"}))
     s, acts = transition(s, TimerFired(tag="secure_timeout"), PARAMS)
-    assert s.phase is Phase.RESET and s.sub is Sub.RESETTING
+    assert s.sub.phase is Phase.RESET and s.sub is Sub.RESETTING
     assert s.occupants == ()
     faults = [a for a in kinds(acts, Publish) if a.topic == "fault"]
     assert len(faults) == 1 and faults[0].payload["kind"] == "secure_exhausted"
@@ -494,7 +494,7 @@ def test_secure_exhaustion_aborts_the_cut():
 def test_cut_complete_marks_bags_and_starts_removal():
     s = fsm(sub=Sub.CUT_SLICING, occupants=((0, 10), (3, 13)))
     s, acts = transition(s, ActDone(device="cutter", op="extend"), PARAMS)
-    assert s.phase is Phase.REMOVAL and s.sub is Sub.REM_APPROACH
+    assert s.sub.phase is Phase.REMOVAL and s.sub is Sub.REM_APPROACH
     assert s.removal_idx == 0  # the first occupant, enclosure 0
     assert SetPackaging(stacks=(10, 13), packaging="cut") in acts
     assert Publish(topic="cutting_complete", payload={"cycle": 0}) in acts
@@ -527,7 +527,7 @@ def test_stuck_bag_is_jammed_and_removal_moves_on():
         MotionDone(tag="rem_bin"),
         TimerFired(tag="rem_release"),
     ])
-    assert s.phase is Phase.DELIVERY and s.sub is Sub.DOOR_OPENING
+    assert s.sub.phase is Phase.DELIVERY and s.sub is Sub.DOOR_OPENING
     assert s.unbagged == frozenset({2})
     assert SetPackaging(stacks=(7,), packaging="removed") in acts
     assert Publish(topic="removal_complete", payload={"cycle": 0}) in acts
@@ -593,7 +593,7 @@ def test_delivery_pushes_verifies_and_clears_occupants():
         TimerFired(tag="retract_settle"),
         ActDone(device="door", op="retract"),
     ])
-    assert s.phase is Phase.RESET
+    assert s.sub.phase is Phase.RESET
     assert s.occupants == ()
     assert Publish(topic="delivery_complete", payload={"cycle": 0}) in acts
     # Undelivered stacks 1 and 2 are written off during reset.
@@ -629,12 +629,12 @@ def test_reset_finishes_and_next_cycle_starts():
 
     more_cycles = dataclasses.replace(PARAMS, cycles=3)
     s2, acts = transition(s, BusMsg(topic="system_reset"), more_cycles)
-    assert s2.phase is Phase.FEEDING and s2.cycle == 1 and s2.slot == 0
+    assert s2.sub.phase is Phase.FEEDING and s2.cycle == 1 and s2.slot == 0
     assert Publish(topic="cycle_finished", payload={"cycle": 0}) in acts
     assert Publish(topic="ready_for_picking", payload={"cycle": 1}) in acts
 
     s3, acts = transition(s, BusMsg(topic="system_reset"), PARAMS)  # cycles=1
-    assert s3.phase is Phase.DONE
+    assert s3.sub.phase is Phase.DONE
     assert Note(text="session_done", data={"cycles": 1}) in acts
 
 
@@ -642,7 +642,7 @@ def test_empty_tote_ends_the_session_early():
     s = fsm(sub=Sub.AWAIT_RESET_MSG, cycle=0, tote_done=True)
     params = dataclasses.replace(PARAMS, cycles=5)
     s, _ = transition(s, BusMsg(topic="system_reset"), params)
-    assert s.phase is Phase.DONE
+    assert s.sub.phase is Phase.DONE
 
 
 # --- totality under arbitrary event streams -------------------------------
@@ -733,7 +733,7 @@ def test_machine_is_total_under_arbitrary_streams(start, stream):
         # Removal indexes ``occupants``, and pushing extends ``unbagged``:
         # both hold only while the stored facts they derive from agree.
         assert state.removal_idx <= len(state.occupants)
-        if state.phase is Phase.REMOVAL:
+        if state.sub.phase is Phase.REMOVAL:
             assert state.removal_idx < len(state.occupants)
         else:
             assert state.removal_idx == 0

@@ -25,7 +25,8 @@ from bagcell.report import (
 )
 from bagcell.scenarios import REFERENCE_TESTS, build_reference_script, randomized_fault_profile
 from bagcell.simulate import DEVICE_EVENTS, Simulation, run_campaign, run_single
-from bagcell.vision import CameraModel, estimate_zone_depth, observe
+from bagcell.vision import Box, CameraModel, observe
+from bagcell.world import build_world
 
 
 def script(*entries) -> FaultScript:
@@ -248,7 +249,7 @@ def test_message_seqs_run_from_zero_per_topic():
         assert topic_seqs == list(range(len(topic_seqs)))
 
 
-# --- per-run geometry: stacks, anchors and leg times computed once ---------
+# --- per-run geometry: boxes, depths and leg times computed once ----------
 
 _TURNED = [  # the default camera turned 0.1 rad about its axis and shifted
     [math.cos(0.1), math.sin(0.1), 0.0, 0.02],
@@ -262,20 +263,65 @@ def bits(values):
     return [float(v).hex() for v in values]
 
 
+def per_frame_box(config, camera, stack):
+    """A stack's ground-truth box as every frame once drew it: the reference.
+
+    The top centre is laid out row by row (zone ``z`` is row ``z - 1``),
+    projected, sized at its depth and then tested against the frame.
+    """
+    lay = config.layout
+    row = stack.zone - 1
+    x = (stack.col - (lay.zone_sizes[row] - 1) / 2.0) * lay.col_pitch_m
+    y = lay.tote_front_y_m - row * lay.row_pitch_m
+    z = lay.tote_top_z_m - row * lay.row_pitch_m * math.sin(math.radians(lay.incline_deg))
+    cxp, cyp, depth = camera.project((x, y, z))
+    if not (depth > 0.0) or math.isnan(cxp):
+        return None
+    half_w = 0.5 * lay.stack_top_w_m * camera.fx / depth
+    half_h = 0.5 * lay.stack_top_d_m * camera.fy / depth
+    if not camera.in_frame(cxp, cyp):
+        return None
+    return Box(cxp - half_w, cyp - half_h, cxp + half_w, cyp + half_h, 1.0, frame_id=0)
+
+
+def reference_boxes(config):
+    camera = CameraModel.from_config(config.camera)
+    boxes = {s.id: per_frame_box(config, camera, s) for s in build_world(config).stacks}
+    return {sid: box for sid, box in boxes.items() if box is not None}
+
+
 @pytest.mark.parametrize("extrinsic", [None, _TURNED], ids=["default", "turned"])
 def test_run_geometry_is_the_fresh_projection_bit_for_bit(extrinsic):
     config = CellConfig()
     if extrinsic is not None:
         config.camera.extrinsic = extrinsic
     sim = Simulation(config)
+    want = reference_boxes(config)
+    assert sorted(sim._boxes) == sorted(want) == [s.id for s in sim.world.stacks]
+    for sid, box in sim._boxes.items():
+        assert bits(box[:5]) == bits(want[sid][:5]) and box[5:] == want[sid][5:]
     fresh = CameraModel.from_config(config.camera)
-    anchors = sim.world.anchors
-    assert sorted(sim._tops) == [s.id for s in sim.world.stacks]
-    for stack in sim.world.stacks:
-        assert bits(sim._tops[stack.id]) == bits(fresh.project(stack.pose.xyz()))
-    assert sorted(sim._depths) == sorted(a.zone for a in anchors)
-    for a in anchors:
-        assert bits([sim._depths[a.zone]]) == bits([estimate_zone_depth(fresh, anchors, a.zone)])
+    assert sorted(sim._depths) == [1, 2, 3, 4]
+    for zone, depth in sim._depths.items():
+        assert bits([depth]) == bits([fresh.to_camera(config.rim_marker_position(zone))[2]])
+
+
+@pytest.mark.parametrize(
+    "overlay, zone_1_in_view",
+    [({"camera": {"cy": 5.4}}, 0), ({"layout": {"col_pitch_m": 0.6}}, 2)],
+    ids=["above-the-frame", "beside-the-frame"],
+)
+def test_a_stack_top_outside_the_frame_has_no_box_and_no_ground_truth(overlay, zone_1_in_view):
+    config = CellConfig.from_dict(overlay)
+    sim = Simulation(config, cycles=1)
+    want = reference_boxes(config)
+    assert sorted(sim._boxes) == sorted(want)
+    zone_1 = [s.id for s in sim.world.zone_stacks(1)]
+    assert len(zone_1) == 4 and len(set(zone_1) & set(sim._boxes)) == zone_1_in_view
+    sim.run()
+    first = next(r for r in sim.tracer.records if r.kind == "detect")
+    assert (first.data["zone"], first.data["gt"]) == (1, zone_1_in_view)
+    assert first.data["boxes"] <= zone_1_in_view
 
 
 def test_a_mutated_frame_does_not_change_the_next():
@@ -285,7 +331,7 @@ def test_a_mutated_frame_does_not_change_the_next():
 
     def frame(sim, zone):
         stacks = sim.world.zone_stacks(zone)
-        return observe(stacks, sim._tops, sim.camera, np.random.default_rng(7), faults)
+        return observe(stacks, sim._boxes, sim.camera, np.random.default_rng(7), faults)
 
     sim, clean = Simulation(config), Simulation(config)
     for zone in (1, 2, 3, 4):

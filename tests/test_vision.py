@@ -16,16 +16,14 @@ from bagcell.vision import (
     MalformedBoxFile,
     Match,
     ap_at_threshold,
-    estimate_zone_depth,
     evaluate,
+    ground_truth_boxes,
     load_boxes,
     match_detections,
     metrics_from_counts,
     observe,
-    pixel_to_robot,
     save_boxes,
     select_pick_target,
-    stack_tops,
 )
 from bagcell.world import build_world
 
@@ -426,16 +424,8 @@ def default_camera():
 
 def test_back_project_identity_extrinsic_examples():
     cam = CameraModel(1920, 1080, 1000.0, 1000.0, 960.0, 540.0, np.eye(4))
-    assert pixel_to_robot(cam, 960.0, 540.0, 1.0) == pytest.approx((0.0, 0.0, 1.0))
-    assert pixel_to_robot(cam, 1160.0, 540.0, 1.0) == pytest.approx((0.2, 0.0, 1.0))
-
-
-def test_back_project_rejects_bad_depth():
-    cam = default_camera()
-    with pytest.raises(ValueError):
-        pixel_to_robot(cam, 960.0, 540.0, 0.0)
-    with pytest.raises(ValueError):
-        pixel_to_robot(cam, 960.0, 540.0, -0.5)
+    assert cam.back_project(960.0, 540.0, 1.0) == pytest.approx((0.0, 0.0, 1.0))
+    assert cam.back_project(1160.0, 540.0, 1.0) == pytest.approx((0.2, 0.0, 1.0))
 
 
 @given(
@@ -460,57 +450,62 @@ def test_extrinsic_must_be_4x4():
 
 def test_zone_depth_reads_anchor_plane():
     cfg = default_config()
-    world = build_world(cfg)
     cam = CameraModel.from_config(cfg.camera)
     # Camera sits 1.05 m up; zone 1 stack tops are at z = 0.30.
-    assert estimate_zone_depth(cam, world.anchors, 1) == pytest.approx(0.75, abs=1e-9)
-    with pytest.raises(KeyError):
-        estimate_zone_depth(cam, world.anchors, 9)
+    assert cam.to_camera(cfg.rim_marker_position(1))[2] == pytest.approx(0.75, abs=1e-9)
+
+
+def test_ground_truth_boxes_skip_tops_outside_the_frame_or_behind_the_camera():
+    cam = default_camera()  # 1.05 m above the tote, looking down
+    tops = {0: (0.0, -0.69, 0.30), 1: (5.0, -0.69, 0.30), 2: (0.0, -0.69, 1.20)}
+    boxes = ground_truth_boxes(cam, tops, 0.10, 0.15)
+    assert list(boxes) == [0]
+    # A 0.10 x 0.15 m face 0.75 m from the lens, centred on the principal point.
+    assert boxes[0] == pytest.approx(Box(960.0 - 200 / 3, 440.0, 960.0 + 200 / 3, 640.0))
 
 
 # --- synthetic observation ------------------------------------------------
 
 
-def test_observe_fault_free_matches_ground_truth():
+def zone_view(zone):
+    """The default cell's camera, ``zone``'s pickable stacks and every stack's box."""
     cfg = default_config()
     world = build_world(cfg)
     cam = CameraModel.from_config(cfg.camera)
-    tops = stack_tops(cam, world.stacks)
+    tops = {s.id: cfg.stack_top_position(s.zone, s.col) for s in world.stacks}
+    boxes = ground_truth_boxes(cam, tops, cfg.layout.stack_top_w_m, cfg.layout.stack_top_d_m)
+    return cam, world.zone_stacks(zone), boxes
+
+
+def test_observe_fault_free_matches_ground_truth():
+    cam, zone_1, boxes = zone_view(1)
     rng = np.random.default_rng(0)
-    obs = observe(world.zone_stacks(1), tops, cam, rng=rng, faults=FaultConfig())
+    obs = observe(zone_1, boxes, cam, rng=rng, faults=FaultConfig())
     assert len(obs.ground_truth) == 4
     assert len(obs.detections) == 4
-    assert obs.detection_sources == [s.id for s in world.zone_stacks(1)]
+    assert obs.detection_sources == [s.id for s in zone_1]
     for det, gt in zip(obs.detections, obs.ground_truth):
         assert det.x_min == gt.x_min and det.y_max == gt.y_max
 
 
 def test_observe_total_miss_and_forced_miss():
-    cfg = default_config()
-    world = build_world(cfg)
-    cam = CameraModel.from_config(cfg.camera)
-    tops = stack_tops(cam, world.stacks)
-    zone_1 = world.zone_stacks(1)
+    cam, zone_1, boxes = zone_view(1)
     rng = np.random.default_rng(0)
-    all_miss = observe(zone_1, tops, cam, rng, FaultConfig(detection_miss_prob=1.0))
+    all_miss = observe(zone_1, boxes, cam, rng, FaultConfig(detection_miss_prob=1.0))
     assert all_miss.detections == [] and len(all_miss.ground_truth) == 4
-    forced = observe(zone_1, tops, cam, rng, FaultConfig(), miss=True)
+    forced = observe(zone_1, boxes, cam, rng, FaultConfig(), miss=True)
     assert forced.detections == []
-    pinned = observe(zone_1, tops, cam, rng, FaultConfig(detection_miss_prob=1.0), miss=False)
+    pinned = observe(zone_1, boxes, cam, rng, FaultConfig(detection_miss_prob=1.0), miss=False)
     assert len(pinned.detections) == 4
 
 
 def test_observe_miss_rate_matches_probability():
-    cfg = default_config()
-    world = build_world(cfg)
-    cam = CameraModel.from_config(cfg.camera)
-    tops = stack_tops(cam, world.stacks)
-    zone_4 = world.zone_stacks(4)
+    cam, zone_4, boxes = zone_view(4)
     rng = np.random.default_rng(99)
     faults = FaultConfig(detection_miss_prob=0.125)
     total = missed = 0
-    for frame in range(80):
-        obs = observe(zone_4, tops, cam, rng=rng, faults=faults, frame_id=frame)
+    for _ in range(80):
+        obs = observe(zone_4, boxes, cam, rng=rng, faults=faults)
         total += len(obs.ground_truth)
         missed += len(obs.ground_truth) - len(obs.detections)
     assert total == 80 * 8
@@ -518,16 +513,12 @@ def test_observe_miss_rate_matches_probability():
 
 
 def test_observe_deterministic_per_seed():
-    cfg = default_config()
-    world = build_world(cfg)
-    cam = CameraModel.from_config(cfg.camera)
-    tops = stack_tops(cam, world.stacks)
-    zone_2 = world.zone_stacks(2)
+    cam, zone_2, boxes = zone_view(2)
     faults = FaultConfig(
         detection_miss_prob=0.2, detection_jitter_sigma_px=2.0, spurious_box_prob=0.2
     )
-    a = observe(zone_2, tops, cam, np.random.default_rng(5), faults)
-    b = observe(zone_2, tops, cam, np.random.default_rng(5), faults)
+    a = observe(zone_2, boxes, cam, np.random.default_rng(5), faults)
+    b = observe(zone_2, boxes, cam, np.random.default_rng(5), faults)
     assert a.detections == b.detections
     assert a.detection_sources == b.detection_sources
 

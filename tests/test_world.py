@@ -21,7 +21,8 @@ def test_build_world_default_layout():
     assert all(s.state is StackState.IN_TOTE for s in world.stacks)
     assert all(s.packaging is Packaging.BAGGED for s in world.stacks)
     assert all(e.occupant is None for e in world.enclosures)
-    assert len(world.anchors) == 4
+    assert [s.id for s in world.stacks] == list(range(24))
+    assert [(s.zone, s.col) for s in world.zone_stacks(2)] == [(2, c) for c in range(6)]
 
 
 def test_build_world_is_deterministic():
@@ -29,22 +30,21 @@ def test_build_world_is_deterministic():
 
 
 def test_incline_lowers_successive_rows():
-    world = fresh_world()
-    z_by_zone = [world.zone_stacks(z)[0].pose.z for z in (1, 2, 3, 4)]
+    cfg = default_config()
+    z_by_zone = [cfg.stack_top_position(z, 0)[2] for z in (1, 2, 3, 4)]
     assert all(a > b for a, b in zip(z_by_zone, z_by_zone[1:]))
 
 
 def test_zone_rows_recede_from_the_front():
-    world = fresh_world()
-    y_by_zone = [world.zone_stacks(z)[0].pose.y for z in (1, 2, 3, 4)]
+    cfg = default_config()
+    y_by_zone = [cfg.stack_top_position(z, 0)[1] for z in (1, 2, 3, 4)]
     assert all(a > b for a, b in zip(y_by_zone, y_by_zone[1:]))
 
 
 def test_anchor_sits_on_each_zone_plane():
-    world = fresh_world()
-    for anchor in world.anchors:
-        stack = world.zone_stacks(anchor.zone)[0]
-        assert anchor.pose.z == pytest.approx(stack.pose.z)
+    cfg = default_config()
+    for zone in (1, 2, 3, 4):
+        assert cfg.rim_marker_position(zone)[2] == pytest.approx(cfg.stack_top_position(zone, 0)[2])
 
 
 def test_fresh_world_has_no_violations():
