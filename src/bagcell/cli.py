@@ -169,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bagcell",
         description="Deterministic simulator of a bag-cutting and unpacking cell",
     )
-    parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -216,7 +215,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors; remap
         return 0 if exc.code in (0, None) else 1
     logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
+        level=logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:

@@ -263,14 +263,15 @@ class CellConfig:
             raise ConfigInvalid("camera.extrinsic", "must be a 4x4 matrix")
         import numpy as np  # imported here so that `bagcell eval` never loads it
 
+        from bagcell.vision import CameraModel  # vision imports this module
+
         try:
-            # As floats: an int past int64 would make an object array.
-            inverse = np.linalg.inv(np.asarray(ext, dtype=float))
+            camera = CameraModel.from_config(cam)
         except np.linalg.LinAlgError:
             raise ConfigInvalid("camera.extrinsic", "must be invertible") from None
         # A zone's pick depth is its rim marker's depth in the camera frame.
         for zone in range(1, len(lay.zone_sizes) + 1):
-            if not (inverse @ (*self.rim_marker_position(zone), 1.0))[2] > 0.0:
+            if not camera.to_camera(self.rim_marker_position(zone))[2] > 0.0:
                 raise ConfigInvalid(
                     "camera.extrinsic", f"puts the zone {zone} rim marker behind the camera"
                 )

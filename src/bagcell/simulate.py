@@ -287,7 +287,7 @@ class Simulation:
         record = {"zone": zone, "gt": 0, "boxes": 0, "found": False}
         found, stack_id, leftmost = False, -1, -1
         if pickable:
-            leftmost = min(pickable, key=lambda s: (s.col, s.id)).id
+            leftmost = pickable[0].id  # zone_stacks comes in (col, id) order
             # Like every scripted action, any outcome but "ok" is a failure.
             scripted = self._outcome("detect", due.ctx)
             miss = None if scripted is None else scripted != "ok"
@@ -401,7 +401,7 @@ class Simulation:
         enclosure = action.enclosure
         # A pusher at full stroke has pushed its stack out. Every read comes
         # while the pushers are at rest, so the stroke is never mid-travel.
-        occupant = self.world.enclosures[enclosure].occupant
+        occupant = self.world.occupant(enclosure)
         physically_present = (
             occupant is not None
             and self.bank.actuators[f"pusher_{enclosure}"].position != 1.0
@@ -420,19 +420,12 @@ class Simulation:
     def _set_stack(self, action: orc.SetStack) -> None:
         if action.stack < 0:
             return
-        stack = self.world.stacks[action.stack]
         new_state = StackState(action.state)
-        if stack.enclosure is not None:
-            enc = self.world.enclosures[stack.enclosure]
-            if enc.occupant == stack.id:
-                enc.occupant = None
-            stack.enclosure = None
+        if new_state is StackState.IN_ENCLOSURE and action.enclosure is None:
+            raise ValueError("in_enclosure requires an enclosure index")
+        stack = self.world.stacks[action.stack]
         stack.state = new_state
-        if new_state is StackState.IN_ENCLOSURE:
-            if action.enclosure is None:
-                raise ValueError("in_enclosure requires an enclosure index")
-            stack.enclosure = action.enclosure
-            self.world.enclosures[action.enclosure].occupant = stack.id
+        stack.enclosure = action.enclosure
         self.tracer.record(
             "stack",
             self.now,

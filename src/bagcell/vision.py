@@ -310,17 +310,18 @@ def observe(
 ) -> Observation:
     """Take one synthetic frame of a zone.
 
-    Ground truth covers ``stacks``, the stacks still pickable in the zone
-    (``World.zone_stacks``), drawn in ``(col, id)`` order; ``boxes`` maps
-    each stack id in view to its box (``ground_truth_boxes``). Faults
-    degrade the detection list: whole-frame misses, per-box misses, pixel
-    jitter, confidence noise, and spurious boxes. ``miss`` pins the frame's
-    outcome (scripted fault injection): True empties the detection list
-    outright, False draws no per-box misses, None draws them.
+    Ground truth covers ``stacks``, the stacks still pickable in the zone,
+    drawn in the order given: the caller passes ``World.zone_stacks``, which
+    is in ``(col, id)`` order. ``boxes`` maps each stack id in view to its
+    box (``ground_truth_boxes``). Faults degrade the detection list:
+    whole-frame misses, per-box misses, pixel jitter, confidence noise, and
+    spurious boxes. ``miss`` pins the frame's outcome (scripted fault
+    injection): True empties the detection list outright, False draws no
+    per-box misses, None draws them.
     """
     gts: List[Box] = []
     gt_ids: List[int] = []
-    for s in sorted(stacks, key=lambda s: (s.col, s.id)):
+    for s in stacks:
         box = boxes.get(s.id)
         if box is not None:
             gts.append(box)

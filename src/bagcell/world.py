@@ -1,13 +1,14 @@
-"""Physical state of the cell: stacks, tote zones, enclosures.
+"""Physical state of the cell: the stacks, by tote zone or enclosure.
 
 A stack is numbered by its zone and column; where its top sits is the
-config's to say (``CellConfig.stack_top_position``). The world is plain
-mutable state; all transitions are applied by the simulation loop.
-``check_invariants`` is the single source of truth for the structural safety
-properties (single occupancy, at most one held stack, stack/enclosure
-cross-reference consistency, packaging per state); the simulation re-checks
-them after each stack or packaging update, the only actions that change the
-world.
+config's to say (``CellConfig.stack_top_position``). A stack's ``enclosure``
+is the one record of where it is seated: set while it is ``in_enclosure``,
+None otherwise. The world is plain mutable state; all transitions are
+applied by the simulation loop. ``check_invariants`` is the single source of
+truth for the structural safety properties (single occupancy, at most one
+held stack, an enclosure index exactly while seated, packaging per state);
+the simulation re-checks them after each stack or packaging update, the only
+actions that change the world.
 """
 
 from __future__ import annotations
@@ -45,12 +46,6 @@ class Stack:
     enclosure: Optional[int] = None
 
 
-@dataclass
-class Enclosure:
-    index: int
-    occupant: Optional[int] = None
-
-
 @dataclass(frozen=True)
 class Violation:
     """A structural or safety invariant that was broken."""
@@ -62,18 +57,24 @@ class Violation:
 @dataclass
 class World:
     stacks: list[Stack]
-    enclosures: list[Enclosure]
 
     def zone_stacks(self, zone: int) -> list[Stack]:
-        """Pickable stacks currently presented in a zone, in one pass over the stacks."""
+        """A zone's pickable stacks, in ``(col, id)`` order: ``build_world`` numbers them so."""
         return [s for s in self.stacks if s.zone == zone and s.state is _IN_TOTE]
+
+    def occupant(self, enclosure: int) -> Optional[int]:
+        """The id of the stack seated in ``enclosure``, or None if it is empty."""
+        for s in self.stacks:
+            if s.enclosure == enclosure:
+                return s.id
+        return None
 
 
 def build_world(config: CellConfig) -> World:
     """The initial world: every stack bagged in the tote, numbered by zone and column."""
     cells = [(zone, col) for zone, n in enumerate(config.layout.zone_sizes, 1) for col in range(n)]
     stacks = [Stack(id=i, zone=zone, col=col) for i, (zone, col) in enumerate(cells)]
-    return World(stacks=stacks, enclosures=[Enclosure(i) for i in range(ENCLOSURE_COUNT)])
+    return World(stacks=stacks)
 
 
 # Bound once: on Python 3.11 each lookup of a member on its enum class costs
@@ -87,90 +88,38 @@ _REMOVED = Packaging.REMOVED
 
 
 def check_invariants(world: World) -> list[Violation]:
-    """Return all structural violations present in ``world`` (empty list if sound)."""
+    """Return all structural violations present in ``world`` (empty list if sound).
+
+    One pass over the stacks: ``multiple_held`` first, then each stack's
+    violations in id order.
+    """
     out: list[Violation] = []
-    stacks = world.stacks
-    enclosures = world.enclosures
-
-    held = [s for s in stacks if s.state is _HELD]
-    if len(held) > 1:
-        out.append(
-            Violation(
-                "multiple_held",
-                f"stacks {sorted(s.id for s in held)} held simultaneously",
-            )
-        )
-
-    seen_occupants: dict[int, int] = {}
-    for enc in enclosures:
-        occupant = enc.occupant
-        if occupant is None:
-            continue
-        if occupant in seen_occupants:
-            out.append(
-                Violation(
-                    "occupant_duplicated",
-                    f"stack {occupant} listed in enclosures "
-                    f"{seen_occupants[occupant]} and {enc.index}",
-                )
-            )
-        seen_occupants[occupant] = enc.index
-        stack = stacks[occupant]
-        if stack.state is not _IN_ENCLOSURE:
-            out.append(
-                Violation(
-                    "occupant_state_mismatch",
-                    f"enclosure {enc.index} holds stack {stack.id} "
-                    f"whose state is {stack.state.value}",
-                )
-            )
-        if stack.enclosure != enc.index:
-            out.append(
-                Violation(
-                    "cross_reference_mismatch",
-                    f"enclosure {enc.index} points at stack {stack.id} but the "
-                    f"stack points at {stack.enclosure}",
-                )
-            )
-
-    for s in stacks:
+    held: list[int] = []
+    seated: dict[int, int] = {}
+    for s in world.stacks:
         state = s.state
+        enclosure = s.enclosure
         if state is _IN_ENCLOSURE:
-            if s.enclosure is None or not (0 <= s.enclosure < len(enclosures)):
-                out.append(
-                    Violation(
-                        "orphan_in_enclosure",
-                        f"stack {s.id} is in_enclosure with enclosure={s.enclosure}",
-                    )
-                )
-            elif enclosures[s.enclosure].occupant != s.id:
-                out.append(
-                    Violation(
-                        "cross_reference_mismatch",
-                        f"stack {s.id} claims enclosure {s.enclosure} which holds "
-                        f"{enclosures[s.enclosure].occupant}",
-                    )
-                )
-        elif (state is _IN_TOTE or state is _HELD) and s.enclosure is not None:
-            out.append(
-                Violation(
-                    "stale_enclosure_reference",
-                    f"stack {s.id} in state {state.value} still points at "
-                    f"enclosure {s.enclosure}",
-                )
-            )
-        if state is _IN_TOTE and s.packaging is not _BAGGED:
-            out.append(
-                Violation(
-                    "packaging_mismatch",
-                    f"stack {s.id} in the tote has packaging {s.packaging.value}",
-                )
-            )
-        if state is _DELIVERED and s.packaging is not _REMOVED:
-            out.append(
-                Violation(
-                    "delivered_still_bagged",
-                    f"stack {s.id} delivered with packaging {s.packaging.value}",
-                )
-            )
+            if enclosure is None or not (0 <= enclosure < ENCLOSURE_COUNT):
+                detail = f"stack {s.id} is in_enclosure with enclosure={enclosure}"
+                out.append(Violation("orphan_in_enclosure", detail))
+            elif enclosure in seated:
+                detail = f"enclosure {enclosure} holds stacks {seated[enclosure]} and {s.id}"
+                out.append(Violation("occupant_duplicated", detail))
+            else:
+                seated[enclosure] = s.id
+            continue
+        if enclosure is not None:
+            detail = f"stack {s.id} in state {state.value} still points at enclosure {enclosure}"
+            out.append(Violation("stale_enclosure_reference", detail))
+        if state is _HELD:
+            held.append(s.id)
+        elif state is _IN_TOTE and s.packaging is not _BAGGED:
+            detail = f"stack {s.id} in the tote has packaging {s.packaging.value}"
+            out.append(Violation("packaging_mismatch", detail))
+        elif state is _DELIVERED and s.packaging is not _REMOVED:
+            detail = f"stack {s.id} delivered with packaging {s.packaging.value}"
+            out.append(Violation("delivered_still_bagged", detail))
+    if len(held) > 1:
+        out.insert(0, Violation("multiple_held", f"stacks {held} held simultaneously"))
     return out

@@ -352,6 +352,30 @@ def test_leg_times_come_from_the_one_formula():
         assert seconds.hex() == want.hex()
 
 
+# --- world mutation -------------------------------------------------------
+
+
+def test_two_stacks_seated_in_one_enclosure_write_one_violation():
+    sim = Simulation(CellConfig(), cycles=1)
+    for sid in (2, 5):
+        sim._set_stack(orc.SetStack(stack=sid, state="in_enclosure", enclosure=3))
+    violations = [r.data for r in sim.tracer.records if r.kind == "violation"]
+    assert violations == [
+        {"code": "occupant_duplicated", "detail": "enclosure 3 holds stacks 2 and 5"}
+    ]
+    assert summarize_run(sim.tracer.records, 0, sim.seed, sim.now).violations == 1
+
+
+def test_an_enclosure_occupant_is_read_off_the_seated_stack():
+    sim = Simulation(CellConfig(), cycles=1)
+    assert sim.world.occupant(3) is None
+    sim._set_stack(orc.SetStack(stack=6, state="in_enclosure", enclosure=3))
+    assert sim.world.occupant(3) == 6
+    sim._set_stack(orc.SetStack(stack=6, state="delivered"))
+    assert sim.world.occupant(3) is None
+    assert sim.world.stacks[6].enclosure is None
+
+
 # --- determinism ----------------------------------------------------------
 
 

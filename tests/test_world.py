@@ -16,11 +16,9 @@ def fresh_world():
 def test_build_world_default_layout():
     world = fresh_world()
     assert len(world.stacks) == 24
-    assert len(world.enclosures) == 8
     assert [len(world.zone_stacks(z)) for z in (1, 2, 3, 4)] == [4, 6, 6, 8]
     assert all(s.state is StackState.IN_TOTE for s in world.stacks)
     assert all(s.packaging is Packaging.BAGGED for s in world.stacks)
-    assert all(e.occupant is None for e in world.enclosures)
     assert [s.id for s in world.stacks] == list(range(24))
     assert [(s.zone, s.col) for s in world.zone_stacks(2)] == [(2, c) for c in range(6)]
 
@@ -61,30 +59,11 @@ def test_two_held_stacks_flagged():
 
 def test_duplicate_occupant_flagged():
     world = fresh_world()
-    world.stacks[0].state = StackState.IN_ENCLOSURE
-    world.stacks[0].enclosure = 0
-    world.enclosures[0].occupant = 0
-    world.enclosures[1].occupant = 0
+    for sid in (0, 5):
+        world.stacks[sid].state = StackState.IN_ENCLOSURE
+        world.stacks[sid].enclosure = 0
     codes = [v.code for v in check_invariants(world)]
-    assert "occupant_duplicated" in codes
-
-
-def test_occupant_state_mismatch_flagged():
-    world = fresh_world()
-    world.enclosures[2].occupant = 5  # stack 5 still claims to be in the tote
-    codes = [v.code for v in check_invariants(world)]
-    assert "occupant_state_mismatch" in codes
-
-
-def test_cross_reference_mismatch_flagged():
-    world = fresh_world()
-    world.stacks[3].state = StackState.IN_ENCLOSURE
-    world.stacks[3].enclosure = 4
-    world.enclosures[4].occupant = 7
-    world.stacks[7].state = StackState.IN_ENCLOSURE
-    world.stacks[7].enclosure = 4
-    codes = [v.code for v in check_invariants(world)]
-    assert "cross_reference_mismatch" in codes
+    assert codes == ["occupant_duplicated"]
 
 
 def test_orphan_in_enclosure_flagged():
@@ -95,11 +74,29 @@ def test_orphan_in_enclosure_flagged():
     assert "orphan_in_enclosure" in codes
 
 
+def test_enclosure_index_out_of_range_flagged_as_orphan():
+    world = fresh_world()
+    world.stacks[0].state = StackState.IN_ENCLOSURE
+    world.stacks[0].enclosure = 99
+    codes = [v.code for v in check_invariants(world)]
+    assert codes == ["orphan_in_enclosure"]
+
+
 def test_stale_enclosure_reference_flagged():
     world = fresh_world()
     world.stacks[0].enclosure = 3  # still in the tote
     codes = [v.code for v in check_invariants(world)]
     assert "stale_enclosure_reference" in codes
+
+
+def test_delivered_stack_still_pointing_at_an_enclosure_flagged():
+    world = fresh_world()
+    world.stacks[4].state = StackState.DELIVERED
+    world.stacks[4].packaging = Packaging.REMOVED
+    world.stacks[4].enclosure = 2
+    assert [(v.code, v.detail) for v in check_invariants(world)] == [
+        ("stale_enclosure_reference", "stack 4 in state delivered still points at enclosure 2"),
+    ]
 
 
 def test_packaging_rules_flagged():
@@ -123,37 +120,39 @@ def test_invariant_scan_reports_every_violation_in_a_fixed_order():
     # Violations are written to the trace, so their codes, details and order
     # are output bytes; this world breaks every rule the scan knows.
     world = fresh_world()
-    s, e = world.stacks, world.enclosures
+    s = world.stacks
     s[0].state = StackState.HELD
     s[1].state = StackState.HELD
     s[1].enclosure = 6
     s[2].state = StackState.IN_ENCLOSURE
     s[2].enclosure = 0
-    e[0].occupant = 2
-    e[1].occupant = 2
-    e[2].occupant = 5
     s[3].state = StackState.IN_ENCLOSURE
     s[3].enclosure = 4
-    e[4].occupant = 7
     s[7].state = StackState.IN_ENCLOSURE
     s[7].enclosure = 4
     s[8].state = StackState.IN_ENCLOSURE
-    s[12].state = StackState.IN_ENCLOSURE
-    s[12].enclosure = 99
     s[9].enclosure = 3
     s[10].packaging = Packaging.CUT
     s[11].state = StackState.DELIVERED
+    s[12].state = StackState.IN_ENCLOSURE
+    s[12].enclosure = 99
+    s[13].state = StackState.DELIVERED
+    s[13].packaging = Packaging.REMOVED
+    s[13].enclosure = 5
+    s[14].state = StackState.FAILED_UNHANDLED
+    s[14].enclosure = 2
     assert [(v.code, v.detail) for v in check_invariants(world)] == [
         ("multiple_held", "stacks [0, 1] held simultaneously"),
-        ("occupant_duplicated", "stack 2 listed in enclosures 0 and 1"),
-        ("cross_reference_mismatch", "enclosure 1 points at stack 2 but the stack points at 0"),
-        ("occupant_state_mismatch", "enclosure 2 holds stack 5 whose state is in_tote"),
-        ("cross_reference_mismatch", "enclosure 2 points at stack 5 but the stack points at None"),
         ("stale_enclosure_reference", "stack 1 in state held still points at enclosure 6"),
-        ("cross_reference_mismatch", "stack 3 claims enclosure 4 which holds 7"),
+        ("occupant_duplicated", "enclosure 4 holds stacks 3 and 7"),
         ("orphan_in_enclosure", "stack 8 is in_enclosure with enclosure=None"),
         ("stale_enclosure_reference", "stack 9 in state in_tote still points at enclosure 3"),
         ("packaging_mismatch", "stack 10 in the tote has packaging cut"),
         ("delivered_still_bagged", "stack 11 delivered with packaging bagged"),
         ("orphan_in_enclosure", "stack 12 is in_enclosure with enclosure=99"),
+        ("stale_enclosure_reference", "stack 13 in state delivered still points at enclosure 5"),
+        (
+            "stale_enclosure_reference",
+            "stack 14 in state failed_unhandled still points at enclosure 2",
+        ),
     ]
