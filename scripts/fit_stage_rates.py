@@ -19,9 +19,9 @@ import argparse
 import json
 from pathlib import Path
 
-from bagcell.config import CellConfig
+from bagcell.config import ENCLOSURE_COUNT, CellConfig
 from bagcell.report import summarize_campaign
-from bagcell.scenarios import reference_rates
+from bagcell.scenarios import REFERENCE_CAMPAIGN
 from bagcell.simulate import run_single
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "scenarios" / "stage_rates.json"
@@ -34,6 +34,12 @@ STAGES = (
 BASE_SEED = 50_000
 STEPS = 12
 DECIMALS = 4
+
+
+def reference_rates() -> tuple:
+    """Mean detected/picked/placed rates of the reference campaign, in [0, 1]."""
+    offered = len(REFERENCE_CAMPAIGN) * ENCLOSURE_COUNT
+    return tuple(sum(column) / offered for column in zip(*REFERENCE_CAMPAIGN))
 
 
 def simulated_rate(stage: str, probs: dict, cycles: int) -> float:

@@ -188,7 +188,7 @@ class FaultConfig:
     spurious_box_prob: Probability = 0.0
     confidence_sigma: NonNegative = 0.0
     bottom_suction_fail_prob: Probability = 0.0
-    pressure_noise_sigma_kpa: NonNegative = 0.0
+    pressure_noise_sigma_kpa: NonNegative = 0.0  # unread; kept for the config digest
     ultrasonic_noise_sigma_cm: NonNegative = 0.0
     plan_failure_prob: Probability = 0.0
 
@@ -356,8 +356,8 @@ class CellConfig:
     def to_dict(self) -> dict[str, Any]:
         return dataclasses.asdict(self)
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "CellConfig":

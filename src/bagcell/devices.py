@@ -165,12 +165,6 @@ class FaultScript:
         fail = functools.partial(MalformedFaultScript, str(path), None)
         return cls.from_dict(parse_json(read_text(path, fail), fail), path=str(path))
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "version": SCRIPT_VERSION,
-            "entries": [{"when": e.when, "outcome": e.outcome} for e in self.entries],
-        }
-
 
 # --- analog/timed devices -------------------------------------------------
 
@@ -309,13 +303,6 @@ class DeviceBank:
         if sigma > 0.0:
             base += float(rng.normal(0.0, sigma))
         return max(0.0, base)
-
-    def read_pressure(self, name: str, now: float, rng: np.random.Generator) -> float:
-        p = self.suction[name].pressure_at(now)
-        sigma = self.faults.pressure_noise_sigma_kpa
-        if sigma > 0.0:
-            p += float(rng.normal(0.0, sigma))
-        return p
 
     def presence(self, occupied: bool, rng: np.random.Generator) -> bool:
         return self.read_distance(occupied, rng) < self.cfg.presence_threshold_cm

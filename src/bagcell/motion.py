@@ -27,15 +27,6 @@ class Profile:
     def t_total(self) -> float:
         return 2.0 * self.t_accel + self.t_cruise
 
-    def velocity_at(self, t: float) -> float:
-        if t <= 0.0 or t >= self.t_total:
-            return 0.0
-        if t < self.t_accel:
-            return self.accel * t
-        if t < self.t_accel + self.t_cruise:
-            return self.v_peak
-        return self.accel * (self.t_total - t)
-
 
 def plan_profile(distance: float, v_max: float, accel: float) -> Profile:
     """Time a straight move of ``distance`` metres under the given limits."""

@@ -19,8 +19,8 @@ type as well as the values, so ``MotionDone("x") != TimerFired("x")``.
 ``STEPS`` is the machine's whole event graph: each row maps a sub-state and
 an event it awaits to the step that handles it. Each ``Sub`` member's
 ``rows`` are derived from it once, at import, so a transition looks up one
-small dict. The phase is not stored: each ``Sub`` member names its phase,
-so a state's phase is ``state.sub.phase``. Events with no row in the
+small dict. The phases a run reports are the ``PhaseMark`` edges its steps
+return; the state stores no phase of its own. Events with no row in the
 current sub-state are consumed as no-ops, which keeps the function total.
 """
 
@@ -36,68 +36,51 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 from bagcell.config import ENCLOSURE_COUNT, CellConfig
 
 
-class Phase(enum.Enum):
-    IDLE = "idle"
-    FEEDING = "feeding"
-    CUTTING = "cutting"
-    REMOVAL = "removal"
-    DELIVERY = "delivery"
-    RESET = "reset"
-    DONE = "done"
-
-
 class Sub(enum.Enum):
-    """Where the machine is in a cycle; each member is declared with its phase.
+    """Where the machine is in a cycle.
 
     ``rows`` maps each event the sub-state awaits to its step: its rows of
     ``STEPS``, filled in once that table is built.
     """
 
-    def __new__(cls, phase: Phase) -> "Sub":
-        sub = object.__new__(cls)
-        sub._value_ = len(cls.__members__)  # distinct, so no member aliases another
-        sub.phase = phase
-        sub.rows = {}
-        return sub
-
-    IDLE = Phase.IDLE
-    AWAIT_FEED_MSG = Phase.FEEDING
-    TO_VIEW = Phase.FEEDING
-    AWAIT_DETECT = Phase.FEEDING
-    PLANNING_APPROACH = Phase.FEEDING
-    APPROACHING = Phase.FEEDING
-    GRIPPING = Phase.FEEDING
-    GRIP_SETTLE = Phase.FEEDING
-    PLANNING_TRANSFER = Phase.FEEDING
-    TRANSFERRING = Phase.FEEDING
-    RELEASING = Phase.FEEDING
-    VERIFY_WAIT = Phase.FEEDING
-    VERIFY_CHECK = Phase.FEEDING
-    RESEAT_GRIPPING = Phase.FEEDING
-    RESEAT_MOVING = Phase.FEEDING
-    TO_RESET = Phase.FEEDING
-    RETURNING = Phase.FEEDING
-    CUT_SWING = Phase.CUTTING
-    CUT_SECURING = Phase.CUTTING
-    CUT_SLICING = Phase.CUTTING
-    REM_APPROACH = Phase.REMOVAL
-    REM_DESCEND = Phase.REMOVAL
-    REM_GRIPPING = Phase.REMOVAL
-    REM_RESEAT = Phase.REMOVAL
-    REM_LIFT = Phase.REMOVAL
-    REM_TO_BIN = Phase.REMOVAL
-    REM_RELEASE = Phase.REMOVAL
-    DOOR_OPENING = Phase.DELIVERY
-    DOOR_SETTLE = Phase.DELIVERY
-    PUSHING = Phase.DELIVERY
-    PUSH_HOLD = Phase.DELIVERY
-    VERIFYING_DELIVERY = Phase.DELIVERY
-    RETRACTING = Phase.DELIVERY
-    RETRACT_SETTLE = Phase.DELIVERY
-    DOOR_CLOSING = Phase.DELIVERY
-    RESETTING = Phase.RESET
-    AWAIT_RESET_MSG = Phase.RESET
-    DONE = Phase.DONE
+    IDLE = enum.auto()
+    AWAIT_FEED_MSG = enum.auto()
+    TO_VIEW = enum.auto()
+    AWAIT_DETECT = enum.auto()
+    PLANNING_APPROACH = enum.auto()
+    APPROACHING = enum.auto()
+    GRIPPING = enum.auto()
+    GRIP_SETTLE = enum.auto()
+    PLANNING_TRANSFER = enum.auto()
+    TRANSFERRING = enum.auto()
+    RELEASING = enum.auto()
+    VERIFY_WAIT = enum.auto()
+    VERIFY_CHECK = enum.auto()
+    RESEAT_GRIPPING = enum.auto()
+    RESEAT_MOVING = enum.auto()
+    TO_RESET = enum.auto()
+    RETURNING = enum.auto()
+    CUT_SWING = enum.auto()
+    CUT_SECURING = enum.auto()
+    CUT_SLICING = enum.auto()
+    REM_APPROACH = enum.auto()
+    REM_DESCEND = enum.auto()
+    REM_GRIPPING = enum.auto()
+    REM_RESEAT = enum.auto()
+    REM_LIFT = enum.auto()
+    REM_TO_BIN = enum.auto()
+    REM_RELEASE = enum.auto()
+    DOOR_OPENING = enum.auto()
+    DOOR_SETTLE = enum.auto()
+    PUSHING = enum.auto()
+    PUSH_HOLD = enum.auto()
+    VERIFYING_DELIVERY = enum.auto()
+    RETRACTING = enum.auto()
+    RETRACT_SETTLE = enum.auto()
+    DOOR_CLOSING = enum.auto()
+    RESETTING = enum.auto()
+    AWAIT_RESET_MSG = enum.auto()
+    DONE = enum.auto()
 
 
 # --- events (runtime -> machine) and actions (machine -> runtime) --------
@@ -252,10 +235,6 @@ def _r(state: OrcState, **kw) -> OrcState:
     fields.update(state.__dict__)
     fields.update(kw)
     return new
-
-
-def initial_state() -> OrcState:
-    return OrcState()
 
 
 Step = Callable[[OrcState, Event, OrcParams], Tuple[OrcState, List[Action]]]
@@ -912,6 +891,8 @@ STEPS: Dict[Tuple[Sub, Any], Step] = {
 
 # Each sub-state's own rows: ``transition`` looks up one small dict, keyed by
 # the event or by its type, and hashes the event in C.
+for _sub in Sub:
+    _sub.rows = {}
 for (_sub, _awaited), _step in STEPS.items():
     _sub.rows[_awaited] = _step
 del _sub, _awaited, _step

@@ -32,15 +32,6 @@ REFERENCE_CAMPAIGN: Tuple[Tuple[int, int, int], ...] = (
 REFERENCE_TESTS = len(REFERENCE_CAMPAIGN)
 
 
-def reference_rates() -> Tuple[float, float, float]:
-    """Mean detected/picked/placed rates of the reference campaign, in [0, 1]."""
-    offered = REFERENCE_TESTS * ENCLOSURE_COUNT
-    det = sum(r[0] for r in REFERENCE_CAMPAIGN) / offered
-    pick = sum(r[1] for r in REFERENCE_CAMPAIGN) / offered
-    place = sum(r[2] for r in REFERENCE_CAMPAIGN) / offered
-    return det, pick, place
-
-
 def build_reference_script(
     detect_attempts: int = 3,
     pick_attempts: int = 3,

@@ -110,7 +110,7 @@ class Simulation:
         self.tracer = Tracer()
         self._topic_seq = dict.fromkeys(TOPICS, 0)
         self.params = orc.OrcParams.from_config(config, cycles)
-        self.state = orc.initial_state()
+        self.state = orc.OrcState()
 
         self.now = 0.0
         # (time, rank, seq, event, guard): rank 0 is a device event not yet
@@ -500,15 +500,13 @@ def run_campaign(
     config: CellConfig,
     n_tests: int,
     script: Optional[dv.FaultScript] = None,
-    base_seed: Optional[int] = None,
 ) -> Iterator[Tuple[RunReport, Tracer]]:
-    """Sequential campaign: each test is a fresh single-cycle cell on seed base+index.
+    """Sequential campaign: each test is a fresh single-cycle cell on seed ``config.seed`` + index.
 
     Yields each test's report and tracer as its run ends, so a caller can
     write a trace out before the next run starts. A shared fault script is
     consumed across tests (its entries carry test selectors), mirroring how
     one scripted bench session spans many runs.
     """
-    base = config.seed if base_seed is None else base_seed
     for i in range(n_tests):
-        yield run_single(config, seed=base + i, cycles=1, script=script, test_index=i)
+        yield run_single(config, seed=config.seed + i, cycles=1, script=script, test_index=i)

@@ -32,7 +32,6 @@ from bagcell.orchestrator import (
     OpenValve,
     OrcParams,
     OrcState,
-    Phase,
     PhaseMark,
     Plan,
     PlanReady,
@@ -49,7 +48,6 @@ from bagcell.orchestrator import (
     TimerFired,
     UltrasonicRead,
     _r,
-    initial_state,
     transition,
 )
 
@@ -57,7 +55,7 @@ PARAMS = OrcParams.from_config(CellConfig(), cycles=1)
 
 
 def fsm(**kw) -> OrcState:
-    return dataclasses.replace(initial_state(), **kw)
+    return dataclasses.replace(OrcState(), **kw)
 
 
 def drive(state, events, params=PARAMS):
@@ -90,16 +88,14 @@ def test_each_param_is_declared_by_exactly_one_config_section():
 
 
 def test_initial_state_is_idle():
-    s = initial_state()
-    assert s.sub.phase is Phase.IDLE
+    s = OrcState()
     assert s.sub is Sub.IDLE
     assert s.cycle == 0 and s.slot == 0 and s.zone == 1
     assert s.occupants == ()
 
 
 def test_start_announces_and_waits_for_feed_message():
-    s, acts = transition(initial_state(), Start(), PARAMS)
-    assert s.sub.phase is Phase.FEEDING
+    s, acts = transition(OrcState(), Start(), PARAMS)
     assert s.sub is Sub.AWAIT_FEED_MSG
     assert acts == [
         Publish(topic="system_ready", payload={}),
@@ -112,7 +108,7 @@ def test_transition_is_pure():
     # Same inputs twice must give identical outputs; the function may not
     # keep hidden state between calls.
     cases = [
-        (initial_state(), Start()),
+        (OrcState(), Start()),
         (fsm(sub=Sub.AWAIT_FEED_MSG), BusMsg(topic="ready_for_picking")),
         (fsm(sub=Sub.GRIPPING, target=5), SuctionSecured(device="gripper")),
         (
@@ -129,8 +125,8 @@ def test_transition_is_pure():
 
 def test_unexpected_events_are_no_ops():
     cases = [
-        (initial_state(), TimerFired(tag="grip_timeout")),
-        (initial_state(), MotionDone(tag="return")),
+        (OrcState(), TimerFired(tag="grip_timeout")),
+        (OrcState(), MotionDone(tag="return")),
         (fsm(sub=Sub.AWAIT_FEED_MSG), BusMsg(topic="drop")),
         (fsm(sub=Sub.AWAIT_DETECT), MotionDone(tag="slot_view")),
         (fsm(sub=Sub.GRIPPING), UltrasonicRead(enclosure=0, present=True)),
@@ -258,16 +254,15 @@ def test_state_copy_matches_dataclasses_replace(data):
     expected = dataclasses.replace(base, **kw)
     assert copied == expected
     assert hash(copied) == hash(expected)
-    assert copied.sub.phase is expected.sub.phase
     assert base == before
 
 
 @pytest.mark.parametrize("name", ["phase", "bogus"])
 def test_state_copy_rejects_an_unknown_field(name):
     with pytest.raises(TypeError):
-        dataclasses.replace(initial_state(), **{name: 1})
+        dataclasses.replace(OrcState(), **{name: 1})
     with pytest.raises(TypeError):
-        _r(initial_state(), **{name: 1})
+        _r(OrcState(), **{name: 1})
 
 
 # --- feeding: detect ------------------------------------------------------
@@ -423,7 +418,7 @@ def test_placement_exhaustion_fails_the_stack():
 def test_last_slot_return_enters_cutting():
     s = fsm(sub=Sub.RETURNING, slot=7)
     s, acts = transition(s, MotionDone(tag="return"), PARAMS)
-    assert s.sub.phase is Phase.CUTTING and s.sub is Sub.CUT_SWING
+    assert s.sub is Sub.CUT_SWING
     assert acts == [
         PhaseMark(phase="feeding", edge="end"),
         PhaseMark(phase="cutting", edge="start"),
@@ -433,8 +428,9 @@ def test_last_slot_return_enters_cutting():
 
 def test_early_empty_tote_also_enters_cutting():
     s = fsm(sub=Sub.RETURNING, slot=2, tote_done=True)
-    s, _ = transition(s, MotionDone(tag="return"), PARAMS)
-    assert s.sub.phase is Phase.CUTTING
+    s, acts = transition(s, MotionDone(tag="return"), PARAMS)
+    assert s.sub is Sub.CUT_SWING
+    assert PhaseMark(phase="cutting", edge="start") in acts
 
 
 # --- cutting --------------------------------------------------------------
@@ -479,7 +475,7 @@ def test_secure_exhaustion_aborts_the_cut():
     s = fsm(sub=Sub.CUT_SECURING, secure_attempt=3,
             occupants=((0, 0), (1, 4)), secured=frozenset({"bottom_0"}))
     s, acts = transition(s, TimerFired(tag="secure_timeout"), PARAMS)
-    assert s.sub.phase is Phase.RESET and s.sub is Sub.RESETTING
+    assert s.sub is Sub.RESETTING
     assert s.occupants == ()
     faults = [a for a in kinds(acts, Publish) if a.topic == "fault"]
     assert len(faults) == 1 and faults[0].payload["kind"] == "secure_exhausted"
@@ -494,8 +490,9 @@ def test_secure_exhaustion_aborts_the_cut():
 def test_cut_complete_marks_bags_and_starts_removal():
     s = fsm(sub=Sub.CUT_SLICING, occupants=((0, 10), (3, 13)))
     s, acts = transition(s, ActDone(device="cutter", op="extend"), PARAMS)
-    assert s.sub.phase is Phase.REMOVAL and s.sub is Sub.REM_APPROACH
+    assert s.sub is Sub.REM_APPROACH
     assert s.removal_idx == 0  # the first occupant, enclosure 0
+    assert PhaseMark(phase="removal", edge="start") in acts
     assert SetPackaging(stacks=(10, 13), packaging="cut") in acts
     assert Publish(topic="cutting_complete", payload={"cycle": 0}) in acts
     assert Command(device="swing", op="retract") in acts
@@ -527,7 +524,8 @@ def test_stuck_bag_is_jammed_and_removal_moves_on():
         MotionDone(tag="rem_bin"),
         TimerFired(tag="rem_release"),
     ])
-    assert s.sub.phase is Phase.DELIVERY and s.sub is Sub.DOOR_OPENING
+    assert s.sub is Sub.DOOR_OPENING
+    assert PhaseMark(phase="delivery", edge="start") in acts
     assert s.unbagged == frozenset({2})
     assert SetPackaging(stacks=(7,), packaging="removed") in acts
     assert Publish(topic="removal_complete", payload={"cycle": 0}) in acts
@@ -593,8 +591,9 @@ def test_delivery_pushes_verifies_and_clears_occupants():
         TimerFired(tag="retract_settle"),
         ActDone(device="door", op="retract"),
     ])
-    assert s.sub.phase is Phase.RESET
+    assert s.sub is Sub.RESETTING
     assert s.occupants == ()
+    assert PhaseMark(phase="resetting", edge="start") in acts
     assert Publish(topic="delivery_complete", payload={"cycle": 0}) in acts
     # Undelivered stacks 1 and 2 are written off during reset.
     sets = kinds(acts, SetStack)
@@ -629,12 +628,13 @@ def test_reset_finishes_and_next_cycle_starts():
 
     more_cycles = dataclasses.replace(PARAMS, cycles=3)
     s2, acts = transition(s, BusMsg(topic="system_reset"), more_cycles)
-    assert s2.sub.phase is Phase.FEEDING and s2.cycle == 1 and s2.slot == 0
+    assert s2.sub is Sub.AWAIT_FEED_MSG and s2.cycle == 1 and s2.slot == 0
+    assert PhaseMark(phase="feeding", edge="start") in acts
     assert Publish(topic="cycle_finished", payload={"cycle": 0}) in acts
     assert Publish(topic="ready_for_picking", payload={"cycle": 1}) in acts
 
     s3, acts = transition(s, BusMsg(topic="system_reset"), PARAMS)  # cycles=1
-    assert s3.sub.phase is Phase.DONE
+    assert s3.sub is Sub.DONE
     assert Note(text="session_done", data={"cycles": 1}) in acts
 
 
@@ -642,7 +642,7 @@ def test_empty_tote_ends_the_session_early():
     s = fsm(sub=Sub.AWAIT_RESET_MSG, cycle=0, tote_done=True)
     params = dataclasses.replace(PARAMS, cycles=5)
     s, _ = transition(s, BusMsg(topic="system_reset"), params)
-    assert s.sub.phase is Phase.DONE
+    assert s.sub is Sub.DONE
 
 
 # --- totality under arbitrary event streams -------------------------------
@@ -703,7 +703,7 @@ def awaited_event(state, k):
 # of feeding, so the rest start at the cut: a drawn set of enclosures
 # seated, every bottom line sealed, the cutter about to finish.
 STARTS = st.one_of(
-    st.just(initial_state()),
+    st.just(OrcState()),
     st.sets(st.integers(0, 7)).map(lambda encs: fsm(
         sub=Sub.CUT_SLICING,
         occupants=tuple((e, 10 + e) for e in sorted(encs)),
@@ -733,7 +733,7 @@ def test_machine_is_total_under_arbitrary_streams(start, stream):
         # Removal indexes ``occupants``, and pushing extends ``unbagged``:
         # both hold only while the stored facts they derive from agree.
         assert state.removal_idx <= len(state.occupants)
-        if state.sub.phase is Phase.REMOVAL:
+        if state.sub.name.startswith("REM_"):
             assert state.removal_idx < len(state.occupants)
         else:
             assert state.removal_idx == 0
@@ -762,7 +762,7 @@ def _machine_digest(streams=300):
     state_names = [f.name for f in dataclasses.fields(OrcState)]
     for k in range(streams):
         rng = random.Random(k)
-        state = initial_state()
+        state = OrcState()
         if k % 2:
             encs = sorted(rng.sample(range(8), rng.randint(0, 8)))
             state = fsm(

@@ -5,12 +5,14 @@ A fresh interpreter sets a ``sys.setprofile`` hook before it imports
 ``cli.main`` calls: every command, one fault script that reaches every fault
 path, usage errors and one malformed file per reader. A function that none
 of them calls is production code that only tests use, unless ``ALLOWED``
-names it with the caller that keeps it. The list only shrinks: an entry
-whose function is now called, or gone, fails the test too.
+names it with the benchmark's use that keeps it. The list only shrinks: an
+entry whose function is now called, or gone, or not named in any
+``perfbench/*.py`` file, fails the test too.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -19,19 +21,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PKG = ROOT / "src" / "bagcell"
 
-# (module file, qualified name) -> who calls it, since no CLI command does.
+# (module file, qualified name) -> what the benchmark uses it for, since no
+# CLI command calls it. Only the benchmark may keep a function here.
 ALLOWED = {
-    ("devices.py", "DeviceBank.read_pressure"): "acceptance gate: pressure noise knob",
-    ("devices.py", "FaultScript.to_dict"): "scripts/make_reference_script.py",
-    ("motion.py", "Profile.velocity_at"): "acceptance gate: trajectory integration",
-    ("report.py", "TraceRecord.to_line"): "perfbench: the sweep's fingerprint",
-    ("report.py", "read_trace"): "perfbench replay read-back",
-    ("report.py", "scan_violations"): "perfbench and scripts/robustness_sweep.py audits",
-    ("report.py", "audit_interlocks"): "perfbench and scripts/robustness_sweep.py audits",
-    ("report.py", "audit_retry_caps"): "perfbench and scripts/robustness_sweep.py audits",
-    ("scenarios.py", "randomized_fault_profile"): "perfbench sweep, scripts, acceptance gate",
-    ("scenarios.py", "reference_rates"): "scripts/fit_stage_rates.py, acceptance gate",
-    ("vision.py", "save_boxes"): "perfbench: writes the eval workload's box files",
+    ("report.py", "TraceRecord.to_line"): "the sweep's fingerprint",
+    ("report.py", "read_trace"): "the replay's read-back",
+    ("report.py", "scan_violations"): "the replay and sweep audits",
+    ("report.py", "audit_interlocks"): "the replay and sweep audits",
+    ("report.py", "audit_retry_caps"): "the replay and sweep audits",
+    ("scenarios.py", "randomized_fault_profile"): "the sweep's fault profile",
+    ("vision.py", "save_boxes"): "writes the eval workload's box files",
 }
 
 # Cycle 0 exhausts securing on enclosure 0 and fails every transfer plan of
@@ -89,6 +88,12 @@ def defined_functions(code):
             if const.co_flags & 0x2 and const.co_name not in _NESTED:  # CO_NEWLOCALS
                 yield const.co_qualname, const.co_firstlineno
             yield from defined_functions(const)
+
+
+def test_every_allowed_function_is_named_by_the_benchmark():
+    benchmark = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
+    for _, name in ALLOWED:
+        assert re.search(rf"\b{name.rsplit('.', 1)[-1]}\b", benchmark), name
 
 
 def write_inputs(workdir: Path) -> None:

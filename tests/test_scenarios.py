@@ -1,17 +1,8 @@
 """Tests for the canned reference campaign and the randomized fault profile."""
 
 import dataclasses
-import json
-from pathlib import Path
 
-import pytest
-
-from bagcell.scenarios import (
-    REFERENCE_CAMPAIGN,
-    build_reference_script,
-    randomized_fault_profile,
-    reference_rates,
-)
+from bagcell.scenarios import REFERENCE_CAMPAIGN, build_reference_script, randomized_fault_profile
 
 
 def test_reference_rows_are_internally_consistent():
@@ -20,14 +11,9 @@ def test_reference_rows_are_internally_consistent():
 
 
 def test_reference_rates():
-    det, pick, place = reference_rates()
-    assert det == pytest.approx(77 / 80)
-    assert pick == pytest.approx(69 / 80)
-    assert place == pytest.approx(66 / 80)
-    # As percentages these are the headline 96.25 / 86.25 / 82.50.
-    assert det * 100 == pytest.approx(96.25)
-    assert pick * 100 == pytest.approx(86.25)
-    assert place * 100 == pytest.approx(82.50)
+    # Of 80 offered stacks: the headline 96.25 / 86.25 / 82.50 %.
+    assert len(REFERENCE_CAMPAIGN) == 10
+    assert [sum(column) for column in zip(*REFERENCE_CAMPAIGN)] == [77, 69, 66]
 
 
 def test_reference_script_entry_budget():
@@ -45,13 +31,6 @@ def test_reference_script_entry_budget():
     for e in script.entries:
         assert set(e.when) == {"action", "test", "slot", "attempt"}
         assert 1 <= e.when["attempt"] <= 3
-
-
-def test_shipped_script_file_matches_generator():
-    # scripts/make_reference_script.py regenerates this file; a drifted copy
-    # would silently replay the wrong campaign.
-    shipped = Path(__file__).resolve().parent.parent / "scenarios" / "reference_campaign.json"
-    assert json.loads(shipped.read_text()) == build_reference_script().to_dict()
 
 
 def test_reference_script_failing_slots_sit_at_the_tail():

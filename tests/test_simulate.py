@@ -632,7 +632,7 @@ def test_script_entries_are_consumed_most_specific_first_match():
 
 
 def test_campaign_runs_fresh_cells_on_consecutive_seeds():
-    reports, tracers = zip(*run_campaign(CellConfig(), 3, base_seed=900))
+    reports, tracers = zip(*run_campaign(CellConfig(seed=900), 3))
     assert [r.seed for r in reports] == [900, 901, 902]
     assert [r.test_index for r in reports] == [0, 1, 2]
     assert all(r.delivered == 8 for r in reports)
@@ -641,14 +641,14 @@ def test_campaign_runs_fresh_cells_on_consecutive_seeds():
 
 def test_campaign_script_test_selector_scopes_faults():
     sc = script(*[({"action": "pick", "test": 1, "cycle": 0, "slot": 0}, "fail")] * 3)
-    reports = [r for r, _ in run_campaign(CellConfig(), 3, script=sc, base_seed=50)]
+    reports = [r for r, _ in run_campaign(CellConfig(seed=50), 3, script=sc)]
     assert [r.delivered for r in reports] == [8, 7, 8]
     assert sc.unconsumed() == []
 
 
 def test_campaign_reports_summarize():
-    cfg = CellConfig()
-    reports = [r for r, _ in run_campaign(cfg, 2, base_seed=60)]
+    cfg = CellConfig(seed=60)
+    reports = [r for r, _ in run_campaign(cfg, 2)]
     summary = summarize_campaign(reports, seed=60, digest=config_digest(cfg.to_json()))
     assert summary.picked_rate_pct == pytest.approx(100.0)
     assert summary.placed_rate_pct == pytest.approx(100.0)
@@ -657,5 +657,5 @@ def test_campaign_reports_summarize():
 
 def test_unmatched_script_entries_are_reported():
     sc = script(({"action": "pick", "test": 5}, "fail"))
-    list(run_campaign(CellConfig(), 2, script=sc, base_seed=70))
+    list(run_campaign(CellConfig(seed=70), 2, script=sc))
     assert len(sc.unconsumed()) == 1
