@@ -27,7 +27,8 @@ from typing import Any, Callable, List, Optional, get_args
 from bagcell.config import AtLeastOne, CellConfig, ConfigInvalid, Count, MalformedInput
 from bagcell.config import Probability, check, default_config
 from bagcell.devices import FaultScript, InterlockViolation
-from bagcell.report import config_digest, render_table, summarize_campaign, write_trace
+from bagcell.report import CampaignReport, config_digest, render_table, summarize_campaign
+from bagcell.report import write_trace
 from bagcell.scenarios import REFERENCE_TESTS, build_reference_script
 from bagcell.simulate import SimulationStuck, run_campaign, run_single
 from bagcell.vision import EmptyGroundTruth, evaluate, load_boxes
@@ -70,22 +71,24 @@ def _load_script(path: Optional[str]) -> Optional[FaultScript]:
     return FaultScript.from_file(path) if path else None
 
 
+def _write_report(outdir: Path, config: CellConfig, reports, script) -> CampaignReport:
+    """Summarize a command's runs, and the script entries they left, into ``report.json``."""
+    digest = config_digest(config.to_json())
+    unconsumed = len(script.unconsumed()) if script else 0
+    campaign = summarize_campaign(reports, config.seed, digest, unconsumed)
+    (outdir / "report.json").write_text(campaign.to_json())
+    return campaign
+
+
 def cmd_run(args) -> int:
     config = _load_config(args)
     script = _load_script(args.script)
     report, tracer = run_single(config, cycles=args.cycles, script=script)
     outdir = _outdir(args.outdir)
     write_trace(outdir / "trace.jsonl", tracer.records)
-    unconsumed = len(script.unconsumed()) if script else 0
+    unconsumed = _write_report(outdir, config, [report], script).unconsumed_script_entries
     if unconsumed:
         log.warning(_UNMATCHED, unconsumed)
-    campaign = summarize_campaign(
-        [report],
-        seed=config.seed,
-        digest=config_digest(config.to_json()),
-        unconsumed_script_entries=unconsumed,
-    )
-    (outdir / "report.json").write_text(campaign.to_json())
     print(
         f"cycles={report.cycles} detected={report.detected} picked={report.picked} "
         f"placed={report.placed} delivered={report.delivered} "
@@ -114,16 +117,10 @@ def cmd_campaign(args) -> int:
     for i, (report, tracer) in enumerate(run_campaign(config, args.tests, script=script)):
         write_trace(outdir / f"trace_{i:02d}.jsonl", tracer.records)
         reports.append(report)
-    unconsumed = len(script.unconsumed()) if script else 0
+    campaign = _write_report(outdir, config, reports, script)
+    unconsumed = campaign.unconsumed_script_entries
     if unconsumed and not replay:
         log.warning(_UNMATCHED, unconsumed)
-    campaign = summarize_campaign(
-        reports,
-        seed=config.seed,
-        digest=config_digest(config.to_json()),
-        unconsumed_script_entries=unconsumed,
-    )
-    (outdir / "report.json").write_text(campaign.to_json())
     ext = "csv" if args.table == "csv" else "md"
     (outdir / f"table.{ext}").write_text(render_table(campaign, args.table))
     print(render_table(campaign, args.table), end="")

@@ -7,8 +7,9 @@ dumped with ``bagcell dump-config``; a config file only needs the keys it
 wants to override.
 
 Each field's annotation states its type and, through an ``Annotated`` alias,
-its bound; ``validate`` walks the annotations and then checks the few rules
-that span fields.
+its bound; ``validate`` walks the annotations, checks the few rules that span
+fields, and returns the camera it built with each zone's pick depth. A value
+that is not an object replaces a section whole, for ``validate`` to reject.
 """
 
 from __future__ import annotations
@@ -20,7 +21,11 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Annotated, Any, Callable, NamedTuple, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Annotated, Any, Callable, NamedTuple
+from typing import get_args, get_origin, get_type_hints
+
+if TYPE_CHECKING:
+    from bagcell.vision import CameraModel
 
 DEFAULT_SEED = 12345
 # Enclosures in the bulk loader; every per-enclosure loop and audit reads it here.
@@ -239,8 +244,11 @@ class CellConfig:
     orchestrator: OrchestratorConfig = field(default_factory=OrchestratorConfig)
     extra_topics: list[str] = field(default_factory=list)  # unread; kept for the config digest
 
-    def validate(self) -> None:
-        """Check each field's type and bound, then the rules that span fields."""
+    def validate(self) -> tuple[CameraModel, dict[int, float]]:
+        """Check each field's type and bound, then the rules that span fields.
+
+        Returns the ``CameraModel`` they build and each zone's pick depth.
+        """
         check(self, CellConfig)
         lay = self.layout
         if len(lay.zone_sizes) != 4:
@@ -269,9 +277,10 @@ class CellConfig:
             camera = CameraModel.from_config(cam)
         except np.linalg.LinAlgError:
             raise ConfigInvalid("camera.extrinsic", "must be invertible") from None
-        # A zone's pick depth is its rim marker's depth in the camera frame.
+        depths = {}  # a zone's pick depth is its rim marker's depth in the camera frame
         for zone in range(1, len(lay.zone_sizes) + 1):
-            if not camera.to_camera(self.rim_marker_position(zone))[2] > 0.0:
+            depths[zone] = float(camera.to_camera(self.rim_marker_position(zone))[2])
+            if not depths[zone] > 0.0:
                 raise ConfigInvalid(
                     "camera.extrinsic", f"puts the zone {zone} rim marker behind the camera"
                 )
@@ -313,6 +322,7 @@ class CellConfig:
                 "devices.leak_level_kpa",
                 f"must be above secure_threshold_kpa={dev.secure_threshold_kpa}",
             )
+        return camera, depths
 
     # --- geometry helpers -------------------------------------------------
 
@@ -441,9 +451,8 @@ def _merge_dataclass(obj: Any, data: dict[str, Any], prefix: str) -> None:
         if key not in names:
             raise ConfigInvalid(prefix + key, "unknown config key")
         current = getattr(obj, key)
-        if dataclasses.is_dataclass(current):
-            if not isinstance(value, dict):
-                raise ConfigInvalid(prefix + key, "expected an object")
+        # Anything but an object is assigned whole; validate() rejects it in place.
+        if dataclasses.is_dataclass(current) and isinstance(value, dict):
             _merge_dataclass(current, value, prefix=f"{prefix}{key}.")
         else:
             setattr(obj, key, value)

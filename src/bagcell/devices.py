@@ -10,11 +10,13 @@ settles above answers ``SuctionLost`` if the line is secured, else nothing.
 Either comes due as the ramp crosses the threshold, or now if the line is
 already past it. The runtime queues the event on its own timeline, decides
 whether a later command superseded it, and calls ``apply`` when it comes
-due; only ``apply`` changes a line's ``secured``. The bank keeps no
-clock: each command takes the runtime's ``now``. The bank enforces the two
-safety interlocks itself: it refuses to extend the cutter before every
-bottom line is secured, or a pusher while the door is not fully open and at
-rest. Its sensor noise comes from the config's :class:`FaultConfig`.
+due; only ``apply`` changes a device, and it names the event for the trace.
+The bank keeps no clock: each command takes the runtime's ``now``. It is
+built from the ``CellConfig``, whose devices, faults and enclosure distances
+it reads. The bank enforces the two safety interlocks itself: it refuses to
+extend the cutter before every bottom line is secured, or a pusher while the
+door is not fully open and at rest. An enclosure's sensor reads a stack only
+if the runtime says one is seated there and the bank's pusher is not out.
 
 Fault injection is two-layered: :class:`FaultConfig` gives stochastic
 per-action failure probabilities, and a :class:`FaultScript` pins specific
@@ -34,7 +36,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from bagcell import orchestrator as orc
-from bagcell.config import ENCLOSURE_COUNT, DeviceConfig, FaultConfig, MalformedInput
+from bagcell.config import ENCLOSURE_COUNT, CellConfig, MalformedInput
 from bagcell.config import parse_json, read_text
 
 if TYPE_CHECKING:
@@ -202,20 +204,22 @@ class Actuator:
 Due = Optional[Tuple[float, orc.Event]]
 
 
+# Device-event type -> its trace name.
+DEVICE_EVENTS = {
+    orc.SuctionSecured: "secured",
+    orc.SuctionLost: "lost",
+    orc.ActStalled: "stalled",
+    orc.ActDone: "done",
+}
+
+
 class DeviceBank:
     """All cell devices; commands return their closed-form events."""
 
-    def __init__(
-        self,
-        devcfg: DeviceConfig,
-        faults: FaultConfig,
-        occupied_distance_cm: float = 5.0,
-        empty_distance_cm: float = 30.0,
-    ):
-        self.cfg = devcfg
-        self.faults = faults
-        self.occupied_distance_cm = occupied_distance_cm
-        self.empty_distance_cm = empty_distance_cm
+    def __init__(self, config: CellConfig):
+        devcfg = self.cfg = config.devices
+        self.faults = config.faults
+        self.layout = config.layout
 
         self.suction: Dict[str, SuctionLine] = {"gripper": SuctionLine()}
         self.actuators: Dict[str, Actuator] = {
@@ -227,17 +231,16 @@ class DeviceBank:
             self.suction[f"bottom_{i}"] = SuctionLine()
             self.actuators[f"pusher_{i}"] = Actuator(devcfg.pusher_travel_s)
 
-    def apply(self, event: orc.Event) -> None:
-        """Update the line or actuator ``event`` concerns, as it comes due."""
-        if isinstance(event, (orc.SuctionSecured, orc.SuctionLost)):
-            self.suction[event.device].secured = isinstance(event, orc.SuctionSecured)
-            return
-        act = self.actuators[event.device]
-        act.moving = False
-        if isinstance(event, orc.ActStalled):
-            act.position = 0.5
+    def apply(self, event: orc.Event) -> str:
+        """Update the line or actuator ``event`` concerns, as it comes due; its trace name."""
+        kind = type(event)
+        if kind is orc.SuctionSecured or kind is orc.SuctionLost:
+            self.suction[event.device].secured = kind is orc.SuctionSecured
         else:
-            act.position = 1.0 if event.op == "extend" else 0.0
+            act = self.actuators[event.device]
+            act.moving = False
+            act.position = 0.5 if kind is orc.ActStalled else float(event.op == "extend")
+        return DEVICE_EVENTS[kind]
 
     # -- suction commands --------------------------------------------------
 
@@ -296,13 +299,12 @@ class DeviceBank:
 
     # -- rangefinders ------------------------------------------------------
 
-    def read_distance(self, occupied: bool, rng: np.random.Generator) -> float:
-        """Ultrasonic distance to the nearest face inside an enclosure, in cm."""
-        base = self.occupied_distance_cm if occupied else self.empty_distance_cm
+    def presence(self, enclosure: int, seated: bool, rng: np.random.Generator) -> bool:
+        """Whether ``enclosure``'s sensor reads a stack: one is ``seated``, not pushed out."""
+        # Every read comes while the pushers are at rest, so never mid-stroke.
+        occupied = seated and self.actuators[f"pusher_{enclosure}"].position != 1.0
+        distance = self.layout.occupied_distance_cm if occupied else self.layout.back_wall_cm
         sigma = self.faults.ultrasonic_noise_sigma_cm
         if sigma > 0.0:
-            base += float(rng.normal(0.0, sigma))
-        return max(0.0, base)
-
-    def presence(self, occupied: bool, rng: np.random.Generator) -> bool:
-        return self.read_distance(occupied, rng) < self.cfg.presence_threshold_cm
+            distance += float(rng.normal(0.0, sigma))
+        return max(0.0, distance) < self.cfg.presence_threshold_cm

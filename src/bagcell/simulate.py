@@ -6,19 +6,21 @@ hands each returned action to its executor, picked by the action's type:
 resolving move geometry into profile durations, taking synthetic camera
 frames, deciding each fallible occurrence (a detection frame, a planning
 attempt, a device action) by one rule in ``Simulation._outcome``, mutating
-the world, and scheduling timers. What a run cannot change is computed once
-per run: from the config, each stack's ground-truth box
-(``vision.ground_truth_boxes``) and each zone's pick depth, its rim marker's
-depth in the camera frame; and the move time of each leg length, filled
-through ``motion.move_duration`` the first time the length comes up. A
-publish is traced as a ``message`` numbered per topic; a topic that the
-machine awaits in a ``BusMsg`` row of ``orchestrator.STEPS`` comes back to it
-as that ``BusMsg`` at the same instant. The event a device command returns
-joins the same heap at rank 0, so it wins ties: it is applied to the bank and
-traced, then re-queued at rank 1, behind everything already due at that
-instant. Every timer start or cancel and every device command bumps one epoch
-map, keyed by timer tag or device name; a popped entry whose epoch is behind
-was superseded and is dropped.
+the world, and scheduling timers. It re-derives nothing a model holds: the
+camera and each zone's pick depth (its rim marker's depth in the camera
+frame) are the ones ``CellConfig.validate`` builds, and the device bank
+decides what an ultrasonic read sees and names each device event. What a run
+cannot change is computed once per run: each stack's ground-truth box
+(``vision.ground_truth_boxes``), and the move time of each leg length,
+filled through ``motion.move_duration`` the first time the length comes up.
+A publish is traced as a ``message`` numbered per topic; a topic that the
+machine awaits in a ``BusMsg`` row of ``orchestrator.STEPS`` comes back to
+it as that ``BusMsg`` at the same instant. The event a device command
+returns joins the same heap at rank 0, so it wins ties: it is applied to the
+bank and traced under the name the bank gives it, then re-queued at rank 1,
+behind everything already due at that instant. Every timer start or cancel
+and every device command bumps one epoch map, keyed by timer tag or device
+name; a popped entry whose epoch is behind was superseded and is dropped.
 
 Nothing here reads a wall clock and all randomness flows through one seeded
 generator, so a given (config, seed, script) triple always produces the same
@@ -40,7 +42,7 @@ from bagcell.bus import TOPICS
 from bagcell.config import CellConfig
 from bagcell.motion import leg_lengths, move_duration
 from bagcell.report import RunReport, Tracer, summarize_run
-from bagcell.vision import CameraModel, ground_truth_boxes, observe, select_pick_target
+from bagcell.vision import ground_truth_boxes, observe, select_pick_target
 from bagcell.world import (
     Packaging,
     StackState,
@@ -53,14 +55,6 @@ _SIM_TIME_LIMIT_S = 48.0 * 3600.0
 
 # The topics the machine waits to receive back, read off its event graph.
 _AWAITED_TOPICS = frozenset(ev.topic for (_, ev) in orc.STEPS if type(ev) is orc.BusMsg)
-
-# Device-event type -> its trace name.
-DEVICE_EVENTS = {
-    orc.SuctionSecured: "secured",
-    orc.SuctionLost: "lost",
-    orc.ActStalled: "stalled",
-    orc.ActDone: "done",
-}
 
 
 class SimulationStuck(RuntimeError):
@@ -82,7 +76,7 @@ class Simulation:
         cycles: Optional[int] = None,
         test_index: int = 0,
     ):
-        config.validate()
+        self.camera, self._depths = config.validate()
         self.config = config
         self.seed = config.seed if seed is None else seed
         self.test_index = test_index
@@ -92,21 +86,10 @@ class Simulation:
         self.world: World = build_world(config)
         self.script = script
         lay = config.layout
-        self.bank = dv.DeviceBank(
-            config.devices,
-            config.faults,
-            occupied_distance_cm=lay.occupied_distance_cm,
-            empty_distance_cm=lay.back_wall_cm,
-        )
-        camera = self.camera = CameraModel.from_config(config.camera)
-        # Stack tops and rim markers never move: each is seen through the camera once.
+        self.bank = dv.DeviceBank(config)
+        # Stack tops never move: each is seen through the camera once.
         tops = {s.id: config.stack_top_position(s.zone, s.col) for s in self.world.stacks}
-        self._boxes = ground_truth_boxes(camera, tops, lay.stack_top_w_m, lay.stack_top_d_m)
-        # A zone's pick depth; validate() has checked that each is positive.
-        self._depths = {
-            zone: float(camera.to_camera(config.rim_marker_position(zone))[2])
-            for zone in range(1, len(lay.zone_sizes) + 1)
-        }
+        self._boxes = ground_truth_boxes(self.camera, tops, lay.stack_top_w_m, lay.stack_top_d_m)
         self.tracer = Tracer()
         self._topic_seq = dict.fromkeys(TOPICS, 0)
         self.params = orc.OrcParams.from_config(config, cycles)
@@ -166,8 +149,7 @@ class Simulation:
             if time > _SIM_TIME_LIMIT_S:
                 raise SimulationStuck("simulation exceeded time limit; control loop stuck")
             if rank == 0:
-                self.bank.apply(event)
-                name = DEVICE_EVENTS[type(event)]
+                name = self.bank.apply(event)
                 self.tracer.record(
                     "device_event",
                     time,
@@ -399,15 +381,9 @@ class Simulation:
 
     def _read_ultrasonic(self, action: orc.ReadUltrasonic) -> None:
         enclosure = action.enclosure
-        # A pusher at full stroke has pushed its stack out. Every read comes
-        # while the pushers are at rest, so the stroke is never mid-travel.
         occupant = self.world.occupant(enclosure)
-        physically_present = (
-            occupant is not None
-            and self.bank.actuators[f"pusher_{enclosure}"].position != 1.0
-            and self._seated.get(occupant, True)
-        )
-        present = self.bank.presence(physically_present, self.rng)
+        seated = occupant is not None and self._seated.get(occupant, True)
+        present = self.bank.presence(enclosure, seated, self.rng)
         self.tracer.record(
             "sensor",
             self.now,

@@ -13,7 +13,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from bagcell import orchestrator as orc
-from bagcell.config import DeviceConfig, FaultConfig
+from bagcell.config import CellConfig, DeviceConfig
 from bagcell.devices import DeviceBank, InterlockViolation, SuctionMode
 
 DT = 0.01
@@ -119,7 +119,7 @@ class TickingBank:
 def run_closed_form(calls):
     """Drive a ``DeviceBank`` as the runtime does: an edge due by a command's
     time is applied before it, and a command drops its device's pending edge."""
-    bank = DeviceBank(DEVCFG, FaultConfig())
+    bank = DeviceBank(CellConfig(devices=DEVCFG))
     pending, edges, refused, seq = {}, [], [], 0
 
     def deliver(until):

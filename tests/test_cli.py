@@ -13,6 +13,7 @@ from bagcell.config import CellConfig
 from bagcell.devices import DeviceBank
 from bagcell.scenarios import REFERENCE_CAMPAIGN
 from bagcell.simulate import Simulation
+from bagcell.world import Violation
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -454,14 +455,25 @@ def test_stuck_run_exits_two(tmp_path, capsys):
     assert "time limit" in _aborted_with_one_line(capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("argv", [["run", "--cycles", "1"], ["campaign", "--tests", "1"]])
+def test_safety_violation_exits_two(tmp_path, monkeypatch, capsys, caplog, argv):
+    monkeypatch.setattr(
+        "bagcell.simulate.check_invariants", lambda world: [Violation("test", "injected")]
+    )
+    assert main([*argv, "--outdir", str(tmp_path / "out")]) == 2
+    capsys.readouterr()
+    assert "safety violations" in caplog.text
+
+
 def test_refused_interlock_exits_two(monkeypatch, capsys):
     # The bank loses bottom_7's seal while the machine still counts it
     # secured, so the machine starts the cutter and the bank refuses.
     apply = DeviceBank.apply
 
     def apply_then_lose_bottom_7(bank, event):
-        apply(bank, event)
+        name = apply(bank, event)
         bank.suction["bottom_7"].secured = False
+        return name
 
     monkeypatch.setattr(DeviceBank, "apply", apply_then_lose_bottom_7)
     assert main(["run", "--cycles", "1"]) == 2

@@ -171,6 +171,22 @@ def test_wrong_types_rejected_with_dotted_field(overlay, field_name):
     assert info.value.field_name == field_name
 
 
+# The merge descends only into objects; any other value replaces the section
+# whole and the type walk rejects it there.
+@pytest.mark.parametrize(
+    "overlay, field_name",
+    [
+        ({"layout": 5}, "layout"),
+        ({"orchestrator": {"pacing": []}}, "orchestrator.pacing"),
+        ({"camera": {"capture_metadata": 5}}, "camera.capture_metadata"),
+    ],
+)
+def test_a_section_that_is_not_an_object_is_rejected_at_its_path(overlay, field_name):
+    with pytest.raises(ConfigInvalid) as info:
+        CellConfig.from_dict(overlay)
+    assert (info.value.field_name, info.value.reason) == (field_name, "expected an object")
+
+
 def test_numbers_are_never_converted():
     # An int where a float is declared stays an int, so to_json() and the
     # config digest keep the bytes the file gave.

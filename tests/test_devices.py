@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from bagcell.cli import main
-from bagcell.config import CellConfig, DeviceConfig, FaultConfig
+from bagcell.config import CellConfig, DeviceConfig
 from bagcell.devices import (
     DeviceBank,
     FaultScript,
@@ -17,8 +17,8 @@ from bagcell.orchestrator import ActDone, ActStalled, SuctionLost, SuctionSecure
 from bagcell.simulate import Simulation, run_single
 
 
-def make_bank(profile=None):
-    return DeviceBank(DeviceConfig(), profile or FaultConfig())
+def make_bank():
+    return DeviceBank(CellConfig())
 
 
 def settle(bank, due):
@@ -96,7 +96,7 @@ def test_leaking_open_of_a_secured_line_ramps_up_and_is_lost():
 
 
 def test_a_crossing_within_one_ulp_of_now_is_answered():
-    bank = DeviceBank(DeviceConfig(ramp_to_secure_s=1e-300), FaultConfig())
+    bank = DeviceBank(CellConfig(devices=DeviceConfig(ramp_to_secure_s=1e-300)))
     assert bank.open_valve("gripper", 700.0) == (700.0, SuctionSecured(device="gripper"))
 
 
@@ -216,10 +216,13 @@ def test_distance_and_presence_noise_free():
     bank = make_bank()
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
-    assert bank.read_distance(True, rng) == pytest.approx(5.0)
-    assert bank.read_distance(False, rng) == pytest.approx(30.0)
-    assert bank.presence(True, rng) is True
-    assert bank.presence(False, rng) is False
+    assert bank.presence(0, True, rng) is True
+    assert bank.presence(0, False, rng) is False
+    # A pusher at full stroke has pushed its enclosure's stack out.
+    settle(bank, bank.command("door", "extend", 0.0))
+    settle(bank, bank.command("pusher_0", "extend", 2.0))
+    assert bank.presence(0, True, rng) is False
+    assert bank.presence(1, True, rng) is True
     # A zero sigma takes no draw, so the run's later draws do not shift.
     assert rng.bit_generator.state == before
 
@@ -333,6 +336,8 @@ def test_script_validation_errors(tmp_path):
             FaultScript.from_dict(root)
     with pytest.raises(MalformedFaultScript):
         FaultScript.from_dict({"version": 1, "entries": "nope"})
+    with pytest.raises(MalformedFaultScript, match="entry 0: entry must be an object"):
+        FaultScript.from_dict({"version": 1, "entries": [5]})
     with pytest.raises(MalformedFaultScript):
         FaultScript.from_dict(script_dict([{"when": {}, "outcome": "fail"}]))
     with pytest.raises(MalformedFaultScript):

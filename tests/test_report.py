@@ -134,8 +134,12 @@ def test_trace_line_that_is_not_an_object_is_malformed(tmp_path):
         ('"v": 1, "seq": 1, "t": 0.0, "kind": 7, "data": {}', "'kind' is not str"),
         ('"v": 1, "seq": false, "t": 0.0, "kind": "x", "data": {}', "'seq' is not int"),
         ('"v": true, "seq": false, "t": 0.0, "kind": "x", "data": {}', "unsupported version"),
+        ('"v": 1, "t": 0.0, "kind": "x", "data": {}', "missing field 'seq'"),
+        ('"v": 1, "seq": 1, "kind": "x", "data": {}', "missing field 't'"),
+        ('"v": 1, "seq": 1, "t": 0.0, "data": {}', "missing field 'kind'"),
+        ('"v": 1, "seq": 1, "t": 0.0, "kind": "x"', "missing field 'data'"),
     ],
-    ids=["data", "kind", "seq", "version"],
+    ids=["data", "kind", "seq", "version", "no-seq", "no-t", "no-kind", "no-data"],
 )
 def test_trace_field_of_the_wrong_type_is_malformed(tmp_path, fields, reason):
     # A bool is not an int, though True == 1 and False == 0.
@@ -293,8 +297,9 @@ _LINE0, _LINE1 = _REC0.to_line(), _REC1.to_line()
         ([_LINE0, _LINE1 + " junk"], (2, loads_reason(_LINE1 + " junk"))),
         ([_LINE0, _LINE1 + _LINE1], (2, loads_reason(_LINE1 + _LINE1))),
         ([_LINE0, "{}"], (2, "unsupported version None")),
+        (["", _LINE0, " \t ", _LINE1], [_REC0, _REC1]),
     ],
-    ids=["padded", "bom", "extra-data", "two-objects", "empty-object"],
+    ids=["padded", "bom", "extra-data", "two-objects", "empty-object", "blank-lines"],
 )
 def test_trace_line_reads_as_json_loads_reads_it(tmp_path, lines, expected):
     # The scanner reads a line on its own only when it parses to the line's

@@ -12,7 +12,7 @@ import pytest
 from bagcell import orchestrator as orc
 from bagcell.cli import main
 from bagcell.config import CellConfig, ConfigInvalid, FaultConfig
-from bagcell.devices import FaultScript
+from bagcell.devices import DEVICE_EVENTS, FaultScript
 from bagcell.motion import move_duration
 from bagcell.report import (
     audit_interlocks,
@@ -24,7 +24,7 @@ from bagcell.report import (
     config_digest,
 )
 from bagcell.scenarios import REFERENCE_TESTS, build_reference_script, randomized_fault_profile
-from bagcell.simulate import DEVICE_EVENTS, Simulation, run_campaign, run_single
+from bagcell.simulate import Simulation, run_campaign, run_single
 from bagcell.vision import Box, CameraModel, observe
 from bagcell.world import build_world
 
@@ -342,6 +342,20 @@ def test_a_mutated_frame_does_not_change_the_next():
         assert frame(sim, zone) == frame(clean, zone)
 
 
+def test_a_run_builds_one_camera(monkeypatch):
+    # The camera that validate() builds to check the config is the run's camera.
+    built = []
+    post_init = CameraModel.__post_init__
+
+    def counted(camera):
+        built.append(camera)
+        post_init(camera)
+
+    monkeypatch.setattr(CameraModel, "__post_init__", counted)
+    run_single(CellConfig(), cycles=1)
+    assert len(built) == 1
+
+
 def test_leg_times_come_from_the_one_formula():
     sim = Simulation(CellConfig(), cycles=1)
     sim.run()
@@ -374,6 +388,16 @@ def test_an_enclosure_occupant_is_read_off_the_seated_stack():
     sim._set_stack(orc.SetStack(stack=6, state="delivered"))
     assert sim.world.occupant(3) is None
     assert sim.world.stacks[6].enclosure is None
+
+
+def test_in_enclosure_without_an_index_is_refused_and_changes_nothing():
+    sim = Simulation(CellConfig(), cycles=1)
+    stack = sim.world.stacks[4]
+    before = (stack.state, stack.enclosure)
+    with pytest.raises(ValueError, match="in_enclosure requires an enclosure index"):
+        sim._set_stack(orc.SetStack(stack=4, state="in_enclosure"))
+    assert (stack.state, stack.enclosure) == before
+    assert sim.tracer.records == []
 
 
 # --- determinism ----------------------------------------------------------

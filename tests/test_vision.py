@@ -396,6 +396,8 @@ def test_evaluate_seven_of_eight():
 def test_evaluate_empty_ground_truth_is_an_error():
     with pytest.raises(EmptyGroundTruth):
         evaluate(unit_row(2), [])
+    with pytest.raises(EmptyGroundTruth):
+        ap_at_threshold(unit_row(2), [], 0)
     m = evaluate([], [])
     assert m.precision == m.recall == m.f1 == 1.0
 
