@@ -122,8 +122,9 @@ def cmd_campaign(args) -> int:
     if unconsumed and not replay:
         log.warning(_UNMATCHED, unconsumed)
     ext = "csv" if args.table == "csv" else "md"
-    (outdir / f"table.{ext}").write_text(render_table(campaign, args.table))
-    print(render_table(campaign, args.table), end="")
+    table = render_table(campaign, args.table)
+    (outdir / f"table.{ext}").write_text(table)
+    print(table, end="")
     if unconsumed and replay:
         log.error(_UNMATCHED, unconsumed)
         return 2

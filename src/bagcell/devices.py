@@ -1,22 +1,24 @@
 """Device bank: suction lines, linear actuators, rangefinders, and fault scripts.
 
-All device dynamics are piecewise linear, so the bank never ticks: every
-command computes its threshold crossing or completion time in closed form
-and returns it with the machine event that will fire then (or None when
-nothing will). Every valve command is one ramp: the line moves at a fixed
-rate from its pressure now toward the command's target. A ramp that settles
-at or below the secure threshold answers ``SuctionSecured``; one that
-settles above answers ``SuctionLost`` if the line is secured, else nothing.
-Either comes due as the ramp crosses the threshold, or now if the line is
-already past it. The runtime queues the event on its own timeline, decides
-whether a later command superseded it, and calls ``apply`` when it comes
-due; only ``apply`` changes a device, and it names the event for the trace.
-The bank keeps no clock: each command takes the runtime's ``now``. It is
-built from the ``CellConfig``, whose devices, faults and enclosure distances
-it reads. The bank enforces the two safety interlocks itself: it refuses to
-extend the cutter before every bottom line is secured, or a pusher while the
-door is not fully open and at rest. An enclosure's sensor reads a stack only
-if the runtime says one is seated there and the bank's pusher is not out.
+All device dynamics are piecewise linear, so the bank never ticks: its one
+``command`` takes an op a ``device_cmd`` record names (``open``, ``close``,
+``extend``, ``retract``) and whether the command failed (a failed ``open``
+leaks, a failed move stalls), and returns, in closed form, when the machine
+event it answers fires and that event (or None when nothing will). Every
+valve command is one ramp: the line moves at a fixed rate from its pressure
+now toward the command's target. A ramp that settles at or below the secure
+threshold answers ``SuctionSecured``; one that settles above answers
+``SuctionLost`` if the line is secured, else nothing. Either comes due as
+the ramp crosses the threshold, or now if the line is already past it. The
+runtime queues the event, decides whether a later command superseded it,
+and calls ``apply`` when it comes due; only ``apply`` changes a device, and
+it names the event for the trace. The bank keeps no clock: each command
+takes the runtime's ``now``. It is built from the ``CellConfig``, whose
+devices, faults and enclosure distances it reads. The bank enforces the two
+safety interlocks itself: it refuses to extend the cutter before every
+bottom line is secured, or a pusher while the door is not fully open and at
+rest. An enclosure's sensor reads a stack only if the runtime says one is
+seated there and the bank's pusher is not out.
 
 Fault injection is two-layered: :class:`FaultConfig` gives stochastic
 per-action failure probabilities, and a :class:`FaultScript` pins specific
@@ -29,7 +31,6 @@ entries that select its test, and those that select no test), in file order.
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -171,11 +172,6 @@ class FaultScript:
 # --- analog/timed devices -------------------------------------------------
 
 
-class SuctionMode(enum.Enum):
-    SEAL = "seal"  # pulls down to the steady-state vacuum level
-    LEAK = "leak"  # bad seal: plateaus above the secure threshold
-
-
 @dataclass
 class SuctionLine:
     """A line ramping linearly from ``p0`` at ``t0`` and holding at ``target``."""
@@ -242,14 +238,25 @@ class DeviceBank:
             act.position = 0.5 if kind is orc.ActStalled else float(event.op == "extend")
         return DEVICE_EVENTS[kind]
 
-    # -- suction commands --------------------------------------------------
+    # -- commands ----------------------------------------------------------
 
-    def open_valve(self, name: str, now: float, mode: SuctionMode = SuctionMode.SEAL) -> Due:
-        target = self.cfg.vacuum_level_kpa if mode is SuctionMode.SEAL else self.cfg.leak_level_kpa
-        return self._ramp(name, now, target)
-
-    def close_valve(self, name: str, now: float) -> Due:
-        return self._ramp(name, now, 0.0)
+    def command(self, name: str, op: str, now: float, failed: bool = False) -> Due:
+        """Start ``op`` on device ``name`` at ``now``; answer the event it will fire."""
+        cfg = self.cfg
+        if op == "open":
+            return self._ramp(name, now, cfg.leak_level_kpa if failed else cfg.vacuum_level_kpa)
+        if op == "close":
+            return self._ramp(name, now, 0.0)
+        if op == "extend":
+            self._interlock(name)
+        elif op != "retract":
+            raise ValueError(f"unknown device op {op!r}")
+        act = self.actuators[name]
+        act.moving = True
+        if failed:
+            t_stall = now + act.travel_s + cfg.actuator_stall_margin_s
+            return t_stall, orc.ActStalled(device=name, op=op)
+        return now + act.travel_s, orc.ActDone(device=name, op=op)
 
     def _ramp(self, name: str, now: float, target: float) -> Due:
         """Ramp ``name`` from its pressure at ``now`` toward ``target``; answer its edge."""
@@ -268,23 +275,6 @@ class DeviceBank:
         if (p0 > threshold) == (target > threshold):
             return now, event
         return now + (threshold - p0) / line.rate, event
-
-    # -- actuator commands -------------------------------------------------
-
-    def command(
-        self, name: str, op: str, now: float, stall: bool = False
-    ) -> Tuple[float, orc.Event]:
-        """Start an actuator move; returns its completion (or stall)."""
-        if op not in ("extend", "retract"):
-            raise ValueError(f"unknown actuator op {op!r}")
-        if op == "extend":
-            self._interlock(name)
-        act = self.actuators[name]
-        act.moving = True
-        if stall:
-            t_stall = now + act.travel_s + self.cfg.actuator_stall_margin_s
-            return t_stall, orc.ActStalled(device=name, op=op)
-        return now + act.travel_s, orc.ActDone(device=name, op=op)
 
     def _interlock(self, name: str) -> None:
         """Refuse to extend the cutter or a pusher while it would be unsafe."""

@@ -3,16 +3,16 @@
 The simulation owns the clock, the one event heap, the world, the device
 bank and the tracer. It feeds events to ``orchestrator.transition`` and
 hands each returned action to its executor, picked by the action's type:
-resolving move geometry into profile durations, taking synthetic camera
-frames, deciding each fallible occurrence (a detection frame, a planning
-attempt, a device action) by one rule in ``Simulation._outcome``, mutating
-the world, and scheduling timers. It re-derives nothing a model holds: the
-camera and each zone's pick depth (its rim marker's depth in the camera
-frame) are the ones ``CellConfig.validate`` builds, and the device bank
-decides what an ultrasonic read sees and names each device event. What a run
-cannot change is computed once per run: each stack's ground-truth box
-(``vision.ground_truth_boxes``), and the move time of each leg length,
-filled through ``motion.move_duration`` the first time the length comes up.
+resolving move geometry into profile durations, taking camera frames (a
+``Detect`` is queued itself and completes when it comes due), deciding each
+fallible occurrence by one rule in ``Simulation._outcome``, which adds the
+run's test index to its context, sending every device command through one
+executor, mutating the world, and scheduling timers. It re-derives nothing a
+model holds: the camera and each zone's pick depth are the ones
+``CellConfig.validate`` builds, and the device bank decides what a failed
+command does and what an ultrasonic read sees, and names each device event.
+What a run cannot change is computed once per run: each stack's ground-truth
+box, and the move time of each leg length the first time it comes up.
 A publish is traced as a ``message`` numbered per topic; a topic that the
 machine awaits in a ``BusMsg`` row of ``orchestrator.STEPS`` comes back to
 it as that ``BusMsg`` at the same instant. The event a device command
@@ -33,7 +33,6 @@ does not load numpy.
 from __future__ import annotations
 
 import heapq
-from collections import namedtuple
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from bagcell import devices as dv
@@ -59,10 +58,6 @@ _AWAITED_TOPICS = frozenset(ev.topic for (_, ev) in orc.STEPS if type(ev) is orc
 
 class SimulationStuck(RuntimeError):
     """The run passed its simulated-time limit: the control loop never finished."""
-
-
-class _DetectDue(namedtuple("_DetectDue", "zone ctx"), orc.Event):
-    __slots__ = ()
 
 
 class Simulation:
@@ -162,7 +157,7 @@ class Simulation:
         return summarize_run(self.tracer.records, self.test_index, self.seed, self.now)
 
     def _dispatch(self, event: orc.Event) -> None:
-        if type(event) is _DetectDue:
+        if type(event) is orc.Detect:  # a detection frame the runtime queued, now due
             self._complete_detection(event)
             return
         self.state, actions = orc.transition(self.state, event, self.params)
@@ -186,9 +181,7 @@ class Simulation:
             self._push(self.now, orc.BusMsg(topic=topic))
 
     def _detect(self, action: orc.Detect) -> None:
-        due = self.now + self.config.orchestrator.pacing.detect_service_s
-        ctx = {**action.ctx, "test": self.test_index}
-        self._push(due, _DetectDue(zone=action.zone, ctx=ctx))
+        self._push(self.now + self.config.orchestrator.pacing.detect_service_s, action)
 
     def _start_timer(self, action: orc.StartTimer) -> None:
         fire = (self.now + action.seconds, orc.TimerFired(tag=action.tag))
@@ -263,15 +256,15 @@ class Simulation:
 
     # -- detection ---------------------------------------------------------
 
-    def _complete_detection(self, due: _DetectDue) -> None:
-        zone = due.zone
+    def _complete_detection(self, action: orc.Detect) -> None:
+        zone = action.zone
         pickable = self.world.zone_stacks(zone)
         record = {"zone": zone, "gt": 0, "boxes": 0, "found": False}
         found, stack_id, leftmost = False, -1, -1
         if pickable:
             leftmost = pickable[0].id  # zone_stacks comes in (col, id) order
             # Like every scripted action, any outcome but "ok" is a failure.
-            scripted = self._outcome("detect", due.ctx)
+            scripted = self._outcome("detect", action.ctx)
             miss = None if scripted is None else scripted != "ok"
             obs = observe(
                 pickable, self._boxes, self.camera, self.rng, self.config.faults, miss=miss
@@ -301,10 +294,9 @@ class Simulation:
         script entry's ``attempt`` selector names the planner's own attempt.
         """
         mot = self.config.motion
-        ctx = {**action.ctx, "test": self.test_index}
         penalty = 0.0
         for attempts in range(1, mot.max_planning_attempts + 1):
-            ok = self._outcome("plan", {**ctx, "attempt": attempts}) == "ok"
+            ok = self._outcome("plan", {**action.ctx, "attempt": attempts}) == "ok"
             if ok:
                 break
             penalty += mot.planning_time_budget_s
@@ -326,7 +318,7 @@ class Simulation:
         An action with no probability gets None.
         """
         if self.script is not None:
-            scripted = self.script.consume({"action": action, **ctx})
+            scripted = self.script.consume({"action": action, **ctx, "test": self.test_index})
             if scripted is not None:
                 return scripted
         prob_name = dv.FAULT_PROBS[action]
@@ -335,9 +327,8 @@ class Simulation:
         prob = getattr(self.config.faults, prob_name)
         return "fail" if prob >= 1.0 or (prob > 0.0 and self.rng.random() < prob) else "ok"
 
-    def _decide(self, action: str, action_ctx: Dict[str, Any]) -> str:
+    def _decide(self, action: str, ctx: Dict[str, Any]) -> str:
         """Outcome of one fallible device action, traced as a fault decision."""
-        ctx = {**action_ctx, "test": self.test_index}
         source = {}
         if action == "pick" and "stack" not in ctx:
             # Suction on a phantom detection can never seal.
@@ -347,37 +338,24 @@ class Simulation:
         self.tracer.record(
             "fault_decision",
             self.now,
-            {"action": action, "outcome": outcome, **source, **ctx},
+            {"action": action, "outcome": outcome, **source, **ctx, "test": self.test_index},
         )
         return outcome
 
-    def _open_valve(self, action: orc.OpenValve) -> None:
-        mode = dv.SuctionMode.SEAL
-        if action.fault_action is not None:
-            outcome = self._decide(action.fault_action, action.ctx)
-            if outcome != "ok":
-                mode = dv.SuctionMode.LEAK
-            if action.fault_action == "place":
-                self._seated[action.ctx["stack"]] = outcome == "ok"
-        self.tracer.record(
-            "device_cmd",
-            self.now,
-            {"device": action.device, "op": "open", "mode": mode.value},
-        )
-        self._supersede(action.device, self.bank.open_valve(action.device, self.now, mode))
+    def _device(self, action: orc.Action) -> None:
+        """Send one device command; a failed fault decision fails the command."""
+        op = self._VALVE_OPS.get(type(action)) or action.op
+        fault = getattr(action, "fault_action", None)
+        failed = fault is not None and self._decide(fault, action.ctx) != "ok"
+        if fault == "place":
+            self._seated[action.ctx["stack"]] = not failed
+        record = {"device": action.device, "op": op}
+        if op == "open":
+            record["mode"] = "leak" if failed else "seal"
+        self.tracer.record("device_cmd", self.now, record)
+        self._supersede(action.device, self.bank.command(action.device, op, self.now, failed))
 
-    def _close_valve(self, action: orc.CloseValve) -> None:
-        self.tracer.record("device_cmd", self.now, {"device": action.device, "op": "close"})
-        self._supersede(action.device, self.bank.close_valve(action.device, self.now))
-
-    def _command(self, action: orc.Command) -> None:
-        fault = action.fault_action
-        stall = fault is not None and self._decide(fault, action.ctx) != "ok"
-        self.tracer.record(
-            "device_cmd", self.now, {"device": action.device, "op": action.op}
-        )
-        due = self.bank.command(action.device, action.op, self.now, stall)
-        self._supersede(action.device, due)
+    _VALVE_OPS = {orc.OpenValve: "open", orc.CloseValve: "close"}  # a Command names its op
 
     def _read_ultrasonic(self, action: orc.ReadUltrasonic) -> None:
         enclosure = action.enclosure
@@ -448,9 +426,9 @@ class Simulation:
         orc.Plan: _start_plan,
         orc.StartTimer: _start_timer,
         orc.CancelTimer: _cancel_timer,
-        orc.OpenValve: _open_valve,
-        orc.CloseValve: _close_valve,
-        orc.Command: _command,
+        orc.OpenValve: _device,
+        orc.CloseValve: _device,
+        orc.Command: _device,
         orc.ReadUltrasonic: _read_ultrasonic,
         orc.SetStack: _set_stack,
         orc.SetPackaging: _set_packaging,

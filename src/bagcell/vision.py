@@ -225,7 +225,8 @@ class CameraModel:
     """Ideal pinhole camera with a fixed mounting pose.
 
     ``extrinsic`` maps camera-frame coordinates to the robot base frame
-    (i.e. it is the camera's pose). Depth is distance along the optical axis.
+    (i.e. it is the camera's pose); it must be invertible, with a finite
+    inverse, else ``np.linalg.LinAlgError``. Depth is distance along the optical axis.
     """
 
     width_px: int
@@ -243,6 +244,8 @@ class CameraModel:
         if self.extrinsic.shape != (4, 4):
             raise ValueError("extrinsic must be 4x4")
         self._inverse = np.linalg.inv(self.extrinsic)
+        if not np.isfinite(self._inverse).all():  # a near-singular inverse overflows
+            raise np.linalg.LinAlgError("extrinsic inverse is not finite")
 
     @classmethod
     def from_config(cls, cam) -> "CameraModel":

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 
 from bagcell import orchestrator as orc
 from bagcell.config import CellConfig, DeviceConfig
-from bagcell.devices import DeviceBank, InterlockViolation, SuctionMode
+from bagcell.devices import DeviceBank, InterlockViolation
 
 DT = 0.01
 GRID = 0.05  # commands fall on multiples of this
@@ -137,9 +137,9 @@ def run_closed_form(calls):
         name = call[1]
         try:
             if call[0] == "open":
-                due = bank.open_valve(name, now, call[2])
+                due = bank.command(name, "open", now, call[2])
             elif call[0] == "close":
-                due = bank.close_valve(name, now)
+                due = bank.command(name, "close", now)
             else:
                 due = bank.command(name, call[2], now, call[3])
         except InterlockViolation:
@@ -160,8 +160,8 @@ def run_ticking(calls):
         ref.advance(now)
         try:
             if call[0] == "open":
-                seal = call[2] is SuctionMode.SEAL
-                ref.valve(call[1], DEVCFG.vacuum_level_kpa if seal else DEVCFG.leak_level_kpa)
+                leak = call[2]
+                ref.valve(call[1], DEVCFG.leak_level_kpa if leak else DEVCFG.vacuum_level_kpa)
             elif call[0] == "close":
                 ref.valve(call[1], 0.0)
             else:
@@ -175,7 +175,7 @@ def run_ticking(calls):
 
 
 _CALLS = st.one_of(
-    st.tuples(st.just("open"), st.sampled_from(DRAWN_LINES), st.sampled_from(list(SuctionMode))),
+    st.tuples(st.just("open"), st.sampled_from(DRAWN_LINES), st.booleans()),
     st.tuples(st.just("close"), st.sampled_from(DRAWN_LINES)),
     st.tuples(
         st.just("command"),

@@ -364,6 +364,17 @@ def test_mistyped_config_value_is_a_usage_error(tmp_path, capsys, overlay, field
     assert "Traceback" not in err
 
 
+# Extrinsics whose float inverse is not finite, though ``np.linalg.inv``
+# raises nothing: the first ran with nothing detected, exit 0; the second was
+# refused for a rim marker behind the camera.
+_NON_FINITE_INVERSE = [
+    {"camera": {"extrinsic": [[1e-310, 0, 0, 0], [0, -1, 0, -0.69],
+                              [0, 0, -1, 1.05], [0, 0, 0, 1]]}},
+    {"camera": {"extrinsic": [[1e-310, 0, 0, 0], [0, -1, 0, -0.69],
+                              [0, 0, -1e-320, 1.05], [0, 0, 0, 1]]}},
+]
+
+
 @pytest.mark.parametrize(
     "overlay, field_name",
     [
@@ -399,6 +410,7 @@ def test_mistyped_config_value_is_a_usage_error(tmp_path, capsys, overlay, field
          "camera.extrinsic"),
         # A tote above the camera ran with nothing detected, exit 0.
         ({"layout": {"tote_top_z_m": 300.0}}, "camera.extrinsic"),
+        *[(overlay, "camera.extrinsic") for overlay in _NON_FINITE_INVERSE],
     ],
 )
 def test_config_the_run_cannot_use_is_a_usage_error(tmp_path, capsys, overlay, field_name):
@@ -408,6 +420,14 @@ def test_config_the_run_cannot_use_is_a_usage_error(tmp_path, capsys, overlay, f
     err = capsys.readouterr().err
     assert f"error: {field_name}: " in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("overlay", _NON_FINITE_INVERSE)
+def test_extrinsic_with_a_non_finite_inverse_is_not_invertible(tmp_path, capsys, overlay):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(overlay))
+    assert main(["run", "--config", str(bad), "--cycles", "1"]) == 1
+    assert "error: camera.extrinsic: must be invertible\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

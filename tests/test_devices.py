@@ -11,7 +11,6 @@ from bagcell.devices import (
     InterlockViolation,
     MalformedFaultScript,
     ScriptEntry,
-    SuctionMode,
 )
 from bagcell.orchestrator import ActDone, ActStalled, SuctionLost, SuctionSecured
 from bagcell.simulate import Simulation, run_single
@@ -33,7 +32,7 @@ def settle(bank, due):
 
 def test_seal_crosses_threshold_at_ramp_time():
     bank = make_bank()
-    time, event = bank.open_valve("gripper", 0.0, SuctionMode.SEAL)
+    time, event = bank.command("gripper", "open", 0.0)
     assert time == pytest.approx(0.5)
     assert event == SuctionSecured(device="gripper")
     assert not bank.suction["gripper"].secured
@@ -43,7 +42,7 @@ def test_seal_crosses_threshold_at_ramp_time():
 
 def test_seal_pressure_trajectory():
     bank = make_bank()
-    bank.open_valve("gripper", 0.0, SuctionMode.SEAL)
+    bank.command("gripper", "open", 0.0)
     line = bank.suction["gripper"]
     assert line.pressure_at(0.25) == pytest.approx(-15.0)
     assert line.pressure_at(1.0) == pytest.approx(-60.0)
@@ -52,15 +51,15 @@ def test_seal_pressure_trajectory():
 
 def test_leak_never_secures():
     bank = make_bank()
-    assert bank.open_valve("gripper", 0.0, SuctionMode.LEAK) is None
+    assert bank.command("gripper", "open", 0.0, failed=True) is None
     assert not bank.suction["gripper"].secured
     assert bank.suction["gripper"].pressure_at(10.0) == pytest.approx(-10.0)
 
 
 def test_vent_emits_lost_on_threshold_recross():
     bank = make_bank()
-    settle(bank, bank.open_valve("gripper", 0.0))
-    time, event = bank.close_valve("gripper", 1.0)
+    settle(bank, bank.command("gripper", "open", 0.0))
+    time, event = bank.command("gripper", "close", 1.0)
     assert event == SuctionLost(device="gripper")
     # From -60 kPa at +60 kPa/s the -30 threshold is recrossed after 0.5 s.
     assert time == pytest.approx(1.5)
@@ -71,21 +70,21 @@ def test_vent_emits_lost_on_threshold_recross():
 
 def test_close_before_the_threshold_returns_nothing():
     bank = make_bank()
-    bank.open_valve("gripper", 0.0)
-    assert bank.close_valve("gripper", 0.2) is None  # never secured, nothing to lose
+    bank.command("gripper", "open", 0.0)
+    assert bank.command("gripper", "close", 0.2) is None  # never secured, nothing to lose
     assert not bank.suction["gripper"].secured
 
 
 def test_sealing_open_of_a_secured_line_answers_at_once():
     bank = make_bank()
-    settle(bank, bank.open_valve("gripper", 0.0))
-    assert bank.open_valve("gripper", 1.0) == (1.0, SuctionSecured(device="gripper"))
+    settle(bank, bank.command("gripper", "open", 0.0))
+    assert bank.command("gripper", "open", 1.0) == (1.0, SuctionSecured(device="gripper"))
 
 
 def test_leaking_open_of_a_secured_line_ramps_up_and_is_lost():
     bank = make_bank()
-    assert settle(bank, bank.open_valve("gripper", 0.0)) == pytest.approx(0.5)
-    time, event = bank.open_valve("gripper", 1.0, SuctionMode.LEAK)
+    assert settle(bank, bank.command("gripper", "open", 0.0)) == pytest.approx(0.5)
+    time, event = bank.command("gripper", "open", 1.0, failed=True)
     assert (time, event) == (pytest.approx(1.5), SuctionLost(device="gripper"))
     line = bank.suction["gripper"]
     assert line.secured  # until the edge is applied
@@ -97,7 +96,7 @@ def test_leaking_open_of_a_secured_line_ramps_up_and_is_lost():
 
 def test_a_crossing_within_one_ulp_of_now_is_answered():
     bank = DeviceBank(CellConfig(devices=DeviceConfig(ramp_to_secure_s=1e-300)))
-    assert bank.open_valve("gripper", 700.0) == (700.0, SuctionSecured(device="gripper"))
+    assert bank.command("gripper", "open", 700.0) == (700.0, SuctionSecured(device="gripper"))
 
 
 _VALVE_OPS = st.lists(
@@ -126,10 +125,9 @@ def test_secured_changes_only_when_a_returned_edge_is_applied(ops):
             pending = None
         before, target = line.secured, settles_at[op]
         if op == "close":
-            pending = bank.close_valve("gripper", now)
+            pending = bank.command("gripper", "close", now)
         else:
-            mode = SuctionMode.SEAL if op == "seal" else SuctionMode.LEAK
-            pending = bank.open_valve("gripper", now, mode)
+            pending = bank.command("gripper", "open", now, failed=op == "leak")
         assert line.secured == before
         assert pending is None or pending[0] >= now
     if pending is not None:
@@ -140,7 +138,7 @@ def test_secured_changes_only_when_a_returned_edge_is_applied(ops):
 
 def test_bottom_lines_ramp_in_parallel():
     bank = make_bank()
-    dues = [bank.open_valve(f"bottom_{i}", 0.0) for i in range(8)]
+    dues = [bank.command(f"bottom_{i}", "open", 0.0) for i in range(8)]
     assert [time for time, _ in dues] == [pytest.approx(0.5)] * 8
     for due in dues:
         settle(bank, due)
@@ -167,7 +165,7 @@ def test_actuator_completes_at_travel_time():
 def test_actuator_stall_fires_late_and_sticks_midway():
     bank = make_bank()
     bank.apply(bank.command("door", "extend", 0.0)[1])  # pushers extend only through an open door
-    time, event = bank.command("pusher_3", "extend", 0.0, stall=True)
+    time, event = bank.command("pusher_3", "extend", 0.0, failed=True)
     assert event == ActStalled(device="pusher_3", op="extend")
     assert time == pytest.approx(2.0 + 1.0)  # travel + stall margin
     bank.apply(event)
@@ -183,7 +181,7 @@ def test_unknown_actuator_op_rejected():
 
 def test_cutter_refused_until_every_bottom_line_is_secured():
     bank = make_bank()
-    dues = [bank.open_valve(f"bottom_{i}", 0.0) for i in range(8)]
+    dues = [bank.command(f"bottom_{i}", "open", 0.0) for i in range(8)]
     for due in dues[:7]:
         settle(bank, due)
     with pytest.raises(InterlockViolation, match=r"bottom lines \[7\] not secured"):

@@ -6,8 +6,10 @@ import io
 import json
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from bagcell import orchestrator as orc
 from bagcell.cli import main
@@ -81,13 +83,13 @@ def test_phase_durations_are_exact_when_fault_free():
 def test_every_action_and_device_event_type_is_dispatched():
     assert set(orc.Action.__subclasses__()) == set(Simulation._EXECUTORS)
     bank = Simulation(CellConfig()).bank
-    _, secured = bank.open_valve("gripper", 0.0)
+    _, secured = bank.command("gripper", "open", 0.0)
     bank.apply(secured)
     returned = [
         secured,
-        bank.close_valve("gripper", 1.0)[1],  # well below the threshold, so it is lost
+        bank.command("gripper", "close", 1.0)[1],  # well below the threshold, so it is lost
         bank.command("door", "extend", 1.0)[1],
-        bank.command("door", "retract", 1.0, stall=True)[1],
+        bank.command("door", "retract", 1.0, failed=True)[1],
     ]
     assert {type(ev) for ev in returned} == set(DEVICE_EVENTS)
 
@@ -157,6 +159,70 @@ def test_device_event_reaches_the_machine_after_events_due_with_it(monkeypatch):
         orc.Start(): [orc.Command("door", "extend"), orc.StartTimer("t", 2.0)],
     })
     assert seen == [orc.Start(), orc.TimerFired("t"), orc.ActDone("door", "extend")]
+
+
+# Drawn schedules: timers never tie a clock instant (whole seconds), while a
+# swing or door move can come due exactly as the clock issues the next batch.
+_CLOCK_S = 1.0
+_VALVES = ("gripper", "bottom_0")
+_SCHEDULED = st.one_of(
+    st.builds(orc.StartTimer, st.sampled_from("ab"), st.sampled_from([0.05, 0.35, 0.85, 1.55])),
+    st.builds(orc.CancelTimer, st.sampled_from("ab")),
+    st.builds(orc.OpenValve, st.sampled_from(_VALVES)),
+    st.builds(orc.CloseValve, st.sampled_from(_VALVES)),
+    st.builds(orc.Command, st.sampled_from(["swing", "door"]), st.sampled_from(["extend", "retract"])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(batches=st.lists(st.lists(_SCHEDULED, min_size=1, max_size=3), min_size=1, max_size=8))
+def test_epoch_map_drops_exactly_what_a_later_command_supersedes(batches):
+    # The machine answers Start and each clock tick with the next drawn batch.
+    pending, issued, seen = iter(batches), [], []
+
+    def transition(state, event, params):
+        seen.append((sim.now, event))
+        batch = next(pending, None) if event in (orc.Start(), orc.TimerFired("clock")) else None
+        if batch is None:
+            return state, []
+        issued.extend((sim.now, action) for action in batch)
+        return state, [*batch, orc.StartTimer("clock", _CLOCK_S)]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orc, "transition", transition)
+        sim = Simulation(CellConfig(), cycles=1)
+        sim.run()
+
+    travel = {"swing": sim.config.devices.swing_travel_s, "door": sim.config.devices.door_travel_s}
+    want_timers, want_moves = [], []
+    for i, (now, action) in enumerate(issued):
+        later = issued[i + 1:]
+        if type(action) is orc.StartTimer:
+            due = now + action.seconds
+            if not any(type(b) in (orc.StartTimer, orc.CancelTimer) and b.tag == action.tag
+                       and t < due for t, b in later):
+                want_timers.append((due, action.tag))
+        elif type(action) is orc.Command:
+            due = now + travel[action.device]
+            if not any(type(b) is orc.Command and b.device == action.device
+                       and t < due for t, b in later):
+                want_moves.append((due, action.device, action.op))
+    fired = [(t, e.tag) for t, e in seen if type(e) is orc.TimerFired and e.tag != "clock"]
+    assert sorted(fired) == sorted(want_timers)
+    done = [(t, e.device, e.op) for t, e in seen if type(e) is orc.ActDone]
+    assert sorted(done) == sorted(want_moves)
+
+    latest, applied = {}, []
+    for r in sim.tracer.records:
+        if r.kind == "device_cmd":
+            latest[r.data["device"]] = r.data["op"]
+        elif r.kind == "device_event":
+            applied.append((r.time, r.data["device"], r.data["event"]))
+            if r.data["device"] in _VALVES:
+                edge = latest[r.data["device"]], r.data["event"]
+                assert edge in {("open", "secured"), ("close", "lost")}
+    answered = [(t, e.device, DEVICE_EVENTS[type(e)]) for t, e in seen if type(e) in DEVICE_EVENTS]
+    assert sorted(answered) == sorted(applied)
 
 
 def test_unknown_move_destination_is_refused(monkeypatch):
