@@ -14,7 +14,7 @@ import sys
 from bagcell.config import CellConfig
 from bagcell.report import audit_interlocks, audit_retry_caps, scan_violations
 from bagcell.scenarios import randomized_fault_profile
-from bagcell.simulate import run_single
+from bagcell.simulate import Simulation
 
 # Actions whose retries the machine caps at orchestrator.<action>_attempts.
 CAPPED = ("pick", "place", "detect", "secure", "remove")
@@ -29,12 +29,14 @@ def main() -> int:
     cfg = CellConfig()
     cfg.faults = randomized_fault_profile()
     caps = {action: getattr(cfg.orchestrator, f"{action}_attempts") for action in CAPPED}
+    cell = cfg.validate()
 
     totals = collections.Counter()
     losses = collections.Counter()
     problems = []
     for i in range(args.cycles):
-        report, tracer = run_single(cfg, seed=args.seed + i, cycles=1)
+        sim = Simulation(cell, seed=args.seed + i, cycles=1)
+        report, tracer = sim.run(), sim.tracer
         totals["offered"] += report.stacks_offered
         totals["detected"] += report.detected
         totals["picked"] += report.picked

@@ -7,7 +7,7 @@ discrete-event simulation driven by a single seeded RNG, so a given seed and
 config always produce byte-identical traces and reports.
 """
 
-from bagcell.config import CellConfig, ConfigInvalid, default_config
+from bagcell.config import CellConfig, ConfigInvalid
 
-__all__ = ["CellConfig", "ConfigInvalid", "default_config"]
+__all__ = ["CellConfig", "ConfigInvalid"]
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Any, Callable, List, Optional, get_args
 
 from bagcell.config import AtLeastOne, CellConfig, ConfigInvalid, Count, MalformedInput
-from bagcell.config import Probability, check, default_config
+from bagcell.config import Probability, check
 from bagcell.devices import FaultScript, InterlockViolation
 from bagcell.report import CampaignReport, config_digest, render_table, summarize_campaign
 from bagcell.report import write_trace
@@ -55,7 +55,7 @@ def _flag(hint: Any) -> Callable[[str], Any]:
 
 
 def _load_config(args) -> CellConfig:
-    config = CellConfig.from_file(args.config) if args.config else default_config()
+    config = CellConfig.from_file(args.config) if args.config else CellConfig()
     if args.seed is not None:
         config.seed = args.seed
     return config
@@ -153,7 +153,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_dump_config(args) -> int:
-    text = default_config().to_json() + "\n"
+    text = CellConfig().to_json() + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:

@@ -8,7 +8,8 @@ wants to override.
 
 Each field's annotation states its type and, through an ``Annotated`` alias,
 its bound; ``validate`` walks the annotations, checks the few rules that span
-fields, and returns the camera it built with each zone's pick depth. A value
+fields, and returns the ``Cell`` they derive: the camera, each zone's pick
+depth and each stack's box, which every run on the config shares. A value
 that is not an object replaces a section whole, for ``validate`` to reject.
 """
 
@@ -25,7 +26,7 @@ from typing import TYPE_CHECKING, Annotated, Any, Callable, NamedTuple
 from typing import get_args, get_origin, get_type_hints
 
 if TYPE_CHECKING:
-    from bagcell.vision import CameraModel
+    from bagcell.vision import Box, CameraModel
 
 DEFAULT_SEED = 12345
 # Enclosures in the bulk loader; every per-enclosure loop and audit reads it here.
@@ -244,10 +245,10 @@ class CellConfig:
     orchestrator: OrchestratorConfig = field(default_factory=OrchestratorConfig)
     extra_topics: list[str] = field(default_factory=list)  # unread; kept for the config digest
 
-    def validate(self) -> tuple[CameraModel, dict[int, float]]:
+    def validate(self) -> Cell:
         """Check each field's type and bound, then the rules that span fields.
 
-        Returns the ``CameraModel`` they build and each zone's pick depth.
+        Returns the ``Cell`` that the camera rules derive.
         """
         check(self, CellConfig)
         lay = self.layout
@@ -271,7 +272,8 @@ class CellConfig:
             raise ConfigInvalid("camera.extrinsic", "must be a 4x4 matrix")
         import numpy as np  # imported here so that `bagcell eval` never loads it
 
-        from bagcell.vision import CameraModel  # vision imports this module
+        from bagcell.vision import CameraModel, ground_truth_boxes  # both import this module
+        from bagcell.world import build_world
 
         try:
             camera = CameraModel.from_config(cam)
@@ -284,6 +286,15 @@ class CellConfig:
                 raise ConfigInvalid(
                     "camera.extrinsic", f"puts the zone {zone} rim marker behind the camera"
                 )
+        # A stack top outside the image, or behind the camera, has no box and is never seen.
+        stacks = build_world(self).stacks
+        tops = {s.id: self.stack_top_position(s.zone, s.col) for s in stacks}
+        with np.errstate(all="ignore"):  # an overflow only puts a top off the image
+            boxes = ground_truth_boxes(camera, tops, lay.stack_top_w_m, lay.stack_top_d_m)
+        for s in stacks:
+            if s.id not in boxes:
+                where = f"stack {s.id} (zone {s.zone}, column {s.col})"
+                raise ConfigInvalid("camera.extrinsic", f"puts {where} outside the image")
         dev = self.devices
         if dev.vacuum_level_kpa > dev.secure_threshold_kpa:
             raise ConfigInvalid(
@@ -322,7 +333,7 @@ class CellConfig:
                 "devices.leak_level_kpa",
                 f"must be above secure_threshold_kpa={dev.secure_threshold_kpa}",
             )
-        return camera, depths
+        return Cell(self, camera, depths, boxes)
 
     # --- geometry helpers -------------------------------------------------
 
@@ -383,6 +394,18 @@ class CellConfig:
         if not isinstance(data, dict):
             raise ConfigInvalid(str(path), "config root must be a JSON object")
         return cls.from_dict(data)
+
+
+class Cell(NamedTuple):
+    """What a config fixes for every run on it, derived once by ``CellConfig.validate``.
+
+    A config changed after ``validate()`` needs a new ``Cell``.
+    """
+
+    config: CellConfig
+    camera: CameraModel
+    depths: dict[int, float]  # zone -> pick depth: its rim marker's depth in the camera frame
+    boxes: dict[int, Box]  # stack id -> its top face in the image
 
 
 # A leaf's type -> (the Python types it accepts, the reason for any other).
@@ -456,9 +479,3 @@ def _merge_dataclass(obj: Any, data: dict[str, Any], prefix: str) -> None:
             _merge_dataclass(current, value, prefix=f"{prefix}{key}.")
         else:
             setattr(obj, key, value)
-
-
-def default_config() -> CellConfig:
-    cfg = CellConfig()
-    cfg.validate()
-    return cfg

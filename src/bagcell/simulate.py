@@ -7,12 +7,12 @@ resolving move geometry into profile durations, taking camera frames (a
 ``Detect`` is queued itself and completes when it comes due), deciding each
 fallible occurrence by one rule in ``Simulation._outcome``, which adds the
 run's test index to its context, sending every device command through one
-executor, mutating the world, and scheduling timers. It re-derives nothing a
-model holds: the camera and each zone's pick depth are the ones
-``CellConfig.validate`` builds, and the device bank decides what a failed
-command does and what an ultrasonic read sees, and names each device event.
-What a run cannot change is computed once per run: each stack's ground-truth
-box, and the move time of each leg length the first time it comes up.
+executor, mutating the world, and scheduling timers. It builds only what a
+run changes: the camera, each zone's pick depth and each stack's box come
+from the config's one ``Cell`` (``CellConfig.validate``), and each leg
+length is timed once, when it first comes up. The device bank decides what
+a failed command does and what an ultrasonic read sees, and names each
+device event.
 A publish is traced as a ``message`` numbered per topic; a topic that the
 machine awaits in a ``BusMsg`` row of ``orchestrator.STEPS`` comes back to
 it as that ``BusMsg`` at the same instant. The event a device command
@@ -38,17 +38,11 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from bagcell import devices as dv
 from bagcell import orchestrator as orc
 from bagcell.bus import TOPICS
-from bagcell.config import CellConfig
+from bagcell.config import Cell, CellConfig
 from bagcell.motion import leg_lengths, move_duration
 from bagcell.report import RunReport, Tracer, summarize_run
-from bagcell.vision import ground_truth_boxes, observe, select_pick_target
-from bagcell.world import (
-    Packaging,
-    StackState,
-    World,
-    build_world,
-    check_invariants,
-)
+from bagcell.vision import observe, select_pick_target
+from bagcell.world import Packaging, StackState, World, build_world, check_invariants
 
 _SIM_TIME_LIMIT_S = 48.0 * 3600.0
 
@@ -61,18 +55,18 @@ class SimulationStuck(RuntimeError):
 
 
 class Simulation:
-    """One seeded run of the cell for a fixed number of cycles."""
+    """One seeded run on a ``Cell`` for a fixed number of cycles."""
 
     def __init__(
         self,
-        config: CellConfig,
+        cell: Cell,
         seed: Optional[int] = None,
         script: Optional[dv.FaultScript] = None,
         cycles: Optional[int] = None,
         test_index: int = 0,
     ):
-        self.camera, self._depths = config.validate()
-        self.config = config
+        self.cell = cell
+        self.config = config = cell.config
         self.seed = config.seed if seed is None else seed
         self.test_index = test_index
         import numpy as np
@@ -80,11 +74,7 @@ class Simulation:
         self.rng = np.random.Generator(np.random.PCG64(self.seed))
         self.world: World = build_world(config)
         self.script = script
-        lay = config.layout
         self.bank = dv.DeviceBank(config)
-        # Stack tops never move: each is seen through the camera once.
-        tops = {s.id: config.stack_top_position(s.zone, s.col) for s in self.world.stacks}
-        self._boxes = ground_truth_boxes(self.camera, tops, lay.stack_top_w_m, lay.stack_top_d_m)
         self.tracer = Tracer()
         self._topic_seq = dict.fromkeys(TOPICS, 0)
         self.params = orc.OrcParams.from_config(config, cycles)
@@ -99,6 +89,7 @@ class Simulation:
         # Timer tags and device names share one key space; they never collide.
         self._epoch: Dict[str, int] = {}
 
+        lay = config.layout
         self.home = tuple(lay.home_pose[:3])
         self.reset_pose = tuple(lay.reset_pose[:3])
         self.safe_mid = tuple(lay.safe_mid_pose[:3])
@@ -266,15 +257,14 @@ class Simulation:
             # Like every scripted action, any outcome but "ok" is a failure.
             scripted = self._outcome("detect", action.ctx)
             miss = None if scripted is None else scripted != "ok"
-            obs = observe(
-                pickable, self._boxes, self.camera, self.rng, self.config.faults, miss=miss
-            )
+            cell = self.cell
+            obs = observe(pickable, cell.boxes, cell.camera, self.rng, self.config.faults, miss)
             found = bool(obs.detections)
             if found:
                 idx = select_pick_target(obs.detections)
                 stack_id = obs.detection_sources[idx]
                 cx, cy = obs.detections[idx].center
-                self.pending_target = self.camera.back_project(cx, cy, self._depths[zone])
+                self.pending_target = cell.camera.back_project(cx, cy, cell.depths[zone])
             record.update(
                 gt=len(obs.ground_truth),
                 boxes=len(obs.detections),
@@ -443,11 +433,9 @@ def run_single(
     seed: Optional[int] = None,
     cycles: Optional[int] = None,
     script: Optional[dv.FaultScript] = None,
-    test_index: int = 0,
 ) -> Tuple[RunReport, Tracer]:
-    sim = Simulation(config, seed=seed, script=script, cycles=cycles, test_index=test_index)
-    report = sim.run()
-    return report, sim.tracer
+    sim = Simulation(config.validate(), seed=seed, script=script, cycles=cycles)
+    return sim.run(), sim.tracer
 
 
 def run_campaign(
@@ -455,12 +443,15 @@ def run_campaign(
     n_tests: int,
     script: Optional[dv.FaultScript] = None,
 ) -> Iterator[Tuple[RunReport, Tracer]]:
-    """Sequential campaign: each test is a fresh single-cycle cell on seed ``config.seed`` + index.
+    """Sequential campaign: each test is a fresh single-cycle run on seed ``config.seed`` + index.
 
-    Yields each test's report and tracer as its run ends, so a caller can
-    write a trace out before the next run starts. A shared fault script is
-    consumed across tests (its entries carry test selectors), mirroring how
-    one scripted bench session spans many runs.
+    Every test runs on the config's one ``Cell``. Yields each test's report
+    and tracer as its run ends, so a caller can write a trace out before the
+    next run starts. A shared fault script is consumed across tests (its
+    entries carry test selectors), mirroring how one scripted bench session
+    spans many runs.
     """
+    cell = config.validate()
     for i in range(n_tests):
-        yield run_single(config, seed=config.seed + i, cycles=1, script=script, test_index=i)
+        sim = Simulation(cell, seed=config.seed + i, script=script, cycles=1, test_index=i)
+        yield sim.run(), sim.tracer

@@ -6,9 +6,9 @@ in the PASCAL VOC protocol: a prediction is compared only with ground truth of
 its own frame and label, so scoring time is linear in the number of frames.
 Metrics can be computed either from matched box lists or directly from
 confusion counts (the O(1) path for large benchmark tallies). The camera is an
-ideal pinhole with a fixed extrinsic. Stacks never move, so a run draws each
-stack's top face once (``ground_truth_boxes``) and ``observe`` looks the boxes
-up frame by frame.
+ideal pinhole with a fixed extrinsic. Stacks never move, so a config draws
+each stack's top face once (``ground_truth_boxes``) and ``observe`` looks the
+boxes up frame by frame.
 
 Scoring is plain Python float arithmetic. numpy is imported only in
 ``CameraModel.__post_init__``, for the extrinsic and its inverse, so
@@ -315,20 +315,16 @@ def observe(
 
     Ground truth covers ``stacks``, the stacks still pickable in the zone,
     drawn in the order given: the caller passes ``World.zone_stacks``, which
-    is in ``(col, id)`` order. ``boxes`` maps each stack id in view to its
-    box (``ground_truth_boxes``). Faults degrade the detection list:
+    is in ``(col, id)`` order. ``boxes`` maps each stack id to its box
+    (``ground_truth_boxes``); ``CellConfig.validate`` rejects a config that
+    leaves a stack without one. Faults degrade the detection list:
     whole-frame misses, per-box misses, pixel jitter, confidence noise, and
     spurious boxes. ``miss`` pins the frame's outcome (scripted fault
     injection): True empties the detection list outright, False draws no
     per-box misses, None draws them.
     """
-    gts: List[Box] = []
-    gt_ids: List[int] = []
-    for s in stacks:
-        box = boxes.get(s.id)
-        if box is not None:
-            gts.append(box)
-            gt_ids.append(s.id)
+    gt_ids = [s.id for s in stacks]
+    gts = [boxes[sid] for sid in gt_ids]
 
     dets: List[Box] = []
     sources: List[int] = []

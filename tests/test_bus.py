@@ -49,7 +49,7 @@ def test_payload_copied_at_publish(monkeypatch):
 @settings(max_examples=200, deadline=None)
 def test_subscribers_see_gap_free_increasing_seqs(topics):
     # The trace is the messages' one reader.
-    sim = Simulation(CellConfig())
+    sim = Simulation(CellConfig().validate())
     for topic in topics:
         sim._publish(orc.Publish(topic, {}))
     for topic in set(topics):

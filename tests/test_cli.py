@@ -411,6 +411,10 @@ _NON_FINITE_INVERSE = [
         # A tote above the camera ran with nothing detected, exit 0.
         ({"layout": {"tote_top_z_m": 300.0}}, "camera.extrinsic"),
         *[(overlay, "camera.extrinsic") for overlay in _NON_FINITE_INVERSE],
+        # Stack tops outside the image ran without them, exit 0: 0 of 8
+        # delivered above the frame, 4 of 8 with columns too wide for it.
+        ({"camera": {"cy": 5.4}}, "camera.extrinsic"),
+        ({"layout": {"col_pitch_m": 1.1}}, "camera.extrinsic"),
     ],
 )
 def test_config_the_run_cannot_use_is_a_usage_error(tmp_path, capsys, overlay, field_name):

@@ -6,29 +6,25 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bagcell.config import (
-    DEFAULT_SEED,
-    CellConfig,
-    ConfigInvalid,
-    default_config,
-)
+from bagcell.config import DEFAULT_SEED, CellConfig, ConfigInvalid
 
 
 def test_defaults_validate():
-    cfg = default_config()
+    cfg = CellConfig()
+    assert cfg.validate().config is cfg
     assert cfg.seed == DEFAULT_SEED
     assert sum(cfg.layout.zone_sizes) == cfg.layout.total_stacks == 24
     assert cfg.layout.enclosure_count == 8
 
 
 def test_effective_motion_limits():
-    mot = default_config().motion
+    mot = CellConfig().motion
     assert mot.effective_max_speed_mps == pytest.approx(0.56, abs=1e-12)
     assert mot.effective_acceleration_mps2 == pytest.approx(0.39, abs=1e-12)
 
 
 def test_json_round_trip(tmp_path):
-    cfg = default_config()
+    cfg = CellConfig()
     path = tmp_path / "cell.json"
     path.write_text(cfg.to_json())
     again = CellConfig.from_file(path)
@@ -134,15 +130,15 @@ def test_missing_file_and_bad_json(tmp_path):
 
 
 def test_to_json_is_stable_and_parseable():
-    a = default_config().to_json()
-    b = default_config().to_json()
+    a = CellConfig().to_json()
+    b = CellConfig().to_json()
     assert a == b
     parsed = json.loads(a)
     assert parsed["layout"]["zone_sizes"] == [4, 6, 6, 8]
 
 
 def test_geometry_helpers_consistent():
-    cfg = default_config()
+    cfg = CellConfig()
     x, y, z = cfg.stack_top_position(1, 0)
     assert y == pytest.approx(cfg.layout.tote_front_y_m)
     assert z == pytest.approx(cfg.layout.tote_top_z_m)
@@ -209,7 +205,7 @@ def _leaves(node, path=""):
             yield leaf_path, (key, *keys)
 
 
-LEAVES = sorted(_leaves(default_config().to_dict()))
+LEAVES = sorted(_leaves(CellConfig().to_dict()))
 
 # Values a hand-edited file might put anywhere: the wrong JSON type, a
 # non-finite or negative number, or a float where an int is declared.
@@ -231,10 +227,13 @@ SPANNED_BY = {
     "devices.ramp_to_secure_s": {"devices.placement_window_s", "devices.grip_timeout_s"},
     "layout.occupied_distance_cm": {"devices.presence_threshold_cm"},
     "layout.back_wall_cm": {"devices.presence_threshold_cm"},
-    "camera.width_px": {"camera.cx"},
-    "camera.height_px": {"camera.cy"},
+    # The camera must see every stack top, which the intrinsics project.
+    **{f"camera.{name}": {"camera.extrinsic"} for name in ("fx", "fy", "cx", "cy")},
+    "camera.width_px": {"camera.cx", "camera.extrinsic"},
+    "camera.height_px": {"camera.cy", "camera.extrinsic"},
     **{f"camera.extrinsic[{i}][{j}]": {"camera.extrinsic"} for i in range(4) for j in range(4)},
-    # The camera must face each zone's rim marker, which the tote geometry places.
+    # The camera must face each zone's rim marker and see each stack top,
+    # which the tote geometry places.
     **{f"layout.{name}": {"camera.extrinsic"} for name in (
         "tote_top_z_m", "tote_front_y_m", "row_pitch_m", "col_pitch_m", "incline_deg")},
 }
@@ -246,7 +245,7 @@ SPANNED_BY = {
 @example(leaf=("camera.extrinsic[0][0]", ("camera", "extrinsic", 0, 0)), value=-(2**63) - 1)
 def test_one_bad_leaf_is_rejected_at_its_path(leaf, value):
     path, keys = leaf
-    data = copy.deepcopy(default_config().to_dict())
+    data = copy.deepcopy(CellConfig().to_dict())
     node = data
     for key in keys[:-1]:
         node = node[key]

@@ -369,7 +369,7 @@ def decider(seed=0, script=None, pick_prob=0.0):
     """A fresh run whose pick actions fail with ``pick_prob`` unless scripted."""
     cfg = CellConfig()
     cfg.faults.pick_grip_fail_prob = pick_prob
-    return Simulation(cfg, seed=seed, script=script)
+    return Simulation(cfg.validate(), seed=seed, script=script)
 
 
 def decide_picks(sim, n):
@@ -396,7 +396,7 @@ def test_injector_prob_zero_and_one():
     for action, prob in probs.items():
         cfg = CellConfig()
         setattr(cfg.faults, prob, 1.0)
-        sim = Simulation(cfg, seed=0)
+        sim = Simulation(cfg.validate(), seed=0)
         decided = [sim._decide(action, {"slot": i, "stack": i}) for i in range(20)]
         assert decided == ["fail"] * 20, action
         assert sim.rng.random() == fresh_draw(sim), action

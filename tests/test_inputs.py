@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 
 from bagcell.cli import main
-from bagcell.config import CellConfig, ConfigInvalid, MalformedInput, default_config
+from bagcell.config import CellConfig, ConfigInvalid, MalformedInput
 from bagcell.devices import FAULT_PROBS, FaultScript, MalformedFaultScript
 from bagcell.report import MalformedTrace, read_trace
 from bagcell.vision import MalformedBoxFile, load_boxes
@@ -67,7 +67,7 @@ def test_every_reader_rejects_bad_input_by_one_rule(tmp_path, case):
 
 # --- the CLI fuzzed in process ---------------------------------------------
 
-_DEFAULT = default_config().to_dict()
+_DEFAULT = CellConfig().to_dict()
 _SWAPS = [None, True, "x", 1.5, 7, [], {}]
 
 

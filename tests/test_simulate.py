@@ -82,7 +82,7 @@ def test_phase_durations_are_exact_when_fault_free():
 
 def test_every_action_and_device_event_type_is_dispatched():
     assert set(orc.Action.__subclasses__()) == set(Simulation._EXECUTORS)
-    bank = Simulation(CellConfig()).bank
+    bank = Simulation(CellConfig().validate()).bank
     _, secured = bank.command("gripper", "open", 0.0)
     bank.apply(secured)
     returned = [
@@ -110,7 +110,7 @@ def drive_machine(monkeypatch, answers, config=None, **sim_args):
         return state, list(answers.get(event, ()))
 
     monkeypatch.setattr(orc, "transition", transition)
-    sim = Simulation(config or CellConfig(), cycles=1, **sim_args)
+    sim = Simulation((config or CellConfig()).validate(), cycles=1, **sim_args)
     report = sim.run()
     return sim, seen, report
 
@@ -190,7 +190,7 @@ def test_epoch_map_drops_exactly_what_a_later_command_supersedes(batches):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(orc, "transition", transition)
-        sim = Simulation(CellConfig(), cycles=1)
+        sim = Simulation(CellConfig().validate(), cycles=1)
         sim.run()
 
     travel = {"swing": sim.config.devices.swing_travel_s, "door": sim.config.devices.door_travel_s}
@@ -361,69 +361,85 @@ def test_run_geometry_is_the_fresh_projection_bit_for_bit(extrinsic):
     config = CellConfig()
     if extrinsic is not None:
         config.camera.extrinsic = extrinsic
-    sim = Simulation(config)
+    cell = config.validate()
     want = reference_boxes(config)
-    assert sorted(sim._boxes) == sorted(want) == [s.id for s in sim.world.stacks]
-    for sid, box in sim._boxes.items():
+    assert sorted(cell.boxes) == sorted(want) == [s.id for s in build_world(config).stacks]
+    for sid, box in cell.boxes.items():
         assert bits(box[:5]) == bits(want[sid][:5]) and box[5:] == want[sid][5:]
     fresh = CameraModel.from_config(config.camera)
-    assert sorted(sim._depths) == [1, 2, 3, 4]
-    for zone, depth in sim._depths.items():
+    assert sorted(cell.depths) == [1, 2, 3, 4]
+    for zone, depth in cell.depths.items():
         assert bits([depth]) == bits([fresh.to_camera(config.rim_marker_position(zone))[2]])
 
 
 @pytest.mark.parametrize(
-    "overlay, zone_1_in_view",
-    [({"camera": {"cy": 5.4}}, 0), ({"layout": {"col_pitch_m": 0.6}}, 2)],
-    ids=["above-the-frame", "beside-the-frame"],
+    "section, name, value",
+    [("camera", "cy", 5.4), ("layout", "col_pitch_m", 0.6), ("layout", "col_pitch_m", 1.1)],
+    ids=["above-the-frame", "beside-the-frame", "wide-columns"],
 )
-def test_a_stack_top_outside_the_frame_has_no_box_and_no_ground_truth(overlay, zone_1_in_view):
-    config = CellConfig.from_dict(overlay)
-    sim = Simulation(config, cycles=1)
-    want = reference_boxes(config)
-    assert sorted(sim._boxes) == sorted(want)
-    zone_1 = [s.id for s in sim.world.zone_stacks(1)]
-    assert len(zone_1) == 4 and len(set(zone_1) & set(sim._boxes)) == zone_1_in_view
-    sim.run()
-    first = next(r for r in sim.tracer.records if r.kind == "detect")
-    assert (first.data["zone"], first.data["gt"]) == (1, zone_1_in_view)
-    assert first.data["boxes"] <= zone_1_in_view
+def test_a_stack_top_outside_the_frame_is_rejected(section, name, value):
+    # Such a stack has no box, so no frame would ever show it and the run
+    # would go on without it, exit 0. validate() names the first one unseen.
+    config = CellConfig()
+    setattr(getattr(config, section), name, value)
+    camera = CameraModel.from_config(config.camera)
+    unseen = [s for s in build_world(config).stacks if per_frame_box(config, camera, s) is None]
+    with pytest.raises(ConfigInvalid) as info:
+        config.validate()
+    first = unseen[0]
+    assert info.value.field_name == "camera.extrinsic"
+    assert info.value.reason == (
+        f"puts stack {first.id} (zone {first.zone}, column {first.col}) outside the image"
+    )
 
 
 def test_a_mutated_frame_does_not_change_the_next():
-    config = CellConfig()
+    # Every run on a config shares its Cell, so a frame must not alias its boxes.
     faults = FaultConfig(detection_miss_prob=0.2, detection_jitter_sigma_px=2.0,
                          spurious_box_prob=0.5)
 
-    def frame(sim, zone):
-        stacks = sim.world.zone_stacks(zone)
-        return observe(stacks, sim._boxes, sim.camera, np.random.default_rng(7), faults)
+    def frame(cell, zone):
+        stacks = build_world(cell.config).zone_stacks(zone)
+        return observe(stacks, cell.boxes, cell.camera, np.random.default_rng(7), faults)
 
-    sim, clean = Simulation(config), Simulation(config)
+    cell, clean = CellConfig().validate(), CellConfig().validate()
     for zone in (1, 2, 3, 4):
-        first = frame(sim, zone)
+        first = frame(cell, zone)
         first.detections.clear()
         first.ground_truth.append(first.ground_truth[0])
         first.detection_sources[:] = [-5]
-        assert frame(sim, zone) == frame(clean, zone)
+        assert frame(cell, zone) == frame(clean, zone)
 
 
-def test_a_run_builds_one_camera(monkeypatch):
-    # The camera that validate() builds to check the config is the run's camera.
-    built = []
-    post_init = CameraModel.__post_init__
+def test_a_config_is_validated_once_per_command_and_builds_one_camera(
+    monkeypatch, capsys, tmp_path
+):
+    # The camera that validate() builds to check the config is every run's camera.
+    validated, built = [], []
+    validate, post_init = CellConfig.validate, CameraModel.__post_init__
 
-    def counted(camera):
+    def counted_validate(config):
+        validated.append(config)
+        return validate(config)
+
+    def counted_post_init(camera):
         built.append(camera)
         post_init(camera)
 
-    monkeypatch.setattr(CameraModel, "__post_init__", counted)
+    monkeypatch.setattr(CellConfig, "validate", counted_validate)
+    monkeypatch.setattr(CameraModel, "__post_init__", counted_post_init)
+    assert len(list(run_campaign(CellConfig(), REFERENCE_TESTS))) == REFERENCE_TESTS == 10
+    assert (len(validated), len(built)) == (1, 1)
     run_single(CellConfig(), cycles=1)
-    assert len(built) == 1
+    assert (len(validated), len(built)) == (2, 2)
+    validated.clear()
+    assert main(["replay", "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert len(validated) == 1
 
 
 def test_leg_times_come_from_the_one_formula():
-    sim = Simulation(CellConfig(), cycles=1)
+    sim = Simulation(CellConfig().validate(), cycles=1)
     sim.run()
     mot = sim.config.motion
     assert len(sim._leg_s) > 5
@@ -436,7 +452,7 @@ def test_leg_times_come_from_the_one_formula():
 
 
 def test_two_stacks_seated_in_one_enclosure_write_one_violation():
-    sim = Simulation(CellConfig(), cycles=1)
+    sim = Simulation(CellConfig().validate(), cycles=1)
     for sid in (2, 5):
         sim._set_stack(orc.SetStack(stack=sid, state="in_enclosure", enclosure=3))
     violations = [r.data for r in sim.tracer.records if r.kind == "violation"]
@@ -447,7 +463,7 @@ def test_two_stacks_seated_in_one_enclosure_write_one_violation():
 
 
 def test_an_enclosure_occupant_is_read_off_the_seated_stack():
-    sim = Simulation(CellConfig(), cycles=1)
+    sim = Simulation(CellConfig().validate(), cycles=1)
     assert sim.world.occupant(3) is None
     sim._set_stack(orc.SetStack(stack=6, state="in_enclosure", enclosure=3))
     assert sim.world.occupant(3) == 6
@@ -457,7 +473,7 @@ def test_an_enclosure_occupant_is_read_off_the_seated_stack():
 
 
 def test_in_enclosure_without_an_index_is_refused_and_changes_nothing():
-    sim = Simulation(CellConfig(), cycles=1)
+    sim = Simulation(CellConfig().validate(), cycles=1)
     stack = sim.world.stacks[4]
     before = (stack.state, stack.enclosure)
     with pytest.raises(ValueError, match="in_enclosure requires an enclosure index"):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from bagcell.config import CameraConfig, FaultConfig, default_config
+from bagcell.config import CameraConfig, CellConfig, FaultConfig
 from bagcell.vision import (
     Box,
     CameraModel,
@@ -451,7 +451,7 @@ def test_extrinsic_must_be_4x4():
 
 
 def test_zone_depth_reads_anchor_plane():
-    cfg = default_config()
+    cfg = CellConfig()
     cam = CameraModel.from_config(cfg.camera)
     # Camera sits 1.05 m up; zone 1 stack tops are at z = 0.30.
     assert cam.to_camera(cfg.rim_marker_position(1))[2] == pytest.approx(0.75, abs=1e-9)
@@ -471,7 +471,7 @@ def test_ground_truth_boxes_skip_tops_outside_the_frame_or_behind_the_camera():
 
 def zone_view(zone):
     """The default cell's camera, ``zone``'s pickable stacks and every stack's box."""
-    cfg = default_config()
+    cfg = CellConfig()
     world = build_world(cfg)
     cam = CameraModel.from_config(cfg.camera)
     tops = {s.id: cfg.stack_top_position(s.zone, s.col) for s in world.stacks}

@@ -1,6 +1,6 @@
 import pytest
 
-from bagcell.config import default_config
+from bagcell.config import CellConfig
 from bagcell.world import (
     Packaging,
     StackState,
@@ -10,7 +10,7 @@ from bagcell.world import (
 
 
 def fresh_world():
-    return build_world(default_config())
+    return build_world(CellConfig())
 
 
 def test_build_world_default_layout():
@@ -28,19 +28,19 @@ def test_build_world_is_deterministic():
 
 
 def test_incline_lowers_successive_rows():
-    cfg = default_config()
+    cfg = CellConfig()
     z_by_zone = [cfg.stack_top_position(z, 0)[2] for z in (1, 2, 3, 4)]
     assert all(a > b for a, b in zip(z_by_zone, z_by_zone[1:]))
 
 
 def test_zone_rows_recede_from_the_front():
-    cfg = default_config()
+    cfg = CellConfig()
     y_by_zone = [cfg.stack_top_position(z, 0)[1] for z in (1, 2, 3, 4)]
     assert all(a > b for a, b in zip(y_by_zone, y_by_zone[1:]))
 
 
 def test_anchor_sits_on_each_zone_plane():
-    cfg = default_config()
+    cfg = CellConfig()
     for zone in (1, 2, 3, 4):
         assert cfg.rim_marker_position(zone)[2] == pytest.approx(cfg.stack_top_position(zone, 0)[2])
 
