@@ -22,7 +22,7 @@ from pathlib import Path
 from bagcell.config import ENCLOSURE_COUNT, CellConfig, FaultConfig
 from bagcell.report import summarize_campaign
 from bagcell.scenarios import REFERENCE_CAMPAIGN
-from bagcell.simulate import Simulation
+from bagcell.simulate import run_campaign
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "scenarios" / "stage_rates.json"
 # Fault field fitted for each stage, in chain order.
@@ -44,8 +44,8 @@ def reference_rates() -> tuple:
 
 def simulated_rate(stage: str, probs: dict, cycles: int) -> float:
     """One stage's rate, in [0, 1], over single-cycle sessions on the fit seeds."""
-    cell = CellConfig(faults=FaultConfig(**probs)).validate()
-    reports = [Simulation(cell, seed=BASE_SEED + i, cycles=1).run() for i in range(cycles)]
+    config = CellConfig(seed=BASE_SEED, faults=FaultConfig(**probs))
+    reports = [report for report, _ in run_campaign(config, cycles)]
     summary = summarize_campaign(reports, seed=BASE_SEED, digest="")
     return getattr(summary, f"{stage}_rate_pct") / 100.0
 

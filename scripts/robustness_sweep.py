@@ -14,7 +14,7 @@ import sys
 from bagcell.config import CellConfig
 from bagcell.report import audit_interlocks, audit_retry_caps, scan_violations
 from bagcell.scenarios import randomized_fault_profile
-from bagcell.simulate import Simulation
+from bagcell.simulate import run_campaign
 
 # Actions whose retries the machine caps at orchestrator.<action>_attempts.
 CAPPED = ("pick", "place", "detect", "secure", "remove")
@@ -26,17 +26,13 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=20_000)
     args = parser.parse_args()
 
-    cfg = CellConfig()
-    cfg.faults = randomized_fault_profile()
+    cfg = CellConfig(seed=args.seed, faults=randomized_fault_profile())
     caps = {action: getattr(cfg.orchestrator, f"{action}_attempts") for action in CAPPED}
-    cell = cfg.validate()
 
     totals = collections.Counter()
     losses = collections.Counter()
     problems = []
-    for i in range(args.cycles):
-        sim = Simulation(cell, seed=args.seed + i, cycles=1)
-        report, tracer = sim.run(), sim.tracer
+    for report, tracer in run_campaign(cfg, args.cycles):
         totals["offered"] += report.stacks_offered
         totals["detected"] += report.detected
         totals["picked"] += report.picked

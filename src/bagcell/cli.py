@@ -110,8 +110,7 @@ def cmd_campaign(args) -> int:
     replay = args.command == "replay"
     script = _load_script(args.script)
     if replay and script is None:
-        o = config.orchestrator
-        script = build_reference_script(o.detect_attempts, o.pick_attempts, o.place_attempts)
+        script = build_reference_script(config)
     outdir = _outdir(args.outdir)
     reports = []
     for i, (report, tracer) in enumerate(run_campaign(config, args.tests, script=script)):

@@ -292,9 +292,14 @@ class CellConfig:
         with np.errstate(all="ignore"):  # an overflow only puts a top off the image
             boxes = ground_truth_boxes(camera, tops, lay.stack_top_w_m, lay.stack_top_d_m)
         for s in stacks:
-            if s.id not in boxes:
-                where = f"stack {s.id} (zone {s.zone}, column {s.col})"
+            where, box = f"stack {s.id} (zone {s.zone}, column {s.col})", boxes.get(s.id)
+            if box is None:
                 raise ConfigInvalid("camera.extrinsic", f"puts {where} outside the image")
+            # A box too large for a float has an infinite extent and a NaN centre.
+            if not math.isfinite(box.x_max - box.x_min):
+                raise ConfigInvalid("layout.stack_top_w_m", f"gives {where} an infinite box width")
+            if not math.isfinite(box.y_max - box.y_min):
+                raise ConfigInvalid("layout.stack_top_d_m", f"gives {where} an infinite box depth")
         dev = self.devices
         if dev.vacuum_level_kpa > dev.secure_threshold_kpa:
             raise ConfigInvalid(

@@ -2,7 +2,7 @@
 
 ``transition(state, event, params)`` is a total, side-effect-free function:
 it returns the next state plus a list of actions for the runtime to execute
-(moves, valve commands, timers, publishes, world updates). All randomness,
+(moves, device commands, timers, publishes, world updates). All randomness,
 geometry and clock handling live outside; the machine only sequences.
 
 One cycle walks phase by phase: feeding fills the eight enclosures from the
@@ -147,8 +147,7 @@ Detect = _record(Action, "Detect", "zone ctx", (_EMPTY,))
 Plan = _record(Action, "Plan", "tag ctx", (_EMPTY,))
 StartTimer = _record(Action, "StartTimer", "tag seconds")
 CancelTimer = _record(Action, "CancelTimer", "tag")
-OpenValve = _record(Action, "OpenValve", "device fault_action ctx", (None, _EMPTY))
-CloseValve = _record(Action, "CloseValve", "device")
+# ``op`` is one of the bank's four: a valve's "open" | "close", an actuator's "extend" | "retract".
 Command = _record(Action, "Command", "device op fault_action ctx", (None, _EMPTY))
 ReadUltrasonic = _record(Action, "ReadUltrasonic", "enclosure")
 # ``state`` is a StackState value, ``packaging`` a Packaging value.
@@ -299,8 +298,9 @@ def _open_bottom_valves(state: OrcState, slots_to_open) -> List[Action]:
             # A bag surface has to seal; an empty enclosure seals against the
             # base plate and cannot fail.
             actions.append(
-                OpenValve(
+                Command(
                     device=f"bottom_{i}",
+                    op="open",
                     fault_action="secure",
                     ctx=_ctx(
                         state,
@@ -311,7 +311,7 @@ def _open_bottom_valves(state: OrcState, slots_to_open) -> List[Action]:
                 )
             )
         else:
-            actions.append(OpenValve(device=f"bottom_{i}"))
+            actions.append(Command(device=f"bottom_{i}", op="open"))
     return actions
 
 
@@ -323,7 +323,7 @@ def _next_bag(state: OrcState, actions: List[Action]) -> Tuple[OrcState, List[Ac
     state = _r(state, sub=Sub.REM_APPROACH, remove_attempt=0)
     actions = actions + [
         Publish(topic="removing_bag", payload={"enclosure": enc, "cycle": state.cycle}),
-        CloseValve(device=f"bottom_{enc}"),
+        Command(device=f"bottom_{enc}", op="close"),
         Move(tag="rem_approach", dest=("rem", "approach")),
     ]
     return state, actions
@@ -352,7 +352,7 @@ def _enter_reset(
         )
         cleanup.append(SetStack(stack=sid, state="failed_unhandled"))
     for i in range(ENCLOSURE_COUNT):
-        cleanup.append(CloseValve(device=f"bottom_{i}"))
+        cleanup.append(Command(device=f"bottom_{i}", op="close"))
     state = _r(
         state,
         sub=Sub.RESETTING,
@@ -443,8 +443,9 @@ def _grip(state, event, params):
     state = _r(state, sub=Sub.GRIPPING)
     return state, [
         Publish(topic="suction_cmd", payload={"device": "gripper", "on": True}),
-        OpenValve(
+        Command(
             device="gripper",
+            op="open",
             fault_action="pick",
             ctx=_ctx(state, attempt=state.pick_attempt + 1),
         ),
@@ -470,7 +471,7 @@ def _pick_attempt_failed(state, event, params):
     state = _r(state, pick_attempt=attempt)
     actions: List[Action] = []
     if not at_view:
-        actions.append(CloseValve(device="gripper"))
+        actions.append(Command(device="gripper", op="close"))
     if attempt < params.pick_attempts:
         if at_view:
             # Robot never left the view pose; go straight to a fresh frame.
@@ -496,7 +497,7 @@ def _put_back(state, event, params):
     # Holding the stack but cannot plan: put it back and retry the pick.
     actions = [
         SetStack(stack=state.target, state="in_tote"),
-        CloseValve(device="gripper"),
+        Command(device="gripper", op="close"),
     ]
     state, more = _pick_attempt_failed(state, event, params)
     return state, actions + more
@@ -505,7 +506,7 @@ def _put_back(state, event, params):
 def _release(state, event, params):
     state = _r(state, sub=Sub.RELEASING)
     return state, [
-        CloseValve(device="gripper"),
+        Command(device="gripper", op="close"),
         SetStack(stack=state.target, state="in_enclosure", enclosure=state.slot),
         Publish(topic="drop", payload={"enclosure": state.slot, "stack": state.target}),
         StartTimer(tag="release", seconds=params.release_settle_s),
@@ -515,8 +516,9 @@ def _release(state, event, params):
 def _seat(state, event, params):
     state = _r(state, sub=Sub.VERIFY_WAIT)
     return state, [
-        OpenValve(
+        Command(
             device=f"bottom_{state.slot}",
+            op="open",
             fault_action="place",
             ctx=_ctx(state, enclosure=state.slot, attempt=state.place_attempt + 1),
         ),
@@ -539,7 +541,7 @@ def _seat_checked(state, event, params):
                 topic="placement_verified",
                 payload={"enclosure": state.slot, "stack": state.target},
             ),
-            CloseValve(device=f"bottom_{state.slot}"),
+            Command(device=f"bottom_{state.slot}", op="close"),
         ]
         new_state, more = _return_home(state)
         return new_state, actions + more
@@ -548,10 +550,10 @@ def _seat_checked(state, event, params):
         state = _r(state, sub=Sub.RESEAT_GRIPPING)
         return state, [
             Note(text="placement_retry", data={"enclosure": state.slot}),
-            CloseValve(device=f"bottom_{state.slot}"),
-            OpenValve(device="gripper"),
+            Command(device=f"bottom_{state.slot}", op="close"),
+            Command(device="gripper", op="open"),
         ]
-    actions = [CloseValve(device=f"bottom_{state.slot}")]
+    actions = [Command(device=f"bottom_{state.slot}", op="close")]
     actions += _fail_stack(state.target, "place_failed", enclosure=state.slot)
     new_state, more = _return_home(state)
     return new_state, actions + more
@@ -607,7 +609,7 @@ def _secure_timed_out(state, event, params):
         state = _r(state, secure_attempt=state.secure_attempt + 1)
         actions: List[Action] = [Note(text="secure_retry", data={"missing": missing})]
         for i in missing:
-            actions.append(CloseValve(device=f"bottom_{i}"))
+            actions.append(Command(device=f"bottom_{i}", op="close"))
         actions += _open_bottom_valves(state, missing)
         actions.append(StartTimer(tag="secure_timeout", seconds=params.grip_timeout_s))
         return state, actions
@@ -618,7 +620,7 @@ def _secure_timed_out(state, event, params):
         Note(text="cutting_aborted", data={"missing": missing}),
     ]
     for i in range(ENCLOSURE_COUNT):
-        actions.append(CloseValve(device=f"bottom_{i}"))
+        actions.append(Command(device=f"bottom_{i}", op="close"))
     for enc, sid in sorted(occ.items()):
         actions += _fail_stack(sid, "cut_failed", enclosure=enc)
     actions.append(Command(device="swing", op="retract"))
@@ -647,8 +649,9 @@ def _rem_grip(state, event, params):
     enc, sid = state.occupants[state.removal_idx]
     state = _r(state, sub=Sub.REM_GRIPPING, remove_attempt=state.remove_attempt + 1)
     return state, [
-        OpenValve(
+        Command(
             device="gripper",
+            op="open",
             fault_action="remove",
             ctx=_ctx(state, enclosure=enc, stack=sid, attempt=state.remove_attempt),
         ),
@@ -664,7 +667,7 @@ def _lift(state, event, params):
 
 
 def _rem_grip_timed_out(state, event, params):
-    actions: List[Action] = [CloseValve(device="gripper")]
+    actions: List[Action] = [Command(device="gripper", op="close")]
     if state.remove_attempt < params.remove_attempts:
         state = _r(state, sub=Sub.REM_RESEAT)
         return state, actions + [Move(tag="rem_reseat", dest=("rem", "reseat"))]
@@ -684,7 +687,7 @@ def _drop_bag(state, event, params):
     enc, sid = state.occupants[state.removal_idx]
     state = _r(state, sub=Sub.REM_RELEASE, unbagged=state.unbagged | {enc})
     return state, [
-        CloseValve(device="gripper"),
+        Command(device="gripper", op="close"),
         SetPackaging(stacks=(sid,), packaging="removed"),
         StartTimer(tag="rem_release", seconds=params.removal_release_s),
     ]

@@ -9,9 +9,9 @@ to (``scripts/fit_stage_rates.py``); only the event engine draws outcomes.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
-from bagcell.config import ENCLOSURE_COUNT, FaultConfig
+from bagcell.config import ENCLOSURE_COUNT, CellConfig, FaultConfig
 from bagcell.devices import FaultScript, ScriptEntry
 
 # Per-test (detected, picked, placed) out of 8 offered stacks. Column sums
@@ -32,27 +32,25 @@ REFERENCE_CAMPAIGN: Tuple[Tuple[int, int, int], ...] = (
 REFERENCE_TESTS = len(REFERENCE_CAMPAIGN)
 
 
-def build_reference_script(
-    detect_attempts: int = 3,
-    pick_attempts: int = 3,
-    place_attempts: int = 3,
-) -> FaultScript:
+def build_reference_script(config: Optional[CellConfig] = None) -> FaultScript:
     """Fault script that forces exactly the reference campaign's outcomes.
 
     Failing slots sit at the tail of each test: after the fully successful
     slots come the place-exhausted ones, then pick-exhausted, then
     detect-exhausted. A step is exhausted by scripting a failure for every
-    one of its retry attempts.
+    one of its retry attempts, as ``config`` caps them (``CellConfig()``'s
+    caps by default).
     """
+    o = (config or CellConfig()).orchestrator
     entries: List[ScriptEntry] = []
     for test, (detected, picked, placed) in enumerate(REFERENCE_CAMPAIGN):
         if not (placed <= picked <= detected <= ENCLOSURE_COUNT):
             raise ValueError(f"inconsistent row {test}: {(detected, picked, placed)}")
         slot = placed
         exhausted = (
-            ("place", picked - placed, place_attempts),
-            ("pick", detected - picked, pick_attempts),
-            ("detect", ENCLOSURE_COUNT - detected, detect_attempts),
+            ("place", picked - placed, o.place_attempts),
+            ("pick", detected - picked, o.pick_attempts),
+            ("detect", ENCLOSURE_COUNT - detected, o.detect_attempts),
         )
         for action, count, attempts in exhausted:
             for _ in range(count):

@@ -332,20 +332,17 @@ class Simulation:
         )
         return outcome
 
-    def _device(self, action: orc.Action) -> None:
+    def _device(self, action: orc.Command) -> None:
         """Send one device command; a failed fault decision fails the command."""
-        op = self._VALVE_OPS.get(type(action)) or action.op
-        fault = getattr(action, "fault_action", None)
+        device, op, fault = action.device, action.op, action.fault_action
         failed = fault is not None and self._decide(fault, action.ctx) != "ok"
         if fault == "place":
             self._seated[action.ctx["stack"]] = not failed
-        record = {"device": action.device, "op": op}
+        record = {"device": device, "op": op}
         if op == "open":
             record["mode"] = "leak" if failed else "seal"
         self.tracer.record("device_cmd", self.now, record)
-        self._supersede(action.device, self.bank.command(action.device, op, self.now, failed))
-
-    _VALVE_OPS = {orc.OpenValve: "open", orc.CloseValve: "close"}  # a Command names its op
+        self._supersede(device, self.bank.command(device, op, self.now, failed))
 
     def _read_ultrasonic(self, action: orc.ReadUltrasonic) -> None:
         enclosure = action.enclosure
@@ -370,11 +367,7 @@ class Simulation:
         stack = self.world.stacks[action.stack]
         stack.state = new_state
         stack.enclosure = action.enclosure
-        self.tracer.record(
-            "stack",
-            self.now,
-            {"stack": stack.id, "state": new_state.value, "enclosure": stack.enclosure},
-        )
+        self.tracer.record("stack", self.now, action._asdict())
         self._check_world()
 
     def _set_packaging(self, action: orc.SetPackaging) -> None:
@@ -397,17 +390,11 @@ class Simulation:
 
     # -- bookkeeping -------------------------------------------------------
 
-    def _mark(self, action: orc.MarkOutcome) -> None:
-        self.tracer.record(
-            "outcome",
-            self.now,
-            {"kind": action.kind, "stack": action.stack, "enclosure": action.enclosure},
-        )
+    def _trace(self, action: orc.Action) -> None:
+        """Trace a bookkeeping action as a record of its own fields."""
+        self.tracer.record(self._TRACED[type(action)], self.now, action._asdict())
 
-    def _phase_mark(self, action: orc.PhaseMark) -> None:
-        self.tracer.record(
-            "phase", self.now, {"phase": action.phase, "edge": action.edge}
-        )
+    _TRACED = {orc.MarkOutcome: "outcome", orc.PhaseMark: "phase"}
 
     _EXECUTORS = {
         orc.Publish: _publish,
@@ -416,14 +403,12 @@ class Simulation:
         orc.Plan: _start_plan,
         orc.StartTimer: _start_timer,
         orc.CancelTimer: _cancel_timer,
-        orc.OpenValve: _device,
-        orc.CloseValve: _device,
         orc.Command: _device,
         orc.ReadUltrasonic: _read_ultrasonic,
         orc.SetStack: _set_stack,
         orc.SetPackaging: _set_packaging,
-        orc.MarkOutcome: _mark,
-        orc.PhaseMark: _phase_mark,
+        orc.MarkOutcome: _trace,
+        orc.PhaseMark: _trace,
         orc.Note: _note,
     }
 

@@ -415,6 +415,10 @@ _NON_FINITE_INVERSE = [
         # delivered above the frame, 4 of 8 with columns too wide for it.
         ({"camera": {"cy": 5.4}}, "camera.extrinsic"),
         ({"layout": {"col_pitch_m": 1.1}}, "camera.extrinsic"),
+        # A stack top too large for a float gave every box an infinite extent
+        # and a NaN centre: 0 of 8 picked, "duration=nanmin", exit 0.
+        ({"layout": {"stack_top_w_m": 1e308}}, "layout.stack_top_w_m"),
+        ({"layout": {"stack_top_d_m": 1e308}}, "layout.stack_top_d_m"),
     ],
 )
 def test_config_the_run_cannot_use_is_a_usage_error(tmp_path, capsys, overlay, field_name):

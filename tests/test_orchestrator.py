@@ -20,7 +20,6 @@ from bagcell.orchestrator import (
     Action,
     BusMsg,
     CancelTimer,
-    CloseValve,
     Command,
     Detect,
     DetectReady,
@@ -29,7 +28,6 @@ from bagcell.orchestrator import (
     MotionDone,
     Move,
     Note,
-    OpenValve,
     OrcParams,
     OrcState,
     PhaseMark,
@@ -218,7 +216,7 @@ def test_records_are_immutable_and_keep_no_dict(cls):
 
 @pytest.mark.parametrize("cls, name", [
     (Publish, "payload"), (Detect, "ctx"), (Plan, "ctx"),
-    (OpenValve, "ctx"), (Command, "ctx"), (Note, "data"),
+    (Command, "ctx"), (Note, "data"),
 ])
 def test_mapping_defaults_are_read_only_and_empty(cls, name):
     value = getattr(example(cls), name)
@@ -344,9 +342,9 @@ def test_clean_slot_walkthrough():
     assert Publish(topic="drop", payload={"enclosure": 0, "stack": 3}) in acts
     assert Publish(topic="placement_verified", payload={"enclosure": 0, "stack": 3}) in acts
     # The bottom valve opens for seating and closes once verified.
-    assert OpenValve(device="bottom_0", fault_action="place",
-                     ctx={"cycle": 0, "slot": 0, "stack": 3, "enclosure": 0, "attempt": 1}) in acts
-    assert CloseValve(device="bottom_0") in acts
+    assert Command(device="bottom_0", op="open", fault_action="place",
+                   ctx={"cycle": 0, "slot": 0, "stack": 3, "enclosure": 0, "attempt": 1}) in acts
+    assert Command(device="bottom_0", op="close") in acts
     # Then the next slot starts from the same zone.
     s, acts = transition(s, MotionDone(tag="return"), PARAMS)
     assert s.slot == 1 and s.sub is Sub.TO_VIEW
@@ -358,7 +356,7 @@ def test_grip_timeout_retries_via_reset_pose():
     s = fsm(sub=Sub.GRIPPING, target=5, pick_attempt=0)
     s, acts = transition(s, TimerFired(tag="grip_timeout"), PARAMS)
     assert s.sub is Sub.TO_RESET and s.pick_attempt == 1
-    assert acts == [CloseValve(device="gripper"), Move(tag="to_reset", dest=("reset",))]
+    assert acts == [Command(device="gripper", op="close"), Move(tag="to_reset", dest=("reset",))]
     s, acts = transition(s, MotionDone(tag="to_reset"), PARAMS)
     assert s.sub is Sub.TO_VIEW
     assert acts == [Move(tag="reset_view", dest=("view", 1))]
@@ -396,8 +394,8 @@ def test_unseated_placement_reseats_then_succeeds():
     s, acts = transition(s, UltrasonicRead(enclosure=1, present=False), PARAMS)
     assert s.sub is Sub.RESEAT_GRIPPING and s.place_attempt == 1
     assert Note(text="placement_retry", data={"enclosure": 1}) in acts
-    assert CloseValve(device="bottom_1") in acts
-    assert OpenValve(device="gripper") in acts
+    assert Command(device="bottom_1", op="close") in acts
+    assert Command(device="gripper", op="open") in acts
     s, acts = transition(s, SuctionSecured(device="gripper"), PARAMS)
     assert s.sub is Sub.RESEAT_MOVING
     assert SetStack(stack=7, state="held") in acts
@@ -440,7 +438,7 @@ def test_swing_down_opens_all_bottom_valves():
     s = fsm(sub=Sub.CUT_SWING, occupants=((0, 0), (1, 4)))
     s, acts = transition(s, ActDone(device="swing", op="extend"), PARAMS)
     assert s.sub is Sub.CUT_SECURING and s.secure_attempt == 1
-    opens = kinds(acts, OpenValve)
+    opens = [c for c in kinds(acts, Command) if c.op == "open"]
     assert [o.device for o in opens] == [f"bottom_{i}" for i in range(8)]
     # Occupied enclosures can fail to seal against the bag; empty ones cannot.
     assert opens[0].fault_action == "secure" and opens[1].fault_action == "secure"
@@ -467,8 +465,9 @@ def test_secure_timeout_retries_only_missing_seals():
     s, acts = transition(s, TimerFired(tag="secure_timeout"), PARAMS)
     assert s.secure_attempt == 2
     assert Note(text="secure_retry", data={"missing": [6, 7]}) in acts
-    assert [c.device for c in kinds(acts, CloseValve)] == ["bottom_6", "bottom_7"]
-    assert [o.device for o in kinds(acts, OpenValve)] == ["bottom_6", "bottom_7"]
+    commands = [(c.device, c.op) for c in kinds(acts, Command)]
+    assert [d for d, op in commands if op == "close"] == ["bottom_6", "bottom_7"]
+    assert [d for d, op in commands if op == "open"] == ["bottom_6", "bottom_7"]
 
 
 def test_secure_exhaustion_aborts_the_cut():
@@ -498,7 +497,7 @@ def test_cut_complete_marks_bags_and_starts_removal():
     assert Command(device="swing", op="retract") in acts
     assert Command(device="cutter", op="retract") in acts
     assert Publish(topic="removing_bag", payload={"enclosure": 0, "cycle": 0}) in acts
-    assert CloseValve(device="bottom_0") in acts
+    assert Command(device="bottom_0", op="close") in acts
     assert Move(tag="rem_approach", dest=("rem", "approach")) in acts
 
 
@@ -537,10 +536,12 @@ def test_removal_grip_retry_reseats():
             occupants=((4, 9),), removal_idx=0)
     s, acts = transition(s, TimerFired(tag="grip_timeout"), PARAMS)
     assert s.sub is Sub.REM_RESEAT
-    assert acts == [CloseValve(device="gripper"), Move(tag="rem_reseat", dest=("rem", "reseat"))]
+    assert acts == [
+        Command(device="gripper", op="close"), Move(tag="rem_reseat", dest=("rem", "reseat"))
+    ]
     s, acts = transition(s, MotionDone(tag="rem_reseat"), PARAMS)
     assert s.sub is Sub.REM_GRIPPING and s.remove_attempt == 2
-    assert isinstance(acts[0], OpenValve) and acts[0].fault_action == "remove"
+    assert (type(acts[0]), acts[0].op, acts[0].fault_action) == (Command, "open", "remove")
     assert acts[0].ctx["attempt"] == 2
 
 
@@ -726,6 +727,7 @@ def test_machine_is_total_under_arbitrary_streams(start, stream):
         state, acts = transition(state, ev, PARAMS)
         assert isinstance(state, OrcState)
         assert isinstance(acts, list)
+        assert {c.op for c in kinds(acts, Command)} <= {"open", "close", "extend", "retract"}
         encs = [e for e, _ in state.occupants]
         assert len(encs) == len(set(encs))
         assert 0 <= state.slot < ENCLOSURE_COUNT
@@ -756,6 +758,20 @@ def _plain(value):
     raise TypeError(f"cannot encode {value!r}")
 
 
+def _recorded(action):
+    """An action as the digest recorded it: name, then fields.
+
+    The digest was recorded while a valve command was a type of its own,
+    ``OpenValve(device, fault_action, ctx)`` or ``CloseValve(device)``, so an
+    open or close ``Command`` is spelled that way here.
+    """
+    if type(action) is Command and action.op == "open":
+        return "OpenValve", [action.device, action.fault_action, action.ctx]
+    if type(action) is Command and action.op == "close":
+        return "CloseValve", [action.device]
+    return type(action).__name__, list(action)
+
+
 def _machine_digest(streams=300):
     """SHA-256 over every step of ``streams`` seeded streams: the state, then each action."""
     digest = hashlib.sha256()
@@ -777,7 +793,7 @@ def _machine_digest(streams=300):
             state, acts = transition(state, ev, PARAMS)
             step = [
                 [getattr(state, name) for name in state_names],
-                [(type(a).__name__, list(a)) for a in acts],
+                [_recorded(a) for a in acts],
             ]
             digest.update(json.dumps(step, sort_keys=True, default=_plain).encode())
     return digest.hexdigest()

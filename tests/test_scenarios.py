@@ -2,6 +2,7 @@
 
 import dataclasses
 
+from bagcell.config import CellConfig
 from bagcell.scenarios import REFERENCE_CAMPAIGN, build_reference_script, randomized_fault_profile
 
 
@@ -31,6 +32,16 @@ def test_reference_script_entry_budget():
     for e in script.entries:
         assert set(e.when) == {"action", "test", "slot", "attempt"}
         assert 1 <= e.when["attempt"] <= 3
+
+
+def test_reference_script_exhausts_the_configs_caps():
+    config = CellConfig()
+    o = config.orchestrator
+    o.detect_attempts, o.pick_attempts, o.place_attempts = 2, 4, 5
+    last = {}
+    for e in build_reference_script(config).entries:
+        last[e.when["action"]] = max(last.get(e.when["action"], 0), e.when["attempt"])
+    assert last == {"detect": 2, "pick": 4, "place": 5}
 
 
 def test_reference_script_failing_slots_sit_at_the_tail():

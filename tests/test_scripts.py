@@ -1,4 +1,7 @@
-"""Smoke tests: every script under scripts/ runs as its own process."""
+"""Smoke tests: every script under scripts/ runs as its own process.
+
+So does the benchmark's setup probe, which calls into ``bagcell`` directly.
+"""
 
 import os
 import subprocess
@@ -12,10 +15,10 @@ from bagcell.config import CellConfig
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_script(name, *args, folder="scripts"):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [sys.executable, str(ROOT / folder / name), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -50,3 +53,10 @@ def test_fit_stage_rates_writes_a_fault_override(tmp_path):
     assert fitted == default
     changed = {k for k in default_faults if fitted_faults[k] != default_faults[k]}
     assert changed == {"detection_miss_prob", "pick_grip_fail_prob", "place_drop_fail_prob"}
+
+
+@pytest.mark.parametrize("workload", ["replay", "sweep"])
+def test_benchmark_setup_probe_runs(workload):
+    # The probe calls what the benchmark's setup calls (``build_reference_script()``,
+    # ``CellConfig().validate()``), so a changed signature fails here first.
+    run_script("setup_probe.py", workload, folder="perfbench")

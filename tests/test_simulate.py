@@ -133,8 +133,8 @@ def test_recommand_supersedes_pending_completion(monkeypatch):
 
 def test_valve_epoch_invalidates_stale_events(monkeypatch):
     sim, seen, _ = drive_machine(monkeypatch, {
-        orc.Start(): [orc.OpenValve("gripper"), orc.StartTimer("vent", 0.2)],
-        orc.TimerFired("vent"): [orc.CloseValve("gripper")],  # before the 0.5 s crossing
+        orc.Start(): [orc.Command("gripper", "open"), orc.StartTimer("vent", 0.2)],
+        orc.TimerFired("vent"): [orc.Command("gripper", "close")],  # before the 0.5 s crossing
     })
     assert device_events(sim) == []
     assert seen == [orc.Start(), orc.TimerFired("vent")]
@@ -168,8 +168,8 @@ _VALVES = ("gripper", "bottom_0")
 _SCHEDULED = st.one_of(
     st.builds(orc.StartTimer, st.sampled_from("ab"), st.sampled_from([0.05, 0.35, 0.85, 1.55])),
     st.builds(orc.CancelTimer, st.sampled_from("ab")),
-    st.builds(orc.OpenValve, st.sampled_from(_VALVES)),
-    st.builds(orc.CloseValve, st.sampled_from(_VALVES)),
+    st.builds(orc.Command, st.sampled_from(_VALVES), st.just("open")),
+    st.builds(orc.Command, st.sampled_from(_VALVES), st.just("close")),
     st.builds(orc.Command, st.sampled_from(["swing", "door"]), st.sampled_from(["extend", "retract"])),
 )
 
@@ -202,7 +202,7 @@ def test_epoch_map_drops_exactly_what_a_later_command_supersedes(batches):
             if not any(type(b) in (orc.StartTimer, orc.CancelTimer) and b.tag == action.tag
                        and t < due for t, b in later):
                 want_timers.append((due, action.tag))
-        elif type(action) is orc.Command:
+        elif type(action) is orc.Command and action.op in ("extend", "retract"):
             due = now + travel[action.device]
             if not any(type(b) is orc.Command and b.device == action.device
                        and t < due for t, b in later):
