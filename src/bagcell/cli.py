@@ -10,7 +10,9 @@ Subcommands:
 Outputs (traces, reports, tables) land in --outdir, or $BAGCELL_OUTDIR, or
 ./out. Exit codes: 0 success, 1 bad usage or malformed input files, 2 run
 aborted (safety violations, a refused interlock, a stuck control loop, or
-replay script entries that never matched).
+replay script entries that never matched). Only run, campaign and replay
+import the simulator; eval, dump-config, --help and usage errors start
+without it, and without numpy.
 """
 
 from __future__ import annotations
@@ -22,16 +24,17 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import Any, Callable, List, Optional, get_args
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, get_args
 
 from bagcell.config import AtLeastOne, CellConfig, ConfigInvalid, Count, MalformedInput
-from bagcell.config import Probability, check
-from bagcell.devices import FaultScript, InterlockViolation
+from bagcell.config import Probability, RunAborted, check
 from bagcell.report import CampaignReport, config_digest, render_table, summarize_campaign
 from bagcell.report import write_trace
 from bagcell.scenarios import REFERENCE_TESTS, build_reference_script
-from bagcell.simulate import SimulationStuck, run_campaign, run_single
 from bagcell.vision import EmptyGroundTruth, evaluate, load_boxes
+
+if TYPE_CHECKING:
+    from bagcell.devices import FaultScript
 
 log = logging.getLogger(__name__)
 _UNMATCHED = "%d fault script entries were never matched"
@@ -68,6 +71,8 @@ def _outdir(arg: Optional[str]) -> Path:
 
 
 def _load_script(path: Optional[str]) -> Optional[FaultScript]:
+    from bagcell.devices import FaultScript  # imported here: only a run loads the device bank
+
     return FaultScript.from_file(path) if path else None
 
 
@@ -81,6 +86,8 @@ def _write_report(outdir: Path, config: CellConfig, reports, script) -> Campaign
 
 
 def cmd_run(args) -> int:
+    from bagcell.simulate import run_single  # imported here: only a run loads the simulator
+
     config = _load_config(args)
     script = _load_script(args.script)
     report, tracer = run_single(config, cycles=args.cycles, script=script)
@@ -106,6 +113,8 @@ def cmd_campaign(args) -> int:
     A replay runs the reference campaign, by default on its built-in script,
     and must consume every script entry; a campaign only warns.
     """
+    from bagcell.simulate import run_campaign  # imported here: only a run loads the simulator
+
     config = _load_config(args)
     replay = args.command == "replay"
     script = _load_script(args.script)
@@ -224,7 +233,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except EmptyGroundTruth as exc:  # only eval scores, so the empty file is --gts
         print(f"error: {args.gts}: {exc}", file=sys.stderr)
         return 1
-    except (InterlockViolation, SimulationStuck) as exc:
+    except RunAborted as exc:
         print(f"error: run aborted: {exc}", file=sys.stderr)
         return 2
 

@@ -43,6 +43,10 @@ class MalformedInput(ValueError):
         super().__init__(f"{path if line_no is None else f'{path}:{line_no}'}: {reason}")
 
 
+class RunAborted(RuntimeError):
+    """A run stopped before its end: a refused interlock or a stuck control loop."""
+
+
 def read_text(path: str | Path, fail: Callable[[str], MalformedInput]) -> str:
     """``path``'s UTF-8 text, or ``fail``'s error naming why it cannot be read."""
     try:
@@ -280,16 +284,22 @@ class CellConfig:
         except np.linalg.LinAlgError:
             raise ConfigInvalid("camera.extrinsic", "must be invertible") from None
         depths = {}  # a zone's pick depth is its rim marker's depth in the camera frame
-        for zone in range(1, len(lay.zone_sizes) + 1):
-            depths[zone] = float(camera.to_camera(self.rim_marker_position(zone))[2])
-            if not depths[zone] > 0.0:
-                raise ConfigInvalid(
-                    "camera.extrinsic", f"puts the zone {zone} rim marker behind the camera"
-                )
-        # A stack top outside the image, or behind the camera, has no box and is never seen.
-        stacks = build_world(self).stacks
-        tops = {s.id: self.stack_top_position(s.zone, s.col) for s in stacks}
-        with np.errstate(all="ignore"):  # an overflow only puts a top off the image
+        with np.errstate(all="ignore"):  # an overflow only puts a marker or a top out of reach
+            for zone in range(1, len(lay.zone_sizes) + 1):
+                x, y, z = marker = self.rim_marker_position(zone)
+                infinite = f"gives the zone {zone} rim marker an infinite position"
+                if not math.isfinite(x):
+                    raise ConfigInvalid("layout.col_pitch_m", infinite)
+                if not (math.isfinite(y) and math.isfinite(z)):
+                    raise ConfigInvalid("layout.row_pitch_m", infinite)
+                depths[zone] = float(camera.to_camera(marker)[2])
+                if not depths[zone] > 0.0:
+                    raise ConfigInvalid(
+                        "camera.extrinsic", f"puts the zone {zone} rim marker behind the camera"
+                    )
+            # A stack top outside the image, or behind the camera, has no box and is never seen.
+            stacks = build_world(self).stacks
+            tops = {s.id: self.stack_top_position(s.zone, s.col) for s in stacks}
             boxes = ground_truth_boxes(camera, tops, lay.stack_top_w_m, lay.stack_top_d_m)
         for s in stacks:
             where, box = f"stack {s.id} (zone {s.zone}, column {s.col})", boxes.get(s.id)

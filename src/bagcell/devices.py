@@ -37,14 +37,14 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from bagcell import orchestrator as orc
-from bagcell.config import ENCLOSURE_COUNT, CellConfig, MalformedInput
+from bagcell.config import ENCLOSURE_COUNT, CellConfig, MalformedInput, RunAborted
 from bagcell.config import parse_json, read_text
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-class InterlockViolation(Exception):
+class InterlockViolation(RunAborted):
     """The bank refused a command whose safety precondition was false."""
 
 

@@ -9,10 +9,12 @@ to (``scripts/fit_stage_rates.py``); only the event engine draws outcomes.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from bagcell.config import ENCLOSURE_COUNT, CellConfig, FaultConfig
-from bagcell.devices import FaultScript, ScriptEntry
+
+if TYPE_CHECKING:
+    from bagcell.devices import FaultScript
 
 # Per-test (detected, picked, placed) out of 8 offered stacks. Column sums
 # 77 / 69 / 66 over 80 give the reference rates 96.25 / 86.25 / 82.50 %.
@@ -41,6 +43,8 @@ def build_reference_script(config: Optional[CellConfig] = None) -> FaultScript:
     one of its retry attempts, as ``config`` caps them (``CellConfig()``'s
     caps by default).
     """
+    from bagcell.devices import FaultScript, ScriptEntry  # imported here: only a replay needs it
+
     o = (config or CellConfig()).orchestrator
     entries: List[ScriptEntry] = []
     for test, (detected, picked, placed) in enumerate(REFERENCE_CAMPAIGN):

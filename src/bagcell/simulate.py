@@ -38,7 +38,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from bagcell import devices as dv
 from bagcell import orchestrator as orc
 from bagcell.bus import TOPICS
-from bagcell.config import Cell, CellConfig
+from bagcell.config import Cell, CellConfig, RunAborted
 from bagcell.motion import leg_lengths, move_duration
 from bagcell.report import RunReport, Tracer, summarize_run
 from bagcell.vision import observe, select_pick_target
@@ -50,7 +50,7 @@ _SIM_TIME_LIMIT_S = 48.0 * 3600.0
 _AWAITED_TOPICS = frozenset(ev.topic for (_, ev) in orc.STEPS if type(ev) is orc.BusMsg)
 
 
-class SimulationStuck(RuntimeError):
+class SimulationStuck(RunAborted):
     """The run passed its simulated-time limit: the control loop never finished."""
 
 

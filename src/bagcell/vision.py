@@ -37,10 +37,11 @@ from typing import (
 )
 
 from bagcell.config import MalformedInput, read_text
-from bagcell.world import Stack
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from bagcell.world import Stack
 
 
 class EmptyGroundTruth(ValueError):

@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 from bagcell.cli import build_parser, main
 from bagcell.config import CellConfig
-from bagcell.devices import DeviceBank
+from bagcell.devices import DeviceBank, InterlockViolation
 from bagcell.scenarios import REFERENCE_CAMPAIGN
 from bagcell.simulate import Simulation
 from bagcell.world import Violation
@@ -99,10 +100,11 @@ def test_eval_against_empty_ground_truth_is_a_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_eval_never_loads_numpy(tmp_path):
+def test_eval_help_and_dump_config_never_load_numpy_or_the_simulator(tmp_path):
     # numpy is imported only to simulate: the run's generator, the camera's
-    # matrices and the config's extrinsic check. Scoring a box file, and a
-    # usage error, start without it.
+    # matrices and the config's extrinsic check. Only the commands that run
+    # import the simulator's modules. Scoring a box file, the help, the
+    # default config and a usage error start without any of them.
     program = """
 import sys
 import bagcell.cli, bagcell.scenarios, bagcell.vision
@@ -112,7 +114,11 @@ vision.save_boxes("gt.txt", boxes)
 vision.save_boxes("pred.txt", boxes[:3])
 assert cli.main(["eval", "--preds", "pred.txt", "--gts", "gt.txt"]) == 0
 assert cli.main(["eval", "--preds", "pred.txt", "--gts", "gt.txt", "--iou", "2"]) == 1
-print("numpy" in sys.modules)
+assert cli.main(["--help"]) == 0
+assert cli.main(["dump-config"]) == 0
+heavy = ["numpy", "bagcell.orchestrator", "bagcell.devices", "bagcell.simulate",
+         "bagcell.motion", "bagcell.bus", "bagcell.world"]
+print([name for name in heavy if name in sys.modules])
 """
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
@@ -120,10 +126,10 @@ print("numpy" in sys.modules)
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    *report, numpy_loaded = proc.stdout.splitlines()
-    assert json.loads("\n".join(report))["fn"] == 1
+    report, _ = json.JSONDecoder().raw_decode(proc.stdout)  # eval's, printed first
+    assert report["fn"] == 1
     assert "error: argument --iou: must be in [0, 1], got '2'" in proc.stderr
-    assert numpy_loaded == "False"
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_run_writes_trace_and_report(tmp_path, capsys):
@@ -419,15 +425,24 @@ _NON_FINITE_INVERSE = [
         # and a NaN centre: 0 of 8 picked, "duration=nanmin", exit 0.
         ({"layout": {"stack_top_w_m": 1e308}}, "layout.stack_top_w_m"),
         ({"layout": {"stack_top_d_m": 1e308}}, "layout.stack_top_d_m"),
+        # A rim marker too far away for a float had a NaN depth: a matmul
+        # RuntimeWarning, then "rim marker behind the camera".
+        ({"layout": {"col_pitch_m": 1e308}}, "layout.col_pitch_m"),
+        ({"layout": {"col_pitch_m": -1e308}}, "layout.col_pitch_m"),
+        ({"layout": {"row_pitch_m": 1e308}}, "layout.row_pitch_m"),
     ],
 )
 def test_config_the_run_cannot_use_is_a_usage_error(tmp_path, capsys, overlay, field_name):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(overlay))
-    assert main(["run", "--config", str(bad), "--cycles", "1"]) == 1
+    with warnings.catch_warnings(record=True) as caught:  # pytest would hide them from stderr
+        warnings.simplefilter("always")
+        assert main(["run", "--config", str(bad), "--cycles", "1"]) == 1
     err = capsys.readouterr().err
-    assert f"error: {field_name}: " in err
-    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: {field_name}: ")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("overlay", _NON_FINITE_INVERSE)
@@ -507,3 +522,14 @@ def test_refused_interlock_exits_two(monkeypatch, capsys):
     assert main(["run", "--cycles", "1"]) == 2
     line = _aborted_with_one_line(capsys.readouterr().err)
     assert "cutter.extend: bottom lines [7] not secured" in line
+
+
+def test_interlock_violation_exits_two(monkeypatch, capsys):
+    def refuse_the_cutter(bank, name):
+        if name == "cutter":
+            raise InterlockViolation("cutter.extend: refused")
+
+    monkeypatch.setattr("bagcell.devices.DeviceBank._interlock", refuse_the_cutter)
+    assert main(["run", "--cycles", "1"]) == 2
+    line = _aborted_with_one_line(capsys.readouterr().err)
+    assert line == "error: run aborted: cutter.extend: refused"

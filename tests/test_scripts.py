@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from bagcell.config import CellConfig
+from bagcell.vision import Box, save_boxes
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -55,8 +56,14 @@ def test_fit_stage_rates_writes_a_fault_override(tmp_path):
     assert changed == {"detection_miss_prob", "pick_grip_fail_prob", "place_drop_fail_prob"}
 
 
-@pytest.mark.parametrize("workload", ["replay", "sweep"])
-def test_benchmark_setup_probe_runs(workload):
+@pytest.mark.parametrize("workload", ["replay", "sweep", "eval"])
+def test_benchmark_setup_probe_runs(workload, tmp_path):
     # The probe calls what the benchmark's setup calls (``build_reference_script()``,
-    # ``CellConfig().validate()``), so a changed signature fails here first.
-    run_script("setup_probe.py", workload, folder="perfbench")
+    # ``CellConfig().validate()``, ``load_boxes``), so a changed signature fails here first.
+    box_files = []
+    if workload == "eval":
+        boxes = [Box(100.0 + 200 * i, 100.0, 220.0 + 200 * i, 240.0) for i in range(4)]
+        for name, written in (("preds.txt", boxes[:3]), ("gts.txt", boxes)):
+            save_boxes(tmp_path / name, written)
+            box_files.append(str(tmp_path / name))
+    run_script("setup_probe.py", workload, *box_files, folder="perfbench")
