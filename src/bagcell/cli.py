@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import logging
 import os
 import sys
 from pathlib import Path
@@ -36,8 +35,7 @@ from bagcell.vision import EmptyGroundTruth, evaluate, load_boxes
 if TYPE_CHECKING:
     from bagcell.devices import FaultScript
 
-log = logging.getLogger(__name__)
-_UNMATCHED = "%d fault script entries were never matched"
+_UNMATCHED = "{} fault script entries were never matched"
 
 
 def _flag(hint: Any) -> Callable[[str], Any]:
@@ -95,15 +93,14 @@ def cmd_run(args) -> int:
     write_trace(outdir / "trace.jsonl", tracer.records)
     unconsumed = _write_report(outdir, config, [report], script).unconsumed_script_entries
     if unconsumed:
-        log.warning(_UNMATCHED, unconsumed)
+        print(f"warning: {_UNMATCHED.format(unconsumed)}", file=sys.stderr)
     print(
         f"cycles={report.cycles} detected={report.detected} picked={report.picked} "
         f"placed={report.placed} delivered={report.delivered} "
         f"duration={report.duration_min:.1f}min violations={report.violations}"
     )
     if report.violations:
-        log.error("run finished with %d safety violations", report.violations)
-        return 2
+        raise RunAborted(f"run finished with {report.violations} safety violations")
     return 0
 
 
@@ -128,17 +125,15 @@ def cmd_campaign(args) -> int:
     campaign = _write_report(outdir, config, reports, script)
     unconsumed = campaign.unconsumed_script_entries
     if unconsumed and not replay:
-        log.warning(_UNMATCHED, unconsumed)
+        print(f"warning: {_UNMATCHED.format(unconsumed)}", file=sys.stderr)
     ext = "csv" if args.table == "csv" else "md"
     table = render_table(campaign, args.table)
     (outdir / f"table.{ext}").write_text(table)
     print(table, end="")
     if unconsumed and replay:
-        log.error(_UNMATCHED, unconsumed)
-        return 2
+        raise RunAborted(_UNMATCHED.format(unconsumed))
     if any(r.violations for r in reports):
-        log.error("%s finished with safety violations", args.command)
-        return 2
+        raise RunAborted(f"{args.command} finished with safety violations")
     return 0
 
 
@@ -220,10 +215,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors; remap
         return 0 if exc.code in (0, None) else 1
-    logging.basicConfig(
-        level=logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
         return args.func(args)
     except (MalformedInput, OSError) as exc:

@@ -44,7 +44,7 @@ class MalformedInput(ValueError):
 
 
 class RunAborted(RuntimeError):
-    """A run stopped before its end: a refused interlock or a stuck control loop."""
+    """Exit 2: a refused interlock, a stuck loop, safety violations, unmatched replay entries."""
 
 
 def read_text(path: str | Path, fail: Callable[[str], MalformedInput]) -> str:

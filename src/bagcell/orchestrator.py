@@ -150,7 +150,7 @@ CancelTimer = _record(Action, "CancelTimer", "tag")
 # ``op`` is one of the bank's four: a valve's "open" | "close", an actuator's "extend" | "retract".
 Command = _record(Action, "Command", "device op fault_action ctx", (None, _EMPTY))
 ReadUltrasonic = _record(Action, "ReadUltrasonic", "enclosure")
-# ``state`` is a StackState value, ``packaging`` a Packaging value.
+# ``state`` is one of ``world.STACK_STATES``, ``packaging`` one of ``world.PACKAGINGS``.
 SetStack = _record(Action, "SetStack", "stack state enclosure", (None,))
 SetPackaging = _record(Action, "SetPackaging", "stacks packaging")
 MarkOutcome = _record(Action, "MarkOutcome", "kind stack enclosure", (-1, -1))

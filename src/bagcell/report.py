@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 import json
 import sys
 from collections import defaultdict
@@ -296,6 +295,8 @@ class CampaignReport:
 
 
 def config_digest(config_json: str) -> str:
+    import hashlib  # imported here: eval, --help and dump-config never hash
+
     return hashlib.sha256(config_json.encode()).hexdigest()[:16]
 
 

@@ -42,7 +42,7 @@ from bagcell.config import Cell, CellConfig, RunAborted
 from bagcell.motion import leg_lengths, move_duration
 from bagcell.report import RunReport, Tracer, summarize_run
 from bagcell.vision import observe, select_pick_target
-from bagcell.world import Packaging, StackState, World, build_world, check_invariants
+from bagcell.world import PACKAGINGS, STACK_STATES, World, build_world, check_invariants
 
 _SIM_TIME_LIMIT_S = 48.0 * 3600.0
 
@@ -101,9 +101,6 @@ class Simulation:
         # Leg length -> its move time under this run's limits. Most moves run
         # between the same fixed poses, so few lengths recur many times.
         self._leg_s: Dict[float, float] = {}
-
-        # Placed stack id -> whether its latest place decision seated it.
-        self._seated: Dict[int, bool] = {}
 
     # -- event plumbing ----------------------------------------------------
 
@@ -337,7 +334,7 @@ class Simulation:
         device, op, fault = action.device, action.op, action.fault_action
         failed = fault is not None and self._decide(fault, action.ctx) != "ok"
         if fault == "place":
-            self._seated[action.ctx["stack"]] = not failed
+            self.world.stacks[action.ctx["stack"]].seated = not failed
         record = {"device": device, "op": op}
         if op == "open":
             record["mode"] = "leak" if failed else "seal"
@@ -347,7 +344,7 @@ class Simulation:
     def _read_ultrasonic(self, action: orc.ReadUltrasonic) -> None:
         enclosure = action.enclosure
         occupant = self.world.occupant(enclosure)
-        seated = occupant is not None and self._seated.get(occupant, True)
+        seated = occupant is not None and self.world.stacks[occupant].seated
         present = self.bank.presence(enclosure, seated, self.rng)
         self.tracer.record(
             "sensor",
@@ -359,22 +356,24 @@ class Simulation:
     # -- world mutation ----------------------------------------------------
 
     def _set_stack(self, action: orc.SetStack) -> None:
+        if action.state not in STACK_STATES:
+            raise ValueError(f"unknown stack state {action.state!r}")
         if action.stack < 0:
             return
-        new_state = StackState(action.state)
-        if new_state is StackState.IN_ENCLOSURE and action.enclosure is None:
+        if action.state == "in_enclosure" and action.enclosure is None:
             raise ValueError("in_enclosure requires an enclosure index")
         stack = self.world.stacks[action.stack]
-        stack.state = new_state
+        stack.state = action.state
         stack.enclosure = action.enclosure
         self.tracer.record("stack", self.now, action._asdict())
         self._check_world()
 
     def _set_packaging(self, action: orc.SetPackaging) -> None:
+        if action.packaging not in PACKAGINGS:
+            raise ValueError(f"unknown packaging {action.packaging!r}")
         for sid in action.stacks:
-            if sid < 0:
-                continue
-            self.world.stacks[sid].packaging = Packaging(action.packaging)
+            if sid >= 0:
+                self.world.stacks[sid].packaging = action.packaging
         self.tracer.record(
             "packaging",
             self.now,

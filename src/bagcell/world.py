@@ -2,36 +2,29 @@
 
 A stack is numbered by its zone and column; where its top sits is the
 config's to say (``CellConfig.stack_top_position``). A stack's ``enclosure``
-is the one record of where it is seated: set while it is ``in_enclosure``,
-None otherwise. The world is plain mutable state; all transitions are
-applied by the simulation loop. ``check_invariants`` is the single source of
-truth for the structural safety properties (single occupancy, at most one
-held stack, an enclosure index exactly while seated, packaging per state);
-the simulation re-checks them after each stack or packaging update, the only
-actions that change the world.
+is the one record of where it sits: set while it is ``in_enclosure``, None
+otherwise. Its ``seated`` is whether its latest place decision seated it
+(True before any), which is what an ultrasonic read sees. The world is plain
+mutable state; all transitions are applied by the simulation loop.
+``check_invariants`` is the single source of truth for the structural
+safety properties (single occupancy, at most one held stack, an enclosure
+index exactly while seated, packaging per state); the simulation re-checks
+them after each stack or packaging update, the only actions that change
+what they check.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Optional
 
 from bagcell.config import ENCLOSURE_COUNT, CellConfig
 
 
-class StackState(enum.Enum):
-    IN_TOTE = "in_tote"
-    HELD = "held"
-    IN_ENCLOSURE = "in_enclosure"
-    DELIVERED = "delivered"
-    FAILED_UNHANDLED = "failed_unhandled"
-
-
-class Packaging(enum.Enum):
-    BAGGED = "bagged"
-    CUT = "cut"
-    REMOVED = "removed"
+# A stack's states and packagings, in life-cycle order: the words the machine
+# emits (``SetStack``, ``SetPackaging``) and the trace records.
+STACK_STATES = ("in_tote", "held", "in_enclosure", "delivered", "failed_unhandled")
+PACKAGINGS = ("bagged", "cut", "removed")
 
 
 @dataclass
@@ -41,9 +34,10 @@ class Stack:
     id: int
     zone: int
     col: int
-    state: StackState = StackState.IN_TOTE
-    packaging: Packaging = Packaging.BAGGED
+    state: str = "in_tote"
+    packaging: str = "bagged"
     enclosure: Optional[int] = None
+    seated: bool = True
 
 
 @dataclass(frozen=True)
@@ -60,7 +54,7 @@ class World:
 
     def zone_stacks(self, zone: int) -> list[Stack]:
         """A zone's pickable stacks, in ``(col, id)`` order: ``build_world`` numbers them so."""
-        return [s for s in self.stacks if s.zone == zone and s.state is _IN_TOTE]
+        return [s for s in self.stacks if s.zone == zone and s.state == "in_tote"]
 
     def occupant(self, enclosure: int) -> Optional[int]:
         """The id of the stack seated in ``enclosure``, or None if it is empty."""
@@ -77,16 +71,6 @@ def build_world(config: CellConfig) -> World:
     return World(stacks=stacks)
 
 
-# Bound once: on Python 3.11 each lookup of a member on its enum class costs
-# about 0.2 us, and the scan below would make ~150 of them after every stack update.
-_IN_TOTE = StackState.IN_TOTE
-_HELD = StackState.HELD
-_IN_ENCLOSURE = StackState.IN_ENCLOSURE
-_DELIVERED = StackState.DELIVERED
-_BAGGED = Packaging.BAGGED
-_REMOVED = Packaging.REMOVED
-
-
 def check_invariants(world: World) -> list[Violation]:
     """Return all structural violations present in ``world`` (empty list if sound).
 
@@ -99,7 +83,7 @@ def check_invariants(world: World) -> list[Violation]:
     for s in world.stacks:
         state = s.state
         enclosure = s.enclosure
-        if state is _IN_ENCLOSURE:
+        if state == "in_enclosure":
             if enclosure is None or not (0 <= enclosure < ENCLOSURE_COUNT):
                 detail = f"stack {s.id} is in_enclosure with enclosure={enclosure}"
                 out.append(Violation("orphan_in_enclosure", detail))
@@ -110,15 +94,15 @@ def check_invariants(world: World) -> list[Violation]:
                 seated[enclosure] = s.id
             continue
         if enclosure is not None:
-            detail = f"stack {s.id} in state {state.value} still points at enclosure {enclosure}"
+            detail = f"stack {s.id} in state {state} still points at enclosure {enclosure}"
             out.append(Violation("stale_enclosure_reference", detail))
-        if state is _HELD:
+        if state == "held":
             held.append(s.id)
-        elif state is _IN_TOTE and s.packaging is not _BAGGED:
-            detail = f"stack {s.id} in the tote has packaging {s.packaging.value}"
+        elif state == "in_tote" and s.packaging != "bagged":
+            detail = f"stack {s.id} in the tote has packaging {s.packaging}"
             out.append(Violation("packaging_mismatch", detail))
-        elif state is _DELIVERED and s.packaging is not _REMOVED:
-            detail = f"stack {s.id} delivered with packaging {s.packaging.value}"
+        elif state == "delivered" and s.packaging != "removed":
+            detail = f"stack {s.id} delivered with packaging {s.packaging}"
             out.append(Violation("delivered_still_bagged", detail))
     if len(held) > 1:
         out.insert(0, Violation("multiple_held", f"stacks {held} held simultaneously"))

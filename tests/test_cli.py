@@ -104,7 +104,8 @@ def test_eval_help_and_dump_config_never_load_numpy_or_the_simulator(tmp_path):
     # numpy is imported only to simulate: the run's generator, the camera's
     # matrices and the config's extrinsic check. Only the commands that run
     # import the simulator's modules. Scoring a box file, the help, the
-    # default config and a usage error start without any of them.
+    # default config and a usage error start without any of them, and
+    # without logging or hashlib: nothing logs, and only a run hashes.
     program = """
 import sys
 import bagcell.cli, bagcell.scenarios, bagcell.vision
@@ -117,7 +118,7 @@ assert cli.main(["eval", "--preds", "pred.txt", "--gts", "gt.txt", "--iou", "2"]
 assert cli.main(["--help"]) == 0
 assert cli.main(["dump-config"]) == 0
 heavy = ["numpy", "bagcell.orchestrator", "bagcell.devices", "bagcell.simulate",
-         "bagcell.motion", "bagcell.bus", "bagcell.world"]
+         "bagcell.motion", "bagcell.bus", "bagcell.world", "logging", "hashlib"]
 print([name for name in heavy if name in sys.modules])
 """
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -331,11 +332,12 @@ def test_never_matching_replay_script_exits_two(tmp_path, capsys):
     }))
     out = tmp_path / "replay"
     assert main(["replay", "--fault-script", str(script), "--outdir", str(out)]) == 2
-    capsys.readouterr()
+    line = _aborted_with_one_line(capsys.readouterr().err)
+    assert line == "error: run aborted: 1 fault script entries were never matched"
 
 
 @pytest.mark.parametrize("argv", [["run", "--cycles", "1"], ["campaign", "--tests", "1"]])
-def test_unmatched_script_entries_are_reported_and_warned(tmp_path, capsys, caplog, argv):
+def test_unmatched_script_entries_are_reported_and_warned(tmp_path, capsys, argv):
     script = tmp_path / "script.json"
     script.write_text(json.dumps({
         "version": 1,
@@ -343,9 +345,9 @@ def test_unmatched_script_entries_are_reported_and_warned(tmp_path, capsys, capl
     }))
     out = tmp_path / "out"
     assert main([*argv, "--fault-script", str(script), "--outdir", str(out)]) == 0
-    capsys.readouterr()
+    err = capsys.readouterr().err
     assert json.loads((out / "report.json").read_text())["unconsumed_script_entries"] == 1
-    assert "1 fault script entries were never matched" in caplog.text
+    assert err.splitlines() == ["warning: 1 fault script entries were never matched"]
 
 
 @pytest.mark.parametrize(
@@ -499,13 +501,12 @@ def test_stuck_run_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["run", "--cycles", "1"], ["campaign", "--tests", "1"]])
-def test_safety_violation_exits_two(tmp_path, monkeypatch, capsys, caplog, argv):
+def test_safety_violation_exits_two(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.setattr(
         "bagcell.simulate.check_invariants", lambda world: [Violation("test", "injected")]
     )
     assert main([*argv, "--outdir", str(tmp_path / "out")]) == 2
-    capsys.readouterr()
-    assert "safety violations" in caplog.text
+    assert "safety violations" in _aborted_with_one_line(capsys.readouterr().err)
 
 
 def test_refused_interlock_exits_two(monkeypatch, capsys):

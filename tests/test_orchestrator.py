@@ -1,8 +1,10 @@
 """Unit tests for the pure control-logic state machine."""
 
+import ast
 import dataclasses
 import enum
 import hashlib
+import inspect
 import json
 import random
 import typing
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bagcell import orchestrator
 from bagcell.config import ENCLOSURE_COUNT, CellConfig
 from bagcell.orchestrator import (
     ActDone,
@@ -48,6 +51,7 @@ from bagcell.orchestrator import (
     _r,
     transition,
 )
+from bagcell.world import PACKAGINGS, STACK_STATES
 
 PARAMS = OrcParams.from_config(CellConfig(), cycles=1)
 
@@ -235,6 +239,22 @@ def test_each_sub_state_rows_are_its_steps_rows():
             assert type(got_key) is type(want_key) and got_key == want_key, sub
             assert got_step is want_step, sub
     assert Sub.DONE.rows == {}
+
+
+def test_every_stack_word_the_machine_emits_is_the_worlds():
+    # Read off the code, so a misspelled word fails here even on a branch no run reaches.
+    # Both records take their word as the second field, by keyword or by position.
+    words = {"SetStack": ("state", STACK_STATES), "SetPackaging": ("packaging", PACKAGINGS)}
+    seen = dict.fromkeys(words, 0)
+    for node in ast.walk(ast.parse(inspect.getsource(orchestrator))):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) in words):
+            continue
+        field, allowed = words[node.func.id]
+        given = [kw.value for kw in node.keywords if kw.arg == field] + node.args[1:2]
+        assert len(given) == 1, ast.unparse(node)
+        assert isinstance(given[0], ast.Constant) and given[0].value in allowed, ast.unparse(node)
+        seen[node.func.id] += 1
+    assert all(seen.values()), seen
 
 
 STATE_FIELDS = typing.get_type_hints(OrcState)

@@ -1,6 +1,7 @@
 """End-to-end tests for the event-driven cell simulation."""
 
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -472,13 +473,23 @@ def test_an_enclosure_occupant_is_read_off_the_seated_stack():
     assert sim.world.stacks[6].enclosure is None
 
 
-def test_in_enclosure_without_an_index_is_refused_and_changes_nothing():
+@pytest.mark.parametrize(
+    "action, message",
+    [
+        (orc.SetStack(stack=4, state="in_enclosure"), "in_enclosure requires an enclosure index"),
+        (orc.SetStack(stack=4, state="seated", enclosure=2), "unknown stack state 'seated'"),
+        (orc.SetStack(stack=-1, state="seated"), "unknown stack state 'seated'"),
+        (orc.SetPackaging(stacks=(4, 5), packaging="sliced"), "unknown packaging 'sliced'"),
+    ],
+    ids=["no_index", "unknown_state", "unknown_state_no_stack", "unknown_packaging"],
+)
+def test_in_enclosure_without_an_index_is_refused_and_changes_nothing(action, message):
+    # Each update is checked before it touches the world or the trace.
     sim = Simulation(CellConfig().validate(), cycles=1)
-    stack = sim.world.stacks[4]
-    before = (stack.state, stack.enclosure)
-    with pytest.raises(ValueError, match="in_enclosure requires an enclosure index"):
-        sim._set_stack(orc.SetStack(stack=4, state="in_enclosure"))
-    assert (stack.state, stack.enclosure) == before
+    before = [copy.copy(s) for s in sim.world.stacks]
+    with pytest.raises(ValueError, match=message):
+        Simulation._EXECUTORS[type(action)](sim, action)
+    assert sim.world.stacks == before
     assert sim.tracer.records == []
 
 
@@ -591,11 +602,13 @@ def test_scripted_pick_exhaustion_skips_one_stack():
 
 def test_scripted_place_exhaustion_skips_one_stack():
     sc = script(*[({"action": "place", "cycle": 0, "slot": 0}, "fail")] * 3)
-    report, tracer = run_single(CellConfig(), seed=12, cycles=1, script=sc)
+    sim = Simulation(CellConfig().validate(), seed=12, cycles=1, script=sc)
+    report, tracer = sim.run(), sim.tracer
     assert (report.detected, report.picked, report.placed, report.delivered) == (8, 8, 7, 7)
     assert report.failed_unhandled == 1
     assert sc.unconsumed() == []
     assert_clean_audits(tracer)
+    assert [s.state for s in sim.world.stacks if not s.seated] == ["failed_unhandled"]
 
 
 def test_scripted_detect_exhaustion_skips_one_stack():
@@ -639,7 +652,7 @@ def test_persistent_seal_failure_aborts_the_cut():
     assert_clean_audits(tracer)
 
 
-def test_a_reseat_of_a_still_secured_gripper_is_answered():
+def test_a_reseat_of_a_still_secured_gripper_is_answered(monkeypatch):
     # A scripted place fail sends the machine to reseat once the release
     # settle and the placement window are over (5 s). From -400 kPa the
     # released gripper takes 370 / 60 s to cross the -30 kPa threshold, so
@@ -648,11 +661,24 @@ def test_a_reseat_of_a_still_secured_gripper_is_answered():
     # empty queue.
     cfg = CellConfig.from_dict({"devices": {"vacuum_level_kpa": -400.0}})
     sc = script(({"action": "place", "slot": 0}, "fail"))
-    report, tracer = run_single(cfg, cycles=1, script=sc)
+    sim = Simulation(cfg.validate(), cycles=1, script=sc)
+    seated = []
+    device = Simulation._device
+
+    def device_then_note_seating(sim, action):
+        device(sim, action)
+        if action.fault_action == "place":
+            seated.append(sim.world.stacks[action.ctx["stack"]].seated)
+
+    monkeypatch.setitem(Simulation._EXECUTORS, orc.Command, device_then_note_seating)
+    report, tracer = sim.run(), sim.tracer
     assert report.cycles == 1
     assert report.placed == 8
     assert tracer.records[-1].data["text"] == "session_done"
     assert_clean_audits(tracer)
+    # The failed decision unseats the stack; the reseat's decision seats it again.
+    assert seated[:2] == [False, True]
+    assert all(s.seated for s in sim.world.stacks)
 
     records = tracer.records
     retry = next(i for i, r in enumerate(records) if r.data.get("text") == "placement_retry")

@@ -1,12 +1,7 @@
 import pytest
 
 from bagcell.config import CellConfig
-from bagcell.world import (
-    Packaging,
-    StackState,
-    build_world,
-    check_invariants,
-)
+from bagcell.world import build_world, check_invariants
 
 
 def fresh_world():
@@ -17,8 +12,9 @@ def test_build_world_default_layout():
     world = fresh_world()
     assert len(world.stacks) == 24
     assert [len(world.zone_stacks(z)) for z in (1, 2, 3, 4)] == [4, 6, 6, 8]
-    assert all(s.state is StackState.IN_TOTE for s in world.stacks)
-    assert all(s.packaging is Packaging.BAGGED for s in world.stacks)
+    assert all(s.state == "in_tote" for s in world.stacks)
+    assert all(s.packaging == "bagged" for s in world.stacks)
+    assert all(s.seated for s in world.stacks)
     assert [s.id for s in world.stacks] == list(range(24))
     assert [(s.zone, s.col) for s in world.zone_stacks(2)] == [(2, c) for c in range(6)]
 
@@ -51,8 +47,8 @@ def test_fresh_world_has_no_violations():
 
 def test_two_held_stacks_flagged():
     world = fresh_world()
-    world.stacks[0].state = StackState.HELD
-    world.stacks[1].state = StackState.HELD
+    world.stacks[0].state = "held"
+    world.stacks[1].state = "held"
     codes = [v.code for v in check_invariants(world)]
     assert "multiple_held" in codes
 
@@ -60,7 +56,7 @@ def test_two_held_stacks_flagged():
 def test_duplicate_occupant_flagged():
     world = fresh_world()
     for sid in (0, 5):
-        world.stacks[sid].state = StackState.IN_ENCLOSURE
+        world.stacks[sid].state = "in_enclosure"
         world.stacks[sid].enclosure = 0
     codes = [v.code for v in check_invariants(world)]
     assert codes == ["occupant_duplicated"]
@@ -68,7 +64,7 @@ def test_duplicate_occupant_flagged():
 
 def test_orphan_in_enclosure_flagged():
     world = fresh_world()
-    world.stacks[0].state = StackState.IN_ENCLOSURE
+    world.stacks[0].state = "in_enclosure"
     world.stacks[0].enclosure = None
     codes = [v.code for v in check_invariants(world)]
     assert "orphan_in_enclosure" in codes
@@ -76,7 +72,7 @@ def test_orphan_in_enclosure_flagged():
 
 def test_enclosure_index_out_of_range_flagged_as_orphan():
     world = fresh_world()
-    world.stacks[0].state = StackState.IN_ENCLOSURE
+    world.stacks[0].state = "in_enclosure"
     world.stacks[0].enclosure = 99
     codes = [v.code for v in check_invariants(world)]
     assert codes == ["orphan_in_enclosure"]
@@ -91,8 +87,8 @@ def test_stale_enclosure_reference_flagged():
 
 def test_delivered_stack_still_pointing_at_an_enclosure_flagged():
     world = fresh_world()
-    world.stacks[4].state = StackState.DELIVERED
-    world.stacks[4].packaging = Packaging.REMOVED
+    world.stacks[4].state = "delivered"
+    world.stacks[4].packaging = "removed"
     world.stacks[4].enclosure = 2
     assert [(v.code, v.detail) for v in check_invariants(world)] == [
         ("stale_enclosure_reference", "stack 4 in state delivered still points at enclosure 2"),
@@ -101,9 +97,9 @@ def test_delivered_stack_still_pointing_at_an_enclosure_flagged():
 
 def test_packaging_rules_flagged():
     world = fresh_world()
-    world.stacks[0].packaging = Packaging.CUT  # cut while still in the tote
-    world.stacks[1].state = StackState.DELIVERED
-    world.stacks[1].packaging = Packaging.BAGGED
+    world.stacks[0].packaging = "cut"  # cut while still in the tote
+    world.stacks[1].state = "delivered"
+    world.stacks[1].packaging = "bagged"
     codes = [v.code for v in check_invariants(world)]
     assert "packaging_mismatch" in codes
     assert "delivered_still_bagged" in codes
@@ -111,7 +107,7 @@ def test_packaging_rules_flagged():
 
 def test_held_stack_lookup():
     world = fresh_world()
-    world.stacks[9].state = StackState.HELD
+    world.stacks[9].state = "held"
     assert sum(len(world.zone_stacks(z)) for z in (1, 2, 3, 4)) == 23
     assert 9 not in [s.id for s in world.zone_stacks(2)]
 
@@ -121,25 +117,25 @@ def test_invariant_scan_reports_every_violation_in_a_fixed_order():
     # are output bytes; this world breaks every rule the scan knows.
     world = fresh_world()
     s = world.stacks
-    s[0].state = StackState.HELD
-    s[1].state = StackState.HELD
+    s[0].state = "held"
+    s[1].state = "held"
     s[1].enclosure = 6
-    s[2].state = StackState.IN_ENCLOSURE
+    s[2].state = "in_enclosure"
     s[2].enclosure = 0
-    s[3].state = StackState.IN_ENCLOSURE
+    s[3].state = "in_enclosure"
     s[3].enclosure = 4
-    s[7].state = StackState.IN_ENCLOSURE
+    s[7].state = "in_enclosure"
     s[7].enclosure = 4
-    s[8].state = StackState.IN_ENCLOSURE
+    s[8].state = "in_enclosure"
     s[9].enclosure = 3
-    s[10].packaging = Packaging.CUT
-    s[11].state = StackState.DELIVERED
-    s[12].state = StackState.IN_ENCLOSURE
+    s[10].packaging = "cut"
+    s[11].state = "delivered"
+    s[12].state = "in_enclosure"
     s[12].enclosure = 99
-    s[13].state = StackState.DELIVERED
-    s[13].packaging = Packaging.REMOVED
+    s[13].state = "delivered"
+    s[13].packaging = "removed"
     s[13].enclosure = 5
-    s[14].state = StackState.FAILED_UNHANDLED
+    s[14].state = "failed_unhandled"
     s[14].enclosure = 2
     assert [(v.code, v.detail) for v in check_invariants(world)] == [
         ("multiple_held", "stacks [0, 1] held simultaneously"),
