@@ -113,13 +113,14 @@ def cmd_campaign(args) -> int:
     from bagcell.simulate import run_campaign  # imported here: only a run loads the simulator
 
     config = _load_config(args)
+    cell = config.validate()  # before the reference script reads its caps
     replay = args.command == "replay"
     script = _load_script(args.script)
     if replay and script is None:
         script = build_reference_script(config)
     outdir = _outdir(args.outdir)
     reports = []
-    for i, (report, tracer) in enumerate(run_campaign(config, args.tests, script=script)):
+    for i, (report, tracer) in enumerate(run_campaign(cell, args.tests, script=script)):
         write_trace(outdir / f"trace_{i:02d}.jsonl", tracer.records)
         reports.append(report)
     campaign = _write_report(outdir, config, reports, script)

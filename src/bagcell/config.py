@@ -397,9 +397,9 @@ class CellConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "CellConfig":
+        """The defaults overlaid with ``data``, unchecked: ``validate()`` is the one check."""
         cfg = cls()
         _merge_dataclass(cfg, data, prefix="")
-        cfg.validate()
         return cfg
 
     @classmethod

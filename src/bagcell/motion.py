@@ -9,12 +9,10 @@ are the sum of independent profiles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(NamedTuple):
     """Timing of a single straight-line move."""
 
     distance: float

@@ -14,7 +14,9 @@ to per-action caps; a stack that exhausts its retries is marked unhandled
 and play continues.
 
 Events and actions are immutable tuple records whose equality carries the
-type as well as the values, so ``MotionDone("x") != TimerFired("x")``.
+type as well as the values, so ``MotionDone("x") != TimerFired("x")``. The
+machine's state and parameters are NamedTuples: a step copies its state with
+``_replace``, and their equality is plain tuple equality.
 
 ``STEPS`` is the machine's whole event graph: each row maps a sub-state and
 an event it awaits to the step that handles it. Each ``Sub`` member's
@@ -26,12 +28,10 @@ current sub-state are consumed as no-ops, which keeps the function total.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from collections import namedtuple
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from bagcell.config import ENCLOSURE_COUNT, CellConfig
 
@@ -161,8 +161,7 @@ Note = _record(Action, "Note", "text data", (_EMPTY,))
 # --- parameters and state -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrcParams:
+class OrcParams(NamedTuple):
     zones: int
     cycles: int
     detect_attempts: int
@@ -193,11 +192,10 @@ class OrcParams:
             zones=len(config.layout.zone_sizes),
             cycles=o.cycles_per_test if cycles is None else cycles,
         )
-        return cls(**{f.name: values[f.name] for f in dataclasses.fields(cls)})
+        return cls(**{name: values[name] for name in cls._fields})
 
 
-@dataclass(frozen=True)
-class OrcState:
+class OrcState(NamedTuple):
     sub: Sub = Sub.IDLE
     cycle: int = 0
     slot: int = 0
@@ -222,20 +220,6 @@ class OrcState:
     verify_idx: int = 0
 
 
-_STATE_FIELDS = frozenset(f.name for f in dataclasses.fields(OrcState))
-
-
-def _r(state: OrcState, **kw) -> OrcState:
-    """``dataclasses.replace`` without the ``__init__`` call: copy the fields, then apply ``kw``."""
-    if not _STATE_FIELDS.issuperset(kw):
-        raise TypeError(f"OrcState has no fields {sorted(kw.keys() - _STATE_FIELDS)}")
-    new = object.__new__(OrcState)
-    fields = new.__dict__
-    fields.update(state.__dict__)
-    fields.update(kw)
-    return new
-
-
 Step = Callable[[OrcState, Event, OrcParams], Tuple[OrcState, List[Action]]]
 
 
@@ -249,13 +233,13 @@ def _occ(state: OrcState) -> Dict[int, int]:
 def _occ_add(state: OrcState, enc: int, stack: int) -> OrcState:
     pairs = dict(state.occupants)
     pairs[enc] = stack
-    return _r(state, occupants=tuple(sorted(pairs.items())))
+    return state._replace(occupants=tuple(sorted(pairs.items())))
 
 
 def _occ_remove(state: OrcState, enc: int) -> OrcState:
     pairs = dict(state.occupants)
     pairs.pop(enc, None)
-    return _r(state, occupants=tuple(sorted(pairs.items())))
+    return state._replace(occupants=tuple(sorted(pairs.items())))
 
 
 def _ctx(state: OrcState, **extra) -> Dict[str, Any]:
@@ -267,8 +251,7 @@ def _ctx(state: OrcState, **extra) -> Dict[str, Any]:
 
 
 def _start_slot(state: OrcState, slot: int) -> Tuple[OrcState, List[Action]]:
-    state = _r(
-        state,
+    state = state._replace(
         sub=Sub.TO_VIEW,
         slot=slot,
         target=-1,
@@ -287,7 +270,7 @@ def _fail_stack(sid: int, kind: str, enclosure: int = -1) -> List[Action]:
 
 
 def _return_home(state: OrcState) -> Tuple[OrcState, List[Action]]:
-    return _r(state, sub=Sub.RETURNING), [Move(tag="return", dest=("home_via_mid",))]
+    return state._replace(sub=Sub.RETURNING), [Move(tag="return", dest=("home_via_mid",))]
 
 
 def _open_bottom_valves(state: OrcState, slots_to_open) -> List[Action]:
@@ -320,7 +303,7 @@ def _next_bag(state: OrcState, actions: List[Action]) -> Tuple[OrcState, List[Ac
     if state.removal_idx == len(state.occupants):
         return _enter_delivery(state, actions)
     enc = state.occupants[state.removal_idx][0]
-    state = _r(state, sub=Sub.REM_APPROACH, remove_attempt=0)
+    state = state._replace(sub=Sub.REM_APPROACH, remove_attempt=0)
     actions = actions + [
         Publish(topic="removing_bag", payload={"enclosure": enc, "cycle": state.cycle}),
         Command(device=f"bottom_{enc}", op="close"),
@@ -337,7 +320,7 @@ def _enter_delivery(state: OrcState, actions: List[Action]) -> Tuple[OrcState, L
         Command(device="door", op="extend"),
         Move(tag="park_home", dest=("home_via_mid",)),
     ]
-    return _r(state, sub=Sub.DOOR_OPENING, removal_idx=0), actions
+    return state._replace(sub=Sub.DOOR_OPENING, removal_idx=0), actions
 
 
 def _enter_reset(
@@ -353,8 +336,7 @@ def _enter_reset(
         cleanup.append(SetStack(stack=sid, state="failed_unhandled"))
     for i in range(ENCLOSURE_COUNT):
         cleanup.append(Command(device=f"bottom_{i}", op="close"))
-    state = _r(
-        state,
+    state = state._replace(
         sub=Sub.RESETTING,
         occupants=(),
         unbagged=frozenset(),
@@ -380,9 +362,9 @@ def transition(
     # react to the updated picture.
     kind = type(event)
     if kind is SuctionSecured:
-        state = _r(state, secured=state.secured | {event.device})
+        state = state._replace(secured=state.secured | {event.device})
     elif kind is SuctionLost:
-        state = _r(state, secured=state.secured - {event.device})
+        state = state._replace(secured=state.secured - {event.device})
 
     rows = state.sub.rows
     step = rows.get(event) or rows.get(kind)
@@ -395,7 +377,7 @@ def transition(
 
 
 def _start(state, event, params):
-    state = _r(state, sub=Sub.AWAIT_FEED_MSG)
+    state = state._replace(sub=Sub.AWAIT_FEED_MSG)
     return state, [
         Publish(topic="system_ready", payload={}),
         PhaseMark(phase="feeding", edge="start"),
@@ -408,7 +390,7 @@ def _feed(state, event, params):
 
 
 def _detect(state, event, params):
-    state = _r(state, sub=Sub.AWAIT_DETECT, detect_attempt=state.detect_attempt + 1)
+    state = state._replace(sub=Sub.AWAIT_DETECT, detect_attempt=state.detect_attempt + 1)
     return state, [
         Detect(zone=state.zone, ctx=_ctx(state, zone=state.zone, attempt=state.detect_attempt))
     ]
@@ -418,11 +400,11 @@ def _detected(state, event, params):
     if not event.zone_has_stacks:
         next_zone = state.zone + 1
         if next_zone > params.zones:
-            return _return_home(_r(state, tote_done=True))
-        state = _r(state, zone=next_zone, sub=Sub.TO_VIEW, detect_attempt=0)
+            return _return_home(state._replace(tote_done=True))
+        state = state._replace(zone=next_zone, sub=Sub.TO_VIEW, detect_attempt=0)
         return state, [Move(tag="zone_shift", dest=("view", next_zone))]
     if event.found:
-        state = _r(state, sub=Sub.PLANNING_APPROACH, target=event.stack_id)
+        state = state._replace(sub=Sub.PLANNING_APPROACH, target=event.stack_id)
         return state, [
             MarkOutcome(kind="detected", stack=event.stack_id),
             Plan(tag="approach", ctx=_ctx(state)),
@@ -436,11 +418,11 @@ def _detected(state, event, params):
 
 
 def _approach(state, event, params):
-    return _r(state, sub=Sub.APPROACHING), [Move(tag="approach", dest=("target",))]
+    return state._replace(sub=Sub.APPROACHING), [Move(tag="approach", dest=("target",))]
 
 
 def _grip(state, event, params):
-    state = _r(state, sub=Sub.GRIPPING)
+    state = state._replace(sub=Sub.GRIPPING)
     return state, [
         Publish(topic="suction_cmd", payload={"device": "gripper", "on": True}),
         Command(
@@ -454,7 +436,7 @@ def _grip(state, event, params):
 
 
 def _gripped(state, event, params):
-    state = _r(state, sub=Sub.GRIP_SETTLE)
+    state = state._replace(sub=Sub.GRIP_SETTLE)
     return state, [
         CancelTimer(tag="grip_timeout"),
         MarkOutcome(kind="picked", stack=state.target),
@@ -468,7 +450,7 @@ def _pick_attempt_failed(state, event, params):
     # Only a failed approach plan leaves the arm at the view pose.
     at_view = state.sub is Sub.PLANNING_APPROACH
     attempt = state.pick_attempt + 1
-    state = _r(state, pick_attempt=attempt)
+    state = state._replace(pick_attempt=attempt)
     actions: List[Action] = []
     if not at_view:
         actions.append(Command(device="gripper", op="close"))
@@ -477,7 +459,7 @@ def _pick_attempt_failed(state, event, params):
             # Robot never left the view pose; go straight to a fresh frame.
             new_state, more = _detect(state, event, params)
             return new_state, actions + more
-        state = _r(state, sub=Sub.TO_RESET)
+        state = state._replace(sub=Sub.TO_RESET)
         return state, actions + [Move(tag="to_reset", dest=("reset",))]
     actions += _fail_stack(state.target, "pick_failed")
     new_state, more = _return_home(state)
@@ -485,12 +467,13 @@ def _pick_attempt_failed(state, event, params):
 
 
 def _plan_transfer(state, event, params):
-    state = _r(state, sub=Sub.PLANNING_TRANSFER)
+    state = state._replace(sub=Sub.PLANNING_TRANSFER)
     return state, [Plan(tag="transfer", ctx=_ctx(state))]
 
 
 def _transfer(state, event, params):
-    return _r(state, sub=Sub.TRANSFERRING), [Move(tag="transfer", dest=("enclosure", state.slot))]
+    move = Move(tag="transfer", dest=("enclosure", state.slot))
+    return state._replace(sub=Sub.TRANSFERRING), [move]
 
 
 def _put_back(state, event, params):
@@ -504,7 +487,7 @@ def _put_back(state, event, params):
 
 
 def _release(state, event, params):
-    state = _r(state, sub=Sub.RELEASING)
+    state = state._replace(sub=Sub.RELEASING)
     return state, [
         Command(device="gripper", op="close"),
         SetStack(stack=state.target, state="in_enclosure", enclosure=state.slot),
@@ -514,7 +497,7 @@ def _release(state, event, params):
 
 
 def _seat(state, event, params):
-    state = _r(state, sub=Sub.VERIFY_WAIT)
+    state = state._replace(sub=Sub.VERIFY_WAIT)
     return state, [
         Command(
             device=f"bottom_{state.slot}",
@@ -527,7 +510,7 @@ def _seat(state, event, params):
 
 
 def _check_seat(state, event, params):
-    return _r(state, sub=Sub.VERIFY_CHECK), [ReadUltrasonic(enclosure=state.slot)]
+    return state._replace(sub=Sub.VERIFY_CHECK), [ReadUltrasonic(enclosure=state.slot)]
 
 
 def _seat_checked(state, event, params):
@@ -545,9 +528,9 @@ def _seat_checked(state, event, params):
         ]
         new_state, more = _return_home(state)
         return new_state, actions + more
-    state = _r(state, place_attempt=state.place_attempt + 1)
+    state = state._replace(place_attempt=state.place_attempt + 1)
     if state.place_attempt < params.place_attempts:
-        state = _r(state, sub=Sub.RESEAT_GRIPPING)
+        state = state._replace(sub=Sub.RESEAT_GRIPPING)
         return state, [
             Note(text="placement_retry", data={"enclosure": state.slot}),
             Command(device=f"bottom_{state.slot}", op="close"),
@@ -560,7 +543,7 @@ def _seat_checked(state, event, params):
 
 
 def _reseat(state, event, params):
-    state = _r(state, sub=Sub.RESEAT_MOVING)
+    state = state._replace(sub=Sub.RESEAT_MOVING)
     return state, [
         SetStack(stack=state.target, state="held"),
         Move(tag="reseat", dest=("reseat",)),
@@ -568,7 +551,7 @@ def _reseat(state, event, params):
 
 
 def _back_to_view(state, event, params):
-    state = _r(state, sub=Sub.TO_VIEW)
+    state = state._replace(sub=Sub.TO_VIEW)
     return state, [Move(tag="reset_view", dest=("view", state.zone))]
 
 
@@ -576,7 +559,7 @@ def _returned(state, event, params):
     next_slot = state.slot + 1
     if next_slot < ENCLOSURE_COUNT and not state.tote_done:
         return _start_slot(state, next_slot)
-    state = _r(state, sub=Sub.CUT_SWING, secure_attempt=0)
+    state = state._replace(sub=Sub.CUT_SWING, secure_attempt=0)
     return state, [
         PhaseMark(phase="feeding", edge="end"),
         PhaseMark(phase="cutting", edge="start"),
@@ -585,7 +568,7 @@ def _returned(state, event, params):
 
 
 def _secure_bags(state, event, params):
-    state = _r(state, sub=Sub.CUT_SECURING, secure_attempt=1)
+    state = state._replace(sub=Sub.CUT_SECURING, secure_attempt=1)
     actions = _open_bottom_valves(state, range(ENCLOSURE_COUNT))
     actions.append(StartTimer(tag="secure_timeout", seconds=params.grip_timeout_s))
     return state, actions
@@ -594,7 +577,7 @@ def _secure_bags(state, event, params):
 def _bag_secured(state, event, params):
     if not all(f"bottom_{i}" in state.secured for i in range(ENCLOSURE_COUNT)):
         return state, []
-    state = _r(state, sub=Sub.CUT_SLICING)
+    state = state._replace(sub=Sub.CUT_SLICING)
     return state, [
         CancelTimer(tag="secure_timeout"),
         Note(text="tension_rods_engaged", data={}),
@@ -606,7 +589,7 @@ def _bag_secured(state, event, params):
 def _secure_timed_out(state, event, params):
     missing = [i for i in range(ENCLOSURE_COUNT) if f"bottom_{i}" not in state.secured]
     if state.secure_attempt < params.secure_attempts:
-        state = _r(state, secure_attempt=state.secure_attempt + 1)
+        state = state._replace(secure_attempt=state.secure_attempt + 1)
         actions: List[Action] = [Note(text="secure_retry", data={"missing": missing})]
         for i in missing:
             actions.append(Command(device=f"bottom_{i}", op="close"))
@@ -625,7 +608,7 @@ def _secure_timed_out(state, event, params):
         actions += _fail_stack(sid, "cut_failed", enclosure=enc)
     actions.append(Command(device="swing", op="retract"))
     actions.append(PhaseMark(phase="cutting", edge="end"))
-    state = _r(state, occupants=())
+    state = state._replace(occupants=())
     return _enter_reset(state, params, actions)
 
 
@@ -642,12 +625,12 @@ def _cut(state, event, params):
 
 
 def _descend(state, event, params):
-    return _r(state, sub=Sub.REM_DESCEND), [Move(tag="rem_descend", dest=("rem", "descend"))]
+    return state._replace(sub=Sub.REM_DESCEND), [Move(tag="rem_descend", dest=("rem", "descend"))]
 
 
 def _rem_grip(state, event, params):
     enc, sid = state.occupants[state.removal_idx]
-    state = _r(state, sub=Sub.REM_GRIPPING, remove_attempt=state.remove_attempt + 1)
+    state = state._replace(sub=Sub.REM_GRIPPING, remove_attempt=state.remove_attempt + 1)
     return state, [
         Command(
             device="gripper",
@@ -660,7 +643,7 @@ def _rem_grip(state, event, params):
 
 
 def _lift(state, event, params):
-    return _r(state, sub=Sub.REM_LIFT), [
+    return state._replace(sub=Sub.REM_LIFT), [
         CancelTimer(tag="grip_timeout"),
         Move(tag="rem_lift", dest=("rem", "lift")),
     ]
@@ -669,23 +652,23 @@ def _lift(state, event, params):
 def _rem_grip_timed_out(state, event, params):
     actions: List[Action] = [Command(device="gripper", op="close")]
     if state.remove_attempt < params.remove_attempts:
-        state = _r(state, sub=Sub.REM_RESEAT)
+        state = state._replace(sub=Sub.REM_RESEAT)
         return state, actions + [Move(tag="rem_reseat", dest=("rem", "reseat"))]
     # Bag stuck on this enclosure: leave it on (never unbagged, so never
     # pushed) and move on.
     enc, sid = state.occupants[state.removal_idx]
     actions.append(Note(text="bag_stuck", data={"enclosure": enc, "stack": sid}))
     actions.append(MarkOutcome(kind="remove_failed", stack=sid, enclosure=enc))
-    return _next_bag(_r(state, removal_idx=state.removal_idx + 1), actions)
+    return _next_bag(state._replace(removal_idx=state.removal_idx + 1), actions)
 
 
 def _to_bin(state, event, params):
-    return _r(state, sub=Sub.REM_TO_BIN), [Move(tag="rem_bin", dest=("rem", "bin"))]
+    return state._replace(sub=Sub.REM_TO_BIN), [Move(tag="rem_bin", dest=("rem", "bin"))]
 
 
 def _drop_bag(state, event, params):
     enc, sid = state.occupants[state.removal_idx]
-    state = _r(state, sub=Sub.REM_RELEASE, unbagged=state.unbagged | {enc})
+    state = state._replace(sub=Sub.REM_RELEASE, unbagged=state.unbagged | {enc})
     return state, [
         Command(device="gripper", op="close"),
         SetPackaging(stacks=(sid,), packaging="removed"),
@@ -694,11 +677,11 @@ def _drop_bag(state, event, params):
 
 
 def _bag_dropped(state, event, params):
-    return _next_bag(_r(state, removal_idx=state.removal_idx + 1), [])
+    return _next_bag(state._replace(removal_idx=state.removal_idx + 1), [])
 
 
 def _door_opened(state, event, params):
-    state = _r(state, sub=Sub.DOOR_SETTLE)
+    state = state._replace(sub=Sub.DOOR_SETTLE)
     return state, [
         Note(text="door_limit_switch", data={"open": True}),
         StartTimer(tag="door_settle", seconds=params.door_settle_s),
@@ -709,7 +692,7 @@ def _push(state, event, params):
     # Every unbagged enclosure is still occupied: occupants change again
     # only when verification confirms a delivery.
     occ = _occ(state)
-    state = _r(state, sub=Sub.PUSHING, push_pending=state.unbagged)
+    state = state._replace(sub=Sub.PUSHING, push_pending=state.unbagged)
     actions: List[Action] = []
     for e in sorted(state.unbagged):
         actions.append(
@@ -721,7 +704,7 @@ def _push(state, event, params):
             )
         )
     if not state.unbagged:
-        state = _r(state, sub=Sub.PUSH_HOLD)
+        state = state._replace(sub=Sub.PUSH_HOLD)
         actions.append(StartTimer(tag="push_hold", seconds=params.push_hold_s))
     return state, actions
 
@@ -732,21 +715,21 @@ def _pushed(state, event, params):
         return state, []
     e = int(event.device.split("_")[1])
     pending = state.push_pending - {e}
-    state = _r(state, push_pending=pending)
+    state = state._replace(push_pending=pending)
     actions: List[Action] = []
     if type(event) is ActStalled:
         sid = _occ(state).get(e, -1)
-        state = _r(state, stalled=state.stalled | {e})
+        state = state._replace(stalled=state.stalled | {e})
         actions.append(Publish(topic="fault", payload={"kind": "pusher_stall", "enclosure": e}))
         actions.append(MarkOutcome(kind="stall_failed", stack=sid, enclosure=e))
     if not pending:
-        state = _r(state, sub=Sub.PUSH_HOLD)
+        state = state._replace(sub=Sub.PUSH_HOLD)
         actions.append(StartTimer(tag="push_hold", seconds=params.push_hold_s))
     return state, actions
 
 
 def _verify_delivery(state, event, params):
-    state = _r(state, sub=Sub.VERIFYING_DELIVERY, verify_idx=0)
+    state = state._replace(sub=Sub.VERIFYING_DELIVERY, verify_idx=0)
     return state, [StartTimer(tag="dverify", seconds=params.delivery_verify_s)]
 
 
@@ -771,14 +754,14 @@ def _enclosure_read(state, event, params):
         actions.append(Note(text="delivery_not_confirmed", data={"enclosure": e, "stack": sid}))
         actions.append(MarkOutcome(kind="verify_failed", stack=sid, enclosure=e))
     nxt = state.verify_idx + 1
-    state = _r(state, verify_idx=nxt)
+    state = state._replace(verify_idx=nxt)
     if nxt < ENCLOSURE_COUNT:
         return state, actions + [StartTimer(tag="dverify", seconds=params.delivery_verify_s)]
     extended = sorted(state.unbagged | state.stalled)
     if not extended:
-        state = _r(state, sub=Sub.RETRACT_SETTLE)
+        state = state._replace(sub=Sub.RETRACT_SETTLE)
         return state, actions + [StartTimer(tag="retract_settle", seconds=params.door_settle_s)]
-    state = _r(state, sub=Sub.RETRACTING, push_pending=frozenset(extended))
+    state = state._replace(sub=Sub.RETRACTING, push_pending=frozenset(extended))
     for e in extended:
         actions.append(Command(device=f"pusher_{e}", op="retract"))
     return state, actions
@@ -789,15 +772,15 @@ def _retracted(state, event, params):
         return state, []
     e = int(event.device.split("_")[1])
     pending = state.push_pending - {e}
-    state = _r(state, push_pending=pending)
+    state = state._replace(push_pending=pending)
     if pending:
         return state, []
-    state = _r(state, sub=Sub.RETRACT_SETTLE)
+    state = state._replace(sub=Sub.RETRACT_SETTLE)
     return state, [StartTimer(tag="retract_settle", seconds=params.door_settle_s)]
 
 
 def _close_door(state, event, params):
-    return _r(state, sub=Sub.DOOR_CLOSING), [Command(device="door", op="retract")]
+    return state._replace(sub=Sub.DOOR_CLOSING), [Command(device="door", op="retract")]
 
 
 def _door_closed(state, event, params):
@@ -809,7 +792,7 @@ def _door_closed(state, event, params):
 
 
 def _reset_done(state, event, params):
-    state = _r(state, sub=Sub.AWAIT_RESET_MSG)
+    state = state._replace(sub=Sub.AWAIT_RESET_MSG)
     return state, [
         PhaseMark(phase="resetting", edge="end"),
         Publish(topic="system_reset", payload={"cycle": state.cycle}),
@@ -819,10 +802,9 @@ def _reset_done(state, event, params):
 def _next_cycle(state, event, params):
     next_cycle = state.cycle + 1
     if next_cycle >= params.cycles or state.tote_done:
-        state = _r(state, sub=Sub.DONE, cycle=next_cycle)
+        state = state._replace(sub=Sub.DONE, cycle=next_cycle)
         return state, [Note(text="session_done", data={"cycles": next_cycle})]
-    state = _r(
-        state,
+    state = state._replace(
         sub=Sub.AWAIT_FEED_MSG,
         cycle=next_cycle,
         slot=0,

@@ -371,14 +371,10 @@ class Simulation:
     def _set_packaging(self, action: orc.SetPackaging) -> None:
         if action.packaging not in PACKAGINGS:
             raise ValueError(f"unknown packaging {action.packaging!r}")
-        for sid in action.stacks:
-            if sid >= 0:
-                self.world.stacks[sid].packaging = action.packaging
-        self.tracer.record(
-            "packaging",
-            self.now,
-            {"stacks": [s for s in action.stacks if s >= 0], "packaging": action.packaging},
-        )
+        stacks = [sid for sid in action.stacks if sid >= 0]
+        for sid in stacks:
+            self.world.stacks[sid].packaging = action.packaging
+        self.tracer.record("packaging", self.now, {"stacks": stacks, "packaging": action.packaging})
         self._check_world()
 
     def _check_world(self) -> None:
@@ -423,19 +419,17 @@ def run_single(
 
 
 def run_campaign(
-    config: CellConfig,
+    cell: Cell,
     n_tests: int,
     script: Optional[dv.FaultScript] = None,
 ) -> Iterator[Tuple[RunReport, Tracer]]:
-    """Sequential campaign: each test is a fresh single-cycle run on seed ``config.seed`` + index.
+    """Sequential campaign: each test is a fresh single-cycle run on the config's seed + index.
 
-    Every test runs on the config's one ``Cell``. Yields each test's report
-    and tracer as its run ends, so a caller can write a trace out before the
-    next run starts. A shared fault script is consumed across tests (its
-    entries carry test selectors), mirroring how one scripted bench session
-    spans many runs.
+    Every test runs on the one ``cell``. Yields each test's report and tracer
+    as its run ends, so a caller can write a trace out before the next run
+    starts. A shared fault script is consumed across tests (its entries carry
+    test selectors), mirroring how one scripted bench session spans many runs.
     """
-    cell = config.validate()
     for i in range(n_tests):
-        sim = Simulation(cell, seed=config.seed + i, script=script, cycles=1, test_index=i)
+        sim = Simulation(cell, seed=cell.config.seed + i, script=script, cycles=1, test_index=i)
         yield sim.run(), sim.tracer

@@ -128,15 +128,13 @@ def match_detections(
     return matches, unmatched_preds, unmatched_gts
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class ConfusionCounts(NamedTuple):
     tp: int
     fp: int
     fn: int
 
 
-@dataclass(frozen=True)
-class DetectionMetrics:
+class DetectionMetrics(NamedTuple):
     precision: float
     recall: float
     f1: float
@@ -181,7 +179,7 @@ def evaluate(
     )
     base = metrics_from_counts(len(matches), len(unmatched_preds), len(unmatched_gts))
     ap = ap_at_threshold(preds, matches, len(gts))
-    return DetectionMetrics(base.precision, base.recall, base.f1, base.counts, ap)
+    return base._replace(ap50=ap)
 
 
 def ap_at_threshold(preds: Sequence[Box], matches: Sequence[Match], n_gt: int) -> float:

@@ -16,7 +16,7 @@ what they check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from bagcell.config import ENCLOSURE_COUNT, CellConfig
 
@@ -40,8 +40,7 @@ class Stack:
     seated: bool = True
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """A structural or safety invariant that was broken."""
 
     code: str

@@ -46,48 +46,48 @@ def test_unknown_keys_rejected_with_path():
 
 def test_zone_sizes_must_sum_to_total():
     with pytest.raises(ConfigInvalid) as info:
-        CellConfig.from_dict({"layout": {"zone_sizes": [4, 6, 6, 7]}})
+        CellConfig.from_dict({"layout": {"zone_sizes": [4, 6, 6, 7]}}).validate()
     assert info.value.field_name == "layout.zone_sizes"
 
 
 def test_zone_count_fixed_at_four():
     with pytest.raises(ConfigInvalid):
-        CellConfig.from_dict({"layout": {"zone_sizes": [12, 12], "total_stacks": 24}})
+        CellConfig.from_dict({"layout": {"zone_sizes": [12, 12], "total_stacks": 24}}).validate()
 
 
 def test_enclosure_count_fixed_at_eight():
     with pytest.raises(ConfigInvalid):
-        CellConfig.from_dict({"layout": {"enclosure_count": 6}})
+        CellConfig.from_dict({"layout": {"enclosure_count": 6}}).validate()
 
 
 def test_scaling_bounds_enforced():
     with pytest.raises(ConfigInvalid):
-        CellConfig.from_dict({"motion": {"velocity_scaling": 0.0}})
+        CellConfig.from_dict({"motion": {"velocity_scaling": 0.0}}).validate()
     with pytest.raises(ConfigInvalid):
-        CellConfig.from_dict({"motion": {"acceleration_scaling": 1.5}})
+        CellConfig.from_dict({"motion": {"acceleration_scaling": 1.5}}).validate()
 
 
 def test_vacuum_levels_must_be_negative_and_ordered():
     with pytest.raises(ConfigInvalid):
-        CellConfig.from_dict({"devices": {"secure_threshold_kpa": 10.0}})
+        CellConfig.from_dict({"devices": {"secure_threshold_kpa": 10.0}}).validate()
     with pytest.raises(ConfigInvalid):
         CellConfig.from_dict(
             {"devices": {"vacuum_level_kpa": -20.0, "secure_threshold_kpa": -30.0}}
-        )
+        ).validate()
 
 
 def test_probabilities_and_sigmas_bounded():
     with pytest.raises(ConfigInvalid):
-        CellConfig.from_dict({"faults": {"pick_grip_fail_prob": 1.5}})
+        CellConfig.from_dict({"faults": {"pick_grip_fail_prob": 1.5}}).validate()
     with pytest.raises(ConfigInvalid):
-        CellConfig.from_dict({"faults": {"ultrasonic_noise_sigma_cm": -1.0}})
+        CellConfig.from_dict({"faults": {"ultrasonic_noise_sigma_cm": -1.0}}).validate()
 
 
 def test_attempt_caps_and_pacing_bounds():
     with pytest.raises(ConfigInvalid):
-        CellConfig.from_dict({"orchestrator": {"pick_attempts": 0}})
+        CellConfig.from_dict({"orchestrator": {"pick_attempts": 0}}).validate()
     with pytest.raises(ConfigInvalid):
-        CellConfig.from_dict({"orchestrator": {"pacing": {"detect_service_s": -1.0}}})
+        CellConfig.from_dict({"orchestrator": {"pacing": {"detect_service_s": -1.0}}}).validate()
 
 
 def test_non_finite_numbers_rejected_with_dotted_field(tmp_path):
@@ -103,7 +103,7 @@ def test_non_finite_numbers_rejected_with_dotted_field(tmp_path):
     for text, field_name in cases.items():
         path.write_text(text)
         with pytest.raises(ConfigInvalid) as info:
-            CellConfig.from_file(path)
+            CellConfig.from_file(path).validate()
         assert info.value.field_name == field_name
         assert "finite" in info.value.reason
 
@@ -111,9 +111,9 @@ def test_non_finite_numbers_rejected_with_dotted_field(tmp_path):
 def test_stall_margin_must_not_be_negative():
     # A negative margin would schedule a stall before the command that caused it.
     with pytest.raises(ConfigInvalid) as info:
-        CellConfig.from_dict({"devices": {"actuator_stall_margin_s": -5}})
+        CellConfig.from_dict({"devices": {"actuator_stall_margin_s": -5}}).validate()
     assert info.value.field_name == "devices.actuator_stall_margin_s"
-    CellConfig.from_dict({"devices": {"actuator_stall_margin_s": 0.0}})
+    CellConfig.from_dict({"devices": {"actuator_stall_margin_s": 0.0}}).validate()
 
 
 def test_missing_file_and_bad_json(tmp_path):
@@ -163,7 +163,7 @@ def test_geometry_helpers_consistent():
 )
 def test_wrong_types_rejected_with_dotted_field(overlay, field_name):
     with pytest.raises(ConfigInvalid) as info:
-        CellConfig.from_dict(overlay)
+        CellConfig.from_dict(overlay).validate()
     assert info.value.field_name == field_name
 
 
@@ -179,7 +179,7 @@ def test_wrong_types_rejected_with_dotted_field(overlay, field_name):
 )
 def test_a_section_that_is_not_an_object_is_rejected_at_its_path(overlay, field_name):
     with pytest.raises(ConfigInvalid) as info:
-        CellConfig.from_dict(overlay)
+        CellConfig.from_dict(overlay).validate()
     assert (info.value.field_name, info.value.reason) == (field_name, "expected an object")
 
 
@@ -254,7 +254,7 @@ def test_one_bad_leaf_is_rejected_at_its_path(leaf, value):
     not_a_number = isinstance(value, bool) or not isinstance(value, (int, float))
     never_valid = not_a_number or (isinstance(value, float) and not math.isfinite(value))
     try:
-        CellConfig.from_dict(data)
+        CellConfig.from_dict(data).validate()
     except ConfigInvalid as exc:
         assert exc.field_name in {path} | SPANNED_BY.get(path, set()), (exc, value)
     else:

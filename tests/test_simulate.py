@@ -429,7 +429,8 @@ def test_a_config_is_validated_once_per_command_and_builds_one_camera(
 
     monkeypatch.setattr(CellConfig, "validate", counted_validate)
     monkeypatch.setattr(CameraModel, "__post_init__", counted_post_init)
-    assert len(list(run_campaign(CellConfig(), REFERENCE_TESTS))) == REFERENCE_TESTS == 10
+    cell = CellConfig().validate()
+    assert len(list(run_campaign(cell, REFERENCE_TESTS))) == REFERENCE_TESTS == 10
     assert (len(validated), len(built)) == (1, 1)
     run_single(CellConfig(), cycles=1)
     assert (len(validated), len(built)) == (2, 2)
@@ -437,6 +438,14 @@ def test_a_config_is_validated_once_per_command_and_builds_one_camera(
     assert main(["replay", "--outdir", str(tmp_path)]) == 0
     capsys.readouterr()
     assert len(validated) == 1
+    # A config file is read and merged, then validated once, like the defaults.
+    config = tmp_path / "cell.json"
+    config.write_text('{"seed": 7}')
+    for argv in (["run", "--cycles", "1"], ["campaign", "--tests", "2"], ["replay"]):
+        validated.clear()
+        assert main(argv + ["--config", str(config), "--outdir", str(tmp_path)]) == 0, argv
+        capsys.readouterr()
+        assert len(validated) == 1, argv
 
 
 def test_leg_times_come_from_the_one_formula():
@@ -572,7 +581,8 @@ def test_every_device_event_answers_the_latest_command_on_its_device():
     cfg = CellConfig()
     cfg.faults = randomized_fault_profile()
     traces = [run_single(cfg, seed=seed, cycles=1)[1] for seed in (32, 44)]
-    campaign = run_campaign(CellConfig(), REFERENCE_TESTS, script=build_reference_script())
+    cell = CellConfig().validate()
+    campaign = run_campaign(cell, REFERENCE_TESTS, script=build_reference_script())
     traces += [t for _, t in campaign]
     answers = {"secured": "open", "lost": "close"}
     checked = 0
@@ -723,7 +733,9 @@ def test_a_placement_window_equal_to_the_ramp_seats_every_stack():
     assert edge < check
     assert records[edge].time == records[check].time == opened + 0.5
     with pytest.raises(ConfigInvalid) as exc:
-        CellConfig.from_dict({"devices": {"placement_window_s": math.nextafter(0.5, 0.0)}})
+        CellConfig.from_dict(
+            {"devices": {"placement_window_s": math.nextafter(0.5, 0.0)}}
+        ).validate()
     assert exc.value.field_name == "devices.placement_window_s"
 
 
@@ -764,7 +776,7 @@ def test_script_entries_are_consumed_most_specific_first_match():
 
 
 def test_campaign_runs_fresh_cells_on_consecutive_seeds():
-    reports, tracers = zip(*run_campaign(CellConfig(seed=900), 3))
+    reports, tracers = zip(*run_campaign(CellConfig(seed=900).validate(), 3))
     assert [r.seed for r in reports] == [900, 901, 902]
     assert [r.test_index for r in reports] == [0, 1, 2]
     assert all(r.delivered == 8 for r in reports)
@@ -773,14 +785,14 @@ def test_campaign_runs_fresh_cells_on_consecutive_seeds():
 
 def test_campaign_script_test_selector_scopes_faults():
     sc = script(*[({"action": "pick", "test": 1, "cycle": 0, "slot": 0}, "fail")] * 3)
-    reports = [r for r, _ in run_campaign(CellConfig(seed=50), 3, script=sc)]
+    reports = [r for r, _ in run_campaign(CellConfig(seed=50).validate(), 3, script=sc)]
     assert [r.delivered for r in reports] == [8, 7, 8]
     assert sc.unconsumed() == []
 
 
 def test_campaign_reports_summarize():
     cfg = CellConfig(seed=60)
-    reports = [r for r, _ in run_campaign(cfg, 2)]
+    reports = [r for r, _ in run_campaign(cfg.validate(), 2)]
     summary = summarize_campaign(reports, seed=60, digest=config_digest(cfg.to_json()))
     assert summary.picked_rate_pct == pytest.approx(100.0)
     assert summary.placed_rate_pct == pytest.approx(100.0)
@@ -789,5 +801,5 @@ def test_campaign_reports_summarize():
 
 def test_unmatched_script_entries_are_reported():
     sc = script(({"action": "pick", "test": 5}, "fail"))
-    list(run_campaign(CellConfig(seed=70), 2, script=sc))
+    list(run_campaign(CellConfig(seed=70).validate(), 2, script=sc))
     assert len(sc.unconsumed()) == 1
