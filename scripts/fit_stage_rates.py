@@ -45,7 +45,7 @@ def reference_rates() -> tuple:
 def simulated_rate(stage: str, probs: dict, cycles: int) -> float:
     """One stage's rate, in [0, 1], over single-cycle sessions on the fit seeds."""
     config = CellConfig(seed=BASE_SEED, faults=FaultConfig(**probs))
-    reports = [report for report, _ in run_campaign(config.validate(), cycles)]
+    reports = [report for report, _ in run_campaign(config.validate(), range(cycles))]
     summary = summarize_campaign(reports, seed=BASE_SEED, digest="")
     return getattr(summary, f"{stage}_rate_pct") / 100.0
 

@@ -19,7 +19,8 @@ def mean_minutes(detect_s: float, plan_s: float) -> float:
     cfg = CellConfig()
     cfg.orchestrator.pacing.detect_service_s = detect_s
     cfg.orchestrator.pacing.plan_service_s = plan_s
-    reports = [r for r, _ in run_campaign(cfg.validate(), 10, script=build_reference_script())]
+    campaign = run_campaign(cfg.validate(), range(10), script=build_reference_script())
+    reports = [r for r, _ in campaign]
     return sum(r.duration_s for r in reports) / len(reports) / 60.0
 
 

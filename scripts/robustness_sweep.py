@@ -32,7 +32,7 @@ def main() -> int:
     totals = collections.Counter()
     losses = collections.Counter()
     problems = []
-    for report, tracer in run_campaign(cfg.validate(), args.cycles):
+    for report, tracer in run_campaign(cfg.validate(), range(args.cycles)):
         totals["offered"] += report.stacks_offered
         totals["detected"] += report.detected
         totals["picked"] += report.picked

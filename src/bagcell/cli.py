@@ -12,7 +12,8 @@ Outputs (traces, reports, tables) land in --outdir, or $BAGCELL_OUTDIR, or
 aborted (safety violations, a refused interlock, a stuck control loop, or
 replay script entries that never matched). Only run, campaign and replay
 import the simulator; eval, dump-config, --help and usage errors start
-without it, and without numpy.
+without it, and without numpy. campaign and replay run their tests on one
+process per usable CPU, and no output byte depends on how many.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, get_args
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple, get_args
 
-from bagcell.config import AtLeastOne, CellConfig, ConfigInvalid, Count, MalformedInput
+from bagcell.config import AtLeastOne, Cell, CellConfig, ConfigInvalid, Count, MalformedInput
 from bagcell.config import Probability, RunAborted, check
-from bagcell.report import CampaignReport, config_digest, render_table, summarize_campaign
-from bagcell.report import write_trace
+from bagcell.report import CampaignReport, RunReport, config_digest, render_table
+from bagcell.report import summarize_campaign, write_trace
 from bagcell.scenarios import REFERENCE_TESTS, build_reference_script
 from bagcell.vision import EmptyGroundTruth, evaluate, load_boxes
 
@@ -36,6 +37,7 @@ if TYPE_CHECKING:
     from bagcell.devices import FaultScript
 
 _UNMATCHED = "{} fault script entries were never matched"
+_TEST_TRACE = "trace_{:02d}.jsonl"
 
 
 def _flag(hint: Any) -> Callable[[str], Any]:
@@ -104,14 +106,106 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _workers(n_tests: int, script: Optional[FaultScript]) -> int:
+    """How many processes a campaign's tests run on: one per usable CPU, at most one per test.
+
+    A script entry without a ``test`` selector can match in any test, and the
+    tests consume it in order, so such a script keeps every test in one process.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if script is not None and any("test" not in entry.when for entry in script.entries):
+        return 1
+    return min(n_tests, len(os.sched_getaffinity(0)))
+
+
+def _run_share(
+    cell: Cell, tests: range, script: Optional[FaultScript], outdir: Path
+) -> Tuple[List[RunReport], Optional[Exception]]:
+    """Run ``tests`` in order, writing each trace as its run ends.
+
+    Returns the reports of the tests that ended and the exception that stopped
+    the share, if one did: it was raised in test ``tests[len(reports)]``.
+    """
+    from bagcell.simulate import run_campaign  # imported here: only a run loads the simulator
+
+    reports = []
+    try:
+        for report, tracer in run_campaign(cell, tests, script=script):
+            write_trace(outdir / _TEST_TRACE.format(report.test_index), tracer.records)
+            reports.append(report)
+    except Exception as exc:  # the command reports only the lowest failed test's
+        return reports, exc
+    return reports, None
+
+
+def _run_tests(
+    cell: Cell, n_tests: int, script: Optional[FaultScript], outdir: Path
+) -> List[RunReport]:
+    """Every test's report in test order, each test's trace written as its run ends.
+
+    The tests are independent replications, so they are dealt round-robin to
+    ``_workers`` processes: the parent runs share 0 and forks one child per
+    other share. A child sends its reports, the indices of the script entries
+    it consumed and its exception through a pipe, then exits at once. If a
+    test failed, the lowest failed test's exception is raised and the traces
+    of later tests are deleted, so the outdir and the error are those of one
+    process running the tests in order.
+    """
+    import pickle  # imported here: only a campaign sends results between processes
+
+    workers = _workers(n_tests, script)
+    children = []  # (share, pid, the pipe's read end)
+    try:
+        for share in range(1, workers):
+            read, write = os.pipe()
+            pid = os.fork()  # Python runs on one thread; OpenBLAS stops its pool at a fork
+            if pid == 0:  # the child: nothing may run after its share but the send
+                status = 1
+                try:
+                    os.close(read)
+                    reports, exc = _run_share(cell, range(share, n_tests, workers), script, outdir)
+                    entries = script.entries if script else []
+                    consumed = [k for k, entry in enumerate(entries) if entry.consumed]
+                    payload = pickle.dumps((reports, consumed, exc))
+                    with open(write, "wb") as pipe:
+                        pipe.write(payload)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children.append((share, pid, open(read, "rb")))
+        reports, exc = _run_share(cell, range(0, n_tests, workers), script, outdir)
+        failed = [] if exc is None else [(len(reports) * workers, exc)]
+        for share, pid, pipe in children:
+            data = pipe.read()
+            if not data:
+                raise RuntimeError(f"campaign worker {share} exited without its results")
+            got, consumed, exc = pickle.loads(data)
+            reports += got
+            if exc is not None:
+                failed.append((share + len(got) * workers, exc))
+            for k in consumed:
+                script.entries[k].consumed = True
+    finally:
+        for _, pid, pipe in children:
+            pipe.close()  # a child still sending gets a broken pipe, not a hang
+            os.waitpid(pid, 0)
+    if failed:
+        first, exc = min(failed)  # each test is in one share, so no two indices tie
+        for report in reports:
+            if report.test_index > first:
+                (outdir / _TEST_TRACE.format(report.test_index)).unlink()
+        raise exc
+    return sorted(reports, key=lambda r: r.test_index)
+
+
 def cmd_campaign(args) -> int:
     """``campaign`` and ``replay``: single-cycle tests, a report and a table.
 
     A replay runs the reference campaign, by default on its built-in script,
     and must consume every script entry; a campaign only warns.
     """
-    from bagcell.simulate import run_campaign  # imported here: only a run loads the simulator
-
     config = _load_config(args)
     cell = config.validate()  # before the reference script reads its caps
     replay = args.command == "replay"
@@ -119,10 +213,7 @@ def cmd_campaign(args) -> int:
     if replay and script is None:
         script = build_reference_script(config)
     outdir = _outdir(args.outdir)
-    reports = []
-    for i, (report, tracer) in enumerate(run_campaign(cell, args.tests, script=script)):
-        write_trace(outdir / f"trace_{i:02d}.jsonl", tracer.records)
-        reports.append(report)
+    reports = _run_tests(cell, args.tests, script, outdir)
     campaign = _write_report(outdir, config, reports, script)
     unconsumed = campaign.unconsumed_script_entries
     if unconsumed and not replay:

@@ -102,8 +102,8 @@ class LayoutConfig:
     incline_deg: float = 12.0
     row_pitch_m: float = 0.16
     col_pitch_m: float = 0.11
-    stack_top_w_m: float = 0.10
-    stack_top_d_m: float = 0.15
+    stack_top_w_m: Positive = 0.10
+    stack_top_d_m: Positive = 0.15
     tote_front_y_m: float = -0.45
     tote_top_z_m: float = 0.30
     enclosure_count: int = ENCLOSURE_COUNT  # validate() pins it; kept for the config digest

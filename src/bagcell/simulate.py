@@ -33,7 +33,7 @@ does not load numpy.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from bagcell import devices as dv
 from bagcell import orchestrator as orc
@@ -420,16 +420,17 @@ def run_single(
 
 def run_campaign(
     cell: Cell,
-    n_tests: int,
+    tests: Iterable[int],
     script: Optional[dv.FaultScript] = None,
 ) -> Iterator[Tuple[RunReport, Tracer]]:
-    """Sequential campaign: each test is a fresh single-cycle run on the config's seed + index.
+    """Campaign tests in the order given: test i is a fresh single-cycle run on the config's seed + i.
 
+    A whole campaign passes ``range(n)``; ``cli`` passes each worker its share.
     Every test runs on the one ``cell``. Yields each test's report and tracer
     as its run ends, so a caller can write a trace out before the next run
     starts. A shared fault script is consumed across tests (its entries carry
     test selectors), mirroring how one scripted bench session spans many runs.
     """
-    for i in range(n_tests):
+    for i in tests:
         sim = Simulation(cell, seed=cell.config.seed + i, script=script, cycles=1, test_index=i)
         yield sim.run(), sim.tracer

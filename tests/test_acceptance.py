@@ -65,7 +65,7 @@ def test_shipped_fault_script_replays_reference_campaign():
     tic = time.perf_counter()
     script = FaultScript.from_file(SHIPPED_SCRIPT)
     cfg = CellConfig()
-    reports = [r for r, _ in run_campaign(cfg.validate(), 10, script=script)]
+    reports = [r for r, _ in run_campaign(cfg.validate(), range(10), script=script)]
     rows = [(r.detected, r.picked, r.placed) for r in reports]
     assert tuple(rows) == REFERENCE_CAMPAIGN
     assert rows[2] == (7, 5, 5)
@@ -166,7 +166,7 @@ def test_identical_seed_and_config_reproduce_files_byte_for_byte(tmp_path):
         outdir.mkdir()
         # Consumption mutates a script, so each replay loads its own copy.
         script = FaultScript.from_file(SHIPPED_SCRIPT)
-        reports, tracers = zip(*run_campaign(cfg.validate(), 3, script=script))
+        reports, tracers = zip(*run_campaign(cfg.validate(), range(3), script=script))
         for i, tracer in enumerate(tracers):
             write_trace(outdir / f"trace_{i}.jsonl", tracer.records)
         summary = summarize_campaign(

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from bagcell.cli import build_parser, main
-from bagcell.config import CellConfig
+from bagcell.config import CellConfig, RunAborted
 from bagcell.devices import DeviceBank, InterlockViolation
 from bagcell.scenarios import REFERENCE_CAMPAIGN
 from bagcell.simulate import Simulation
@@ -152,9 +152,15 @@ def test_campaign_prints_and_writes_table(tmp_path, capsys):
     assert (out / "trace_01.jsonl").exists()
 
 
+def usable_cpus(monkeypatch, count):
+    """Make a campaign see ``count`` usable CPUs, so it runs on up to that many workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
 def test_campaign_writes_each_trace_as_its_run_ends(tmp_path, monkeypatch, capsys):
     # Only the reports outlive a run, so a campaign's memory does not grow
     # with --tests.
+    usable_cpus(monkeypatch, 1)
     out = tmp_path / "camp"
     started = []
     run = Simulation.run
@@ -169,6 +175,149 @@ def test_campaign_writes_each_trace_as_its_run_ends(tmp_path, monkeypatch, capsy
     assert main(["campaign", "--tests", "3", "--outdir", str(out)]) == 0
     capsys.readouterr()
     assert started == [0, 1, 2]
+
+
+def test_campaign_workers_write_each_trace_as_its_run_ends(tmp_path, monkeypatch, capsys):
+    # Each of W workers holds one run at a time: before it starts test i it
+    # has written the trace of its previous test, i - W. A failed assertion
+    # in a child comes back as the command's exception.
+    usable_cpus(monkeypatch, 2)
+    out, starts = tmp_path / "camp", tmp_path / "starts"
+    starts.mkdir()
+    run = Simulation.run
+
+    def run_after_previous_trace(sim):
+        i = sim.test_index
+        assert i < 2 or (out / f"trace_{i - 2:02d}.jsonl").exists(), i
+        (starts / str(i)).write_text(str(os.getpid()))
+        return run(sim)
+
+    monkeypatch.setattr(Simulation, "run", run_after_previous_trace)
+    assert main(["campaign", "--tests", "5", "--outdir", str(out)]) == 0
+    capsys.readouterr()
+    pids = [int((starts / str(i)).read_text()) for i in range(5)]
+    assert pids[0] == pids[2] == pids[4] == os.getpid() != pids[1] == pids[3]
+
+
+def _all_named_script(tmp_path):
+    # Test 1 exhausts a pick and test 2 retries one; the test-9 entry never matches.
+    entries = (
+        [{"when": {"action": "pick", "test": 1, "cycle": 0, "slot": 0}, "outcome": "fail"}] * 3
+        + [{"when": {"action": "pick", "test": 2, "slot": 3, "attempt": 1}, "outcome": "fail"}]
+        + [{"when": {"action": "pick", "test": 9}, "outcome": "fail"}]
+    )
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps({"version": 1, "entries": entries}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, unconsumed",
+    [
+        (["replay"], 0),
+        (["campaign", "--config", str(STAGE_RATES), "--tests", "5"], 0),
+        (["campaign", "--tests", "5", "--fault-script", "{named}"], 1),
+    ],
+    ids=["replay", "stage-rates", "named-script"],
+)
+def test_campaign_outdir_is_the_same_on_one_worker_or_two(
+    tmp_path, monkeypatch, capsys, argv, unconsumed
+):
+    argv = [arg.format(named=_all_named_script(tmp_path)) for arg in argv]
+    fork, forks = os.fork, []
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    outputs = []
+    for cpus in (1, 2):
+        usable_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus_{cpus}"
+        assert main([*argv, "--outdir", str(out)]) == 0
+        outputs.append(({p.name: p.read_bytes() for p in out.iterdir()}, capsys.readouterr()))
+        assert len(forks) == cpus - 1
+    (one, printed_one), (two, printed_two) = outputs
+    assert one == two and printed_one == printed_two
+    assert json.loads(one["report.json"])["unconsumed_script_entries"] == unconsumed
+    assert len([name for name in one if name.startswith("trace_")]) == len(
+        json.loads(one["report.json"])["tests"]
+    )
+
+
+def test_a_script_entry_without_a_test_keeps_the_campaign_in_one_process(
+    tmp_path, monkeypatch, capsys
+):
+    # Entries without a test selector are consumed across tests in order.
+    script = tmp_path / "shared.json"
+    script.write_text(json.dumps({"version": 1, "entries": [
+        {"when": {"action": "pick", "test": 1}, "outcome": "fail"},
+        {"when": {"action": "pick", "slot": 0, "attempt": 1}, "outcome": "fail"},
+    ]}))
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    out = tmp_path / "out"
+    assert main(["campaign", "--tests", "5", "--fault-script", str(script),
+                 "--outdir", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads((out / "report.json").read_text())["unconsumed_script_entries"] == 0
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize(
+    "aborted", [{2}, {3}, {1, 2}], ids=["in-parent-share", "in-child-share", "in-both"]
+)
+def test_an_aborted_test_leaves_the_earlier_traces_only(
+    tmp_path, monkeypatch, capsys, cpus, aborted
+):
+    # With two workers the other share runs past the aborted test; its later
+    # traces go, and the lowest aborted test names the error, so the outdir
+    # and the error are those of one process stopping at the first abort.
+    usable_cpus(monkeypatch, cpus)
+    run = Simulation.run
+
+    def abort_some_tests(sim):
+        if sim.test_index in aborted:
+            raise RunAborted(f"injected in test {sim.test_index}")
+        return run(sim)
+
+    monkeypatch.setattr(Simulation, "run", abort_some_tests)
+    out = tmp_path / "out"
+    assert main(["campaign", "--tests", "5", "--outdir", str(out)]) == 2
+    printed = capsys.readouterr()
+    first = min(aborted)
+    assert printed.out == ""
+    assert _aborted_with_one_line(printed.err) == f"error: run aborted: injected in test {first}"
+    assert sorted(p.name for p in out.iterdir()) == [f"trace_{i:02d}.jsonl" for i in range(first)]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_campaign_worker_runs_nothing_after_its_share(tmp_path):
+    # A child leaves through os._exit: no exit handler runs in it, and the
+    # stdout buffer it inherited is not flushed a second time.
+    program = """
+import atexit, os, sys
+from bagcell import cli
+os.sched_getaffinity = lambda pid: {0, 1}
+atexit.register(lambda: print("exit handler ran"))
+sys.stdout.write("buffered before the fork ")
+sys.exit(cli.main(["campaign", "--tests", "2", "--table", "csv", "--outdir", "out"]))
+"""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", program],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("buffered before the fork ") == 1
+    assert proc.stdout.count("exit handler ran") == 1
+    assert proc.stderr == ""
 
 
 def test_campaign_csv_table(tmp_path, capsys):

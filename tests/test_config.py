@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bagcell.cli import main
 from bagcell.config import DEFAULT_SEED, CellConfig, ConfigInvalid
 
 
@@ -114,6 +115,24 @@ def test_stall_margin_must_not_be_negative():
         CellConfig.from_dict({"devices": {"actuator_stall_margin_s": -5}}).validate()
     assert info.value.field_name == "devices.actuator_stall_margin_s"
     CellConfig.from_dict({"devices": {"actuator_stall_margin_s": 0.0}}).validate()
+
+
+@pytest.mark.parametrize(
+    "layout, field_name",
+    [
+        ({"stack_top_w_m": -0.1, "stack_top_d_m": 0}, "layout.stack_top_w_m"),
+        ({"stack_top_w_m": 0}, "layout.stack_top_w_m"),
+        ({"stack_top_d_m": 0}, "layout.stack_top_d_m"),
+        ({"stack_top_d_m": -0.15}, "layout.stack_top_d_m"),
+    ],
+)
+def test_a_stack_top_without_area_is_a_usage_error(tmp_path, capsys, layout, field_name):
+    # A run reads only each box's centre, so such a config delivered every stack.
+    path = tmp_path / "cell.json"
+    path.write_text(json.dumps({"layout": layout}))
+    argv = ["run", "--cycles", "1", "--config", str(path), "--outdir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {field_name}: must be > 0\n"
 
 
 def test_missing_file_and_bad_json(tmp_path):

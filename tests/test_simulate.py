@@ -430,7 +430,7 @@ def test_a_config_is_validated_once_per_command_and_builds_one_camera(
     monkeypatch.setattr(CellConfig, "validate", counted_validate)
     monkeypatch.setattr(CameraModel, "__post_init__", counted_post_init)
     cell = CellConfig().validate()
-    assert len(list(run_campaign(cell, REFERENCE_TESTS))) == REFERENCE_TESTS == 10
+    assert len(list(run_campaign(cell, range(REFERENCE_TESTS)))) == REFERENCE_TESTS == 10
     assert (len(validated), len(built)) == (1, 1)
     run_single(CellConfig(), cycles=1)
     assert (len(validated), len(built)) == (2, 2)
@@ -582,7 +582,7 @@ def test_every_device_event_answers_the_latest_command_on_its_device():
     cfg.faults = randomized_fault_profile()
     traces = [run_single(cfg, seed=seed, cycles=1)[1] for seed in (32, 44)]
     cell = CellConfig().validate()
-    campaign = run_campaign(cell, REFERENCE_TESTS, script=build_reference_script())
+    campaign = run_campaign(cell, range(REFERENCE_TESTS), script=build_reference_script())
     traces += [t for _, t in campaign]
     answers = {"secured": "open", "lost": "close"}
     checked = 0
@@ -776,23 +776,26 @@ def test_script_entries_are_consumed_most_specific_first_match():
 
 
 def test_campaign_runs_fresh_cells_on_consecutive_seeds():
-    reports, tracers = zip(*run_campaign(CellConfig(seed=900).validate(), 3))
+    cell = CellConfig(seed=900).validate()
+    reports, tracers = zip(*run_campaign(cell, range(3)))
     assert [r.seed for r in reports] == [900, 901, 902]
     assert [r.test_index for r in reports] == [0, 1, 2]
     assert all(r.delivered == 8 for r in reports)
     assert len(tracers) == 3
+    # A share of the tests, in any order, runs each as the whole campaign does.
+    assert [r for r, _ in run_campaign(cell, [2, 0])] == [reports[2], reports[0]]
 
 
 def test_campaign_script_test_selector_scopes_faults():
     sc = script(*[({"action": "pick", "test": 1, "cycle": 0, "slot": 0}, "fail")] * 3)
-    reports = [r for r, _ in run_campaign(CellConfig(seed=50).validate(), 3, script=sc)]
+    reports = [r for r, _ in run_campaign(CellConfig(seed=50).validate(), range(3), script=sc)]
     assert [r.delivered for r in reports] == [8, 7, 8]
     assert sc.unconsumed() == []
 
 
 def test_campaign_reports_summarize():
     cfg = CellConfig(seed=60)
-    reports = [r for r, _ in run_campaign(cfg.validate(), 2)]
+    reports = [r for r, _ in run_campaign(cfg.validate(), range(2))]
     summary = summarize_campaign(reports, seed=60, digest=config_digest(cfg.to_json()))
     assert summary.picked_rate_pct == pytest.approx(100.0)
     assert summary.placed_rate_pct == pytest.approx(100.0)
@@ -801,5 +804,5 @@ def test_campaign_reports_summarize():
 
 def test_unmatched_script_entries_are_reported():
     sc = script(({"action": "pick", "test": 5}, "fail"))
-    list(run_campaign(CellConfig(seed=70).validate(), 2, script=sc))
+    list(run_campaign(CellConfig(seed=70).validate(), range(2), script=sc))
     assert len(sc.unconsumed()) == 1
