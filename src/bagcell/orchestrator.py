@@ -16,7 +16,9 @@ and play continues.
 Events and actions are immutable tuple records whose equality carries the
 type as well as the values, so ``MotionDone("x") != TimerFired("x")``. The
 machine's state and parameters are NamedTuples: a step copies its state with
-``_replace``, and their equality is plain tuple equality.
+``_replace``, and their equality is plain tuple equality. The two copies a
+cycle makes most, a new ``sub`` alone (``_at``) and a new ``secured`` set
+alone (``_secured``), build the tuple directly at a third of the cost.
 
 ``STEPS`` is the machine's whole event graph: each row maps a sub-state and
 an event it awaits to the step that handles it. Each ``Sub`` member's
@@ -226,6 +228,16 @@ Step = Callable[[OrcState, Event, OrcParams], Tuple[OrcState, List[Action]]]
 # --- helpers --------------------------------------------------------------
 
 
+def _at(state: OrcState, sub: Sub) -> OrcState:
+    """``state._replace(sub=sub)``, built as one tuple."""
+    return tuple.__new__(OrcState, (sub,) + state[1:])
+
+
+def _secured(state: OrcState, secured: frozenset) -> OrcState:
+    """``state._replace(secured=secured)``, built as one tuple."""
+    return tuple.__new__(OrcState, (*state[:11], secured, *state[12:]))
+
+
 def _occ(state: OrcState) -> Dict[int, int]:
     return dict(state.occupants)
 
@@ -270,7 +282,7 @@ def _fail_stack(sid: int, kind: str, enclosure: int = -1) -> List[Action]:
 
 
 def _return_home(state: OrcState) -> Tuple[OrcState, List[Action]]:
-    return state._replace(sub=Sub.RETURNING), [Move(tag="return", dest=("home_via_mid",))]
+    return _at(state, Sub.RETURNING), [Move(tag="return", dest=("home_via_mid",))]
 
 
 def _open_bottom_valves(state: OrcState, slots_to_open) -> List[Action]:
@@ -362,9 +374,9 @@ def transition(
     # react to the updated picture.
     kind = type(event)
     if kind is SuctionSecured:
-        state = state._replace(secured=state.secured | {event.device})
+        state = _secured(state, state.secured | {event.device})
     elif kind is SuctionLost:
-        state = state._replace(secured=state.secured - {event.device})
+        state = _secured(state, state.secured - {event.device})
 
     rows = state.sub.rows
     step = rows.get(event) or rows.get(kind)
@@ -377,7 +389,7 @@ def transition(
 
 
 def _start(state, event, params):
-    state = state._replace(sub=Sub.AWAIT_FEED_MSG)
+    state = _at(state, Sub.AWAIT_FEED_MSG)
     return state, [
         Publish(topic="system_ready", payload={}),
         PhaseMark(phase="feeding", edge="start"),
@@ -418,11 +430,11 @@ def _detected(state, event, params):
 
 
 def _approach(state, event, params):
-    return state._replace(sub=Sub.APPROACHING), [Move(tag="approach", dest=("target",))]
+    return _at(state, Sub.APPROACHING), [Move(tag="approach", dest=("target",))]
 
 
 def _grip(state, event, params):
-    state = state._replace(sub=Sub.GRIPPING)
+    state = _at(state, Sub.GRIPPING)
     return state, [
         Publish(topic="suction_cmd", payload={"device": "gripper", "on": True}),
         Command(
@@ -436,7 +448,7 @@ def _grip(state, event, params):
 
 
 def _gripped(state, event, params):
-    state = state._replace(sub=Sub.GRIP_SETTLE)
+    state = _at(state, Sub.GRIP_SETTLE)
     return state, [
         CancelTimer(tag="grip_timeout"),
         MarkOutcome(kind="picked", stack=state.target),
@@ -459,7 +471,7 @@ def _pick_attempt_failed(state, event, params):
             # Robot never left the view pose; go straight to a fresh frame.
             new_state, more = _detect(state, event, params)
             return new_state, actions + more
-        state = state._replace(sub=Sub.TO_RESET)
+        state = _at(state, Sub.TO_RESET)
         return state, actions + [Move(tag="to_reset", dest=("reset",))]
     actions += _fail_stack(state.target, "pick_failed")
     new_state, more = _return_home(state)
@@ -467,13 +479,13 @@ def _pick_attempt_failed(state, event, params):
 
 
 def _plan_transfer(state, event, params):
-    state = state._replace(sub=Sub.PLANNING_TRANSFER)
+    state = _at(state, Sub.PLANNING_TRANSFER)
     return state, [Plan(tag="transfer", ctx=_ctx(state))]
 
 
 def _transfer(state, event, params):
     move = Move(tag="transfer", dest=("enclosure", state.slot))
-    return state._replace(sub=Sub.TRANSFERRING), [move]
+    return _at(state, Sub.TRANSFERRING), [move]
 
 
 def _put_back(state, event, params):
@@ -487,7 +499,7 @@ def _put_back(state, event, params):
 
 
 def _release(state, event, params):
-    state = state._replace(sub=Sub.RELEASING)
+    state = _at(state, Sub.RELEASING)
     return state, [
         Command(device="gripper", op="close"),
         SetStack(stack=state.target, state="in_enclosure", enclosure=state.slot),
@@ -497,7 +509,7 @@ def _release(state, event, params):
 
 
 def _seat(state, event, params):
-    state = state._replace(sub=Sub.VERIFY_WAIT)
+    state = _at(state, Sub.VERIFY_WAIT)
     return state, [
         Command(
             device=f"bottom_{state.slot}",
@@ -510,7 +522,7 @@ def _seat(state, event, params):
 
 
 def _check_seat(state, event, params):
-    return state._replace(sub=Sub.VERIFY_CHECK), [ReadUltrasonic(enclosure=state.slot)]
+    return _at(state, Sub.VERIFY_CHECK), [ReadUltrasonic(enclosure=state.slot)]
 
 
 def _seat_checked(state, event, params):
@@ -530,7 +542,7 @@ def _seat_checked(state, event, params):
         return new_state, actions + more
     state = state._replace(place_attempt=state.place_attempt + 1)
     if state.place_attempt < params.place_attempts:
-        state = state._replace(sub=Sub.RESEAT_GRIPPING)
+        state = _at(state, Sub.RESEAT_GRIPPING)
         return state, [
             Note(text="placement_retry", data={"enclosure": state.slot}),
             Command(device=f"bottom_{state.slot}", op="close"),
@@ -543,7 +555,7 @@ def _seat_checked(state, event, params):
 
 
 def _reseat(state, event, params):
-    state = state._replace(sub=Sub.RESEAT_MOVING)
+    state = _at(state, Sub.RESEAT_MOVING)
     return state, [
         SetStack(stack=state.target, state="held"),
         Move(tag="reseat", dest=("reseat",)),
@@ -551,7 +563,7 @@ def _reseat(state, event, params):
 
 
 def _back_to_view(state, event, params):
-    state = state._replace(sub=Sub.TO_VIEW)
+    state = _at(state, Sub.TO_VIEW)
     return state, [Move(tag="reset_view", dest=("view", state.zone))]
 
 
@@ -577,7 +589,7 @@ def _secure_bags(state, event, params):
 def _bag_secured(state, event, params):
     if not all(f"bottom_{i}" in state.secured for i in range(ENCLOSURE_COUNT)):
         return state, []
-    state = state._replace(sub=Sub.CUT_SLICING)
+    state = _at(state, Sub.CUT_SLICING)
     return state, [
         CancelTimer(tag="secure_timeout"),
         Note(text="tension_rods_engaged", data={}),
@@ -625,7 +637,7 @@ def _cut(state, event, params):
 
 
 def _descend(state, event, params):
-    return state._replace(sub=Sub.REM_DESCEND), [Move(tag="rem_descend", dest=("rem", "descend"))]
+    return _at(state, Sub.REM_DESCEND), [Move(tag="rem_descend", dest=("rem", "descend"))]
 
 
 def _rem_grip(state, event, params):
@@ -643,7 +655,7 @@ def _rem_grip(state, event, params):
 
 
 def _lift(state, event, params):
-    return state._replace(sub=Sub.REM_LIFT), [
+    return _at(state, Sub.REM_LIFT), [
         CancelTimer(tag="grip_timeout"),
         Move(tag="rem_lift", dest=("rem", "lift")),
     ]
@@ -652,7 +664,7 @@ def _lift(state, event, params):
 def _rem_grip_timed_out(state, event, params):
     actions: List[Action] = [Command(device="gripper", op="close")]
     if state.remove_attempt < params.remove_attempts:
-        state = state._replace(sub=Sub.REM_RESEAT)
+        state = _at(state, Sub.REM_RESEAT)
         return state, actions + [Move(tag="rem_reseat", dest=("rem", "reseat"))]
     # Bag stuck on this enclosure: leave it on (never unbagged, so never
     # pushed) and move on.
@@ -663,7 +675,7 @@ def _rem_grip_timed_out(state, event, params):
 
 
 def _to_bin(state, event, params):
-    return state._replace(sub=Sub.REM_TO_BIN), [Move(tag="rem_bin", dest=("rem", "bin"))]
+    return _at(state, Sub.REM_TO_BIN), [Move(tag="rem_bin", dest=("rem", "bin"))]
 
 
 def _drop_bag(state, event, params):
@@ -681,7 +693,7 @@ def _bag_dropped(state, event, params):
 
 
 def _door_opened(state, event, params):
-    state = state._replace(sub=Sub.DOOR_SETTLE)
+    state = _at(state, Sub.DOOR_SETTLE)
     return state, [
         Note(text="door_limit_switch", data={"open": True}),
         StartTimer(tag="door_settle", seconds=params.door_settle_s),
@@ -704,7 +716,7 @@ def _push(state, event, params):
             )
         )
     if not state.unbagged:
-        state = state._replace(sub=Sub.PUSH_HOLD)
+        state = _at(state, Sub.PUSH_HOLD)
         actions.append(StartTimer(tag="push_hold", seconds=params.push_hold_s))
     return state, actions
 
@@ -723,7 +735,7 @@ def _pushed(state, event, params):
         actions.append(Publish(topic="fault", payload={"kind": "pusher_stall", "enclosure": e}))
         actions.append(MarkOutcome(kind="stall_failed", stack=sid, enclosure=e))
     if not pending:
-        state = state._replace(sub=Sub.PUSH_HOLD)
+        state = _at(state, Sub.PUSH_HOLD)
         actions.append(StartTimer(tag="push_hold", seconds=params.push_hold_s))
     return state, actions
 
@@ -759,7 +771,7 @@ def _enclosure_read(state, event, params):
         return state, actions + [StartTimer(tag="dverify", seconds=params.delivery_verify_s)]
     extended = sorted(state.unbagged | state.stalled)
     if not extended:
-        state = state._replace(sub=Sub.RETRACT_SETTLE)
+        state = _at(state, Sub.RETRACT_SETTLE)
         return state, actions + [StartTimer(tag="retract_settle", seconds=params.door_settle_s)]
     state = state._replace(sub=Sub.RETRACTING, push_pending=frozenset(extended))
     for e in extended:
@@ -775,12 +787,12 @@ def _retracted(state, event, params):
     state = state._replace(push_pending=pending)
     if pending:
         return state, []
-    state = state._replace(sub=Sub.RETRACT_SETTLE)
+    state = _at(state, Sub.RETRACT_SETTLE)
     return state, [StartTimer(tag="retract_settle", seconds=params.door_settle_s)]
 
 
 def _close_door(state, event, params):
-    return state._replace(sub=Sub.DOOR_CLOSING), [Command(device="door", op="retract")]
+    return _at(state, Sub.DOOR_CLOSING), [Command(device="door", op="retract")]
 
 
 def _door_closed(state, event, params):
@@ -792,7 +804,7 @@ def _door_closed(state, event, params):
 
 
 def _reset_done(state, event, params):
-    state = state._replace(sub=Sub.AWAIT_RESET_MSG)
+    state = _at(state, Sub.AWAIT_RESET_MSG)
     return state, [
         PhaseMark(phase="resetting", edge="end"),
         Publish(topic="system_reset", payload={"cycle": state.cycle}),

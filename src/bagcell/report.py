@@ -79,7 +79,11 @@ class MalformedTrace(MalformedInput):
 
 
 class TraceRecord(NamedTuple):
-    """One trace line. A tuple, because a cycle builds hundreds of them."""
+    """One trace line. A tuple, because a cycle builds hundreds of them.
+
+    The tracer and the reader build it with ``tuple.__new__``, which skips the
+    NamedTuple's Python-level ``__new__``; ``TraceRecord(...)`` is the same value.
+    """
 
     seq: int
     time: float
@@ -116,7 +120,7 @@ class Tracer:
             )
         if time > self._last_time:
             self._last_time = time
-        rec = TraceRecord(len(self.records), time, kind, data)
+        rec = tuple.__new__(TraceRecord, (len(self.records), time, kind, data))
         self.records.append(rec)
         return rec
 
@@ -185,7 +189,7 @@ def read_trace(path: str | Path) -> List[TraceRecord]:
                 raise MalformedTrace(where, line_no, f"{kind} is missing field {key!r}")
         prev_seq = seq
         prev_time = t
-        out.append(TraceRecord(seq, t, kind, data))
+        out.append(tuple.__new__(TraceRecord, (seq, t, kind, data)))
     return out
 
 
@@ -239,7 +243,11 @@ def summarize_run(
     cycles = violations = stalls = 0
     done_at = None
     for rec in records:
-        kind, d = rec.kind, rec.data
+        kind = rec.kind
+        # Most records are device and motion traffic, which the report never reads.
+        if kind not in {"outcome", "stack", "phase", "violation", "fault_decision", "message", "note"}:
+            continue
+        d = rec.data
         if kind == "outcome" and d["stack"] >= 0:
             marks[d["kind"]].add(d["stack"])
         elif kind == "stack":
@@ -399,9 +407,12 @@ def audit_interlocks(records: Sequence[TraceRecord]) -> List[str]:
     secured: set[str] = set()
     door_open = False
     for rec in records:
+        kind = rec.kind
+        if kind not in {"device_event", "device_cmd"}:
+            continue
         d = rec.data
-        if rec.kind == "device_event":
-            name = d.get("device", "")
+        name = d.get("device", "")
+        if kind == "device_event":
             ev = d.get("event")
             if ev == "secured":
                 secured.add(name)
@@ -409,8 +420,7 @@ def audit_interlocks(records: Sequence[TraceRecord]) -> List[str]:
                 secured.discard(name)
             elif ev == "done" and name == "door":
                 door_open = d.get("op") == "extend"
-        elif rec.kind == "device_cmd":
-            name = d.get("device", "")
+        else:
             op = d.get("op")
             if name == "door":
                 # door state is unknown while moving

@@ -18,7 +18,8 @@ machine awaits in a ``BusMsg`` row of ``orchestrator.STEPS`` comes back to
 it as that ``BusMsg`` at the same instant. The event a device command
 returns joins the same heap at rank 0, so it wins ties: it is applied to the
 bank and traced under the name the bank gives it, then re-queued at rank 1,
-behind everything already due at that instant. Every timer start or cancel
+behind everything already due at that instant. Due alone, it would be the
+next pop, so it goes to the machine at once. Every timer start or cancel
 and every device command bumps one epoch map, keyed by timer tag or device
 name; a popped entry whose epoch is behind was superseded and is dropped.
 
@@ -104,21 +105,17 @@ class Simulation:
 
     # -- event plumbing ----------------------------------------------------
 
-    def _push(
-        self,
-        time: float,
-        event: orc.Event,
-        guard: Optional[Tuple[str, int]] = None,
-        rank: int = 1,
-    ) -> None:
+    def _push(self, time: float, event: orc.Event) -> None:
+        """Queue ``event`` at rank 1, under no guard."""
         self._qseq += 1
-        heapq.heappush(self._queue, (time, rank, self._qseq, event, guard))
+        heapq.heappush(self._queue, (time, 1, self._qseq, event, None))
 
     def _supersede(self, key: str, due: dv.Due = None, rank: int = 0) -> None:
         """Drop every entry queued under ``key``, then queue ``due`` under it."""
         epoch = self._epoch[key] = self._epoch.get(key, 0) + 1
         if due is not None:
-            self._push(*due, guard=(key, epoch), rank=rank)
+            self._qseq += 1
+            heapq.heappush(self._queue, (due[0], rank, self._qseq, due[1], (key, epoch)))
 
     # -- main loop ---------------------------------------------------------
 
@@ -138,8 +135,9 @@ class Simulation:
                     time,
                     {"device": event.device, "event": name, "op": getattr(event, "op", "")},
                 )
-                self._push(time, event)
-                continue
+                if queue and queue[0][0] <= time:  # others are due with it: they go first
+                    self._push(time, event)
+                    continue
             self.now = time
             self._dispatch(event)
         return summarize_run(self.tracer.records, self.test_index, self.seed, self.now)

@@ -333,21 +333,14 @@ def observe(
             if miss_prob > 0.0 and rng.random() < miss_prob:
                 continue
             jx = jy = 0.0
-            if faults.detection_jitter_sigma_px > 0.0:
-                jx, jy = rng.normal(0.0, faults.detection_jitter_sigma_px, size=2)
+            sigma = faults.detection_jitter_sigma_px
+            if sigma > 0.0:  # two scalar draws take the stream's next two normals, as size=2 does
+                jx, jy = rng.normal(0.0, sigma), rng.normal(0.0, sigma)
             conf = BASE_CONFIDENCE
             if faults.confidence_sigma > 0.0:
                 conf += float(rng.normal(0.0, faults.confidence_sigma))
             conf = min(1.0, max(0.05, conf))
-            dets.append(
-                Box(
-                    x_min=box.x_min + jx,
-                    y_min=box.y_min + jy,
-                    x_max=box.x_max + jx,
-                    y_max=box.y_max + jy,
-                    confidence=conf,
-                )
-            )
+            dets.append(Box(box.x_min + jx, box.y_min + jy, box.x_max + jx, box.y_max + jy, conf))
             sources.append(sid)
         if faults.spurious_box_prob > 0.0 and rng.random() < faults.spurious_box_prob:
             w = 0.08 * camera.width_px

@@ -308,6 +308,34 @@ def test_state_copy_rejects_an_unknown_field(name):
         OrcState(**{name: 1})
 
 
+# Drawn states. ``sub`` and ``secured`` sit beside fields of other types, so a
+# direct copy that splices either in at the wrong index cannot come out equal.
+_ENCLOSURE_SETS = st.frozensets(st.integers(0, ENCLOSURE_COUNT - 1))
+_SEAL_SETS = st.frozensets(st.sampled_from(["gripper"] + [f"bottom_{i}" for i in range(8)]))
+STATES = st.fixed_dictionaries({
+    "sub": st.sampled_from(Sub),
+    **{name: st.integers(-1, 30) for name in (
+        "cycle", "slot", "zone", "target", "detect_attempt", "pick_attempt",
+        "place_attempt", "secure_attempt", "remove_attempt", "removal_idx", "verify_idx",
+    )},
+    "tote_done": st.booleans(),
+    "secured": _SEAL_SETS,
+    "occupants": st.lists(st.tuples(st.integers(0, 7), st.integers(0, 23)), max_size=8).map(tuple),
+    "unbagged": _ENCLOSURE_SETS,
+    "stalled": _ENCLOSURE_SETS,
+    "push_pending": _ENCLOSURE_SETS,
+}).map(lambda fields: OrcState(*(fields[name] for name in OrcState._fields)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(STATES, st.sampled_from(Sub), _SEAL_SETS)
+def test_direct_state_copies_equal_their_replace(state, sub, secured):
+    at, sealed = orchestrator._at(state, sub), orchestrator._secured(state, secured)
+    assert type(at) is type(sealed) is OrcState
+    assert at == state._replace(sub=sub)
+    assert sealed == state._replace(secured=secured)
+
+
 # --- feeding: detect ------------------------------------------------------
 
 

@@ -162,6 +162,39 @@ def test_device_event_reaches_the_machine_after_events_due_with_it(monkeypatch):
     assert seen == [orc.Start(), orc.TimerFired("t"), orc.ActDone("door", "extend")]
 
 
+def events_and_notes(sim):
+    return [(r.time, r.kind, r.data.get("text", "")) for r in sim.tracer.records
+            if r.kind in ("device_event", "note")]
+
+
+def test_device_event_due_alone_reaches_the_machine_at_its_own_instant(monkeypatch):
+    # Nothing else is due when the door finishes: the machine gets the
+    # completion at once, right after it is applied and traced.
+    sim, seen, _ = drive_machine(monkeypatch, {
+        orc.Start(): [orc.Command("door", "extend"), orc.StartTimer("t", 2.5)],
+        orc.ActDone("door", "extend"): [orc.Note("door_done")],
+        orc.TimerFired("t"): [orc.Note("timer")],
+    })
+    assert seen == [orc.Start(), orc.ActDone("door", "extend"), orc.TimerFired("t")]
+    assert events_and_notes(sim) == [
+        (2.0, "device_event", ""), (2.0, "note", "door_done"), (2.5, "note", "timer"),
+    ]
+
+
+def test_device_event_due_with_a_stale_entry_still_reaches_the_machine_once(monkeypatch):
+    # A cancelled timer leaves its entry in the heap, due as the door
+    # finishes: the completion waits behind it, and the entry is dropped.
+    sim, seen, _ = drive_machine(monkeypatch, {
+        orc.Start(): [
+            orc.Command("door", "extend"), orc.StartTimer("t", 2.0), orc.CancelTimer("t"),
+        ],
+        orc.ActDone("door", "extend"): [orc.Note("door_done")],
+    })
+    assert seen == [orc.Start(), orc.ActDone("door", "extend")]
+    assert events_and_notes(sim) == [(2.0, "device_event", ""), (2.0, "note", "door_done")]
+    assert sim.now == 2.0
+
+
 # Drawn schedules: timers never tie a clock instant (whole seconds), while a
 # swing or door move can come due exactly as the clock issues the next batch.
 _CLOCK_S = 1.0
