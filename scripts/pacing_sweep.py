@@ -10,15 +10,14 @@ row per grid point with the resulting mean minutes per test.
 import argparse
 import itertools
 
-from bagcell.config import CellConfig
+from bagcell.config import CellConfig, OrchestratorConfig, PacingConfig
 from bagcell.scenarios import build_reference_script
 from bagcell.simulate import run_campaign
 
 
 def mean_minutes(detect_s: float, plan_s: float) -> float:
-    cfg = CellConfig()
-    cfg.orchestrator.pacing.detect_service_s = detect_s
-    cfg.orchestrator.pacing.plan_service_s = plan_s
+    pacing = PacingConfig(detect_service_s=detect_s, plan_service_s=plan_s)
+    cfg = CellConfig(orchestrator=OrchestratorConfig(pacing=pacing))
     campaign = run_campaign(cfg.validate(), range(10), script=build_reference_script())
     reports = [r for r, _ in campaign]
     return sum(r.duration_s for r in reports) / len(reports) / 60.0

@@ -8,9 +8,13 @@ Subcommands:
   dump-config  print the default configuration as JSON
 
 Outputs (traces, reports, tables) land in --outdir, or $BAGCELL_OUTDIR, or
-./out. Exit codes: 0 success, 1 bad usage or malformed input files, 2 run
-aborted (safety violations, a refused interlock, a stuck control loop, or
-replay script entries that never matched). Only run, campaign and replay
+./out, which holds one command's outputs: before it writes, a command
+removes the traces, report and table an earlier one left there, and leaves
+other files alone. report.json is written last, whole or not at all.
+
+Exit codes: 0 success, 1 bad usage or malformed input files, 2 run aborted
+(safety violations, a refused interlock, a stuck control loop, or replay
+script entries that never matched). Only run, campaign and replay
 import the simulator; eval, dump-config, --help and usage errors start
 without it, and without numpy. campaign and replay run their tests on one
 process per usable CPU, and no output byte depends on how many.
@@ -65,8 +69,12 @@ def _load_config(args) -> CellConfig:
 
 
 def _outdir(arg: Optional[str]) -> Path:
+    """The output directory, made if missing, without the outputs an earlier command left."""
     path = Path(arg or os.environ.get("BAGCELL_OUTDIR", "out"))
     path.mkdir(parents=True, exist_ok=True)
+    for pattern in ("trace*.jsonl", "report.json", "table.*"):
+        for old in path.glob(pattern):
+            old.unlink()
     return path
 
 
@@ -76,13 +84,18 @@ def _load_script(path: Optional[str]) -> Optional[FaultScript]:
     return FaultScript.from_file(path) if path else None
 
 
-def _write_report(outdir: Path, config: CellConfig, reports, script) -> CampaignReport:
-    """Summarize a command's runs, and the script entries they left, into ``report.json``."""
+def _summarize(config: CellConfig, reports, script) -> CampaignReport:
+    """A command's runs, and the script entries they left, as one report."""
     digest = config_digest(config.to_json())
     unconsumed = len(script.unconsumed()) if script else 0
-    campaign = summarize_campaign(reports, config.seed, digest, unconsumed)
-    (outdir / "report.json").write_text(campaign.to_json())
-    return campaign
+    return summarize_campaign(reports, config.seed, digest, unconsumed)
+
+
+def _write_report(outdir: Path, campaign: CampaignReport) -> None:
+    """Write ``report.json`` through a temporary file, so that it is never seen half-written."""
+    part = outdir / "report.json.part"
+    part.write_text(campaign.to_json())
+    os.replace(part, outdir / "report.json")
 
 
 def cmd_run(args) -> int:
@@ -93,7 +106,9 @@ def cmd_run(args) -> int:
     report, tracer = run_single(config, cycles=args.cycles, script=script)
     outdir = _outdir(args.outdir)
     write_trace(outdir / "trace.jsonl", tracer.records)
-    unconsumed = _write_report(outdir, config, [report], script).unconsumed_script_entries
+    campaign = _summarize(config, [report], script)
+    _write_report(outdir, campaign)
+    unconsumed = campaign.unconsumed_script_entries
     if unconsumed:
         print(f"warning: {_UNMATCHED.format(unconsumed)}", file=sys.stderr)
     print(
@@ -214,13 +229,14 @@ def cmd_campaign(args) -> int:
         script = build_reference_script(config)
     outdir = _outdir(args.outdir)
     reports = _run_tests(cell, args.tests, script, outdir)
-    campaign = _write_report(outdir, config, reports, script)
+    campaign = _summarize(config, reports, script)
     unconsumed = campaign.unconsumed_script_entries
     if unconsumed and not replay:
         print(f"warning: {_UNMATCHED.format(unconsumed)}", file=sys.stderr)
     ext = "csv" if args.table == "csv" else "md"
     table = render_table(campaign, args.table)
     (outdir / f"table.{ext}").write_text(table)
+    _write_report(outdir, campaign)
     print(table, end="")
     if unconsumed and replay:
         raise RunAborted(_UNMATCHED.format(unconsumed))

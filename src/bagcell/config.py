@@ -1,4 +1,4 @@
-"""Cell configuration: dataclass tree, JSON round trip, validation.
+"""Cell configuration: a tree of records, JSON round trip, validation.
 
 A single ``CellConfig`` describes everything a simulation needs: tote and
 enclosure geometry, camera model, motion limits, device timings, fault
@@ -6,21 +6,26 @@ probabilities and orchestrator pacing. Defaults are embedded here and can be
 dumped with ``bagcell dump-config``; a config file only needs the keys it
 wants to override.
 
+The seven sections are NamedTuples, so a section read once cannot change
+under the ``Cell`` derived from it: a new value is a new record
+(``_replace``), and every sequence in them is a tuple. The root ``CellConfig``
+is a plain class whose fields, the sections among them, can be assigned.
+
 Each field's annotation states its type and, through an ``Annotated`` alias,
 its bound; ``validate`` walks the annotations, checks the few rules that span
 fields, and returns the ``Cell`` they derive: the camera, each zone's pick
-depth and each stack's box, which every run on the config shares. A value
-that is not an object replaces a section whole, for ``validate`` to reject.
+depth and each stack's box, which every run on the config shares.
+``from_dict`` overlays a JSON object on the defaults, record by record, and
+reads each JSON array where a field holds a sequence as a tuple. A value that
+is not an object replaces a section whole, for ``validate`` to reject.
 """
 
-from __future__ import annotations
-
-import dataclasses
+# No ``from __future__ import annotations`` here, nor in report or vision: a
+# NamedTuple compiles each string annotation it is given, at import.
 import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Annotated, Any, Callable, NamedTuple
 from typing import get_args, get_origin, get_type_hints
@@ -90,14 +95,13 @@ AtLeastOne = Annotated[int, Bound(lambda v: v >= 1, "must be >= 1")]
 # Retries can all run at one simulated instant (planning inside one event, or
 # detection with no service time), so no clock stops them and their count is capped.
 Attempts = Annotated[int, Bound(lambda v: 1 <= v <= 1000, "must be in [1, 1000]")]
-Pose = Annotated[list[float], Bound(lambda v: len(v) >= 3, "needs at least x, y and z")]
+Pose = Annotated[tuple[float, ...], Bound(lambda v: len(v) >= 3, "needs at least x, y and z")]
 
 
-@dataclass
-class LayoutConfig:
+class LayoutConfig(NamedTuple):
     """Tote, enclosure and fixed-pose geometry, in the robot base frame."""
 
-    zone_sizes: list[Count] = field(default_factory=lambda: [4, 6, 6, 8])
+    zone_sizes: tuple[Count, ...] = (4, 6, 6, 8)
     total_stacks: Count = 24
     incline_deg: float = 12.0
     row_pitch_m: float = 0.16
@@ -113,46 +117,40 @@ class LayoutConfig:
     drop_z_m: float = 0.38
     back_wall_cm: Positive = 30.0
     occupied_distance_cm: float = 5.0
-    home_pose: Pose = field(default_factory=lambda: [0.0, 0.0, 0.60])
-    reset_pose: Pose = field(default_factory=lambda: [0.20, -0.30, 0.60])
-    safe_mid_pose: Pose = field(default_factory=lambda: [0.0, 0.10, 0.60])
-    bin_pose: Pose = field(default_factory=lambda: [0.75, 0.30, 0.45])
+    home_pose: Pose = (0.0, 0.0, 0.60)
+    reset_pose: Pose = (0.20, -0.30, 0.60)
+    safe_mid_pose: Pose = (0.0, 0.10, 0.60)
+    bin_pose: Pose = (0.75, 0.30, 0.45)
     view_z_m: float = 0.58
 
 
-def _default_extrinsic() -> list[list[float]]:
-    # Camera 1.05 m above the tote, optical axis straight down, image x
-    # aligned with base x. Rows: camera axes expressed in the base frame.
-    return [
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, -1.0, 0.0, -0.69],
-        [0.0, 0.0, -1.0, 1.05],
-        [0.0, 0.0, 0.0, 1.0],
-    ]
-
-
-@dataclass
-class CameraConfig:
+class CameraConfig(NamedTuple):
     width_px: AtLeastOne = 1920
     height_px: AtLeastOne = 1080
     fx: Positive = 1000.0
     fy: Positive = 1000.0
     cx: float = 960.0
     cy: float = 540.0
-    extrinsic: list[list[float]] = field(default_factory=_default_extrinsic)
-    # Capture settings kept as metadata only; they do not affect simulation.
-    capture_metadata: dict[str, float] = field(
-        default_factory=lambda: {
-            "brightness": 0,
-            "contrast": 50,
-            "saturation": 64,
-            "white_balance_temperature": 4600,
-        }
+    # Camera 1.05 m above the tote, optical axis straight down, image x
+    # aligned with base x. Rows: camera axes expressed in the base frame.
+    extrinsic: tuple[tuple[float, ...], ...] = (
+        (1.0, 0.0, 0.0, 0.0),
+        (0.0, -1.0, 0.0, -0.69),
+        (0.0, 0.0, -1.0, 1.05),
+        (0.0, 0.0, 0.0, 1.0),
     )
+    # Capture settings kept as metadata only; they do not affect simulation.
+    # A dict, so that it stays a JSON object; every CameraConfig that keeps
+    # the default shares this one, so nothing may mutate it.
+    capture_metadata: dict[str, float] = {
+        "brightness": 0,
+        "contrast": 50,
+        "saturation": 64,
+        "white_balance_temperature": 4600,
+    }
 
 
-@dataclass
-class MotionConfig:
+class MotionConfig(NamedTuple):
     robot_max_speed_mps: Positive = 2.0
     velocity_scaling: Scaling = 0.28
     acceleration_scaling: Scaling = 0.03
@@ -169,8 +167,7 @@ class MotionConfig:
         return self.base_acceleration_mps2 * self.acceleration_scaling
 
 
-@dataclass
-class DeviceConfig:
+class DeviceConfig(NamedTuple):
     """Thresholds and travel times for suction lines, sensors and actuators."""
 
     secure_threshold_kpa: Vacuum = -30.0
@@ -187,8 +184,7 @@ class DeviceConfig:
     actuator_stall_margin_s: NonNegative = 1.0
 
 
-@dataclass
-class FaultConfig:
+class FaultConfig(NamedTuple):
     """Stochastic fault probabilities and sensor noise levels."""
 
     pick_grip_fail_prob: Probability = 0.0
@@ -203,8 +199,7 @@ class FaultConfig:
     plan_failure_prob: Probability = 0.0
 
 
-@dataclass
-class PacingConfig:
+class PacingConfig(NamedTuple):
     """Per-action service times and dwells that pace the orchestrator.
 
     Defaults are calibrated so that a fault-free cycle reproduces the bench
@@ -227,29 +222,49 @@ class PacingConfig:
     reset_settle_s: NonNegative = 2.0
 
 
-@dataclass
-class OrchestratorConfig:
+class OrchestratorConfig(NamedTuple):
     cycles_per_test: AtLeastOne = 3
     detect_attempts: Attempts = 3
     pick_attempts: Attempts = 3
     place_attempts: Attempts = 3
     remove_attempts: Attempts = 3
     secure_attempts: Attempts = 3
-    pacing: PacingConfig = field(default_factory=PacingConfig)
+    pacing: PacingConfig = PacingConfig()
 
 
-@dataclass
 class CellConfig:
-    seed: Count = DEFAULT_SEED
-    layout: LayoutConfig = field(default_factory=LayoutConfig)
-    camera: CameraConfig = field(default_factory=CameraConfig)
-    motion: MotionConfig = field(default_factory=MotionConfig)
-    devices: DeviceConfig = field(default_factory=DeviceConfig)
-    faults: FaultConfig = field(default_factory=FaultConfig)
-    orchestrator: OrchestratorConfig = field(default_factory=OrchestratorConfig)
-    extra_topics: list[str] = field(default_factory=list)  # unread; kept for the config digest
+    """The seed and the seven sections; the one config record whose fields can be assigned."""
 
-    def validate(self) -> Cell:
+    seed: Count
+    layout: LayoutConfig
+    camera: CameraConfig
+    motion: MotionConfig
+    devices: DeviceConfig
+    faults: FaultConfig
+    orchestrator: OrchestratorConfig
+    extra_topics: tuple[str, ...]  # unread; kept for the config digest
+
+    def __init__(
+        self,
+        seed: int = DEFAULT_SEED,
+        layout: LayoutConfig = LayoutConfig(),
+        camera: CameraConfig = CameraConfig(),
+        motion: MotionConfig = MotionConfig(),
+        devices: DeviceConfig = DeviceConfig(),
+        faults: FaultConfig = FaultConfig(),
+        orchestrator: OrchestratorConfig = OrchestratorConfig(),
+        extra_topics: tuple[str, ...] = (),
+    ):
+        self.seed = seed
+        self.layout = layout
+        self.camera = camera
+        self.motion = motion
+        self.devices = devices
+        self.faults = faults
+        self.orchestrator = orchestrator
+        self.extra_topics = extra_topics
+
+    def validate(self) -> "Cell":
         """Check each field's type and bound, then the rules that span fields.
 
         Returns the ``Cell`` that the camera rules derive.
@@ -390,7 +405,8 @@ class CellConfig:
     # --- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
+        """The tree as plain JSON values: a dict per record and a list per sequence."""
+        return _plain({name: getattr(self, name) for name in CellConfig.__annotations__})
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -398,9 +414,7 @@ class CellConfig:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "CellConfig":
         """The defaults overlaid with ``data``, unchecked: ``validate()`` is the one check."""
-        cfg = cls()
-        _merge_dataclass(cfg, data, prefix="")
-        return cfg
+        return cls(**_overlay(cls(), data, prefix=""))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CellConfig":
@@ -418,9 +432,9 @@ class Cell(NamedTuple):
     """
 
     config: CellConfig
-    camera: CameraModel
+    camera: "CameraModel"
     depths: dict[int, float]  # zone -> pick depth: its rim marker's depth in the camera frame
-    boxes: dict[int, Box]  # stack id -> its top face in the image
+    boxes: "dict[int, Box]"  # stack id -> its top face in the image
 
 
 # A leaf's type -> (the Python types it accepts, the reason for any other).
@@ -437,7 +451,7 @@ def _schema(hint: Any) -> tuple:
     bound = None
     if get_origin(hint) is Annotated:
         hint, bound = get_args(hint)
-    if dataclasses.is_dataclass(hint):
+    if isinstance(hint, type) and hasattr(hint, "__annotations__"):  # a config record
         hints = get_type_hints(hint, include_extras=True)
         return hint, tuple((name, _schema(h)) for name, h in hints.items()), bound
     return get_origin(hint) or hint, tuple(_schema(arg) for arg in get_args(hint)), bound
@@ -463,8 +477,8 @@ def _check(value: Any, schema: tuple, path: str) -> None:
         # False for NaN, infinity and an int too large for a float.
         if kind is float and not abs(value) <= sys.float_info.max:
             raise ConfigInvalid(path, "must be a finite number")
-    elif kind is list:
-        if not isinstance(value, list):
+    elif kind is tuple:  # a sequence: from_dict reads a JSON array as a tuple
+        if not isinstance(value, (list, tuple)):
             raise ConfigInvalid(path, "expected a list")
         for i, item in enumerate(value):
             _check(item, parts[0], f"{path}[{i}]")
@@ -473,7 +487,7 @@ def _check(value: Any, schema: tuple, path: str) -> None:
             raise ConfigInvalid(path, "expected an object")
         for key, item in value.items():
             _check(item, parts[1], f"{path}.{key}")
-    else:  # a config dataclass
+    else:  # a config record
         if not isinstance(value, kind):
             raise ConfigInvalid(path, "expected an object")
         for name, sub in parts:
@@ -482,15 +496,39 @@ def _check(value: Any, schema: tuple, path: str) -> None:
         raise ConfigInvalid(path, bound.reason)
 
 
-def _merge_dataclass(obj: Any, data: dict[str, Any], prefix: str) -> None:
-    """Overlay ``data`` onto dataclass ``obj``, rejecting unknown keys."""
-    names = {f.name: f for f in dataclasses.fields(obj)}
+def _overlay(record: Any, data: dict[str, Any], prefix: str) -> dict[str, Any]:
+    """The fields of ``record`` that ``data`` sets, each a new value; unknown keys are rejected.
+
+    An object overlays a section field by field into a new record, and an
+    array where the field holds a sequence becomes a tuple. Anything else is
+    taken whole; validate() rejects it in place.
+    """
+    parts = dict(_schema(type(record))[1])
+    changes = {}
     for key, value in data.items():
-        if key not in names:
+        if key not in parts:
             raise ConfigInvalid(prefix + key, "unknown config key")
-        current = getattr(obj, key)
-        # Anything but an object is assigned whole; validate() rejects it in place.
-        if dataclasses.is_dataclass(current) and isinstance(value, dict):
-            _merge_dataclass(current, value, prefix=f"{prefix}{key}.")
-        else:
-            setattr(obj, key, value)
+        current = getattr(record, key)
+        if hasattr(current, "_fields") and isinstance(value, dict):
+            value = current._replace(**_overlay(current, value, f"{prefix}{key}."))
+        changes[key] = _frozen(value, parts[key])
+    return changes
+
+
+def _frozen(value: Any, schema: tuple) -> Any:
+    """``value`` with each list where ``schema`` holds a sequence made a tuple."""
+    kind, parts, _ = schema
+    if kind is tuple and isinstance(value, list):
+        return tuple(_frozen(item, parts[0]) for item in value)
+    return value
+
+
+def _plain(value: Any) -> Any:
+    """``value`` as JSON values: a dict for each section or dict, a list for each sequence."""
+    if hasattr(value, "_fields"):
+        value = value._asdict()
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value

@@ -189,7 +189,7 @@ class OrcParams(NamedTuple):
         or orchestrator) that declares its name.
         """
         o = config.orchestrator
-        values = {**vars(config.devices), **vars(o.pacing), **vars(o)}
+        values = {**config.devices._asdict(), **o.pacing._asdict(), **o._asdict()}
         values.update(
             zones=len(config.layout.zone_sizes),
             cycles=o.cycles_per_test if cycles is None else cycles,

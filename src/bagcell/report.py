@@ -24,14 +24,10 @@ All serialization sorts keys and rounds floats the same way, so identical
 runs produce byte-identical files.
 """
 
-from __future__ import annotations
-
-import dataclasses
 import functools
 import json
 import sys
 from collections import defaultdict
-from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Dict, List, NamedTuple, Sequence, Tuple
@@ -196,8 +192,7 @@ def read_trace(path: str | Path) -> List[TraceRecord]:
 # --- reports --------------------------------------------------------------
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     """Outcome of one test run (a fixed number of feeding cycles)."""
 
     test_index: int
@@ -210,17 +205,18 @@ class RunReport:
     delivered: int
     failed_unhandled: int
     duration_s: float
-    phase_durations_s: Dict[str, float] = field(default_factory=dict)
+    phase_durations_s: Dict[str, float] = {}  # one dict for every default: never mutated
     violations: int = 0
     pusher_stalls: int = 0
-    notes: List[str] = field(default_factory=list)
+    notes: Tuple[str, ...] = ()
 
     @property
     def duration_min(self) -> float:
         return self.duration_s / 60.0
 
     def to_dict(self) -> Dict[str, Any]:
-        d = dataclasses.asdict(self)
+        d = self._asdict()
+        d["notes"] = list(self.notes)
         d["duration_s"] = round(self.duration_s, 6)
         d["phase_durations_s"] = {
             k: round(v, 6) for k, v in sorted(self.phase_durations_s.items())
@@ -279,8 +275,7 @@ def summarize_run(
     )
 
 
-@dataclass
-class CampaignReport:
+class CampaignReport(NamedTuple):
     runs: List[RunReport]
     seed: int
     config_digest: str
@@ -294,7 +289,7 @@ class CampaignReport:
     unconsumed_script_entries: int
 
     def to_dict(self) -> Dict[str, Any]:
-        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        d = self._asdict()
         d["tests"] = [r.to_dict() for r in d.pop("runs")]
         return {k: round(v, 6) if isinstance(v, float) else v for k, v in d.items()}
 

@@ -11,17 +11,13 @@ each stack's top face once (``ground_truth_boxes``) and ``observe`` looks the
 boxes up frame by frame.
 
 Scoring is plain Python float arithmetic. numpy is imported only in
-``CameraModel.__post_init__``, for the extrinsic and its inverse, so
+``CameraModel.__init__``, for the extrinsic and its inverse, so
 ``bagcell eval`` (load two box files, match, score) never loads it.
 """
 
-from __future__ import annotations
-
-import dataclasses
 import functools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
 from typing import (
@@ -219,27 +215,30 @@ def ap_at_threshold(preds: Sequence[Box], matches: Sequence[Match], n_gt: int) -
 # --- camera geometry -----------------------------------------------------
 
 
-@dataclass
 class CameraModel:
     """Ideal pinhole camera with a fixed mounting pose.
 
     ``extrinsic`` maps camera-frame coordinates to the robot base frame
-    (i.e. it is the camera's pose); it must be invertible, with a finite
-    inverse, else ``np.linalg.LinAlgError``. Depth is distance along the optical axis.
+    (i.e. it is the camera's pose); it must be a 4x4 matrix, else
+    ``ValueError``, and invertible, with a finite inverse, else
+    ``np.linalg.LinAlgError``. Depth is distance along the optical axis.
     """
 
-    width_px: int
-    height_px: int
-    fx: float
-    fy: float
-    cx: float
-    cy: float
-    extrinsic: np.ndarray
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        width_px: int,
+        height_px: int,
+        fx: float,
+        fy: float,
+        cx: float,
+        cy: float,
+        extrinsic: Sequence[Sequence[float]],
+    ):
         import numpy as np
 
-        self.extrinsic = np.asarray(self.extrinsic, dtype=float)
+        self.width_px, self.height_px = width_px, height_px
+        self.fx, self.fy, self.cx, self.cy = fx, fy, cx, cy
+        self.extrinsic = np.asarray(extrinsic, dtype=float)
         if self.extrinsic.shape != (4, 4):
             raise ValueError("extrinsic must be 4x4")
         self._inverse = np.linalg.inv(self.extrinsic)
@@ -248,9 +247,9 @@ class CameraModel:
 
     @classmethod
     def from_config(cls, cam) -> "CameraModel":
-        return cls(**{f.name: getattr(cam, f.name) for f in dataclasses.fields(cls)})
+        return cls(cam.width_px, cam.height_px, cam.fx, cam.fy, cam.cx, cam.cy, cam.extrinsic)
 
-    def to_camera(self, point_base: Sequence[float]) -> np.ndarray:
+    def to_camera(self, point_base: Sequence[float]) -> "np.ndarray":
         x, y, z = point_base
         return (self._inverse @ (x, y, z, 1.0))[:3]
 
@@ -291,8 +290,7 @@ def ground_truth_boxes(
     return boxes
 
 
-@dataclass
-class Observation:
+class Observation(NamedTuple):
     detections: List[Box]
     ground_truth: List[Box]
     detection_sources: List[int]  # parallel to detections; -1 marks spurious boxes
@@ -303,10 +301,10 @@ SPURIOUS_CONFIDENCE = 0.55
 
 
 def observe(
-    stacks: Sequence[Stack],
+    stacks: "Sequence[Stack]",
     boxes: Mapping[int, Box],
     camera: CameraModel,
-    rng: np.random.Generator,
+    rng: "np.random.Generator",
     faults,
     miss: Optional[bool] = None,
 ) -> Observation:

@@ -105,7 +105,8 @@ def test_eval_help_and_dump_config_never_load_numpy_or_the_simulator(tmp_path):
     # matrices and the config's extrinsic check. Only the commands that run
     # import the simulator's modules. Scoring a box file, the help, the
     # default config and a usage error start without any of them, and
-    # without logging or hashlib: nothing logs, and only a run hashes.
+    # without logging or hashlib: nothing logs, and only a run hashes. No
+    # record they build is a dataclass, so dataclasses and inspect stay out.
     program = """
 import sys
 import bagcell.cli, bagcell.scenarios, bagcell.vision
@@ -118,7 +119,8 @@ assert cli.main(["eval", "--preds", "pred.txt", "--gts", "gt.txt", "--iou", "2"]
 assert cli.main(["--help"]) == 0
 assert cli.main(["dump-config"]) == 0
 heavy = ["numpy", "bagcell.orchestrator", "bagcell.devices", "bagcell.simulate",
-         "bagcell.motion", "bagcell.bus", "bagcell.world", "logging", "hashlib"]
+         "bagcell.motion", "bagcell.bus", "bagcell.world", "logging", "hashlib",
+         "dataclasses", "inspect"]
 print([name for name in heavy if name in sys.modules])
 """
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -296,6 +298,25 @@ def test_an_aborted_test_leaves_the_earlier_traces_only(
     assert sorted(p.name for p in out.iterdir()) == [f"trace_{i:02d}.jsonl" for i in range(first)]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_outdir_holds_one_commands_outputs(tmp_path, capsys):
+    # The third trace of a 3-test campaign sat beside a later 2-test report,
+    # which nothing tied it to. Files of other kinds stay.
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    assert main(["campaign", "--tests", "3", "--seed", "1", "--outdir", str(out)]) == 0
+    assert main(["campaign", "--tests", "2", "--seed", "2", "--outdir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "notes.txt", "report.json", "table.md", "trace_00.jsonl", "trace_01.jsonl"
+    ]
+    report = json.loads((out / "report.json").read_text())
+    assert (report["seed"], len(report["tests"])) == (2, 2)
+    assert main(["run", "--cycles", "1", "--outdir", str(out)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "report.json", "trace.jsonl"]
+    assert (out / "notes.txt").read_text() == "kept"
 
 
 def test_a_campaign_worker_runs_nothing_after_its_share(tmp_path):

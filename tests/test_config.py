@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from bagcell.cli import main
 from bagcell.config import DEFAULT_SEED, CellConfig, ConfigInvalid
+from bagcell.config import CameraConfig, DeviceConfig, FaultConfig, LayoutConfig
+from bagcell.config import MotionConfig, OrchestratorConfig, PacingConfig
 
 
 def test_defaults_validate():
@@ -154,6 +157,88 @@ def test_to_json_is_stable_and_parseable():
     assert a == b
     parsed = json.loads(a)
     assert parsed["layout"]["zone_sizes"] == [4, 6, 6, 8]
+
+
+# One value off its default in each section: a pose, the zone sizes, an
+# extrinsic row and the capture metadata among them.
+OVERLAY = {
+    "seed": 7,
+    "layout": {"zone_sizes": [6, 6, 6, 6], "home_pose": [0.0, 0.05, 0.6]},
+    "camera": {
+        "extrinsic": [[1.0, 0.0, 0.0, 0.01], [0.0, -1.0, 0.0, -0.69],
+                      [0.0, 0.0, -1.0, 1.05], [0.0, 0.0, 0.0, 1.0]],
+        "capture_metadata": {"contrast": 40},
+    },
+    "motion": {"velocity_scaling": 0.3},
+    "devices": {"door_travel_s": 3},
+    "faults": {"pick_grip_fail_prob": 0.1},
+    "orchestrator": {"pick_attempts": 4, "pacing": {"detect_service_s": 12.5}},
+    "extra_topics": ["a"],
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_config_bytes_are_pinned(capsys):
+    # Recorded when the sections were dataclasses holding lists: the config
+    # digest in every report.json hashes these bytes.
+    assert main(["dump-config"]) == 0
+    dumped = capsys.readouterr().out
+    assert sha256(dumped) == "85d528366d4133db693573ab3c85f073f8f8c2269f5aa29cb26ef96268a8c742"
+    overlaid = CellConfig.from_dict(OVERLAY)
+    overlaid.validate()
+    assert sha256(overlaid.to_json()) == (
+        "3bc0ebc271447d9486c6dc4c943aa6dfc682a027fad2a0b4533d9d52543f9020"
+    )
+
+
+@pytest.mark.parametrize(
+    "section",
+    [LayoutConfig, CameraConfig, MotionConfig, DeviceConfig, FaultConfig, PacingConfig,
+     OrchestratorConfig],
+)
+def test_a_section_field_cannot_be_assigned(section):
+    record = section()
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+
+
+def test_a_cell_cannot_go_stale_under_a_changed_section():
+    # A run on this Cell used the boxes of the old pitch and the poses of the new.
+    cfg = CellConfig()
+    cfg.validate()
+    with pytest.raises(AttributeError):
+        cfg.layout.col_pitch_m = 1.1
+
+
+def _sequences(node, path=""):
+    """(dotted path, value) of every list or tuple in a config tree."""
+    if hasattr(node, "_fields"):
+        node = node._asdict()
+    if isinstance(node, dict):
+        items = ((f"{path}.{k}" if path else k, v) for k, v in node.items())
+    elif isinstance(node, (list, tuple)):
+        yield path, node
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(node))
+    else:
+        return
+    for sub_path, value in items:
+        yield from _sequences(value, sub_path)
+
+
+def test_overlaid_sequences_are_tuples_and_the_tree_round_trips():
+    cfg = CellConfig.from_dict(OVERLAY)
+    fields = {name: getattr(cfg, name) for name in CellConfig.__annotations__}
+    found = dict(_sequences(fields))
+    assert {"layout.zone_sizes", "layout.home_pose", "camera.extrinsic", "camera.extrinsic[0]",
+            "extra_topics"} <= set(found)
+    assert all(type(value) is tuple for value in found.values()), found
+    assert cfg.camera.capture_metadata == {"contrast": 40}  # a dict is set whole
+    default = CellConfig()
+    assert CellConfig.from_dict(default.to_dict()).to_json() == default.to_json()
 
 
 def test_geometry_helpers_consistent():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from bagcell.cli import main
-from bagcell.config import CellConfig, DeviceConfig
+from bagcell.config import CellConfig, DeviceConfig, FaultConfig
 from bagcell.devices import (
     DeviceBank,
     FaultScript,
@@ -367,8 +367,7 @@ def test_script_validation_errors(tmp_path):
 
 def decider(seed=0, script=None, pick_prob=0.0):
     """A fresh run whose pick actions fail with ``pick_prob`` unless scripted."""
-    cfg = CellConfig()
-    cfg.faults.pick_grip_fail_prob = pick_prob
+    cfg = CellConfig(faults=FaultConfig(pick_grip_fail_prob=pick_prob))
     return Simulation(cfg.validate(), seed=seed, script=script)
 
 
@@ -394,8 +393,7 @@ def test_injector_prob_zero_and_one():
         "secure": "bottom_suction_fail_prob",
     }
     for action, prob in probs.items():
-        cfg = CellConfig()
-        setattr(cfg.faults, prob, 1.0)
+        cfg = CellConfig(faults=FaultConfig(**{prob: 1.0}))
         sim = Simulation(cfg.validate(), seed=0)
         decided = [sim._decide(action, {"slot": i, "stack": i}) for i in range(20)]
         assert decided == ["fail"] * 20, action

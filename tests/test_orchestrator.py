@@ -1,7 +1,6 @@
 """Unit tests for the pure control-logic state machine."""
 
 import ast
-import dataclasses
 import enum
 import hashlib
 import inspect
@@ -85,7 +84,7 @@ def test_each_param_is_declared_by_exactly_one_config_section():
     for name in OrcParams._fields:
         if name in ("zones", "cycles"):
             continue
-        owners = [s for s in sections if name in {g.name for g in dataclasses.fields(s)}]
+        owners = [s for s in sections if name in s._fields]
         assert len(owners) == 1, name
         assert getattr(PARAMS, name) == getattr(owners[0], name)
 

@@ -1,8 +1,6 @@
 """Tests for the canned reference campaign and the randomized fault profile."""
 
-import dataclasses
-
-from bagcell.config import CellConfig
+from bagcell.config import CellConfig, OrchestratorConfig
 from bagcell.scenarios import REFERENCE_CAMPAIGN, build_reference_script, randomized_fault_profile
 
 
@@ -35,9 +33,9 @@ def test_reference_script_entry_budget():
 
 
 def test_reference_script_exhausts_the_configs_caps():
-    config = CellConfig()
-    o = config.orchestrator
-    o.detect_attempts, o.pick_attempts, o.place_attempts = 2, 4, 5
+    config = CellConfig(
+        orchestrator=OrchestratorConfig(detect_attempts=2, pick_attempts=4, place_attempts=5)
+    )
     last = {}
     for e in build_reference_script(config).entries:
         last[e.when["action"]] = max(last.get(e.when["action"], 0), e.when["attempt"])
@@ -59,10 +57,10 @@ def test_reference_script_failing_slots_sit_at_the_tail():
 
 def test_randomized_profile_is_stochastic_but_bounded():
     prof = randomized_fault_profile()
-    for f in dataclasses.fields(prof):
-        value = getattr(prof, f.name)
+    for name in prof._fields:
+        value = getattr(prof, name)
         assert value >= 0.0
-        if f.name.endswith("_prob"):
+        if name.endswith("_prob"):
             assert value <= 1.0
     # It must actually inject something, or the sweep proves nothing.
     assert prof.pick_grip_fail_prob > 0

@@ -277,8 +277,7 @@ def test_run_that_never_finishes_lasts_until_the_final_clock(monkeypatch):
 
 def drive_plan(monkeypatch, prob, *entries):
     """One approach plan at ``plan_failure_prob`` ``prob`` under ``entries``."""
-    cfg = CellConfig()
-    cfg.faults.plan_failure_prob = prob
+    cfg = CellConfig(faults=FaultConfig(plan_failure_prob=prob))
     sc = script(*entries)
     sim, seen, _ = drive_machine(
         monkeypatch,
@@ -394,7 +393,7 @@ def reference_boxes(config):
 def test_run_geometry_is_the_fresh_projection_bit_for_bit(extrinsic):
     config = CellConfig()
     if extrinsic is not None:
-        config.camera.extrinsic = extrinsic
+        config.camera = config.camera._replace(extrinsic=extrinsic)
     cell = config.validate()
     want = reference_boxes(config)
     assert sorted(cell.boxes) == sorted(want) == [s.id for s in build_world(config).stacks]
@@ -415,7 +414,7 @@ def test_a_stack_top_outside_the_frame_is_rejected(section, name, value):
     # Such a stack has no box, so no frame would ever show it and the run
     # would go on without it, exit 0. validate() names the first one unseen.
     config = CellConfig()
-    setattr(getattr(config, section), name, value)
+    setattr(config, section, getattr(config, section)._replace(**{name: value}))
     camera = CameraModel.from_config(config.camera)
     unseen = [s for s in build_world(config).stacks if per_frame_box(config, camera, s) is None]
     with pytest.raises(ConfigInvalid) as info:
@@ -450,18 +449,18 @@ def test_a_config_is_validated_once_per_command_and_builds_one_camera(
 ):
     # The camera that validate() builds to check the config is every run's camera.
     validated, built = [], []
-    validate, post_init = CellConfig.validate, CameraModel.__post_init__
+    validate, init = CellConfig.validate, CameraModel.__init__
 
     def counted_validate(config):
         validated.append(config)
         return validate(config)
 
-    def counted_post_init(camera):
+    def counted_init(camera, *args):
         built.append(camera)
-        post_init(camera)
+        init(camera, *args)
 
     monkeypatch.setattr(CellConfig, "validate", counted_validate)
-    monkeypatch.setattr(CameraModel, "__post_init__", counted_post_init)
+    monkeypatch.setattr(CameraModel, "__init__", counted_init)
     cell = CellConfig().validate()
     assert len(list(run_campaign(cell, range(REFERENCE_TESTS)))) == REFERENCE_TESTS == 10
     assert (len(validated), len(built)) == (1, 1)
@@ -665,8 +664,7 @@ def test_scripted_detect_exhaustion_skips_one_stack():
 
 def test_scripted_detect_ok_pins_a_frame_and_stall_forces_a_miss():
     # A scripted outcome pins its action; any outcome but "ok" is a failure.
-    cfg = CellConfig()
-    cfg.faults.detection_miss_prob = 1.0
+    cfg = CellConfig(faults=FaultConfig(detection_miss_prob=1.0))
     sc = script(({"action": "detect", "slot": 0, "attempt": 1}, "ok"))
     report, tracer = run_single(cfg, seed=13, cycles=1, script=sc)
     frame = next(r.data for r in tracer.records if r.kind == "detect")
