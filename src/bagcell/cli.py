@@ -8,9 +8,11 @@ Subcommands:
   dump-config  print the default configuration as JSON
 
 Outputs (traces, reports, tables) land in --outdir, or $BAGCELL_OUTDIR, or
-./out, which holds one command's outputs: before it writes, a command
-removes the traces, report and table an earlier one left there, and leaves
-other files alone. report.json is written last, whole or not at all.
+./out, which holds one command's outputs: once its inputs are read and
+checked, and before it runs, a command removes the traces, report and table
+an earlier one left there, and leaves other files alone. So a usage error
+leaves them in place and an aborted run leaves none of them. report.json is
+written last, whole or not at all.
 
 Exit codes: 0 success, 1 bad usage or malformed input files, 2 run aborted
 (safety violations, a refused interlock, a stuck control loop, or replay
@@ -99,13 +101,15 @@ def _write_report(outdir: Path, campaign: CampaignReport) -> None:
 
 
 def cmd_run(args) -> int:
-    from bagcell.simulate import run_single  # imported here: only a run loads the simulator
+    from bagcell.simulate import Simulation  # imported here: only a run loads the simulator
 
     config = _load_config(args)
+    cell = config.validate()
     script = _load_script(args.script)
-    report, tracer = run_single(config, cycles=args.cycles, script=script)
     outdir = _outdir(args.outdir)
-    write_trace(outdir / "trace.jsonl", tracer.records)
+    sim = Simulation(cell, cycles=args.cycles, script=script)
+    report = sim.run()
+    write_trace(outdir / "trace.jsonl", sim.tracer.records)
     campaign = _summarize(config, [report], script)
     _write_report(outdir, campaign)
     unconsumed = campaign.unconsumed_script_entries

@@ -25,6 +25,7 @@ is not an object replaces a section whole, for ``validate`` to reject.
 import functools
 import json
 import math
+import operator
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Annotated, Any, Callable, NamedTuple
@@ -263,12 +264,24 @@ class CellConfig:
         self.faults = faults
         self.orchestrator = orchestrator
         self.extra_topics = extra_topics
+        self._validated = None  # (the root fields the last successful validate() read, its Cell)
 
     def validate(self) -> "Cell":
         """Check each field's type and bound, then the rules that span fields.
 
-        Returns the ``Cell`` that the camera rules derive.
+        Returns the ``Cell`` that the camera rules derive. While every root
+        field is the same object that the last successful call read, that
+        call's ``Cell`` is returned without a check: a section cannot change,
+        so only an assigned field can. Fields are compared by identity, so an
+        equal value of another type, such as a plain tuple for a section, is
+        still checked and rejected.
         """
+        fields = (self.seed, self.layout, self.camera, self.motion, self.devices, self.faults,
+                  self.orchestrator, self.extra_topics)
+        if self._validated is not None:
+            read, cell = self._validated
+            if cell.config is self and all(map(operator.is_, fields, read)):
+                return cell
         check(self, CellConfig)
         lay = self.layout
         if len(lay.zone_sizes) != 4:
@@ -363,7 +376,9 @@ class CellConfig:
                 "devices.leak_level_kpa",
                 f"must be above secure_threshold_kpa={dev.secure_threshold_kpa}",
             )
-        return Cell(self, camera, depths, boxes)
+        cell = Cell(self, camera, depths, boxes, {})
+        self._validated = fields, cell
+        return cell
 
     # --- geometry helpers -------------------------------------------------
 
@@ -428,13 +443,18 @@ class CellConfig:
 class Cell(NamedTuple):
     """What a config fixes for every run on it, derived once by ``CellConfig.validate``.
 
-    A config changed after ``validate()`` needs a new ``Cell``.
+    A config changed after ``validate()`` needs a new ``Cell``, and its next
+    ``validate()`` gives it.
     """
 
     config: CellConfig
     camera: "CameraModel"
     depths: dict[int, float]  # zone -> pick depth: its rim marker's depth in the camera frame
     boxes: "dict[int, Box]"  # stack id -> its top face in the image
+    # (start pose, move destination) -> (end pose, rounded distance, rounded
+    # duration, duration) of each move that starts at a pose the config fixes;
+    # filled by the runs on this Cell (``Simulation._start_move``).
+    moves: dict[tuple, tuple]
 
 
 # A leaf's type -> (the Python types it accepts, the reason for any other).

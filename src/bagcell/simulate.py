@@ -9,8 +9,11 @@ fallible occurrence by one rule in ``Simulation._outcome``, which adds the
 run's test index to its context, sending every device command through one
 executor, mutating the world, and scheduling timers. It builds only what a
 run changes: the camera, each zone's pick depth and each stack's box come
-from the config's one ``Cell`` (``CellConfig.validate``), and each leg
-length is timed once, when it first comes up. The device bank decides what
+from the config's one ``Cell`` (``CellConfig.validate``). So does each
+move that starts at a pose the config fixes and does not go to the detected
+pick point: the ``Cell``'s move memo keeps its end pose, its traced distance
+and duration, and every run on the ``Cell`` looks it up. A move the memo
+does not hold times each leg length once per run. The device bank decides what
 a failed command does and what an ultrasonic read sees, and names each
 device event.
 A publish is traced as a ``message`` numbered per topic; a topic that the
@@ -96,11 +99,15 @@ class Simulation:
         self.safe_mid = tuple(lay.safe_mid_pose[:3])
         self.bin_pose = tuple(lay.bin_pose[:3])
         self.robot_pos: Tuple[float, float, float] = self.home
+        # Whether the arm stands at a pose the config fixes: every move but
+        # one to ``target`` ends at one, and a removal leg or a reseat leaves
+        # the arm where it was.
+        self._posed = True
         self.pending_target: Optional[Tuple[float, float, float]] = None
         mot = config.motion
         self._limits = mot.effective_max_speed_mps, mot.effective_acceleration_mps2
-        # Leg length -> its move time under this run's limits. Most moves run
-        # between the same fixed poses, so few lengths recur many times.
+        # Leg length -> its move time under this run's limits, for the moves
+        # the Cell's move memo does not hold.
         self._leg_s: Dict[float, float] = {}
 
     # -- event plumbing ----------------------------------------------------
@@ -218,10 +225,31 @@ class Simulation:
     }
 
     def _start_move(self, action: orc.Move) -> None:
-        kind, *args = action.dest
+        dest = action.dest
+        kind = dest[0]
+        posed = self._posed
+        key = (self.robot_pos, dest)
+        move = self.cell.moves.get(key) if posed else None
+        if move is None:
+            move = self._plan_move(dest)
+            if posed and kind != "target":
+                self.cell.moves[key] = move
+        self.robot_pos, distance, rounded, duration = move
+        if kind == "target":
+            self._posed = False
+        elif kind not in ("rem", "reseat"):
+            self._posed = True
+        self.tracer.record(
+            "motion", self.now, {"tag": action.tag, "distance_m": distance, "duration_s": rounded}
+        )
+        self._push(self.now + duration, orc.MotionDone(tag=action.tag))
+
+    def _plan_move(self, dest: Tuple) -> Tuple:
+        """(end pose, rounded distance, rounded duration, duration) of a move from here."""
+        kind, *args = dest
         build = self._DESTINATIONS.get(kind)
         if build is None:
-            raise ValueError(f"unresolvable move destination {action.dest!r}")
+            raise ValueError(f"unresolvable move destination {dest!r}")
         legs = build(self, *args)
         # The arm stops at every waypoint, so each leg is its own profile.
         leg_s = self._leg_s
@@ -229,16 +257,7 @@ class Simulation:
             if d not in leg_s:
                 leg_s[d] = move_duration(d, *self._limits)
         duration = sum([leg_s[d] for d in legs])
-        self.tracer.record(
-            "motion",
-            self.now,
-            {
-                "tag": action.tag,
-                "distance_m": round(sum(legs), 6),
-                "duration_s": round(duration, 6),
-            },
-        )
-        self._push(self.now + duration, orc.MotionDone(tag=action.tag))
+        return self.robot_pos, round(sum(legs), 6), round(duration, 6), duration
 
     # -- detection ---------------------------------------------------------
 

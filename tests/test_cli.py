@@ -319,6 +319,28 @@ def test_an_outdir_holds_one_commands_outputs(tmp_path, capsys):
     assert (out / "notes.txt").read_text() == "kept"
 
 
+def test_an_aborted_run_leaves_no_earlier_outputs(tmp_path, capsys):
+    # The earlier run's report.json and trace.jsonl used to survive an
+    # aborted run and read as its clean success.
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    stuck = tmp_path / "stuck.json"
+    stuck.write_text('{"orchestrator": {"pacing": {"door_settle_s": 90000}}}')
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text('{"orchestrator": {"pick_attempts": 0}}')
+    run = ["run", "--cycles", "1", "--outdir", str(out)]
+    assert main(run) == 0
+    earlier = {name: (out / name).read_bytes() for name in ("report.json", "trace.jsonl")}
+    # A config that fails validation is a usage error, and the outdir is untouched.
+    assert main(run + ["--config", str(invalid)]) == 1
+    assert {name: (out / name).read_bytes() for name in earlier} == earlier
+    assert main(run + ["--config", str(stuck)]) == 2
+    assert "control loop stuck" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+    assert (out / "notes.txt").read_text() == "kept"
+
+
 def test_a_campaign_worker_runs_nothing_after_its_share(tmp_path):
     # A child leaves through os._exit: no exit handler runs in it, and the
     # stdout buffer it inherited is not flushed a second time.

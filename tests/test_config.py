@@ -214,6 +214,60 @@ def test_a_cell_cannot_go_stale_under_a_changed_section():
         cfg.layout.col_pitch_m = 1.1
 
 
+def test_an_unchanged_config_validates_to_its_one_cell():
+    cfg = CellConfig()
+    assert cfg.validate() is cfg.validate()
+    twin = copy.copy(cfg)  # the same field objects, but its Cell must name the twin
+    assert twin.validate().config is twin
+
+
+@pytest.mark.parametrize(
+    "assign",
+    [
+        lambda cfg: setattr(cfg, "seed", cfg.seed + 1),
+        lambda cfg: setattr(cfg, "layout", cfg.layout._replace()),
+        lambda cfg: setattr(cfg, "faults", cfg.faults._replace(pick_grip_fail_prob=0.5)),
+        lambda cfg: setattr(cfg, "extra_topics", ()),
+    ],
+    ids=["seed", "equal-section", "changed-section", "extra-topics"],
+)
+def test_a_reassigned_root_field_is_validated_afresh(assign):
+    cfg = CellConfig(seed=1000, extra_topics=("a",))
+    cell = cfg.validate()
+    assign(cfg)
+    fresh = cfg.validate()
+    assert fresh is not cell and fresh.config is cfg
+    assert fresh.camera is not cell.camera and fresh.moves == {}
+    assert cfg.validate() is fresh
+
+
+@pytest.mark.parametrize("section", ["layout", "camera", "motion", "devices", "faults",
+                                     "orchestrator"])
+def test_an_equal_plain_tuple_in_place_of_a_section_is_rejected(section):
+    cfg = CellConfig()
+    cfg.validate()
+    setattr(cfg, section, tuple(getattr(cfg, section)))
+    assert getattr(cfg, section) == getattr(CellConfig(), section)
+    with pytest.raises(ConfigInvalid, match=f"^{section}: expected an object$"):
+        cfg.validate()
+
+
+def test_a_config_that_fails_validation_raises_on_every_call():
+    cfg = CellConfig()
+    cell = cfg.validate()
+    cfg.orchestrator = cfg.orchestrator._replace(pick_attempts=0)
+    for _ in range(2):
+        with pytest.raises(ConfigInvalid, match="orchestrator.pick_attempts"):
+            cfg.validate()
+    bad = CellConfig.from_dict({"layout": {"zone_sizes": [4, 6, 6, 7]}})
+    for _ in range(2):
+        with pytest.raises(ConfigInvalid, match="layout.zone_sizes"):
+            bad.validate()
+    # Back to the very objects last validated: the memo kept that success only.
+    cfg.orchestrator = CellConfig().orchestrator
+    assert cfg.validate() is cell
+
+
 def _sequences(node, path=""):
     """(dotted path, value) of every list or tuple in a config tree."""
     if hasattr(node, "_fields"):

@@ -490,6 +490,49 @@ def test_leg_times_come_from_the_one_formula():
         assert seconds.hex() == want.hex()
 
 
+def _stream_digest(tracer):
+    h = hashlib.sha256()
+    for rec in tracer.records:
+        h.update(rec.to_line().encode() + b"\n")
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def warm_sweep():
+    """Seeds 0-199 of the randomized profile on one shared Cell: the Cell and each trace's digest."""
+    cell = CellConfig(faults=randomized_fault_profile()).validate()
+    return cell, {
+        seed: _stream_digest(run_single(cell.config, seed=seed, cycles=1)[1])
+        for seed in range(200)
+    }
+
+
+def test_a_cells_move_memo_leaves_every_byte_as_a_fresh_cell_writes(warm_sweep):
+    cell, warm = warm_sweep
+    assert cell.config.validate() is cell
+    for seed, digest in warm.items():
+        sim = Simulation(CellConfig(faults=randomized_fault_profile()).validate(), seed, cycles=1)
+        sim.run()
+        assert sim.cell is not cell
+        assert _stream_digest(sim.tracer) == digest, seed
+
+
+def test_the_move_memo_holds_only_moves_from_the_config_poses(warm_sweep):
+    cell, _ = warm_sweep
+    cfg = cell.config
+    lay = cfg.layout
+    poses = {tuple(p[:3]) for p in (lay.home_pose, lay.reset_pose, lay.safe_mid_pose,
+                                    lay.bin_pose)}
+    poses |= {cfg.view_pose(zone) for zone in range(1, len(lay.zone_sizes) + 1)}
+    poses |= {cfg.enclosure_drop_pose(i) for i in range(lay.enclosure_count)}
+    # Bounded by poses x destinations, not by seeds.
+    assert 20 <= len(cell.moves) <= 40
+    for (start, dest), (end, *_) in cell.moves.items():
+        assert start in poses, (start, dest)
+        assert dest[0] != "target", (start, dest)
+        assert end in poses, (start, dest)
+
+
 # --- world mutation -------------------------------------------------------
 
 
