@@ -101,15 +101,14 @@ def _write_report(outdir: Path, campaign: CampaignReport) -> None:
 
 
 def cmd_run(args) -> int:
-    from bagcell.simulate import Simulation  # imported here: only a run loads the simulator
+    from bagcell.simulate import run_single  # imported here: only a run loads the simulator
 
     config = _load_config(args)
     cell = config.validate()
     script = _load_script(args.script)
     outdir = _outdir(args.outdir)
-    sim = Simulation(cell, cycles=args.cycles, script=script)
-    report = sim.run()
-    write_trace(outdir / "trace.jsonl", sim.tracer.records)
+    report, tracer = run_single(cell, cycles=args.cycles, script=script)
+    write_trace(outdir / "trace.jsonl", tracer.records)
     campaign = _summarize(config, [report], script)
     _write_report(outdir, campaign)
     unconsumed = campaign.unconsumed_script_entries

@@ -28,7 +28,7 @@ import math
 import operator
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Annotated, Any, Callable, NamedTuple
+from typing import TYPE_CHECKING, Annotated, Any, Callable, Iterator, NamedTuple
 from typing import get_args, get_origin, get_type_hints
 
 if TYPE_CHECKING:
@@ -264,23 +264,31 @@ class CellConfig:
         self.faults = faults
         self.orchestrator = orchestrator
         self.extra_topics = extra_topics
-        self._validated = None  # (the root fields the last successful validate() read, its Cell)
+        # The root fields the last successful validate() read, each list or
+        # dict in them with its repr then, and the Cell it returned.
+        self._validated = None
 
     def validate(self) -> "Cell":
         """Check each field's type and bound, then the rules that span fields.
 
         Returns the ``Cell`` that the camera rules derive. While every root
-        field is the same object that the last successful call read, that
-        call's ``Cell`` is returned without a check: a section cannot change,
-        so only an assigned field can. Fields are compared by identity, so an
-        equal value of another type, such as a plain tuple for a section, is
-        still checked and rejected.
+        field is the same object that the last successful call read, and
+        every list or dict in them has the repr it had then, that call's
+        ``Cell`` is returned without a check: a section cannot change, so
+        only an assigned field or a container changed in place can. Fields
+        are compared by identity and containers by repr, so an equal value of
+        another type, such as a plain tuple for a section or ``4.0`` for
+        ``4`` in a list, is still checked and rejected.
         """
         fields = (self.seed, self.layout, self.camera, self.motion, self.devices, self.faults,
                   self.orchestrator, self.extra_topics)
         if self._validated is not None:
-            read, cell = self._validated
-            if cell.config is self and all(map(operator.is_, fields, read)):
+            read, held, cell = self._validated
+            if (
+                cell.config is self
+                and all(map(operator.is_, fields, read))
+                and all(repr(box) == text for box, text in held)
+            ):
                 return cell
         check(self, CellConfig)
         lay = self.layout
@@ -377,7 +385,7 @@ class CellConfig:
                 f"must be above secure_threshold_kpa={dev.secure_threshold_kpa}",
             )
         cell = Cell(self, camera, depths, boxes, {})
-        self._validated = fields, cell
+        self._validated = fields, [(box, repr(box)) for box in _containers(fields)], cell
         return cell
 
     # --- geometry helpers -------------------------------------------------
@@ -514,6 +522,15 @@ def _check(value: Any, schema: tuple, path: str) -> None:
             _check(getattr(value, name), sub, f"{path}.{name}" if path else name)
     if bound is not None and not bound.ok(value):
         raise ConfigInvalid(path, bound.reason)
+
+
+def _containers(node: Any) -> Iterator[Any]:
+    """Each list and dict in ``node`` that no other one holds: what can change in place."""
+    if isinstance(node, (list, dict)):
+        yield node
+    elif isinstance(node, tuple):
+        for item in node:
+            yield from _containers(item)
 
 
 def _overlay(record: Any, data: dict[str, Any], prefix: str) -> dict[str, Any]:

@@ -426,12 +426,17 @@ class Simulation:
 
 
 def run_single(
-    config: CellConfig,
+    config: CellConfig | Cell,
     seed: Optional[int] = None,
     cycles: Optional[int] = None,
     script: Optional[dv.FaultScript] = None,
 ) -> Tuple[RunReport, Tracer]:
-    sim = Simulation(config.validate(), seed=seed, script=script, cycles=cycles)
+    """One run, on ``config``'s ``Cell``: a config is validated first, a ``Cell`` is used as it is.
+
+    ``cli run`` passes the ``Cell`` it validated before it cleaned its outdir.
+    """
+    cell = config if isinstance(config, Cell) else config.validate()
+    sim = Simulation(cell, seed=seed, script=script, cycles=cycles)
     return sim.run(), sim.tracer
 
 

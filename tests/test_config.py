@@ -252,6 +252,30 @@ def test_an_equal_plain_tuple_in_place_of_a_section_is_rejected(section):
         cfg.validate()
 
 
+@pytest.mark.parametrize(
+    "sections, change, path",
+    [
+        ({"layout": LayoutConfig(zone_sizes=[4, 6, 6, 8])},
+         lambda cfg: cfg.layout.zone_sizes.append(6), "layout.zone_sizes"),
+        ({"layout": LayoutConfig(zone_sizes=[4, 6, 6, 8])},
+         lambda cfg: cfg.layout.zone_sizes.__setitem__(0, 4.0), r"layout.zone_sizes\[0\]"),
+        ({"camera": CameraConfig(capture_metadata={"contrast": 50})},
+         lambda cfg: cfg.camera.capture_metadata.update(contrast=None),
+         "camera.capture_metadata.contrast"),
+        ({"extra_topics": ["a"]}, lambda cfg: cfg.extra_topics.append(1), r"extra_topics\[1\]"),
+    ],
+    ids=["list-grown", "equal-list-item", "dict-item", "root-list"],
+)
+def test_a_list_or_dict_changed_in_place_is_validated_afresh(sections, change, path):
+    # A section cannot change, but a list or dict in it can: the next
+    # validate() checks it again, and an equal item of another type fails.
+    cfg = CellConfig(**sections)
+    cfg.validate()
+    change(cfg)
+    with pytest.raises(ConfigInvalid, match=f"^{path}: "):
+        cfg.validate()
+
+
 def test_a_config_that_fails_validation_raises_on_every_call():
     cfg = CellConfig()
     cell = cfg.validate()

@@ -30,7 +30,6 @@ ALLOWED = {
     ("report.py", "audit_interlocks"): "the replay and sweep audits",
     ("report.py", "audit_retry_caps"): "the replay and sweep audits",
     ("scenarios.py", "randomized_fault_profile"): "the sweep's fault profile",
-    ("simulate.py", "run_single"): "the sweep's op",
     ("vision.py", "save_boxes"): "writes the eval workload's box files",
 }
 

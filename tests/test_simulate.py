@@ -502,14 +502,13 @@ def warm_sweep():
     """Seeds 0-199 of the randomized profile on one shared Cell: the Cell and each trace's digest."""
     cell = CellConfig(faults=randomized_fault_profile()).validate()
     return cell, {
-        seed: _stream_digest(run_single(cell.config, seed=seed, cycles=1)[1])
+        seed: _stream_digest(run_single(cell, seed=seed, cycles=1)[1])
         for seed in range(200)
     }
 
 
 def test_a_cells_move_memo_leaves_every_byte_as_a_fresh_cell_writes(warm_sweep):
     cell, warm = warm_sweep
-    assert cell.config.validate() is cell
     for seed, digest in warm.items():
         sim = Simulation(CellConfig(faults=randomized_fault_profile()).validate(), seed, cycles=1)
         sim.run()
