@@ -2,8 +2,9 @@
 
 Detections are axis-aligned boxes in pixel space. The matcher is greedy in
 confidence order with one-to-one assignment at an IoU threshold, per image as
-in the PASCAL VOC protocol: a prediction is compared only with ground truth of
-its own frame and label, so scoring time is linear in the number of frames.
+in the PASCAL VOC protocol: ground truth is grouped by frame and label, a
+prediction scans only the untaken ground truth of its own group, and the box
+it claims leaves the group, so scoring time is linear in the number of frames.
 Metrics can be computed either from matched box lists or directly from
 confusion counts (the O(1) path for large benchmark tallies). The camera is an
 ideal pinhole with a fixed extrinsic. Stacks never move, so a config draws
@@ -83,42 +84,52 @@ def match_detections(
 
     Matching only pairs boxes from the same frame and the same label. Ties in
     confidence keep input order; ties in overlap prefer the lowest
-    ground-truth index. Returns (matches, unmatched_pred_indices,
+    ground-truth index. ``iou_threshold`` must be at least 0, else
+    ``ValueError``. Returns (matches, unmatched_pred_indices,
     unmatched_gt_indices).
     """
-    # Ground truth per (frame, label), indices ascending, with its extents and
-    # area computed once; a prediction scans only its own group.
+    if not iou_threshold >= 0.0:  # pairs that do not overlap are skipped as IoU 0
+        raise ValueError(f"iou_threshold {iou_threshold} is not >= 0")
+    # Untaken ground truth per (frame, label), indices ascending, with its
+    # extents and area computed once; a prediction scans only its own group,
+    # and the ground truth it claims leaves the group.
     groups: Dict[Tuple[int, str], List[tuple]] = defaultdict(list)
     for gj, (x0, y0, x1, y1, _, label, frame_id) in enumerate(gts):
         w, h = x1 - x0, y1 - y0
         area = (w if w > 0.0 else 0.0) * (h if h > 0.0 else 0.0)
         groups[frame_id, label].append((gj, x0, y0, x1, y1, area))
-    taken: set[int] = set()
+    new = tuple.__new__
     matches: List[Match] = []
     for pi in _ranking(tuple([p.confidence for p in preds])):
         px0, py0, px1, py1, _, label, frame_id = preds[pi]
+        group = groups.get((frame_id, label))
+        if not group:
+            continue
         w, h = px1 - px0, py1 - py0
         p_area = (w if w > 0.0 else 0.0) * (h if h > 0.0 else 0.0)
-        best_j = -1
+        best = None
         best_iou = iou_threshold
-        for gj, gx0, gy0, gx1, gy1, g_area in groups.get((frame_id, label), ()):
-            if gj in taken:
-                continue
-            # IoU(pred, gt), operands in min/max(pred, gt) order: every float is unchanged.
+        for g in group:
+            _, gx0, gy0, gx1, gy1, g_area = g
+            # IoU(pred, gt), operands in min/max(pred, gt) order: every float is
+            # unchanged. A pair apart on either axis has IoU 0, which can
+            # neither beat ``best_iou`` nor take the tie branch.
             ix = (gx1 if gx1 < px1 else px1) - (gx0 if gx0 > px0 else px0)
+            if ix <= 0.0:
+                continue
             iy = (gy1 if gy1 < py1 else py1) - (gy0 if gy0 > py0 else py0)
-            if ix <= 0.0 or iy <= 0.0:
-                ov = 0.0
-            else:
-                union = p_area + g_area - (inter := ix * iy)
-                ov = inter / union if union > 0.0 else 0.0
-            if ov > best_iou or (ov == best_iou and ov > 0.0 and best_j == -1):
+            if iy <= 0.0:
+                continue
+            union = p_area + g_area - (inter := ix * iy)
+            ov = inter / union if union > 0.0 else 0.0
+            if ov > best_iou or (ov == best_iou and ov > 0.0 and best is None):
                 best_iou = ov
-                best_j = gj
-        if best_j >= 0:
-            taken.add(best_j)
-            matches.append(Match(pi, best_j, best_iou))
+                best = g
+        if best is not None:
+            group.remove(best)
+            matches.append(new(Match, (pi, best[0], best_iou)))
     matched_preds = {m.pred_index for m in matches}
+    taken = {m.gt_index for m in matches}
     unmatched_preds = [i for i in range(len(preds)) if i not in matched_preds]
     unmatched_gts = [j for j in range(len(gts)) if j not in taken]
     return matches, unmatched_preds, unmatched_gts
@@ -378,12 +389,20 @@ def save_boxes(path: str | Path, boxes: Iterable[Box]) -> None:
 
 
 def load_boxes(path: str | Path) -> List[Box]:
+    """Read a box file; ``MalformedBoxFile`` names the first line that is not a box.
+
+    A box's coordinates must be finite, its extents not inverted, its
+    confidence in [0, 1] and its area, doubled, finite: that bound keeps
+    every union the matcher forms finite.
+    """
     out: List[Box] = []
+    append = out.append
+    new = tuple.__new__
     isfinite = math.isfinite
     text = read_text(path, functools.partial(MalformedBoxFile, str(path), None))
     for line_no, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
-        if not parts or parts[0].startswith("#"):
+        if not parts or parts[0][0] == "#":
             continue
         if len(parts) != 7:
             raise MalformedBoxFile(str(path), line_no, f"expected 7 fields, got {len(parts)}")
@@ -394,11 +413,16 @@ def load_boxes(path: str | Path) -> List[Box]:
             x_min, y_min, x_max, y_max = float(x0), float(y0), float(x1), float(y1)
         except ValueError as exc:
             raise MalformedBoxFile(str(path), line_no, str(exc))
-        if not (isfinite(x_min) and isfinite(y_min) and isfinite(x_max) and isfinite(y_max)):
+        # Any non-finite coordinate makes the doubled area inf or NaN, so one
+        # test covers the four coordinates on every accepted line.
+        area_fits = isfinite((x_max - x_min) * (y_max - y_min) * 2.0)
+        if not area_fits and not all(map(isfinite, (x_min, y_min, x_max, y_max))):
             raise MalformedBoxFile(str(path), line_no, "box coordinates must be finite")
         if x_max < x_min or y_max < y_min:
             raise MalformedBoxFile(str(path), line_no, "box extents are inverted")
         if not (0.0 <= confidence <= 1.0):
             raise MalformedBoxFile(str(path), line_no, f"confidence {confidence} outside [0, 1]")
-        out.append(Box(x_min, y_min, x_max, y_max, confidence, label, frame_id))
+        if not area_fits:
+            raise MalformedBoxFile(str(path), line_no, "box area overflows")
+        append(new(Box, (x_min, y_min, x_max, y_max, confidence, label, frame_id)))
     return out

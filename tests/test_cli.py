@@ -100,6 +100,23 @@ def test_eval_against_empty_ground_truth_is_a_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_eval_of_two_empty_files_scores_all_ones_with_no_ap(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# no boxes\n")
+    assert main(["eval", "--preds", str(empty), "--gts", str(empty)]) == 0
+    scores = json.loads(capsys.readouterr().out)
+    assert scores["precision"] == scores["recall"] == scores["f1"] == 1.0
+    assert scores["ap"] is None and scores["tp"] == 0
+
+
+def test_eval_of_a_box_whose_area_overflows_is_a_usage_error(tmp_path, capsys):
+    # The area 1e400 is inf, so the union inf - inf would be NaN and the box
+    # would not even match itself.
+    (tmp_path / "b.txt").write_text("0 stack 0.9 0 0 1e200 1e200\n")
+    assert main(["eval", "--preds", "b.txt", "--gts", "b.txt"]) == 1
+    assert capsys.readouterr().err == "error: b.txt:1: box area overflows\n"
+
+
 def test_eval_help_and_dump_config_never_load_numpy_or_the_simulator(tmp_path):
     # numpy is imported only to simulate: the run's generator, the camera's
     # matrices and the config's extrinsic check. Only the commands that run

@@ -1,12 +1,16 @@
+import hashlib
 import itertools
+import json
 import math
+import random
 import time
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 
+from bagcell.cli import main
 from bagcell.config import CameraConfig, CellConfig, FaultConfig
 from bagcell.vision import (
     Box,
@@ -243,6 +247,54 @@ def test_match_equals_all_pairs_reference(data, pool, thr):
     preds = data.draw(st.lists(st.sampled_from(pool), max_size=12))
     gts = data.draw(st.lists(st.sampled_from(pool), max_size=12))
     assert match_detections(preds, gts, thr) == all_pairs_match(preds, gts, thr)
+
+
+def test_an_iou_tied_at_the_threshold_takes_the_lowest_ground_truth():
+    pred = Box(0, 0, 10, 10)
+    gts = [Box(5, 0, 15, 10), Box(-5, 0, 5, 10)]  # IoU 1/3 with each
+    thr = iou(pred, gts[0])
+    assert iou(pred, gts[1]) == thr
+    got = match_detections([pred], gts, thr)
+    assert got == all_pairs_match([pred], gts, thr)
+    assert got == ([Match(0, 0, thr)], [], [1])
+
+
+def test_a_claimed_ground_truth_is_gone_for_a_lower_ranked_better_fit():
+    g = Box(0, 0, 10, 10)
+    other = Box(3, 0, 13, 10)
+    high = Box(1, 0, 11, 10, confidence=0.9)  # ranked first: IoU 9/11 with g, 2/3 with other
+    low = Box(0, 0, 10, 10, confidence=0.5)  # IoU 1 with g, 7/13 with other
+    preds = [low, high]
+    got = match_detections(preds, [g, other])
+    assert got == all_pairs_match(preds, [g, other])
+    assert got[0] == [Match(1, 0, iou(high, g)), Match(0, 1, iou(low, other))]
+    alone = match_detections(preds, [g])
+    assert alone == all_pairs_match(preds, [g]) == ([Match(1, 0, iou(high, g))], [0], [])
+
+
+def test_duplicate_ground_truth_in_one_group_is_claimed_in_index_order():
+    g = Box(0, 0, 10, 10, frame_id=1)
+    gts = [g, Box(0, 0, 10, 10, frame_id=0), g, g]
+    preds = [g._replace(confidence=0.4), g._replace(confidence=0.8)]
+    got = match_detections(preds, gts)
+    assert got == all_pairs_match(preds, gts)
+    assert got == ([Match(1, 0, 1.0), Match(0, 2, 1.0)], [], [1, 3])
+
+
+def test_zero_area_boxes_match_nothing_even_at_threshold_zero():
+    flat = [Box(0, 0, 10, 0), Box(0, 0, 0, 10), Box(5, 5, 5, 5)]
+    solid = [Box(0, 0, 10, 10)]
+    for preds, gts in ((flat, flat), (flat, solid), (solid, flat)):
+        got = match_detections(preds, gts, 0.0)
+        assert got == all_pairs_match(preds, gts, 0.0)
+        assert got[0] == []
+
+
+def test_a_negative_iou_threshold_is_refused():
+    with pytest.raises(ValueError):
+        match_detections([Box(0, 0, 1, 1)], [Box(5, 5, 6, 6)], -0.1)
+    with pytest.raises(ValueError):
+        match_detections([], [], math.nan)
 
 
 def float_pool():
@@ -593,3 +645,124 @@ def test_box_file_malformed_lines(tmp_path):
         with pytest.raises(MalformedBoxFile, match="finite") as info:
             load_boxes(path)
         assert info.value.line_no == 2
+
+    # An area of 1e400 is inf, and the matcher's union inf - inf is NaN.
+    path.write_text("0 stack 0.9 0 0 1e154 8e153\n0 stack 0.9 0 0 1e200 1e200\n")
+    with pytest.raises(MalformedBoxFile, match="area") as info:
+        load_boxes(path)
+    assert info.value.line_no == 2
+    path.write_text("0 stack 0.9 0 0 1e154 8e153\n")  # area 8e307: doubled, still finite
+    assert len(load_boxes(path)) == 1
+    # A line that breaks an older rule as well keeps that rule's reason.
+    for line, reason in (
+        ("0 stack 0.9 inf 0 1e200 1e200", "finite"),
+        ("0 stack 0.9 1e300 0 -1e300 1e200", "inverted"),
+        ("0 stack 1.5 0 0 1e200 1e200", "confidence"),
+    ):
+        path.write_text(line + "\n")
+        with pytest.raises(MalformedBoxFile, match=reason):
+            load_boxes(path)
+
+
+def test_box_file_reads_boxes_equal_to_keyword_built_ones(tmp_path):
+    path = tmp_path / "boxes.txt"
+    path.write_text("3 bag 0.25 1 2 3.5 4\n0 stack 1 0 0 0 0\n")
+    loaded = load_boxes(path)
+    assert loaded == [
+        Box(x_min=1.0, y_min=2.0, x_max=3.5, y_max=4.0, confidence=0.25, label="bag", frame_id=3),
+        Box(x_min=0.0, y_min=0.0, x_max=0.0, y_max=0.0, confidence=1.0, label="stack", frame_id=0),
+    ]
+    for box in loaded:
+        assert type(box) is Box
+        assert [type(v) for v in box] == [float] * 5 + [str, int]
+        assert box.center == ((box.x_min + box.x_max) / 2.0, (box.y_min + box.y_max) / 2.0)
+
+
+# Extents from small integers (which overlap and tie), from plain floats, and
+# from magnitudes whose areas underflow to 0 or, doubled, overflow.
+_EXTENT = st.one_of(
+    st.integers(0, 40).map(float),
+    st.floats(0.0, 50.0),
+    st.sampled_from([1e-200, 1e150, 1e154, 1e155, 1e200]),
+)
+_BOX_LINE = st.builds(
+    lambda f, lab, c, x, y, w, h: f"{f} {lab} {c} {x!r} {y!r} {x + w!r} {y + h!r}",
+    st.sampled_from([0, 1]),
+    st.sampled_from(["stack", "bag"]),
+    st.sampled_from([0.3, 0.6, 0.9]),
+    _EXTENT, _EXTENT, _EXTENT, _EXTENT,
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(lines=["0 stack 0.9 0 0 1e200 1e200"])
+@given(lines=st.lists(_BOX_LINE, max_size=6).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=10) if pool else st.just([])))
+def test_a_box_file_scored_against_itself_matches_every_box_with_area(tmp_path, capsys, lines):
+    path = tmp_path / "boxes.txt"
+    path.write_text("".join(line + "\n" for line in lines))
+    code = main(["eval", "--preds", str(path), "--gts", str(path)])
+    out, err = capsys.readouterr()
+    if code == 1:
+        assert err.startswith(f"error: {path}:") and err.count("\n") == 1
+        return
+    assert code == 0, err
+    boxes = load_boxes(path)
+    with_area = sum((b.x_max - b.x_min) * (b.y_max - b.y_min) > 0.0 for b in boxes)
+    scores = json.loads(out)
+    assert (scores["tp"], scores["fp"], scores["fn"]) == (
+        with_area, len(boxes) - with_area, len(boxes) - with_area)
+
+
+def seeded_box_pair(seed, frames, stacks):
+    """Ground truth and predictions on a grid whose neighbours overlap.
+
+    A prediction is its stack's box with each edge moved by a normal draw
+    (sigma 15 px), so IoUs spread across the thresholds; 5 % of stacks are
+    missed, and each frame gets spurious boxes of either label, some of them
+    flat. Confidences repeat, so ranks tie.
+    """
+    rng = random.Random(seed)
+    preds, gts = [], []
+    for frame in range(frames):
+        for s in range(stacks):
+            row, col = divmod(s, 4)
+            x0 = col * 300.0 + rng.uniform(-20.0, 20.0)
+            y0 = row * 350.0 + rng.uniform(-20.0, 20.0)
+            gt = Box(x0, y0, x0 + rng.uniform(150.0, 330.0), y0 + rng.uniform(200.0, 380.0),
+                     1.0, "stack", frame)
+            gts.append(gt)
+            if rng.random() < 0.05:
+                continue
+            px0 = gt.x_min + rng.gauss(0.0, 15.0)
+            py0 = gt.y_min + rng.gauss(0.0, 15.0)
+            px1 = max(px0, gt.x_max + rng.gauss(0.0, 15.0))
+            py1 = max(py0, gt.y_max + rng.gauss(0.0, 15.0))
+            preds.append(Box(px0, py0, px1, py1, rng.choice([0.3, 0.55, 0.8, 0.92, 1.0]),
+                             "stack", frame))
+        while rng.random() < 0.3:
+            x0, y0 = rng.uniform(0.0, 1100.0), rng.uniform(0.0, 600.0)
+            preds.append(Box(x0, y0, x0 + rng.uniform(0.0, 250.0), y0 + rng.uniform(0.0, 300.0),
+                             round(rng.random(), 2), rng.choice(["stack", "bag"]), frame))
+    return preds, gts
+
+
+# SHA-256 of `bagcell eval` stdout on the pair above. A change to the matcher,
+# the ranking, the AP or the box reader that moves one scored byte fails here.
+EVAL_STDOUT_SHA256 = {
+    "0.5": "7ac0b3e1adff1911b70c1aa4437ae6965e8d2021f1a5d0d35b5ad999900adeb7",
+    "0.0": "630a49c067c570ba005e0a0edf6628ac275aa135de6787dd33f27b1d2b70c18b",
+    "0.75": "06709f249085b9cdb9bfee7697fd36dbc9d7c686ec38d2ed1ccd996b676a0eed",
+}
+
+
+def test_eval_stdout_is_pinned_on_a_seeded_200_frame_pair(tmp_path, capsys):
+    preds, gts = seeded_box_pair(35, 200, 8)
+    assert (len(preds), len(gts)) == (1605, 1600)
+    save_boxes(tmp_path / "preds.txt", preds)
+    save_boxes(tmp_path / "gts.txt", gts)
+    argv = ["eval", "--preds", str(tmp_path / "preds.txt"), "--gts", str(tmp_path / "gts.txt")]
+    for thr, want in EVAL_STDOUT_SHA256.items():
+        assert main(argv + ["--iou", thr]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want, thr
