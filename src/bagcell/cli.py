@@ -20,12 +20,21 @@ script entries that never matched). Only run, campaign and replay
 import the simulator; eval, dump-config, --help and usage errors start
 without it, and without numpy. campaign and replay run their tests on one
 process per usable CPU, and no output byte depends on how many.
+
+A command runs with the cyclic garbage collector paused, and main puts it
+back as the caller had it. A run builds no reference cycles, so a collection
+during one finds nothing to free: it only walks the command's live records
+(an eval holds thousands of boxes and matches, which CPython keeps tracked).
+The few cycles a command leaves, such as a config and its validated Cell,
+are freed at the first collection after it. Forked campaign workers inherit
+the pause and leave through os._exit.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -326,6 +335,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors; remap
         return 0 if exc.code in (0, None) else 1
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (MalformedInput, OSError) as exc:
@@ -338,6 +349,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except RunAborted as exc:
         print(f"error: run aborted: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -54,7 +54,12 @@ class RunAborted(RuntimeError):
 
 
 def read_text(path: str | Path, fail: Callable[[str], MalformedInput]) -> str:
-    """``path``'s UTF-8 text, or ``fail``'s error naming why it cannot be read."""
+    """``path``'s UTF-8 text, or ``fail``'s error naming why it cannot be read.
+
+    Every ``\\r\\n`` and ``\\r`` reads as ``\\n``, so a line reader splits at
+    ``"\\n"`` alone and names the line an editor shows. ``str.splitlines``
+    would also break at form feeds and other separators inside a line.
+    """
     try:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:

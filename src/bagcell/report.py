@@ -139,7 +139,7 @@ def read_trace(path: str | Path) -> List[TraceRecord]:
     out: List[TraceRecord] = []
     prev_seq = -1
     prev_time = 0.0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         try:
             obj, end = _SCAN(raw, 0)
         except (StopIteration, ValueError, RecursionError):

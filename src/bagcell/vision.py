@@ -400,7 +400,7 @@ def load_boxes(path: str | Path) -> List[Box]:
     new = tuple.__new__
     isfinite = math.isfinite
     text = read_text(path, functools.partial(MalformedBoxFile, str(path), None))
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         parts = raw.split()
         if not parts or parts[0][0] == "#":
             continue

@@ -1,5 +1,6 @@
 """Command-line interface tests, driven through main() in-process."""
 
+import gc
 import json
 import os
 import subprocess
@@ -12,9 +13,11 @@ import pytest
 from bagcell.cli import build_parser, main
 from bagcell.config import CellConfig, RunAborted
 from bagcell.devices import DeviceBank, InterlockViolation
-from bagcell.scenarios import REFERENCE_CAMPAIGN
+from bagcell.scenarios import REFERENCE_CAMPAIGN, randomized_fault_profile
 from bagcell.simulate import Simulation
+from bagcell.vision import save_boxes
 from bagcell.world import Violation
+from test_vision import seeded_box_pair
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -743,3 +746,113 @@ def test_interlock_violation_exits_two(monkeypatch, capsys):
     assert main(["run", "--cycles", "1"]) == 2
     line = _aborted_with_one_line(capsys.readouterr().err)
     assert line == "error: run aborted: cutter.extend: refused"
+
+
+# --- the collector, paused while a command runs ------------------------------
+
+
+@pytest.fixture
+def collector():
+    """Put the cyclic garbage collector back as it was once the test ends."""
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+_SLOW = {"orchestrator": {"pacing": {"detect_service_s": 200000}}}
+_OUTCOMES = {
+    "success": (["dump-config"], 0),
+    "help": (["--help"], 0),
+    "usage-error": (["run", "--no-such-flag"], 1),
+    "malformed-box-file": (["eval", "--preds", "bad.txt", "--gts", "bad.txt"], 1),
+    "aborted-run": (["run", "--cycles", "1", "--config", "slow.json"], 2),
+    "escaping-exception": (["eval", "--preds", "gt.txt", "--gts", "gt.txt"], ZeroDivisionError),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("outcome", list(_OUTCOMES))
+def test_main_leaves_the_collector_as_it_found_it(
+    tmp_path, monkeypatch, capsys, collector, outcome, enabled
+):
+    (tmp_path / "bad.txt").write_text("0 stack 1.0 100 100\n")
+    (tmp_path / "gt.txt").write_text(GT_LINES + "\n")
+    (tmp_path / "slow.json").write_text(json.dumps(_SLOW))
+
+    def escape(*args, **kwargs):
+        raise ZeroDivisionError("not caught by main")
+
+    monkeypatch.setattr("bagcell.cli.evaluate", escape)
+    argv, want = _OUTCOMES[outcome]
+    (gc.enable if enabled else gc.disable)()
+    if isinstance(want, int):
+        assert main(argv) == want
+    else:
+        with pytest.raises(want):
+            main(argv)
+    assert gc.isenabled() is enabled
+    capsys.readouterr()
+
+
+def _collections_during(call):
+    """The generation of each collection that starts while ``call()`` runs."""
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    build_parser()  # built once per process, by main before it pauses the collector
+    gc.collect()  # so that no earlier allocation counts towards a collection
+    gc.callbacks.append(count)
+    try:
+        call()
+    finally:
+        gc.callbacks.remove(count)
+    return started
+
+
+def test_no_collection_starts_while_a_command_runs(tmp_path, capsys, collector):
+    # An eval holds thousands of tracked Box and Match tuples, which a
+    # collection would walk and find live.
+    gc.enable()
+    preds, gts = seeded_box_pair(35, 200, 8)
+    save_boxes(tmp_path / "preds.txt", preds)
+    save_boxes(tmp_path / "gts.txt", gts)
+    commands = [
+        ["eval", "--preds", "preds.txt", "--gts", "gts.txt"],
+        ["campaign", "--tests", "2", "--outdir", "camp"],
+    ]
+    for argv in commands:
+        assert _collections_during(lambda: main(argv)) == [], argv
+    capsys.readouterr()
+
+
+def test_a_paused_campaign_leaves_the_same_garbage_at_any_test_count(
+    tmp_path, monkeypatch, capsys, collector
+):
+    # The pause leaks nothing that grows with the run count: a command's
+    # cycles are a fixed few, freed at the first collection after it.
+    usable_cpus(monkeypatch, 1)
+    argv = ["campaign", "--outdir", "camp", "--tests"]
+    assert main(argv + ["1"]) == 0  # imports and first-use caches
+    gc.collect()
+    gc.disable()
+    found = []
+    for tests in ("1", "12"):
+        assert main(argv + [tests]) == 0
+        found.append(gc.collect())
+    capsys.readouterr()
+    assert found[0] == found[1]
+
+
+def test_runs_on_one_cell_build_no_reference_cycles(collector):
+    cfg = CellConfig()
+    cfg.faults = randomized_fault_profile()
+    cell = cfg.validate()
+    Simulation(cell, seed=0, cycles=1).run()  # imports and the Cell's move memo
+    gc.collect()
+    gc.disable()
+    for seed in range(50):
+        Simulation(cell, seed=seed, cycles=1).run()
+    assert gc.collect() == 0

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from bagcell.cli import main
 from bagcell.config import CellConfig, ConfigInvalid, MalformedInput
 from bagcell.devices import FAULT_PROBS, FaultScript, MalformedFaultScript
-from bagcell.report import MalformedTrace, read_trace
+from bagcell.report import MalformedTrace, TraceRecord, read_trace
 from bagcell.vision import MalformedBoxFile, load_boxes
 
 READERS = {
@@ -63,6 +63,60 @@ def test_every_reader_rejects_bad_input_by_one_rule(tmp_path, case):
         reasons[name] = info.value.reason
     assert len(set(reasons.values())) == 1, reasons
     assert reasons[readers[0]].startswith(starts)
+
+
+# --- one line rule: lines end at "\n", "\r\n" or "\r" and nowhere else ---
+
+
+def test_a_box_line_holding_a_form_feed_is_one_line(tmp_path, monkeypatch, capsys):
+    # str.splitlines would end line 1 at the form feed and name line 2.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ff.txt").write_bytes(b"0 stack 0.9 0 0 10 10\x0c0 stack 0.9 0 0 10\n")
+    assert main(["eval", "--preds", "ff.txt", "--gts", "ff.txt"]) == 1
+    assert capsys.readouterr().err == "error: ff.txt:1: expected 7 fields, got 13\n"
+
+
+@pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_a_box_file_with_other_line_ends_reads_the_same(tmp_path, end):
+    lines = [b"0 stack 0.9 0 0 10 10", b"# comment", b"", b"1 bag 0.5 1 2 3 4"]
+    unix, other = tmp_path / "unix.txt", tmp_path / "other.txt"
+    unix.write_bytes(b"\n".join(lines) + b"\n")
+    other.write_bytes(end.join(lines) + end)
+    assert load_boxes(other) == load_boxes(unix)
+    other.write_bytes(end.join(lines + [b"1 bag 0.5 1 2 3"]) + end)
+    with pytest.raises(MalformedBoxFile) as info:
+        load_boxes(other)
+    assert info.value.line_no == 5
+
+
+_RECORDS = [TraceRecord(k, float(k), "message", {}).to_line() for k in range(2)]
+
+
+@pytest.mark.parametrize(
+    "text, line_no",
+    [
+        # A form feed before a record is not JSON whitespace.
+        (_RECORDS[0] + "\n\x0c" + _RECORDS[1] + "\n", 2),
+        # A line of a form feed alone is blank, and one line.
+        (_RECORDS[0] + "\n\x0c\n[1]\n", 3),
+    ],
+    ids=["before-a-record", "alone"],
+)
+def test_a_trace_line_holding_a_form_feed_is_named_by_its_line_number(tmp_path, text, line_no):
+    path = tmp_path / "trace.jsonl"
+    path.write_text(text)
+    with pytest.raises(MalformedTrace) as info:
+        read_trace(path)
+    assert info.value.line_no == line_no
+
+
+def test_a_trace_string_holding_a_line_separator_reads_as_json_loads_reads_it(tmp_path):
+    # JSON allows U+2028 and U+0085 raw in a string; the reader must not split there.
+    line = json.dumps({"v": 1, "seq": 0, "t": 0.0, "kind": "message",
+                       "data": {"note": "a\u2028b\x85c"}}, ensure_ascii=False)
+    path = tmp_path / "trace.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    assert read_trace(path) == [TraceRecord(0, 0.0, "message", {"note": "a\u2028b\x85c"})]
 
 
 # --- the CLI fuzzed in process ---------------------------------------------

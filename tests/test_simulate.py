@@ -10,7 +10,7 @@ import math
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from bagcell import orchestrator as orc
 from bagcell.cli import main
@@ -587,6 +587,28 @@ def test_same_seed_reproduces_trace_and_report():
     assert [r.to_line() for r in a_tracer.records] == \
         [r.to_line() for r in b_tracer.records]
     assert a_report.to_dict() == b_report.to_dict()
+
+
+# SHA-256 of the default 3-cycle session's trace lines joined by "\n": 1,330
+# records, 24 of 24 stacks delivered.
+FAULT_FREE_SESSION_SHA256 = "3e8be5018bbba9e8ce49087a1184f6c39daceba08851a363e2da3e99bdba5280"
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**64))
+@example(seed=0)
+@example(seed=1)
+@example(seed=999)
+def test_a_fault_free_session_writes_the_same_trace_on_every_seed(seed):
+    # The default config draws nothing that can move an event: every fault
+    # probability and noise sigma is 0. Blaming a fault by re-simulating a run
+    # without it rests on this.
+    cfg = CellConfig()
+    assert set(cfg.faults) == {0.0}
+    report, tracer = run_single(cfg, seed=seed)
+    assert (len(tracer.records), report.delivered, report.cycles) == (1330, 24, 3)
+    text = "\n".join(rec.to_line() for rec in tracer.records)
+    assert hashlib.sha256(text.encode()).hexdigest() == FAULT_FREE_SESSION_SHA256
 
 
 def test_different_seeds_diverge_under_noise():
